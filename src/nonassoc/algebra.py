@@ -7,9 +7,11 @@ are coefficient vectors; all operations are pure and exact.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .scalar import GaussianRational, ONE, ZERO
 
@@ -85,6 +87,46 @@ class AlgebraDef:
             )
             for row in self.structure
         )
+
+    @functools.cached_property
+    def tensor(self) -> np.ndarray:
+        """The product table as one exact integer array, built once.
+
+        Index 0 stands for the unit and index k + 1 for basis element k, so
+        the array has shape (dim+1, dim+1, K).  `tensor[a, b]` is the product
+        of elements a and b times the common denominator `_den`: real parts
+        of its unit and basis coefficients at 0..dim, then, only when some
+        structure constant is not real, imaginary parts at dim+1..2*dim+1
+        (K is dim+1 or 2*(dim+1)).  The rows of index 0 make the unit act as
+        an identity; a non-unital table never produces a unit component.
+
+        The dtype is int64 when 12*K*M**2 fits in it, M being the largest
+        entry, so that no sum the law kernel in `properties` forms can
+        overflow; otherwise it is object, holding Python ints.
+        """
+        n = self.dim + 1
+        gaussian = any(
+            u_im or any(im for _, _, im in entries)
+            for row in self._int_sparse
+            for _, u_im, entries in row
+        )
+        width = 2 * n if gaussian else n
+        t = [[[0] * width for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            t[0][a][a] = t[a][0][a] = self._den
+        for i, row in enumerate(self._int_sparse):
+            for j, (u_re, u_im, entries) in enumerate(row):
+                out = t[i + 1][j + 1]
+                out[0] = u_re
+                for k, re, _ in entries:
+                    out[k + 1] = re
+                if gaussian:
+                    out[n] = u_im
+                    for k, _, im in entries:
+                        out[n + k + 1] = im
+        big = max(abs(v) for plane in t for vec in plane for v in vec)
+        fits = 12 * width * big * big <= np.iinfo(np.int64).max
+        return np.array(t, dtype=np.int64 if fits else object)
 
     @classmethod
     def from_products(cls, name, dim, products, unital, basis_names=None):
@@ -340,6 +382,3 @@ def jacobiator(x: Element, y: Element, z: Element) -> Element:
         + commutator(commutator(y, z), x)
     )
 
-
-def basis_triples(alg: AlgebraDef):
-    return itertools.product(range(alg.dim), repeat=3)

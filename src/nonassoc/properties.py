@@ -1,11 +1,42 @@
 """Identity checking for structure-constant algebras.
 
-Multilinear laws (associativity, alternativity after linearization,
+The multilinear laws (associativity, alternativity after linearization,
 flexibility, Lie admissibility, the derivation property) are decided
-exhaustively on basis tuples, which suffices by multilinearity over a
-characteristic-zero field.  Power associativity and the Jordan law are not
-multilinear; they are checked on all basis elements plus a deterministic
-batch of pseudorandom elements with small integer coefficients.
+exhaustively on basis triples, which suffices by multilinearity over a
+characteristic-zero field.  They run on `AlgebraDef.tensor`, the product
+table as one exact integer array T over the common denominator, with the
+unit at index 0.  Each law's defect at (e_i, e_j, e_k) is a signed sum of
+associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) at permutations of
+(i, j, k):
+
+    associative          A(i,j,k)
+    flexible             A(i,j,k) + A(k,j,i)
+    left-alternative     A(i,j,k) + A(j,i,k)
+    right-alternative    A(i,j,k) + A(i,k,j)
+    Lie-admissible       sum of sign(p) A(p(i,j,k)) over the six orders p
+    derivation property  -A(i,j,k) + A(i,k,j) - A(k,i,j)
+
+The associator entries are contractions of T with itself.  They are
+computed one slab of first index i at a time, as the three slices with i
+in each position, A[i,j,k], A[j,i,k] and A[j,k,i], so memory stays
+O(dim^3).  Slabs are taken in order of i and the nonzero entries of a slab
+in (j, k, law) order, and the scan stops at the first failing slab: the
+witness is the lexicographically first failing (i, j, k, law), the same
+triple a loop over basis elements finds, and its defect is the slab entry
+divided by the denominator squared.
+
+T is int64 when 12*K*M**2 < 2**63, where M is its largest entry and K the
+length of its last axis: an associator entry sums 2*K products of two
+entries and a law adds at most six associators, so no sum can overflow.
+Otherwise T holds Python ints (dtype object), as for exported search
+candidates, whose common denominator is about 2**68.  A table without
+imaginary parts carries none, which keeps K at dim + 1.  The search for an
+internal unit solves its linear system from slices of T by fraction-free
+elimination over the Gaussian integers.
+
+Power associativity and the Jordan law are not multilinear; they are
+checked on all basis elements plus a deterministic batch of pseudorandom
+elements with small integer coefficients.
 
 Every check is exact: a law either holds or a nonzero defect element is
 produced as a witness.  Witnesses are deterministic (lexicographically
@@ -14,12 +45,16 @@ first failing tuple).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import AlgebraDef, Element, associator, commutator, jacobiator, multiply
-from .scalar import ZERO, solve_exact
+import numpy as np
+
+from .algebra import AlgebraDef, Element, multiply
+from .scalar import GaussianRational, solve_gaussian_integers
 
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 20240811
@@ -70,56 +105,116 @@ class PropertyReport:
             assert self.witness is not None and not self.witness.defect.is_zero()
 
 
-def _first_basis_failure(alg, laws):
-    """Scan basis triples in lex order; laws is [(tag, defect_fn(x, y, z))]."""
-    basis = alg.basis()
-    for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        for tag, fn in laws:
-            d = fn(basis[i], basis[j], basis[k])
-            if not d.is_zero():
-                return Witness(defect=d, indices=(i, j, k), law=tag)
+def _slab_kernel(alg):
+    """Associator slices of `alg.tensor`, one slab of first index i at a time.
+
+    Returns slices(i, pos) for tensor index i >= 1: the array S[j, k],
+    over basis elements j and k, of A[i, j, k] (pos 0), A[j, i, k] (pos 1)
+    or A[j, k, i] (pos 2), where A[a, b, c] is the associator of the
+    elements at tensor indices a, b, c times `_den**2`, as a tensor vector.
+    """
+    t = alg.tensor
+    n, width = alg.dim, t.shape[2]
+    # times_right[m, k] is u_m e_k and times_left[j, m] is e_j u_m, where
+    # u_m is the unit vector of component m.  In a Gaussian table the
+    # components from `half` on are imaginary parts: u_(half+m) is i u_m,
+    # and multiplying by i swaps the real and imaginary halves and negates one.
+    if width > n + 1:
+        half = n + 1
+        turned = np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
+        times_right = np.concatenate([t, turned], axis=0)
+        times_left = np.concatenate([t, turned], axis=1)
+    else:
+        times_right = times_left = t
+    right = times_right[:, 1:].reshape(width, n * width)
+    left = times_left[1:]
+    products = t[1:, 1:].reshape(n * n, width)   # [(j, k)]: e_j e_k
+
+    def slices(i, pos):
+        if pos == 0:    # (e_i e_j) e_k - e_i (e_j e_k)
+            return ((t[i, 1:] @ right).reshape(n, n, width)
+                    - (products @ times_left[i]).reshape(n, n, width))
+        if pos == 1:    # (e_j e_i) e_k - e_j (e_i e_k)
+            return (t[1:, i] @ right).reshape(n, n, width) - t[i, 1:] @ left
+        # (e_j e_k) e_i - e_j (e_k e_i)
+        return ((products @ times_right[:, i]).reshape(n, n, width)
+                - t[1:, i] @ left)
+
+    return slices
+
+
+def _first_failure(alg, laws):
+    """The lexicographically first failing (i, j, k, law), or None.
+
+    `laws` is [(tag, defect(s))], where defect maps s(pos), the associator
+    slices of slab i, to the law's defects at (i, j, k) as an array over
+    (j, k).  Slabs are decided in order of i and each is scanned in
+    (j, k, law) order, so the first hit is the first failure in
+    (i, j, k, law) order; no later slab is computed.
+    """
+    slices = _slab_kernel(alg)
+    den2 = alg._den ** 2
+    half = alg.dim + 1
+    for i in range(1, alg.dim + 1):
+        s = functools.cache(functools.partial(slices, i))
+        defects = np.stack([defect(s) for _, defect in laws], axis=2)
+        hits = np.flatnonzero((defects != 0).any(axis=3))
+        if hits.size:
+            j, k, law = np.unravel_index(hits[0], defects.shape[:3])
+            row = [int(v) for v in defects[j, k, law]]
+            if len(row) == half:
+                row += [0] * half
+            unit, *coeffs = (
+                GaussianRational(Fraction(re, den2), Fraction(im, den2))
+                for re, im in zip(row[:half], row[half:])
+            )
+            w = Element(alg, unit, tuple(coeffs))
+            return Witness(defect=w, indices=(i - 1, int(j), int(k)), law=laws[law][0])
     return None
 
 
+def _swap(a):
+    """a[j, k] -> a[k, j]: the same slice with the last two indices exchanged."""
+    return a.transpose(1, 0, 2)
+
+
 def _check_associative(alg, **_):
-    w = _first_basis_failure(alg, [("associativity", associator)])
+    w = _first_failure(alg, [("associativity", lambda s: s(0))])
     return PropertyReport(alg, "associative", w is None, w)
 
 
 def _check_flexible(alg, **_):
-    def defect(x, y, z):
-        return associator(x, y, z) + associator(z, y, x)
-
-    w = _first_basis_failure(alg, [("flexible law", defect)])
+    # A(i,j,k) + A(k,j,i)
+    w = _first_failure(alg, [("flexible law", lambda s: s(0) + _swap(s(2)))])
     return PropertyReport(alg, "flexible", w is None, w)
 
 
 def _check_alternative(alg, **_):
-    # Linearizations of (x,x,y) = 0 and (y,x,x) = 0; equivalent in char 0.
-    def left(x, y, z):
-        return associator(x, y, z) + associator(y, x, z)
-
-    def right(x, y, z):
-        return associator(x, y, z) + associator(x, z, y)
-
-    w = _first_basis_failure(
-        alg, [("left-alternative", left), ("right-alternative", right)]
-    )
+    # Linearizations of (x,x,y) = 0 and (y,x,x) = 0; equivalent in char 0:
+    # A(i,j,k) + A(j,i,k) and A(i,j,k) + A(i,k,j).
+    w = _first_failure(alg, [
+        ("left-alternative", lambda s: s(0) + s(1)),
+        ("right-alternative", lambda s: s(0) + _swap(s(0))),
+    ])
     return PropertyReport(alg, "alternative", w is None, w)
 
 
 def _check_lie_admissible(alg, **_):
-    w = _first_basis_failure(alg, [("Jacobi identity for the commutator", jacobiator)])
+    # The jacobiator of the commutator is the signed sum of A over the six
+    # orders of (i, j, k).
+    def jacobiator(s):
+        return s(0) - _swap(s(0)) - s(1) + _swap(s(1)) + s(2) - _swap(s(2))
+
+    w = _first_failure(alg, [("Jacobi identity for the commutator", jacobiator)])
     return PropertyReport(alg, "lie_admissible", w is None, w)
 
 
 def _check_derivation_property(alg, **_):
-    def defect(x, y, z):
-        return commutator(z, multiply(x, y)) - (
-            multiply(x, commutator(z, y)) + multiply(commutator(z, x), y)
-        )
-
-    w = _first_basis_failure(alg, [("bracket Leibniz rule", defect)])
+    # [z, xy] - x[z, y] - [z, x]y at (x, y, z) = (e_i, e_j, e_k) expands to
+    # -A(i,j,k) + A(i,k,j) - A(k,i,j).
+    w = _first_failure(alg, [
+        ("bracket Leibniz rule", lambda s: _swap(s(0)) - s(0) - _swap(s(1))),
+    ])
     return PropertyReport(alg, "derivation_property", w is None, w)
 
 
@@ -181,24 +276,26 @@ def _check_jordan(alg, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, **_):
 def _check_unital(alg, **_):
     if alg.unital:
         return PropertyReport(alg, "unital", True, None, detail="external unit")
-    # Look for an internal two-sided identity by solving u*e_j = e_j = e_j*u.
-    dim = alg.dim
-    rows, rhs = [], []
-    for j in range(dim):
-        for k in range(dim):
-            rows.append([alg.structure[l][j][1][k] for l in range(dim)])
-            rhs.append(ZERO + (1 if j == k else 0))
-    for j in range(dim):
-        for k in range(dim):
-            rows.append([alg.structure[j][l][1][k] for l in range(dim)])
-            rhs.append(ZERO + (1 if j == k else 0))
-    solution, particular = solve_exact(rows, rhs)
+    # Look for an internal two-sided identity by solving u*e_j = e_j = e_j*u,
+    # one row per (j, k) and one column per coefficient of u, times `_den`.
+    n, half = alg.dim, alg.dim + 1
+    t = alg.tensor[1:, 1:]
+    re = t[..., 1:half]
+    im = t[..., half + 1:] if t.shape[2] > half else np.zeros_like(re)
+    aug = []
+    for order in ((1, 2, 0), (0, 2, 1)):    # [j, k, l]: e_l e_j, then e_j e_l
+        re_rows, im_rows = re.transpose(order).tolist(), im.transpose(order).tolist()
+        for j in range(n):
+            for k in range(n):
+                target = (alg._den if j == k else 0, 0)
+                aug.append([*zip(re_rows[j][k], im_rows[j][k]), target])
+    solution, particular = solve_gaussian_integers(aug)
     if solution is not None:
         u = alg.element(0, solution)
         return PropertyReport(alg, "unital", True, None, detail=f"internal unit {u}")
     # No identity exists; exhibit where the best candidate fails.
     u = alg.element(0, particular)
-    for j in range(dim):
+    for j in range(n):
         ej = alg.basis_element(j)
         for d in (multiply(u, ej) - ej, multiply(ej, u) - ej):
             if not d.is_zero():

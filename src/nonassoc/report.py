@@ -13,15 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import superspace as ss
-from .corpus import (
-    complex_numbers,
-    epsilon3,
-    quaternions,
-    random_commutative,
-    so31_bracket_algebra,
-    split_octonions,
-    su2_bracket_algebra,
-)
+from .corpus import epsilon3, split_octonions, standard_corpus
 from .algebra import associator, commutator
 from .properties import myung_equivalence
 from .scalar import GaussianRational
@@ -256,16 +248,7 @@ def build_verify_report() -> VerifyReport:
         )
     )
 
-    corpus = [
-        split_octonions(),
-        quaternions(),
-        su2_bracket_algebra(),
-        complex_numbers(),
-        random_commutative(),
-        so31_bracket_algebra(),
-        zorn_octonions(),
-    ]
-    verdicts = myung_equivalence(corpus)
+    verdicts = myung_equivalence(standard_corpus() + [zorn_octonions()])
     myung_ok = all(v.equivalence_holds for v in verdicts)
     entries.append(
         ReportEntry(

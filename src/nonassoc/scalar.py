@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -134,33 +135,53 @@ def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational])
     pivot rows with free variables set to zero, which callers can use to
     build an explicit counterexample.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[GaussianRational.of(v) for v in row] + [GaussianRational.of(rhs[i])]
-           for i, row in enumerate(rows)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        vals = [GaussianRational.of(v) for v in (*row, b)]
+        den = math.lcm(*(f.denominator for v in vals for f in (v.re, v.im)))
+        aug.append([(v.re.numerator * (den // v.re.denominator),
+                     v.im.numerator * (den // v.im.denominator)) for v in vals])
+    return solve_gaussian_integers(aug)
 
+
+def solve_gaussian_integers(aug: list[list[tuple[int, int]]]):
+    """`solve_exact` on an augmented system whose entries are Gaussian
+    integers, given as (re, im) pairs; the rows are rewritten in place.
+
+    Gauss-Jordan elimination without fractions: the first row with a
+    nonzero entry in the column is the pivot row, every other row becomes
+    pivot * row - entry * pivot row, and each new row is divided by the gcd
+    of its parts.  Rows change only by nonzero factors, so pivots and the
+    zero pattern are those of elimination over the field.
+    """
+    m = len(aug)
+    n = len(aug[0]) - 1 if m else 0
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if not aug[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, m) if aug[i][col] != (0, 0)), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
+        prow = aug[r]
+        pr, pi = prow[col]
         for i in range(m):
-            if i != r and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            fr, fi = aug[i][col]
+            if i == r or not (fr or fi):
+                continue
+            row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
+                   for (a, b), (c, d) in zip(aug[i], prow)]
+            g = math.gcd(*(part for pair in row for part in pair))
+            if g > 1:
+                row = [(a // g, b // g) for a, b in row]
+            aug[i] = row
         pivot_cols.append(col)
         r += 1
         if r == m:
             break
 
-    consistent = all(
-        aug[i][n].is_zero() for i in range(r, m)
-    )
+    consistent = all(aug[i][n] == (0, 0) for i in range(r, m))
     particular = [ZERO] * n
     for row_idx, col in enumerate(pivot_cols):
-        particular[col] = aug[row_idx][n]
+        particular[col] = GaussianRational(*aug[row_idx][n]) / GaussianRational(*aug[row_idx][col])
     return (particular if consistent else None), particular

@@ -113,14 +113,10 @@ class CandidateAlgebra:
 
     def permuted(self, perm: np.ndarray) -> "CandidateAlgebra":
         """Relabel basis indices by `perm` (new index = perm[old index])."""
-        dim = self.dim
         c2 = np.zeros_like(self.c)
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    c2[perm[i], perm[j], perm[k]] = self.c[i, j, k]
+        c2[np.ix_(perm, perm, perm)] = self.c
         roles = {label: int(perm[idx]) for label, idx in self.roles.items()}
-        return CandidateAlgebra(dim, c2, roles, self.seed)
+        return CandidateAlgebra(self.dim, c2, roles, self.seed)
 
 
 @dataclass(frozen=True)

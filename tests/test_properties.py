@@ -1,8 +1,10 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nonassoc.algebra import AlgebraDef, jacobiator, multiply
+from nonassoc.algebra import AlgebraDef, associator, commutator, jacobiator, multiply
 from nonassoc.corpus import (
     complex_numbers,
     quaternions,
@@ -16,7 +18,8 @@ from nonassoc.properties import (
     check_property,
     myung_equivalence,
 )
-from nonassoc.scalar import ZERO
+from nonassoc.scalar import I, ZERO
+from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
 
 
@@ -167,3 +170,101 @@ def test_quaternion_subalgebra_closure_inside_split_octonions():
     for i, j in itertools.product(range(3), repeat=2):
         prod = multiply(q[i], q[j])
         assert all(prod.coeffs[k].is_zero() for k in range(3, 7))
+
+
+# -- the tensor kernel against element arithmetic on basis triples ------------
+
+# Each multilinear law as defect functions of three elements, in the order
+# the checker reports them.
+REFERENCE_LAWS = {
+    "associative": [("associativity", associator)],
+    "alternative": [
+        ("left-alternative", lambda x, y, z: associator(x, y, z) + associator(y, x, z)),
+        ("right-alternative", lambda x, y, z: associator(x, y, z) + associator(x, z, y)),
+    ],
+    "flexible": [("flexible law", lambda x, y, z: associator(x, y, z) + associator(z, y, x))],
+    "lie_admissible": [("Jacobi identity for the commutator", jacobiator)],
+    "derivation_property": [("bracket Leibniz rule", lambda x, y, z: (
+        commutator(z, multiply(x, y))
+        - (multiply(x, commutator(z, y)) + multiply(commutator(z, x), y))))],
+}
+
+
+def reference_failure(alg, law):
+    """(indices, tag, defect) of the first failing basis triple in lex order."""
+    basis = alg.basis()
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        for tag, defect in REFERENCE_LAWS[law]:
+            d = defect(basis[i], basis[j], basis[k])
+            if not d.is_zero():
+                return (i, j, k), tag, d
+    return None
+
+
+def scaled(alg, name, factor, unit_factor):
+    """`alg` with the coefficients of e_i e_j multiplied by `factor`(i, j)
+    and its unit multiple by `unit_factor`(i, j)."""
+    products = {}
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        unit, coeffs = alg.structure[i][j]
+        f = factor(i, j)
+        products[(i, j)] = (unit * unit_factor(i, j), {k: c * f for k, c in enumerate(coeffs)})
+    return AlgebraDef.from_products(name, alg.dim, products, alg.unital, alg.basis_names)
+
+
+def gaussian_split_octonions():
+    def phase(i, j):
+        return I if (i + 2 * j) % 3 == 0 else 1
+
+    return scaled(split_octonions(), "gsplitO", phase, phase)
+
+
+def exported_candidate(seed):
+    return candidate_to_algebra(CandidateAlgebra.random(seed))
+
+
+@pytest.mark.parametrize("alg", full_corpus() + [gaussian_split_octonions(), exported_candidate(1),
+                                                 exported_candidate(2)],
+                         ids=lambda a: f"{a.name}-{a.tensor.dtype}-{a.tensor.shape[2]}")
+@pytest.mark.parametrize("law", sorted(REFERENCE_LAWS))
+def test_witness_matches_basis_triple_reference(alg, law):
+    report = check_property(alg, law)
+    expected = reference_failure(alg, law)
+    assert report.holds is (expected is None)
+    if expected is not None:
+        indices, tag, defect = expected
+        assert (report.witness.indices, report.witness.law) == (indices, tag)
+        assert report.witness.defect == defect
+
+
+def test_tensor_dtype_follows_the_magnitude_bound():
+    assert split_octonions().tensor.dtype == np.int64
+    assert gaussian_split_octonions().tensor.shape == (8, 8, 16)
+    # doubles exported as p / 2^k: the common denominator exceeds int64
+    assert exported_candidate(1).tensor.dtype == object
+
+
+def test_object_path_scales_the_int64_witnesses():
+    # splitO in the basis s*q_k: coefficients scale by s and, because the
+    # unit keeps weight one, unit multiples by s**2.  An associator of the
+    # new basis is s**3 times the old one: s**2 on each new basis element.
+    alg, s = split_octonions(), Fraction(1, 2**70)
+    tiny = scaled(alg, "tiny", lambda i, j: s, lambda i, j: s * s)
+    assert tiny.tensor.dtype == object
+    for law in REFERENCE_LAWS:
+        small, plain = check_property(tiny, law), check_property(alg, law)
+        assert small.holds is plain.holds, law
+        if not plain.holds:
+            assert (small.witness.indices, small.witness.law) == (
+                plain.witness.indices, plain.witness.law)
+            assert small.witness.defect.coeffs == tuple(
+                c * s**2 for c in plain.witness.defect.coeffs)
+            assert small.witness.defect.unit == plain.witness.defect.unit * s**3
+
+
+def test_internal_gaussian_unit():
+    # e1 e1 = i e1 has the internal unit -i e1
+    alg = AlgebraDef.from_products("gauss_unit", 1, {(0, 0): (ZERO, {0: I})}, unital=False)
+    rep = check_property(alg, "unital")
+    assert rep.holds
+    assert rep.detail == "internal unit -i*e1"

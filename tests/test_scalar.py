@@ -90,3 +90,40 @@ def test_solve_exact_gaussian_coefficients():
     assert sol is not None
     assert I * sol[0] + sol[1] == GaussianRational(0, 2)
     assert sol[0] - I * sol[1] == GaussianRational(2)
+
+
+def gq(re, im=0):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def test_solve_exact_complex_full_rank():
+    # (1+i) x + 2 y = 3+i, i x - y = 1
+    rows = [[gq(1, 1), gq(2)], [I, -ONE]]
+    sol, particular = solve_exact(rows, [gq(3, 1), ONE])
+    assert sol == [gq("4/5", "-7/5"), gq("2/5", "4/5")]
+    assert particular == sol
+
+
+def test_solve_exact_complex_rank_deficient_sets_free_variables_to_zero():
+    # the second row is i times the first, so y is free
+    rows = [[ONE, I, ZERO], [I, -ONE, ZERO], [ZERO, ZERO, gq(2)]]
+    sol, particular = solve_exact(rows, [gq(1, 1), gq(-1, 1), gq(4)])
+    assert sol == particular == [gq(1, 1), ZERO, gq(2)]
+
+
+def test_solve_exact_complex_inconsistent_particular_solves_pivot_rows():
+    # the second row is i times the first on the left but not on the right;
+    # the pivots fall on rows one and three
+    rows = [[I, ONE], [-ONE, I], [ONE, ONE]]
+    sol, particular = solve_exact(rows, [ONE, gq(1, 1), ZERO])
+    assert sol is None
+    assert particular == [gq("-1/2", "-1/2"), gq("1/2", "1/2")]
+
+
+def test_solve_exact_fractional_rows_with_zero_rows():
+    rows = [[ZERO, ZERO], [gq("1/3"), gq("-1/6", "1/2")], [ZERO, ZERO]]
+    sol, particular = solve_exact(rows, [ZERO, gq("1/2"), ZERO])
+    assert sol == particular == [gq("3/2"), ZERO]
+    sol, particular = solve_exact(rows, [ZERO, gq("1/2"), gq(0, "1/7")])
+    assert sol is None and particular == [gq("3/2"), ZERO]
+    assert solve_exact([], []) == ([], [])

@@ -100,8 +100,8 @@ class AlgebraDef:
         (K is dim+1 or 2*(dim+1)).  The rows of index 0 make the unit act as
         an identity; a non-unital table never produces a unit component.
 
-        The dtype is int64 when 12*K*M**2 fits in it, M being the largest
-        entry, so that no sum the law kernel in `properties` forms can
+        The dtype is int64 when 48*K**2*M**3 fits in it, M being the largest
+        entry, so that no sum the law kernels in `properties` form can
         overflow; otherwise it is object, holding Python ints.
         """
         n = self.dim + 1
@@ -125,7 +125,7 @@ class AlgebraDef:
                     for k, _, im in entries:
                         out[n + k + 1] = im
         big = max(abs(v) for plane in t for vec in plane for v in vec)
-        fits = 12 * width * big * big <= np.iinfo(np.int64).max
+        fits = 48 * width**2 * big**3 <= np.iinfo(np.int64).max
         return np.array(t, dtype=np.int64 if fits else object)
 
     @classmethod

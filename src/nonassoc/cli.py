@@ -58,8 +58,9 @@ def main():
 @click.argument("file", type=click.Path())
 @click.option("--properties", required=True,
               help="comma-separated list, e.g. flexible,lie-admissible")
-@click.option("--degree", default=4, show_default=True,
-              help="maximum degree for power-associative")
+@click.option("--degree", type=click.IntRange(min=3), default=4, show_default=True,
+              help="power-associative: 3 checks only x^2 x = x x^2; "
+                   "4 or more decides power associativity completely")
 def check(file, properties, degree):
     """Check the named laws on an algebra file."""
     parsed = _load_file(file)

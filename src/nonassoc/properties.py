@@ -25,29 +25,58 @@ witness is the lexicographically first failing (i, j, k, law), the same
 triple a loop over basis elements finds, and its defect is the slab entry
 divided by the denominator squared.
 
-T is int64 when 12*K*M**2 < 2**63, where M is its largest entry and K the
-length of its last axis: an associator entry sums 2*K products of two
-entries and a law adds at most six associators, so no sum can overflow.
-Otherwise T holds Python ints (dtype object), as for exported search
-candidates, whose common denominator is about 2**68.  A table without
-imaginary parts carries none, which keeps K at dim + 1.  The search for an
-internal unit solves its linear system from slices of T by fraction-free
-elimination over the Gaussian integers.
+T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
+the length of its last axis, so that no sum a law forms can overflow: an
+associator entry sums 2*K products of two entries and a law adds at most
+six associators, and the four-argument forms below add at most 48 terms
+of K**2 products of three entries.  Otherwise T holds Python ints (dtype
+object), as for exported search candidates, whose common denominator is
+about 2**68.  A table without imaginary parts carries none, which keeps K
+at dim + 1.  The search for an internal unit solves its linear system from
+slices of T by fraction-free elimination over the Gaussian integers.
 
-Power associativity and the Jordan law are not multilinear; they are
-checked on all basis elements plus a deterministic batch of pseudorandom
-elements with small integer coefficients.
+Power associativity and the Jordan law are decided on the same tensor.
+Over a field of characteristic zero an algebra is power-associative if
+and only if x^2 x = x x^2 and x^2 x^2 = (x^2 x) x for every x (A. A.
+Albert, Summa Brasil. Math. 2, 1948; R. D. Schafer, An Introduction to
+Nonassociative Algebras, 1966, Ch. V).  An identity g(x) = 0 homogeneous
+of degree n holds for every x exactly when its full linearization
+
+    F(x1, ..., xn) = sum over subsets S of {1..n} of (-1)^(n-|S|) g(sum of x_s, s in S)
+
+vanishes on basis n-tuples: F is multilinear, symmetric, and F(x, ..., x)
+is n! g(x).  On the basis:
+
+    degree 3   A(x,x,x): the sum of A over the six orders of (i,j,k)
+    degree 4   (x1 x2)(x3 x4) - ((x1 x2) x3) x4 over the 24 orders of (i,j,k,l)
+    Jordan     commutativity on basis pairs, then (x1 y)(x2 x3) - x1 (y (x2 x3))
+               over the six orders of (x1, x2, x3) = (e_i, e_j, e_k), y = e_l
+
+the last being (xy)(xx) - x(y(xx)) linearized in x.  The unit never has
+to be an argument.  An associator with a unit argument is zero; at
+x + t 1, x^2 x^2 - (x^2 x) x changes by 2t (x x^2 - x^2 x), so degree 4
+is decided on the basis once degree 3 holds, which is why it runs only
+then; and in a commutative algebra (xy)(xx) - x(y(xx)) does not change at
+x + t 1 and vanishes at y = 1.  So a PASS is a proof, and any degree of 4
+or more decides power associativity completely.
+
+These forms and commutativity are computed slab by slab over the first
+index as well, as the slices with e_i in each argument position, summed
+over the orders of the remaining indices.  A defect is a slab entry
+divided by the denominator to the number of products in each term.  A
+degree-4 defect adds 48 terms (24 orders of two terms) and a Jordan
+defect 12, each a sum of K**2 products of three entries of T, which the
+bound on T above covers.
 
 Every check is exact: a law either holds or a nonzero defect element is
-produced as a witness.  Witnesses are deterministic (lexicographically
-first failing tuple).
+produced as a witness.  Witnesses are deterministic: the lexicographically
+first failing basis tuple, with the linearized defect F there.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +84,6 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element, multiply
 from .scalar import GaussianRational, solve_gaussian_integers
-
-DEFAULT_SAMPLES = 100
-DEFAULT_SEED = 20240811
 
 PROPERTIES = (
     "associative",
@@ -105,6 +131,11 @@ class PropertyReport:
             assert self.witness is not None and not self.witness.defect.is_zero()
 
 
+def _turn(a, half):
+    """i times tensor vectors: the halves swap, the new real half negated."""
+    return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
+
+
 def _slab_kernel(alg):
     """Associator slices of `alg.tensor`, one slab of first index i at a time.
 
@@ -117,11 +148,9 @@ def _slab_kernel(alg):
     n, width = alg.dim, t.shape[2]
     # times_right[m, k] is u_m e_k and times_left[j, m] is e_j u_m, where
     # u_m is the unit vector of component m.  In a Gaussian table the
-    # components from `half` on are imaginary parts: u_(half+m) is i u_m,
-    # and multiplying by i swaps the real and imaginary halves and negates one.
+    # components from `half` on are imaginary parts: u_(half+m) is i u_m.
     if width > n + 1:
-        half = n + 1
-        turned = np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
+        turned = _turn(t, n + 1)
         times_right = np.concatenate([t, turned], axis=0)
         times_left = np.concatenate([t, turned], axis=1)
     else:
@@ -143,33 +172,60 @@ def _slab_kernel(alg):
     return slices
 
 
-def _first_failure(alg, laws):
-    """The lexicographically first failing (i, j, k, law), or None.
+def _form_kernel(form, arity):
+    """Kernel of a multilinear `form`(mul, *args) of `arity` arguments:
+    slices(i, pos) is the form on basis tuples with e_i in argument pos, as
+    an array over the other arguments of tensor vectors times `_den` to
+    the power arity - 1.  mul(u, v) multiplies two arrays of tensor vectors
+    pairwise, the indices of u first."""
+    def kernel(alg):
+        t = alg.tensor
+        n, width = alg.dim, t.shape[2]
+        if width > n + 1:    # all components, imaginary ones too: t[m, p] = u_m u_p
+            for axis in (0, 1):
+                t = np.concatenate([t, _turn(t, n + 1)], axis=axis)
+        table = t.reshape(width, width * width)
+        basis = np.eye(width, dtype=t.dtype)[1:n + 1]
 
-    `laws` is [(tag, defect(s))], where defect maps s(pos), the associator
-    slices of slab i, to the law's defects at (i, j, k) as an array over
-    (j, k).  Slabs are decided in order of i and each is scanned in
-    (j, k, law) order, so the first hit is the first failure in
-    (i, j, k, law) order; no later slab is computed.
+        def mul(u, v):
+            by_u = (u.reshape(-1, width) @ table).reshape(-1, width, width)
+            return (v.reshape(-1, width) @ by_u).reshape(u.shape[:-1] + v.shape[:-1] + (width,))
+
+        def slices(i, pos):
+            args = [basis] * arity
+            args[pos] = basis[i - 1:i]
+            return form(mul, *args).reshape((n,) * (arity - 1) + (width,))
+
+        return slices
+
+    return kernel
+
+
+def _first_failure(alg, laws, kernel=_slab_kernel):
+    """The lexicographically first failing (i, j, ..., law), or None.
+
+    `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
+    slab i from `kernel`, to the law's defects at (i, j, ...) as an array
+    over (j, ...).  Slabs are decided in order of i and each is scanned in
+    (j, ..., law) order, so the first hit is the first failure in
+    (i, j, ..., law) order; no later slab is computed.
     """
-    slices = _slab_kernel(alg)
-    den2 = alg._den ** 2
+    slices = kernel(alg)
     half = alg.dim + 1
     for i in range(1, alg.dim + 1):
         s = functools.cache(functools.partial(slices, i))
-        defects = np.stack([defect(s) for _, defect in laws], axis=2)
-        hits = np.flatnonzero((defects != 0).any(axis=3))
+        defects = np.stack([defect(s) for _, defect in laws], axis=-2)
+        hits = np.flatnonzero((defects != 0).any(axis=-1))
         if hits.size:
-            j, k, law = np.unravel_index(hits[0], defects.shape[:3])
-            row = [int(v) for v in defects[j, k, law]]
-            if len(row) == half:
-                row += [0] * half
+            *rest, law = (int(v) for v in np.unravel_index(hits[0], defects.shape[:-1]))
+            row = [int(v) for v in defects[(*rest, law)]]
+            den = alg._den ** len(rest)    # one factor per product
             unit, *coeffs = (
-                GaussianRational(Fraction(re, den2), Fraction(im, den2))
-                for re, im in zip(row[:half], row[half:])
+                GaussianRational(Fraction(re, den), Fraction(im, den))
+                for re, im in itertools.zip_longest(row[:half], row[half:], fillvalue=0)
             )
             w = Element(alg, unit, tuple(coeffs))
-            return Witness(defect=w, indices=(i - 1, int(j), int(k)), law=laws[law][0])
+            return Witness(defect=w, indices=(i - 1, *rest), law=laws[law][0])
     return None
 
 
@@ -218,59 +274,33 @@ def _check_derivation_property(alg, **_):
     return PropertyReport(alg, "derivation_property", w is None, w)
 
 
-def _bracketings(x: Element, n: int) -> list[Element]:
-    """All parenthesizations of the n-th power of x."""
-    levels: list[list[Element]] = [[], [x]]
-    for m in range(2, n + 1):
-        out = []
-        for split in range(1, m):
-            for a in levels[split]:
-                for b in levels[m - split]:
-                    out.append(multiply(a, b))
-        levels.append(out)
-    return levels[n]
-
-
-def _sample_elements(alg, samples, seed):
-    rng = random.Random(seed)
-    return [alg.random_element(rng) for _ in range(samples)]
-
-
-def _check_power_associative(alg, degree=4, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, **_):
+def _check_power_associative(alg, degree=4, **_):
     if degree < 3:
         raise ValueError("power associativity needs degree >= 3")
-    candidates = alg.basis() + _sample_elements(alg, samples, seed)
-    for x in candidates:
-        for n in range(3, degree + 1):
-            powers = _bracketings(x, n)
-            ref = powers[0]
-            for p in powers[1:]:
-                d = p - ref
-                if not d.is_zero():
-                    w = Witness(defect=d, elements=(x,), law=f"power associativity at degree {n}")
-                    return PropertyReport(alg, f"power_associative({degree})", False, w)
-    return PropertyReport(alg, f"power_associative({degree})", True, None,
-                          detail=f"basis plus {samples} seeded elements, degrees 3..{degree}")
+    w = _first_failure(alg, [("power associativity at degree 3",
+                              lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))])
+    if w is None and degree >= 4:
+        fourth = _form_kernel(lambda mul, a, b, c, d: (
+            mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4)
+        w = _first_failure(alg, [("power associativity at degree 4", lambda s: sum(
+            s(p).transpose(*o, 3) for p in range(4) for o in itertools.permutations(range(3))))],
+            fourth)
+    detail = ("x^2 x = x x^2 on basis triples" if degree == 3 else "x^2 x = x x^2 and "
+              "x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree")
+    return PropertyReport(alg, f"power_associative({degree})", w is None, w, detail)
 
 
-def _check_jordan(alg, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, **_):
-    basis = alg.basis()
-    for i, j in itertools.product(range(alg.dim), repeat=2):
-        d = multiply(basis[i], basis[j]) - multiply(basis[j], basis[i])
-        if not d.is_zero():
-            w = Witness(defect=d, indices=(i, j), law="commutativity")
-            return PropertyReport(alg, "jordan", False, w)
-    rng = random.Random(seed)
-    pairs = [(basis[i], basis[j]) for i, j in itertools.product(range(alg.dim), repeat=2)]
-    pairs += [(alg.random_element(rng), alg.random_element(rng)) for _ in range(samples)]
-    for x, y in pairs:
-        xx = multiply(x, x)
-        d = multiply(multiply(x, y), xx) - multiply(x, multiply(y, xx))
-        if not d.is_zero():
-            w = Witness(defect=d, elements=(x, y), law="Jordan law (xy)(xx) = x(y(xx))")
-            return PropertyReport(alg, "jordan", False, w)
-    return PropertyReport(alg, "jordan", True, None,
-                          detail=f"basis pairs plus {samples} seeded pairs")
+def _check_jordan(alg, **_):
+    # (x1 y)(x2 x3) - x1 (y (x2 x3)) at (x1, x2, x3, y), axes ordered from
+    # (x1, y, x2, x3), and summed over the six orders of x1, x2, x3.
+    linearized = _form_kernel(lambda mul, a, b, c, d: np.moveaxis(
+        mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), 1, 3), 4)
+    commutator = _form_kernel(lambda mul, a, b: mul(a, b) - np.swapaxes(mul(b, a), 0, 1), 2)
+    w = (_first_failure(alg, [("commutativity", lambda s: s(0))], commutator)
+         or _first_failure(alg, [("Jordan law (xy)(xx) = x(y(xx))", lambda s: sum(
+             s(p).transpose(*o, 3) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))], linearized))
+    return PropertyReport(alg, "jordan", w is None, w, "commutativity on basis pairs, "
+                          "then the linearized Jordan law on basis 4-tuples")
 
 
 def _check_unital(alg, **_):
@@ -316,15 +346,14 @@ _CHECKS = {
 }
 
 
-def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4,
-                   samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> PropertyReport:
+def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4) -> PropertyReport:
     """Decide one named law for `alg`; see module docstring for method."""
     key = prop.replace("-", "_")
     if key.startswith("power_associative"):
         key = "power_associative"
     if key not in _CHECKS:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    return _CHECKS[key](alg, degree=degree, samples=samples, seed=seed)
+    return _CHECKS[key](alg, degree=degree)
 
 
 def check_derivation_property(alg: AlgebraDef) -> PropertyReport:

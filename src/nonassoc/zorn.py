@@ -171,28 +171,41 @@ def verify_zorn_isomorphism() -> PropertyReport:
     elems = [alg.one()] + alg.basis()
     names = ["1"] + list(alg.basis_names)
     mismatches = []
+    not_by_sign = 0
     first_witness = None
     for i, u in enumerate(elems):
         for j, v in enumerate(elems):
             table_side = multiply(u, v)
-            zorn_side = zorn_multiply(to_zorn(u), to_zorn(v))
-            defect = from_zorn(zorn_side) - table_side
+            zorn_side = from_zorn(zorn_multiply(to_zorn(u), to_zorn(v)))
+            defect = zorn_side - table_side
             if not defect.is_zero():
                 mismatches.append((names[i], names[j]))
+                if zorn_side != -table_side:
+                    not_by_sign += 1
                 if first_witness is None:
                     first_witness = Witness(
                         defect=defect,
                         indices=None,
                         elements=(u, v),
-                        law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {from_zorn(zorn_side)}",
+                        law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {zorn_side}",
                     )
     holds = not mismatches
+    signs = f"{not_by_sign} not by sign" if not_by_sign else "all by sign"
     detail = (
         "all 64 ordered basis pairs agree"
         if holds
-        else f"{len(mismatches)} of 64 ordered basis pairs disagree (all by sign); first {mismatches[0][0]}*{mismatches[0][1]}"
+        else f"{len(mismatches)} of 64 ordered basis pairs disagree ({signs}); first {mismatches[0][0]}*{mismatches[0][1]}"
     )
     return PropertyReport(alg, "zorn_isomorphism", holds, first_witness, detail)
+
+
+def _multiple(lhs: Element, rhs: Element) -> GaussianRational | None:
+    """The scalar c with lhs = c * rhs for a nonzero rhs, or None if there is none."""
+    for c_l, c_r in zip((lhs.unit,) + lhs.coeffs, (rhs.unit,) + rhs.coeffs):
+        if not c_r.is_zero():
+            c = c_l / c_r
+            return c if lhs == rhs.scaled(c) else None
+    return None
 
 
 @dataclass(frozen=True)
@@ -227,14 +240,8 @@ def verify_spin_commutators() -> SpinCommutatorReport:
             break
 
     # Measure kappa from [s_1, s_2] = kappa * s_3.
-    lhs = commutator(s[0], s[1])
-    kappa = ZERO
-    ref = s[2]
-    for c_l, c_r in zip((lhs.unit,) + lhs.coeffs, (ref.unit,) + ref.coeffs):
-        if not c_r.is_zero():
-            kappa = c_l / c_r
-            break
-    measured_ok = all(
+    kappa = _multiple(commutator(s[0], s[1]), s[2])
+    measured_ok = kappa is not None and all(
         (commutator(s[i], s[j]) - sum(
             (s[k].scaled(kappa * epsilon3(i + 1, j + 1, k + 1)) for k in range(3)),
             alg.zero(),
@@ -292,14 +299,8 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
             e = epsilon3(i, j, k)
             if e:
                 r = r + commutator(q[j + 2], q[k + 2]).scaled(Fraction(-1, 4) * e)
-        # r should be lam * q_i
-        this = None
-        probe = q[i - 1]
-        for c_l, c_r in zip((r.unit,) + r.coeffs, (probe.unit,) + probe.coeffs):
-            if not c_r.is_zero():
-                this = c_l / c_r
-                break
-        if this is None or not (r - probe.scaled(this)).is_zero():
+        this = _multiple(r, q[i - 1])    # r should be lam * q_i
+        if this is None:
             uniform = False
             break
         if i == 1:

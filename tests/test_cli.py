@@ -192,3 +192,12 @@ def test_search_rejects_bad_flags(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["search", "--freeze", "Q"])
     assert result.exit_code == 2
+
+
+def test_check_degree_below_three_is_an_input_error(runner):
+    result = runner.invoke(main, ["check", fixture_path("splitO.alg"),
+                                  "--properties", "power-associative", "--degree", "2"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "--degree" in result.output
+    assert "Traceback" not in result.output

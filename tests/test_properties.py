@@ -268,3 +268,130 @@ def test_internal_gaussian_unit():
     rep = check_property(alg, "unital")
     assert rep.holds
     assert rep.detail == "internal unit -i*e1"
+
+
+# -- power associativity and the Jordan law as linearized identities ----------
+
+def cube_defect(x):
+    return multiply(multiply(x, x), x) - multiply(x, multiply(x, x))
+
+
+def fourth_power_defect(x):
+    xx = multiply(x, x)
+    return multiply(xx, xx) - multiply(multiply(xx, x), x)
+
+
+def jordan_defect(x, y):
+    xx = multiply(x, x)
+    return multiply(multiply(x, y), xx) - multiply(x, multiply(y, xx))
+
+
+def polarization(g, xs):
+    """F(x1..xn) = sum over nonempty S of (-1)^(n-|S|) g(sum of x_s over S)."""
+    n, total = len(xs), xs[0].algebra.zero()
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(xs, size):
+            total = total + g(sum(subset[1:], subset[0])).scaled((-1) ** (n - size))
+    return total
+
+
+def linearized_failure(alg, law):
+    """(indices, tag, defect) of the first failing basis tuple in lex order,
+    from element arithmetic alone."""
+    basis = alg.basis()
+    if law == "jordan":
+        for i, j in itertools.product(range(alg.dim), repeat=2):
+            d = multiply(basis[i], basis[j]) - multiply(basis[j], basis[i])
+            if not d.is_zero():
+                return (i, j), "commutativity", d
+        stages = [(4, "Jordan law (xy)(xx) = x(y(xx))",
+                   lambda xs: polarization(lambda x: jordan_defect(x, xs[3]), xs[:3]))]
+    else:
+        stages = [(3, "power associativity at degree 3", lambda xs: polarization(cube_defect, xs)),
+                  (4, "power associativity at degree 4",
+                   lambda xs: polarization(fourth_power_defect, xs))]
+    for arity, tag, defect in stages:
+        for indices in itertools.product(range(alg.dim), repeat=arity):
+            d = defect([basis[i] for i in indices])
+            if not d.is_zero():
+                return indices, tag, d
+    return None
+
+
+def squares_to_next(c):
+    """Commutative: e1 e1 = c e2, e2 e2 = c e3.  x^2 x = x x^2 holds, but at
+    x = e1, x^2 x^2 = c^3 e3 while (x^2 x) x = 0."""
+    return AlgebraDef.from_products(
+        "squares", 3, {(0, 0): (ZERO, {1: c}), (1, 1): (ZERO, {2: c})}, unital=False)
+
+
+@pytest.mark.parametrize("c, dtype", [(1, np.int64), (2**25, object),
+                                      (Fraction(1, 2**70), object)])
+def test_degree_four_decides_what_degree_three_misses(c, dtype):
+    # With c = 2**25 the associator sums would fit int64 but the degree-4
+    # products, 24 c**3 here, would not, so the tensor holds Python ints.
+    alg = squares_to_next(c)
+    assert alg.tensor.dtype == dtype
+    assert check_property(alg, "power_associative", degree=3).holds
+    rep = check_property(alg, "power_associative", degree=4)
+    assert not rep.holds
+    assert rep.witness.indices == (0, 0, 0, 0)
+    assert "degree 4" in rep.witness.law
+    assert rep.witness.defect == alg.basis_element(2).scaled(24 * Fraction(c) ** 3)
+
+
+def symmetric_matrices():
+    """Symmetric 2x2 matrices E11, E22, E12 + E21 under x o y = (xy + yx)/2."""
+    half = Fraction(1, 2)
+    return AlgebraDef.from_products("sym2", 3, {
+        (0, 0): (ZERO, {0: 1}), (1, 1): (ZERO, {1: 1}), (2, 2): (ZERO, {0: 1, 1: 1}),
+        (0, 2): (ZERO, {2: half}), (2, 0): (ZERO, {2: half}),
+        (1, 2): (ZERO, {2: half}), (2, 1): (ZERO, {2: half}),
+    }, unital=False)
+
+
+def test_jordan_law_holds_on_symmetric_matrices():
+    alg = symmetric_matrices()
+    assert not check_property(alg, "associative").holds
+    assert check_property(alg, "jordan").holds
+    # Jordan algebras are power-associative
+    assert check_property(alg, "power_associative", degree=6).holds
+    assert linearized_failure(alg, "jordan") is None
+
+
+def pa_counter():
+    return AlgebraDef.from_products(
+        "pa_counter", 3, {(0, 0): (ZERO, {1: 1}), (1, 0): (ZERO, {2: 1})}, unital=False)
+
+
+def jordan_counter():
+    return AlgebraDef.from_products(
+        "jordan_counter", 2,
+        {(0, 0): (ZERO, {1: 1}), (0, 1): (ZERO, {0: 1}), (1, 0): (ZERO, {0: 1})},
+        unital=False)
+
+
+@pytest.mark.parametrize("alg, law", [
+    (pa_counter(), "power_associative"),
+    (jordan_counter(), "jordan"),
+    (squares_to_next(1), "power_associative"),
+    (squares_to_next(1), "jordan"),
+    (random_commutative(), "power_associative"),
+    (random_commutative(), "jordan"),
+    (exported_candidate(1), "power_associative"),
+], ids=lambda v: v if isinstance(v, str) else v.name)
+def test_witness_is_the_polarized_defect(alg, law):
+    report = check_property(alg, law, degree=4)
+    expected = linearized_failure(alg, law)
+    assert expected is not None and not report.holds
+    indices, tag, defect = expected
+    assert (report.witness.indices, report.witness.law) == (indices, tag)
+    assert report.witness.defect == defect
+
+
+def test_candidate_fails_at_degree_three():
+    report = check_property(exported_candidate(1), "power_associative", degree=3)
+    assert report.witness.indices == (0, 0, 0)
+    assert report.witness.law == "power associativity at degree 3"
+    basis = exported_candidate(1).basis()
+    assert report.witness.defect == cube_defect(basis[0]).scaled(6)

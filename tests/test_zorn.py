@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nonassoc import zorn
 from nonassoc.algebra import multiply
 from nonassoc.corpus import split_octonions
 from nonassoc.properties import check_property
@@ -130,6 +131,24 @@ def test_isomorphism_verdict(splitO):
             flips += 1
             assert zorn_side == -table_side
     assert flips == 36
+
+
+def test_isomorphism_detail_counts_pairs_not_by_sign(monkeypatch):
+    assert "(all by sign)" in verify_zorn_isomorphism().detail
+    # With the cross(A.y, B.y) term negated, some pairs differ from the table
+    # by more than a sign, and the detail must count them.
+    original = zorn.zorn_multiply
+
+    def mutated(A, B):
+        good = original(A, B)
+        x = tuple(g + c + c for g, c in zip(good.x, zorn.cross(A.y, B.y)))
+        return ZornMatrix(good.a, x, good.y, good.b)
+
+    monkeypatch.setattr(zorn, "zorn_multiply", mutated)
+    report = verify_zorn_isomorphism()
+    assert not report.holds
+    assert "all by sign" not in report.detail
+    assert report.detail.startswith("42 of 64 ordered basis pairs disagree (24 not by sign);")
 
 
 def test_spin_commutators():

@@ -2,7 +2,10 @@
 
 An algebra is a table of basis products e_i * e_j, each a linear combination
 of basis elements plus an optional multiple of an external unit.  Elements
-are coefficient vectors; all operations are pure and exact.
+are coefficient vectors; all operations are pure and exact.  The table's
+one computational form is `AlgebraDef.tensor`, an integer array over a
+common denominator with the unit at index 0: `multiply` contracts two
+elements with it, and the laws in `properties` are contractions of it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from .scalar import GaussianRational, ONE, ZERO
 
 class AlgebraMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
+
+
+def _numerators(fractions, den) -> list[int]:
+    """The numerators of `fractions` over their common multiple `den`."""
+    return [fr.numerator * (den // fr.denominator) for fr in fractions]
 
 
 class AlgebraDef:
@@ -57,36 +65,13 @@ class AlgebraDef:
         self.basis_names = tuple(basis_names)
         self.structure = tuple(norm)
         self.unital = bool(unital)
-        # sparse integer view of the product table over a common denominator,
-        # the representation the multiplication kernel runs on
-        dens = [1]
-        for row in self.structure:
-            for unit, coeffs in row:
-                dens.append(unit.re.denominator)
-                dens.append(unit.im.denominator)
-                for c in coeffs:
-                    dens.append(c.re.denominator)
-                    dens.append(c.im.denominator)
-        self._den = math.lcm(*dens)
-
-        def as_int(fr):
-            return fr.numerator * (self._den // fr.denominator)
-
-        self._int_sparse = tuple(
-            tuple(
-                (
-                    as_int(unit.re),
-                    as_int(unit.im),
-                    tuple(
-                        (k, as_int(c.re), as_int(c.im))
-                        for k, c in enumerate(coeffs)
-                        if not c.is_zero()
-                    ),
-                )
-                for unit, coeffs in row
-            )
+        self._den = math.lcm(*(
+            part.denominator
             for row in self.structure
-        )
+            for unit, coeffs in row
+            for c in (unit, *coeffs)
+            for part in (c.re, c.im)
+        ))
 
     @functools.cached_property
     def tensor(self) -> np.ndarray:
@@ -105,25 +90,18 @@ class AlgebraDef:
         overflow; otherwise it is object, holding Python ints.
         """
         n = self.dim + 1
-        gaussian = any(
-            u_im or any(im for _, _, im in entries)
-            for row in self._int_sparse
-            for _, u_im, entries in row
-        )
+        den = self._den
+        gaussian = any(c.im for row in self.structure for unit, coeffs in row
+                       for c in (unit, *coeffs))
         width = 2 * n if gaussian else n
         t = [[[0] * width for _ in range(n)] for _ in range(n)]
         for a in range(n):
-            t[0][a][a] = t[a][0][a] = self._den
-        for i, row in enumerate(self._int_sparse):
-            for j, (u_re, u_im, entries) in enumerate(row):
-                out = t[i + 1][j + 1]
-                out[0] = u_re
-                for k, re, _ in entries:
-                    out[k + 1] = re
-                if gaussian:
-                    out[n] = u_im
-                    for k, _, im in entries:
-                        out[n + k + 1] = im
+            t[0][a][a] = t[a][0][a] = den
+        for i, row in enumerate(self.structure):
+            for j, (unit, coeffs) in enumerate(row):
+                values = (unit, *coeffs)
+                t[i + 1][j + 1] = _numerators((c.re for c in values), den) + (
+                    _numerators((c.im for c in values), den) if gaussian else [])
         big = max(abs(v) for plane in t for vec in plane for v in vec)
         fits = 48 * width**2 * big**3 <= np.iinfo(np.int64).max
         return np.array(t, dtype=np.int64 if fits else object)
@@ -204,24 +182,12 @@ class Element:
         self._ints = None
 
     def _int_form(self):
-        """(den, unit_re, unit_im, re tuple, im tuple) as plain integers."""
+        """(den, [re parts, im parts]) over (unit,) + coeffs, as Python ints."""
         if self._ints is None:
-            dens = [self.unit.re.denominator, self.unit.im.denominator]
-            for c in self.coeffs:
-                dens.append(c.re.denominator)
-                dens.append(c.im.denominator)
-            den = math.lcm(*dens)
-
-            def as_int(fr):
-                return fr.numerator * (den // fr.denominator)
-
-            self._ints = (
-                den,
-                as_int(self.unit.re),
-                as_int(self.unit.im),
-                tuple(as_int(c.re) for c in self.coeffs),
-                tuple(as_int(c.im) for c in self.coeffs),
-            )
+            values = (self.unit, *self.coeffs)
+            den = math.lcm(*(part.denominator for c in values for part in (c.re, c.im)))
+            self._ints = (den, np.array([_numerators((c.re for c in values), den),
+                                         _numerators((c.im for c in values), den)], dtype=object))
         return self._ints
 
     def _check(self, other) -> "Element":
@@ -310,61 +276,26 @@ class Element:
 def multiply(x: Element, y: Element) -> Element:
     """Bilinear product of two elements of the same algebra.
 
-    This kernel carries every exhaustive check, so it runs on plain
-    integers over a common denominator and builds exact scalars only for
-    the result.
+    The product is the contraction of both elements with `AlgebraDef.tensor`
+    in Python ints: with x and y as integer rows over (unit,) + coeffs, real
+    parts then imaginary parts, p[a, b] = sum of x[a, i] y[b, j] tensor[i, j],
+    and the product's tensor vector is p[0, 0] - p[1, 1] + i (p[0, 1] + p[1, 0]).
+    Exact scalars are built only for the result.
     """
     y = x._check(y)
     alg = x.algebra
-    dim = alg.dim
-    den_x, xu_re, xu_im, xre, xim = x._int_form()
-    den_y, yu_re, yu_im, yre, yim = y._int_form()
-    table_den = alg._den
-    out_den = den_x * den_y * table_den
-
-    unit_re = (xu_re * yu_re - xu_im * yu_im) * table_den
-    unit_im = (xu_re * yu_im + xu_im * yu_re) * table_den
-    cre = [0] * dim
-    cim = [0] * dim
-    for k in range(dim):
-        cre[k] = (xu_re * yre[k] - xu_im * yim[k] + yu_re * xre[k] - yu_im * xim[k]) * table_den
-        cim[k] = (xu_re * yim[k] + xu_im * yre[k] + yu_re * xim[k] + yu_im * xre[k]) * table_den
-    for i in range(dim):
-        a, b = xre[i], xim[i]
-        if not a and not b:
-            continue
-        row = alg._int_sparse[i]
-        for j in range(dim):
-            c, d = yre[j], yim[j]
-            if not c and not d:
-                continue
-            c_re = a * c - b * d
-            c_im = a * d + b * c
-            pu_re, pu_im, entries = row[j]
-            if pu_re or pu_im:
-                unit_re += c_re * pu_re - c_im * pu_im
-                unit_im += c_re * pu_im + c_im * pu_re
-            for k, p_re, p_im in entries:
-                if p_im:
-                    cre[k] += c_re * p_re - c_im * p_im
-                    cim[k] += c_re * p_im + c_im * p_re
-                elif p_re == 1:
-                    cre[k] += c_re
-                    cim[k] += c_im
-                elif p_re == -1:
-                    cre[k] -= c_re
-                    cim[k] -= c_im
-                else:
-                    cre[k] += c_re * p_re
-                    cim[k] += c_im * p_re
-    return Element(
-        alg,
-        GaussianRational(Fraction(unit_re, out_den), Fraction(unit_im, out_den)),
-        tuple(
-            GaussianRational(Fraction(a, out_den), Fraction(b, out_den))
-            for a, b in zip(cre, cim)
-        ),
-    )
+    t = alg.tensor
+    n = alg.dim + 1
+    den_x, xs = x._int_form()
+    den_y, ys = y._int_form()
+    p = ys @ (xs @ t.reshape(n, -1)).reshape(2, n, -1)
+    re, im = p[0, 0] - p[1, 1], p[0, 1] + p[1, 0]
+    if t.shape[2] > n:    # a Gaussian table: fold the imaginary half in as i * im
+        re, im = re[:n] - im[n:], re[n:] + im[:n]
+    den = den_x * den_y * alg._den
+    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
+                     for a, b in zip(re.tolist(), im.tolist()))
+    return Element(alg, unit, tuple(coeffs))
 
 
 def commutator(x: Element, y: Element) -> Element:

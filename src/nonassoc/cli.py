@@ -10,6 +10,7 @@ import sys
 
 import click
 
+from .algebra import Element
 from .algfile import AlgebraParseError, parse_text, serialize
 from .corpus import split_octonions
 from .properties import check_property
@@ -92,8 +93,8 @@ def table(file, show_zorn):
     """Print the full multiplication table (rows are left factors)."""
     parsed = _load_file(file)
     alg = parsed.algebra
-    basis = alg.basis()
-    cells = [[str(b * c) for c in basis] for b in basis]
+    # the product of two basis elements is their structure-table entry
+    cells = [[str(Element(alg, unit, coeffs)) for unit, coeffs in row] for row in alg.structure]
     names = list(alg.basis_names)
     width = max(
         [len(n) for n in names] + [len(cell) for row in cells for cell in row]

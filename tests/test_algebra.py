@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from nonassoc.algebra import (
+    AlgebraDef,
     AlgebraMismatchError,
     associator,
     commutator,
@@ -17,7 +19,9 @@ from nonassoc.corpus import (
     split_octonions,
     standard_corpus,
 )
-from nonassoc.scalar import GaussianRational
+from nonassoc.scalar import GaussianRational, I, ZERO
+from nonassoc.search import CandidateAlgebra, candidate_to_algebra
+from nonassoc.zorn import zorn_octonions
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +152,64 @@ def test_element_rendering(splitO):
     text = str(el)
     assert "q3" in text and "2*q1" in text and "(1+i)" in text
     assert str(splitO.zero()) == "0"
+
+
+# -- multiply against the structure table it is built from --------------------
+
+def reference_product(x, y):
+    """(unit, coeffs) of x y, expanded bilinearly over `structure` in exact
+    scalars, with the unit acting as the identity."""
+    alg = x.algebra
+    unit = x.unit * y.unit
+    coeffs = [x.unit * b + y.unit * a for a, b in zip(x.coeffs, y.coeffs)]
+    for (i, a), (j, b) in itertools.product(enumerate(x.coeffs), enumerate(y.coeffs)):
+        p_unit, p_coeffs = alg.structure[i][j]
+        unit = unit + a * b * p_unit
+        coeffs = [c + a * b * p for c, p in zip(coeffs, p_coeffs)]
+    return unit, tuple(coeffs)
+
+
+def gaussian_split_octonions():
+    """splitO with the products e_i e_j, i + 2j divisible by 3, times i."""
+    alg = split_octonions()
+    products = {}
+    for i, j in itertools.product(range(7), repeat=2):
+        unit, coeffs = alg.structure[i][j]
+        f = I if (i + 2 * j) % 3 == 0 else 1
+        products[(i, j)] = (unit * f, {k: c * f for k, c in enumerate(coeffs)})
+    return AlgebraDef.from_products("gsplitO", 7, products, True, alg.basis_names)
+
+
+def non_unital_table():
+    """A non-unital table with a fraction and an imaginary constant."""
+    return AlgebraDef.from_products("nonunital", 2, {
+        (0, 0): (ZERO, {1: Fraction(1, 3)}),
+        (0, 1): (ZERO, {0: I, 1: 2}),
+        (1, 0): (ZERO, {0: -2}),
+    }, unital=False)
+
+
+def exact_element(alg, rng):
+    """Complex coefficients with denominators up to 2**70, and a unit part
+    when the algebra has one."""
+    def scalar():
+        return GaussianRational(Fraction(rng.randint(-9, 9), rng.choice([1, 3, 2**70])),
+                                Fraction(rng.randint(-9, 9), rng.choice([1, 7, 2**69])))
+
+    return alg.element(scalar() if alg.unital else 0, [scalar() for _ in range(alg.dim)])
+
+
+@pytest.mark.parametrize("alg", standard_corpus() + [
+    zorn_octonions(),
+    gaussian_split_octonions(),
+    candidate_to_algebra(CandidateAlgebra.random(1)),
+    candidate_to_algebra(CandidateAlgebra.random(2)),
+    non_unital_table(),
+], ids=lambda a: f"{a.name}-{a.tensor.dtype}-{a.tensor.shape[2]}")
+def test_multiply_matches_the_structure_table(alg):
+    rng = random.Random(alg.dim)
+    pairs = [(exact_element(alg, rng), exact_element(alg, rng)) for _ in range(3)]
+    pairs += [(x, alg.basis_element(k)) for k, (x, _) in zip((0, alg.dim - 1), pairs)]
+    for x, y in pairs:
+        product = multiply(x, y)
+        assert (product.unit, product.coeffs) == reference_product(x, y)

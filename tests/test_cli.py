@@ -83,6 +83,28 @@ def test_table_complex_single_cell(runner):
     assert rows[-1].split() == ["e1", "-1"]
 
 
+def test_table_cells_are_products_on_a_candidate(runner, tmp_path):
+    from nonassoc.algebra import multiply
+    from nonassoc.algfile import parse_text, serialize
+    from nonassoc.search import CandidateAlgebra, candidate_to_algebra
+
+    path = tmp_path / "cand.alg"
+    path.write_text(serialize(candidate_to_algebra(CandidateAlgebra.random(1))))
+    alg = parse_text(path.read_text()).algebra
+    result = runner.invoke(main, ["table", str(path)])
+    assert result.exit_code == 0
+    header, *rows = result.output.splitlines()
+    basis = alg.basis()
+    # dim + 1 columns, right-aligned to a common width, two spaces apart
+    width = (len(header) + 2) // (alg.dim + 1) - 2
+    assert len(rows) == alg.dim
+    for i, row in enumerate(rows):
+        cells = [row[start:start + width].strip()
+                 for start in range(0, len(row), width + 2)]
+        assert cells[0] == alg.basis_names[i]
+        assert cells[1:] == [str(multiply(basis[i], b)) for b in basis]
+
+
 def test_table_zorn_flag(runner):
     result = runner.invoke(main, ["table", fixture_path("splitO.alg"), "--zorn"])
     assert result.exit_code == 0

@@ -121,6 +121,7 @@ def test_isomorphism_verdict(splitO):
     q = splitO.basis()
     assert report.witness.elements == (q[0], q[3])
     assert report.witness.defect == q[6].scaled(2)
+    assert report.witness.law == "q1*q4: table -q7, Zorn image q7"
     # every mismatch is a pure sign flip
     elems = [splitO.one()] + splitO.basis()
     flips = 0

@@ -122,9 +122,15 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2))
+
+
+def gaussian_integers(values: list[GaussianRational]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, pairs): the least common denominator of `values` and each
+    value times it as an (re, im) pair of ints."""
+    den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    return den, [(v.re.numerator * (den // v.re.denominator),
+                  v.im.numerator * (den // v.im.denominator)) for v in values]
 
 
 def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational]):
@@ -137,10 +143,7 @@ def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational])
     """
     aug = []
     for row, b in zip(rows, rhs):
-        vals = [GaussianRational.of(v) for v in (*row, b)]
-        den = math.lcm(*(f.denominator for v in vals for f in (v.re, v.im)))
-        aug.append([(v.re.numerator * (den // v.re.denominator),
-                     v.im.numerator * (den // v.im.denominator)) for v in vals])
+        aug.append(gaussian_integers([GaussianRational.of(v) for v in (*row, b)])[1])
     return solve_gaussian_integers(aug)
 
 

@@ -5,7 +5,7 @@ Operators are polynomials in the generators
     x^mu, d/dx^mu (mu = 0..3),
     th^a, d/dth^a, tb^adot, d/dtb^adot (a, adot = 1..2),
 
-with exact GaussianRational coefficients.  th/tb are Grassmann odd.  The
+with exact Gaussian-rational coefficients.  th/tb are Grassmann odd.  The
 only nontrivial rewriting rules are
 
     [d_mu, x^nu] = delta,  {d/dth^a, th^b} = delta,  {d/dtb^ad, tb^bd} = delta;
@@ -16,6 +16,13 @@ sorted by family and index with sign bookkeeping, no odd generator
 repeated.  Composition re-normal-orders via these rules, so the operator
 algebra is associative by construction and associativity doubles as a
 self-check of the rewriting engine.
+
+A SuperOp is one positive denominator over Gaussian-integer numerators,
+an (re, im) pair of Python ints per monomial key, reduced to gcd 1.
+Products, sums and scalings are integer arithmetic; GaussianRational
+appears only where coefficients go in or come out.  The normal-ordered
+product of two monomials depends only on their keys, so `_key_product`
+computes it once per key pair and caches it.
 
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
 momentum_sign = -1 by default; the sign is a flag because the bracket
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import GaussianRational, I, ONE, ZERO
+from .scalar import GaussianRational, I, ONE, ZERO, gaussian_integers
 from .spinor import EPS_RAISE, MINKOWSKI, SigmaConvention, sigma_lower_raised, sigma_upper
 
 # Generator classes in canonical order: coordinates first, then derivatives.
@@ -80,7 +88,6 @@ def _seq_to_key(seq) -> Key:
     return (tuple(xexp), masks[TH], masks[TB], tuple(dxexp), masks[DTH], masks[DTB])
 
 
-@functools.lru_cache(maxsize=200000)
 def _normal_order(seq: tuple) -> tuple:
     """Normal-order a raw generator sequence; returns ((key, int coeff), ...)."""
     out: dict[Key, int] = {}
@@ -117,6 +124,12 @@ def _normal_order(seq: tuple) -> tuple:
     return tuple((k, c) for k, c in out.items() if c)
 
 
+@functools.lru_cache(maxsize=200000)
+def _key_product(k1: Key, k2: Key) -> tuple:
+    """The normal-ordered product of two monomials: ((key, int coeff), ...)."""
+    return _normal_order(_key_to_seq(k1) + _key_to_seq(k2))
+
+
 def _key_parity(key: Key) -> int:
     _, th, tb, _, dth, dtb = key
     return (th.bit_count() + tb.bit_count() + dth.bit_count() + dtb.bit_count()) & 1
@@ -147,17 +160,20 @@ def _key_str(key: Key) -> str:
 
 
 class SuperOp:
-    """An exact normal-ordered superspace operator."""
+    """An exact normal-ordered superspace operator.
 
-    __slots__ = ("_terms",)
+    `_num` maps each monomial key to the nonzero (re, im) int numerator of
+    its coefficient over the positive denominator `_den`.  The gcd of `_den`
+    and all numerator parts is 1 and zero is `(1, {})`, so equal operators
+    have equal fields.
+    """
+
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms: dict[Key, GaussianRational] | None = None):
-        clean = {}
-        for k, v in (terms or {}).items():
-            v = GaussianRational.of(v)
-            if not v.is_zero():
-                clean[k] = v
-        self._terms = clean
+        terms = terms or {}
+        den, pairs = gaussian_integers([GaussianRational.of(v) for v in terms.values()])
+        self._den, self._num = _reduce(den, dict(zip(terms, pairs)))
 
     # -- constructors ------------------------------------------------------
 
@@ -200,28 +216,33 @@ class SuperOp:
 
     # -- ring structure ----------------------------------------------------
 
+    def _combine(self, other, sign: int) -> "SuperOp":
+        """self + sign*other over the lcm of the two denominators."""
+        g = math.gcd(self._den, other._den)
+        fa, fb = other._den // g, sign * (self._den // g)
+        num = {k: (fa * re, fa * im) for k, (re, im) in self._num.items()}
+        for k, (re, im) in other._num.items():
+            r, i = num.get(k, _ZERO_PAIR)
+            num[k] = (r + fb * re, i + fb * im)
+        return _op(self._den * fa, num)
+
     def __add__(self, other):
         if not isinstance(other, SuperOp):
             return NotImplemented
-        terms = dict(self._terms)
-        for k, v in other._terms.items():
-            terms[k] = terms.get(k, ZERO) + v
-        return SuperOp(terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, SuperOp):
             return NotImplemented
-        terms = dict(self._terms)
-        for k, v in other._terms.items():
-            terms[k] = terms.get(k, ZERO) - v
-        return SuperOp(terms)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, s) -> "SuperOp":
-        s = GaussianRational.of(s)
-        return SuperOp({k: s * v for k, v in self._terms.items()})
+        d, ((p, q),) = gaussian_integers([GaussianRational.of(s)])
+        return _op(self._den * d, {k: (p * re - q * im, p * im + q * re)
+                                   for k, (re, im) in self._num.items()})
 
     def __mul__(self, other):
         if isinstance(other, SuperOp):
@@ -234,39 +255,39 @@ class SuperOp:
     def __eq__(self, other):
         if not isinstance(other, SuperOp):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def terms(self):
-        return sorted(self._terms.items())
+        return sorted((k, self.coefficient(k)) for k in self._num)
 
     def coefficient(self, key: Key) -> GaussianRational:
-        return self._terms.get(key, ZERO)
+        re, im = self._num.get(key, _ZERO_PAIR)
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def monomial_count(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero."""
-        if not self._terms:
+        if not self._num:
             return None
-        parities = {_key_parity(k) for k in self._terms}
+        parities = {_key_parity(k) for k in self._num}
         return parities.pop() if len(parities) == 1 else None
 
     # -- actions -----------------------------------------------------------
 
     def apply_to(self, state: "SuperOp") -> "SuperOp":
         """Act on a superspace function (an operator with no derivatives)."""
-        if any(_key_has_derivatives(k) for k in state._terms):
+        if any(_key_has_derivatives(k) for k in state._num):
             raise ValueError("state must be free of derivative factors")
         product = compose(self, state)
-        return SuperOp(
-            {k: v for k, v in product._terms.items() if not _key_has_derivatives(k)}
-        )
+        return _op(product._den,
+                   {k: v for k, v in product._num.items() if not _key_has_derivatives(k)})
 
     def substitute_momentum(self, p) -> "SuperOp":
         """Plane-wave backend: replace each d_mu by i*p_mu (x-free operators only)."""
@@ -274,7 +295,7 @@ class SuperOp:
         if len(p) != 4:
             raise ValueError("need four momentum components")
         terms: dict[Key, GaussianRational] = {}
-        for key, coeff in self._terms.items():
+        for key, coeff in self.terms():
             xexp, th, tb, dxexp, dth, dtb = key
             if any(xexp):
                 raise ValueError("substitution is only valid for x-free operators")
@@ -287,7 +308,7 @@ class SuperOp:
         return SuperOp(terms)
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for key, coeff in self.terms():
@@ -309,16 +330,37 @@ class SuperOp:
     __repr__ = __str__
 
 
+_ZERO_PAIR = (0, 0)
+
+
+def _reduce(den: int, num: dict) -> tuple[int, dict]:
+    """num/den in canonical form: zero pairs dropped, gcd 1, zero as (1, {})."""
+    num = {k: v for k, v in num.items() if v != _ZERO_PAIR}
+    if den != 1:
+        g = math.gcd(den, *(part for pair in num.values() for part in pair))
+        if g != 1:
+            den //= g
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    return den, num
+
+
+def _op(den: int, num: dict) -> SuperOp:
+    """The operator num/den, made canonical."""
+    op = SuperOp.__new__(SuperOp)
+    op._den, op._num = _reduce(den, num)
+    return op
+
+
 def compose(A: SuperOp, B: SuperOp) -> SuperOp:
     """Operator product, re-normal-ordered."""
-    terms: dict[Key, GaussianRational] = {}
-    for k1, c1 in A._terms.items():
-        seq1 = _key_to_seq(k1)
-        for k2, c2 in B._terms.items():
-            c = c1 * c2
-            for key, ic in _normal_order(seq1 + _key_to_seq(k2)):
-                terms[key] = terms.get(key, ZERO) + c * ic
-    return SuperOp(terms)
+    acc: dict[Key, tuple[int, int]] = {}
+    for k1, (a, b) in A._num.items():
+        for k2, (c, d) in B._num.items():
+            re, im = a * c - b * d, a * d + b * c
+            for key, n in _key_product(k1, k2):
+                r, i = acc.get(key, _ZERO_PAIR)
+                acc[key] = (r + n * re, i + n * im)
+    return _op(A._den * B._den, acc)
 
 
 def op_commutator(A: SuperOp, B: SuperOp) -> SuperOp:
@@ -439,23 +481,24 @@ class PoincareReport:
 
 
 def verify_poincare(gens: GeneratorSet) -> PoincareReport:
-    eta = MINKOWSKI
+    i_eta = [I * e for e in MINKOWSKI]   # i eta^{mu mu}
+    P = [gens.P_upper(mu) for mu in range(4)]
     failures = []
 
     pp_ok = True
     for mu, nu in itertools.product(range(4), repeat=2):
-        if not op_commutator(gens.P_upper(mu), gens.P_upper(nu)).is_zero():
+        if not op_commutator(P[mu], P[nu]).is_zero():
             pp_ok = False
             failures.append(f"[P^{mu},P^{nu}] != 0")
 
     mp_ok = True
     for mu, nu, lam in itertools.product(range(4), repeat=3):
-        lhs = op_commutator(gens.M_upper[mu][nu], gens.P_upper(lam))
+        lhs = op_commutator(gens.M_upper[mu][nu], P[lam])
         rhs = SuperOp.zero()
         if nu == lam:
-            rhs = rhs + gens.P_upper(mu).scaled(I * eta[nu])
+            rhs = rhs + P[mu].scaled(i_eta[nu])
         if mu == lam:
-            rhs = rhs - gens.P_upper(nu).scaled(I * eta[mu])
+            rhs = rhs - P[nu].scaled(i_eta[mu])
         if lhs != rhs:
             mp_ok = False
             failures.append(f"[M^{{{mu}{nu}}},P^{lam}]")
@@ -465,13 +508,13 @@ def verify_poincare(gens: GeneratorSet) -> PoincareReport:
         lhs = op_commutator(gens.M_upper[mu][nu], gens.M_upper[rho][sig])
         rhs = SuperOp.zero()
         if nu == rho:
-            rhs = rhs + gens.M_upper[mu][sig].scaled(I * eta[nu])
+            rhs = rhs + gens.M_upper[mu][sig].scaled(i_eta[nu])
         if mu == sig:
-            rhs = rhs + gens.M_upper[nu][rho].scaled(I * eta[mu])
+            rhs = rhs + gens.M_upper[nu][rho].scaled(i_eta[mu])
         if mu == rho:
-            rhs = rhs - gens.M_upper[nu][sig].scaled(I * eta[mu])
+            rhs = rhs - gens.M_upper[nu][sig].scaled(i_eta[mu])
         if nu == sig:
-            rhs = rhs - gens.M_upper[mu][rho].scaled(I * eta[nu])
+            rhs = rhs - gens.M_upper[mu][rho].scaled(i_eta[nu])
         if lhs != rhs:
             mm_ok = False
             failures.append(f"[M^{{{mu}{nu}}},M^{{{rho}{sig}}}]")
@@ -515,10 +558,13 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
         for a in range(2) for b in range(2)
     )
 
+    # {Q_a, Qbar_ad}, computed once for the c1, c2 and spatial-inversion checks
+    brackets = {(a, ad): op_anticommutator(gens.Q[a], gens.Q_bar_lower[ad])
+                for a, ad in itertools.product(range(2), repeat=2)}
+
     # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd).
     c1 = None
-    for a, bd in itertools.product(range(2), repeat=2):
-        lhs = op_anticommutator(gens.Q[a], gens.Q_bar_lower[bd])
+    for (a, bd), lhs in brackets.items():
         rhs = SuperOp.zero()
         for mu in range(4):
             coeff = sigma[mu][a][bd]
@@ -530,15 +576,20 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
             break
         c1 = this
 
+    # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}
+    traces = []
+    for mu in range(4):
+        lhs = SuperOp.zero()
+        for (a, ad), bracket in brackets.items():
+            coeff = sigma_raised[mu][a][ad]
+            if not coeff.is_zero():
+                lhs = lhs + bracket.scaled(coeff)
+        traces.append(lhs)
+
     # c2 from sigma_mu^{a ad} {Q_a, Qbar_ad} = c2 * P_mu, uniform over mu.
     c2 = None
     for mu in range(4):
-        lhs = SuperOp.zero()
-        for a, ad in itertools.product(range(2), repeat=2):
-            coeff = sigma_raised[mu][a][ad]
-            if not coeff.is_zero():
-                lhs = lhs + op_anticommutator(gens.Q[a], gens.Q_bar_lower[ad]).scaled(coeff)
-        this = _measure_scale(lhs, gens.P_lower[mu])
+        this = _measure_scale(traces[mu], gens.P_lower[mu])
         if this is None or (c2 is not None and this != c2):
             c2 = None
             break
@@ -546,16 +597,7 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
 
     quarter = GaussianRational(Fraction(1, 4))
     inversion = c2 is not None and (quarter * c2) == ONE
-
-    spatial_ok = True
-    for mu in (1, 2, 3):
-        lhs = SuperOp.zero()
-        for a, ad in itertools.product(range(2), repeat=2):
-            coeff = sigma_raised[mu][a][ad]
-            if not coeff.is_zero():
-                lhs = lhs + op_anticommutator(gens.Q[a], gens.Q_bar_lower[ad]).scaled(coeff)
-        if lhs.scaled(quarter) != gens.P_lower[mu]:
-            spatial_ok = False
+    spatial_ok = all(traces[mu].scaled(quarter) == gens.P_lower[mu] for mu in (1, 2, 3))
 
     pq = all(
         op_commutator(gens.P_upper(mu), gens.Q[a]).is_zero()

@@ -1,5 +1,8 @@
 import importlib.resources
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -223,3 +226,12 @@ def test_check_degree_below_three_is_an_input_error(runner):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "--degree" in result.output
     assert "Traceback" not in result.output
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-m", "nonassoc", "--help"],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "verify-paper" in result.stdout

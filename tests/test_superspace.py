@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc.scalar import GaussianRational, I, ONE
+from nonassoc.scalar import ZERO, GaussianRational, I, ONE
 from nonassoc.spinor import MINKOWSKI, SigmaConvention
 from nonassoc.superspace import (
+    IDENTITY_KEY,
     SuperOp,
+    _key_to_seq,
+    _normal_order,
     build_generators,
     compose,
     graded_bracket,
@@ -225,3 +228,60 @@ def test_superop_rendering():
     assert str(SuperOp.zero()) == "0"
     assert str(SuperOp.one().scaled(2)) == "2"
     assert "th1" in str(SuperOp.theta(1))
+
+
+def random_key(rng):
+    """A random normal-ordered monomial with small exponents."""
+    return (tuple(rng.randint(0, 1) for _ in range(4)), rng.randrange(4), rng.randrange(4),
+            tuple(rng.randint(0, 1) for _ in range(4)), rng.randrange(4), rng.randrange(4))
+
+
+def random_coefficient(rng):
+    """Nonzero imaginary part, denominators among 2, 4 and 2^70."""
+    dens = (2, 4, 2 ** 70)
+    return GaussianRational(Fraction(rng.randint(-5, 5), rng.choice(dens)),
+                            Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice(dens)))
+
+
+def reference_compose(A, B):
+    """compose in GaussianRational arithmetic, term pair by term pair."""
+    out = {}
+    for k1, c1 in A.terms():
+        for k2, c2 in B.terms():
+            for key, n in _normal_order(_key_to_seq(k1) + _key_to_seq(k2)):
+                out[key] = out.get(key, ZERO) + c1 * c2 * n
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def test_compose_matches_a_rational_reference():
+    rng = random.Random(80)
+    for _ in range(30):
+        A, B = (SuperOp({random_key(rng): random_coefficient(rng) for _ in range(3)})
+                for _ in range(2))
+        expected = reference_compose(A, B)
+        product = compose(A, B)
+        assert dict(product.terms()) == expected
+        assert product == SuperOp(expected)
+
+
+def test_equal_operators_built_by_two_routes_compare_equal():
+    key = SuperOp.theta(1).terms()[0][0]
+    half = SuperOp({key: Fraction(1, 2)})
+    assert half != SuperOp({key: 1})
+    assert half.scaled(2) == SuperOp({key: 1})
+    assert half.scaled(2).coefficient(key) == SuperOp({key: 1}).coefficient(key) == ONE
+    rng = random.Random(81)
+    A = SuperOp({random_key(rng): GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+                 for _ in range(3)})
+    B = SuperOp({random_key(rng): GaussianRational(Fraction(5, 2 ** 70), 1) for _ in range(3)})
+    assert (A + B) - B == A
+    assert all((A + B - B).coefficient(k) == c for k, c in A.terms())
+    assert A - A == SuperOp.zero()
+    assert A.scaled(0) == SuperOp.zero()
+    assert (A - A).coefficient(IDENTITY_KEY) == ZERO
+
+
+def test_superop_rendering_of_a_complex_rational_coefficient():
+    c = GaussianRational(Fraction(1, 2), Fraction(1, 4))
+    assert str(SuperOp.theta(1).scaled(c)) == "(1/2+1/4i) th1"
+    assert str(SuperOp.one().scaled(c) - SuperOp.dx(2)) == "(1/2+1/4i) - dx2"

@@ -12,15 +12,23 @@ basis and scored as sums of squared defects:
            P = R and P = Rt, with eps^{0123} = +1 and index lowering by
            diag(+,-,-,-)
 
-This module works in double precision, unlike the exact engines: the
-constraint set has no known exact solution, so the tooling explores.
-Search is multi-restart perturb-and-accept descent; restart k draws from
-its own stream spawned from (rng_seed, k), so results are reproducible
-and independent of scheduling.
+This module works in double precision, unlike the exact engines: no
+exact solution of the constraint set is bundled yet, so the tooling
+explores. Search is multi-restart perturb-and-accept descent; restart k
+draws from its own stream spawned from (rng_seed, k), so results are
+reproducible and independent of scheduling.
+
+Each role layout gets a gather plan once: flat indices into `c.ravel()`
+for the bracket rows c[a, b, :] and c[b, a, :], and for the blocks of
+both P-sectors that the associators need, stacked on a leading axis. A
+residual is then a few gathers, two batched matmuls and dot products.
+The search steps one entry in place and writes the old double back on
+reject, so a candidate is never copied per iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,12 +143,12 @@ class ResidualBreakdown:
 
 
 class _Targets:
-    """Right-hand-side coefficient tensors for one role layout."""
+    """Right-hand sides and flat gather indices into `c.ravel()` for one role layout."""
 
     def __init__(self, roles: dict[str, int], dim: int):
-        self.idx_r = np.array([roles[l] for l in ROLE_R])
-        self.idx_rt = np.array([roles[l] for l in ROLE_RT])
-        self.idx_m = np.array([roles[l] for l in ROLE_M])
+        idx_r = [roles[l] for l in ROLE_R]
+        idx_rt = [roles[l] for l in ROLE_RT]
+        idx_m = [roles[l] for l in ROLE_M]
 
         def m_vec(mu, nu):
             v = np.zeros(dim)
@@ -149,65 +157,67 @@ class _Targets:
             sign = 1.0
             if mu > nu:
                 mu, nu, sign = nu, mu, -1.0
-            v[self.idx_m[LORENTZ_SLOTS.index((mu, nu))]] = sign
+            v[idx_m[LORENTZ_SLOTS.index((mu, nu))]] = sign
             return v
 
-        self.t_comm = np.zeros((4, 4, dim))
+        t_comm = np.zeros((4, 4, dim))
         for mu in range(4):
             for nu in range(4):
-                self.t_comm[mu, nu] = 2.0 * m_vec(mu, nu)
+                t_comm[mu, nu] = 2.0 * m_vec(mu, nu)
 
-        self.t_lorentz = np.zeros((6, 6, dim))
+        t_lorentz = np.zeros((6, 6, dim))
         for a in range(6):
             for b in range(6):
-                v = np.zeros(dim)
                 for slot, coeff in lorentz_bracket_coeffs(LORENTZ_SLOTS[a], LORENTZ_SLOTS[b]).items():
-                    v[self.idx_m[slot]] += coeff
-                self.t_lorentz[a, b] = v
+                    t_lorentz[a, b, idx_m[slot]] += coeff
 
-        self.t_assoc = {}
-        for tag, sector in (("R", self.idx_r), ("Rt", self.idx_rt)):
-            t = np.zeros((4, 4, 4, dim))
-            for mu in range(4):
-                for nu in range(4):
-                    for rho in range(4):
-                        for sig in range(4):
-                            e = EPS4[mu, nu, rho, sig]
-                            if e:
-                                t[mu, nu, rho, sector[sig]] += 2.0 * e * MINKOWSKI[sig]
-            self.t_assoc[tag] = t
+        sectors = np.array([idx_r, idx_rt])                    # (2, 4): P = R, Rt
+        t_assoc = np.zeros((2, 4, 4, 4, dim))
+        for s, sector in enumerate(sectors):
+            for mu, nu, rho, sig in zip(*np.nonzero(EPS4)):
+                t_assoc[s, mu, nu, rho, sector[sig]] += 2.0 * EPS4[mu, nu, rho, sig] * MINKOWSKI[sig]
+        self.t_assoc = t_assoc.reshape(2, -1)
+
+        flat = np.arange(dim ** 3).reshape(dim, dim, dim)
+        # bracket rows c[a, b, :] - c[b, a, :]: the 16 comm pairs, then the 36 Lorentz pairs
+        pairs = [(a, b) for a in idx_r for b in idx_rt] + [(a, b) for a in idx_m for b in idx_m]
+        self.ab = np.concatenate([flat[a, b] for a, b in pairs])
+        self.ba = np.concatenate([flat[b, a] for a, b in pairs])
+        self.t_bracket = np.concatenate([t_comm.ravel(), t_lorentz.ravel()])
+        self.n_comm = t_comm.size
+        # both sectors stacked on axis 0: cs = c[S, S, :] as 16 rows (i, j),
+        # c[:, S, :] as a (dim, 4 dim) matrix, and the four (dim, dim) slabs c[S]
+        self.cs = flat[sectors[:, :, None], sectors[:, None, :]].reshape(2, 16, dim)
+        self.c_mid = flat[:, sectors].transpose(1, 0, 2, 3).reshape(2, dim, 4 * dim)
+        self.c_row = flat[sectors]
 
 
 _TARGET_CACHE: dict[tuple, _Targets] = {}
 
 
 def _targets_for(cand: CandidateAlgebra) -> _Targets:
-    key = (cand.dim, tuple(sorted(cand.roles.items())))
-    if key not in _TARGET_CACHE:
-        _TARGET_CACHE[key] = _Targets(cand.roles, cand.dim)
-    return _TARGET_CACHE[key]
+    key = (cand.dim, tuple(cand.roles.items()))
+    t = _TARGET_CACHE.get(key)
+    if t is None:
+        t = _TARGET_CACHE[key] = _Targets(cand.roles, cand.dim)
+    return t
 
 
 def residual(cand: CandidateAlgebra) -> ResidualBreakdown:
     """Sum of squared defects of every constraint coefficient equation."""
     t = _targets_for(cand)
-    c = cand.c
+    c = cand.c.ravel()
 
-    block = c[np.ix_(t.idx_r, t.idx_rt)] - c[np.ix_(t.idx_rt, t.idx_r)].transpose(1, 0, 2)
-    r_comm = float(((block - t.t_comm) ** 2).sum())
+    d = c[t.ab] - c[t.ba] - t.t_bracket
+    comm, lorentz = d[:t.n_comm], d[t.n_comm:]
 
-    mm = c[np.ix_(t.idx_m, t.idx_m)]
-    bracket = mm - mm.transpose(1, 0, 2)
-    r_lorentz = float(((bracket - t.t_lorentz) ** 2).sum())
+    cs = c[t.cs]
+    left = cs @ c[t.c_mid]                # (P^i P^j) P^k: axes (s, (i, j), (k, l))
+    right = cs[:, None] @ c[t.c_row]      # P^i (P^j P^k): axes (s, i, (j, k), l)
+    d = left.reshape(2, -1) - right.reshape(2, -1) - t.t_assoc
 
-    r_assoc = 0.0
-    for tag, sector in (("R", t.idx_r), ("Rt", t.idx_rt)):
-        cs = c[np.ix_(sector, sector)]                      # (4, 4, dim)
-        left = np.einsum("ijm,mkl->ijkl", cs, c[:, sector, :])
-        right = np.einsum("jkm,iml->ijkl", cs, c[sector, :, :])
-        r_assoc += float(((left - right - t.t_assoc[tag]) ** 2).sum())
-
-    return ResidualBreakdown(r_comm, r_lorentz, r_assoc)
+    return ResidualBreakdown(float(comm @ comm), float(lorentz @ lorentz),
+                             float(d[0] @ d[0]) + float(d[1] @ d[1]))
 
 
 def candidate_to_algebra(cand: CandidateAlgebra):
@@ -256,8 +266,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts <= 0 or self.max_iters < 0:
             raise ValueError("restarts must be positive and max_iters non-negative")
-        if self.step_scale <= 0 or self.tolerance <= 0:
-            raise ValueError("step_scale and tolerance must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.step_scale, self.tolerance)):
+            raise ValueError("step_scale and tolerance must be positive and finite")
 
 
 @dataclass
@@ -284,7 +294,7 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
            freeze: set[str] | None = None) -> SearchResult:
     """Multi-restart coordinate perturbation with accept-if-improved."""
     freeze = freeze or set()
-    base = init.copy() if init is not None else CandidateAlgebra.zero()
+    base = init if init is not None else CandidateAlgebra.zero()
     mask = _frozen_mask(base, freeze)
     free_entries = np.argwhere(~mask)
     seed_seq = np.random.SeedSequence(cfg.rng_seed)
@@ -301,6 +311,7 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
             noise = rng.normal(0.0, cfg.step_scale, size=cand.c.shape)
             noise[mask] = 0.0
             cand.c = cand.c + noise
+        c = cand.c
         cur = residual(cand)
         trace = [cur.total]
         for _ in range(cfg.max_iters):
@@ -308,11 +319,13 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
                 break
             i, j, k = free_entries[rng.integers(len(free_entries))]
             delta = rng.normal(0.0, cfg.step_scale)
-            trial = cand.copy()
-            trial.c[i, j, k] += delta
-            res = residual(trial)
+            old = c[i, j, k]
+            c[i, j, k] = old + delta
+            res = residual(cand)
             if res.total < cur.total:
-                cand, cur = trial, res
+                cur = res
+            else:
+                c[i, j, k] = old  # the exact double, so a rejected step leaves no trace
             trace.append(cur.total)
         traces.append(trace)
         if best_res is None or cur.total < best_res.total:

@@ -219,6 +219,13 @@ def test_search_rejects_bad_flags(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"), ("--tol", "nan")])
+def test_search_rejects_non_finite_settings(runner, flag, value):
+    result = runner.invoke(main, ["search", "--iters", "5", flag, value])
+    assert result.exit_code == 2
+    assert "error:" in result.stderr
+
+
 def test_check_degree_below_three_is_an_input_error(runner):
     result = runner.invoke(main, ["check", fixture_path("splitO.alg"),
                                   "--properties", "power-associative", "--degree", "2"])

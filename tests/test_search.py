@@ -7,6 +7,9 @@ from nonassoc.corpus import LORENTZ_SLOTS, MINKOWSKI, lorentz_bracket_coeffs
 from nonassoc.search import (
     BASE_DIM,
     EPS4,
+    ROLE_M,
+    ROLE_R,
+    ROLE_RT,
     CandidateAlgebra,
     SearchConfig,
     default_roles,
@@ -119,6 +122,25 @@ def test_random_candidates_match_brute_force():
         assert got.r_assoc == pytest.approx(ra, rel=1e-10)
 
 
+def _assert_matches_brute_force(cand):
+    got = residual(cand)
+    rc, rl, ra = brute_force_residual(cand)
+    assert got.r_comm == pytest.approx(rc, rel=1e-10)
+    assert got.r_lorentz == pytest.approx(rl, rel=1e-10)
+    assert got.r_assoc == pytest.approx(ra, rel=1e-10)
+
+
+def test_permuted_layout_matches_brute_force():
+    perm = np.random.default_rng(5).permutation(BASE_DIM)
+    _assert_matches_brute_force(CandidateAlgebra.random(4).permuted(perm))
+
+
+def test_unit_layout_matches_brute_force():
+    cand = CandidateAlgebra.random(9, scale=0.3, with_unit=True)
+    assert cand.dim == 16
+    _assert_matches_brute_force(cand)
+
+
 def test_so31_embedding_is_exact():
     cand = CandidateAlgebra.so31_embedded()
     assert residual(cand).r_lorentz <= 1e-12
@@ -179,6 +201,45 @@ def test_search_frozen_exact_sector_stays_exact():
         assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
+def test_search_leaves_init_unchanged():
+    init = CandidateAlgebra.random(8, scale=0.3)
+    before = init.c.copy()
+    search(SearchConfig(restarts=2, max_iters=200, rng_seed=4), init=init)
+    assert np.array_equal(init.c, before)
+
+
+def test_search_best_residual_is_the_residual_of_best():
+    cfg = SearchConfig(restarts=3, max_iters=200, rng_seed=12)
+    result = search(cfg, init=CandidateAlgebra.so31_embedded())
+    again = residual(result.best)
+    assert (again.r_comm, again.r_lorentz, again.r_assoc) == (
+        result.best_residual.r_comm, result.best_residual.r_lorentz, result.best_residual.r_assoc)
+
+
+@pytest.mark.parametrize("freeze", [{"M"}, {"R", "Rt"}])
+def test_search_frozen_entries_are_bit_equal(freeze):
+    init = CandidateAlgebra.random(6, scale=0.3)
+    cfg = SearchConfig(restarts=2, max_iters=300, rng_seed=3)
+    result = search(cfg, init=init, freeze=freeze)
+    labels = {"R": ROLE_R, "Rt": ROLE_RT, "M": ROLE_M}
+    for sector in freeze:
+        idx = [init.roles[label] for label in labels[sector]]
+        block = np.ix_(idx, idx)
+        assert np.array_equal(result.best.c[block], init.c[block])
+    assert not np.array_equal(result.best.c, init.c)
+
+
+def test_search_benchmark_run_accept_decisions():
+    """The benchmark's search run: these are the values of the einsum
+    residual with a copy per step, so the accept decisions stay the same."""
+    cfg = SearchConfig(restarts=2, max_iters=5000, rng_seed=0)
+    result = search(cfg, init=CandidateAlgebra.so31_embedded())
+    assert str(result.best_residual) == (
+        "total=2.178511e+02 comm=4.347381e+01 lorentz=4.553576e+00 assoc=1.698237e+02")
+    decreases = [sum(b < a for a, b in zip(trace, trace[1:])) for trace in result.traces]
+    assert decreases == [16, 1749]
+
+
 def test_search_improves_from_zero():
     cfg = SearchConfig(restarts=1, max_iters=3000, rng_seed=7, step_scale=0.5)
     result = search(cfg, init=CandidateAlgebra.zero())
@@ -205,3 +266,10 @@ def test_search_rejects_bad_config():
         SearchConfig(step_scale=-1.0)
     with pytest.raises(ValueError):
         search(SearchConfig(), freeze={"bogus"})
+
+
+@pytest.mark.parametrize("field", ["step_scale", "tolerance"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_search_rejects_non_finite_config(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SearchConfig(**{field: value})

@@ -118,7 +118,7 @@ class AlgebraDef:
                 for k, c in terms.items():
                     if not 0 <= k < dim:
                         raise ValueError(f"basis index {k} out of range")
-                    coeffs[k] = coeffs[k] + GaussianRational.of(c)
+                    coeffs[k] = GaussianRational.of(c) if coeffs[k] is ZERO else coeffs[k] + c
                 row.append((GaussianRational.of(unit), tuple(coeffs)))
             structure.append(row)
         return cls(name, dim, structure, unital, basis_names)

@@ -46,11 +46,12 @@ _MIXED_RE = re.compile(
     rf"^(?P<re>{_RAT})\s*(?:(?P<sign>[+-])\s*(?P<im>(?:\d+(?:/\d+)?)?)i)?$"
 )
 _IMAG_RE = re.compile(r"^(?P<im>-?(?:\d+(?:/\d+)?)?)i$")
+_TOKEN_RE = re.compile(r"[()+-]|[^()+-]+")
 
 
 def _parse_fraction(text: str, line: int) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(*map(int, text.split("/")))
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraParseError(f"bad rational {text!r}: {exc}", line)
 
@@ -83,27 +84,27 @@ def _split_terms(expr: str, line: int) -> list[tuple[int, str]]:
     current = ""
     sign = 1
     sign_pending = False
-    for ch in expr:
-        if ch == "(":
+    for tok in _TOKEN_RE.findall(expr):
+        if tok == "(":
             depth += 1
-            current += ch
+            current += tok
             continue
-        if ch == ")":
+        if tok == ")":
             depth -= 1
             if depth < 0:
                 raise AlgebraParseError("unbalanced parentheses", line)
-            current += ch
+            current += tok
             continue
-        if ch in "+-" and depth == 0:
+        if tok in ("+", "-") and depth == 0:
             if current.strip():
                 terms.append((sign, current.strip()))
                 current = ""
             elif sign_pending:
                 raise AlgebraParseError("doubled sign", line)
-            sign = 1 if ch == "+" else -1
+            sign = 1 if tok == "+" else -1
             sign_pending = True
             continue
-        current += ch
+        current += tok
     if depth != 0:
         raise AlgebraParseError("unbalanced parentheses", line)
     if current.strip():
@@ -237,7 +238,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
                             )
                         unit = unit + u
                     else:
-                        coeffs[idx] = coeffs.get(idx, ZERO) + coeff
+                        coeffs[idx] = coeffs[idx] + coeff if idx in coeffs else coeff
             products[key] = (unit, coeffs)
             continue
         raise AlgebraParseError(f"unrecognized line {line!r}", line_no)

@@ -132,7 +132,7 @@ def verify_paper(fmt):
 @main.command()
 @click.option("--restarts", default=1, show_default=True)
 @click.option("--iters", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--step", default=0.1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,

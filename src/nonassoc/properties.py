@@ -33,7 +33,9 @@ of K**2 products of three entries.  Otherwise T holds Python ints (dtype
 object), as for exported search candidates, whose common denominator is
 about 2**68.  A table without imaginary parts carries none, which keeps K
 at dim + 1.  The search for an internal unit solves its linear system from
-slices of T by fraction-free elimination over the Gaussian integers.
+slices of T by fraction-free elimination over the Gaussian integers, which
+reduces a row below the pivots only when a scan reaches it: when no unit
+exists, the scan stops at the first row that rules one out.
 
 Power associativity and the Jordan law are decided on the same tensor.
 Over a field of characteristic zero an algebra is power-associative if

@@ -149,42 +149,54 @@ def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational])
 
 def solve_gaussian_integers(aug: list[list[tuple[int, int]]]):
     """`solve_exact` on an augmented system whose entries are Gaussian
-    integers, given as (re, im) pairs; the rows are rewritten in place.
+    integers, given as (re, im) pairs.  Rows are reduced in place, each
+    only when the solve reads it, so not every row is rewritten.
 
-    Gauss-Jordan elimination without fractions: the first row with a
-    nonzero entry in the column is the pivot row, every other row becomes
-    pivot * row - entry * pivot row, and each new row is divided by the gcd
-    of its parts.  Rows change only by nonzero factors, so pivots and the
-    zero pattern are those of elimination over the field.
+    Elimination without fractions: the first row with a nonzero entry in
+    the column is the pivot row, and reducing a row against it makes the
+    row pivot * row - entry * pivot row, divided by the gcd of its parts.
+    `done[i]` counts the pivots applied to row i.  A row is brought up to
+    date when the pivot search of a column or the final consistency scan
+    tests it, and that scan stops at the first nonzero right-hand side; a
+    pivot row is brought up to date when `particular` reads it.  Pivot row
+    k is zero in the columns of pivots 0..k-1, so applying the pivots in
+    order never refills a cleared column.  A reduced row differs from its
+    original by a combination of pivot rows and is zero in every pivot
+    column but its own, which fixes it up to a nonzero factor: every zero
+    test, and so the pivots, consistency and `particular`, are those of
+    eager Gauss-Jordan elimination over the field.
     """
     m = len(aug)
     n = len(aug[0]) - 1 if m else 0
     pivot_cols: list[int] = []
+    done = [0] * m
+
+    def reduced(i: int) -> list[tuple[int, int]]:
+        for k in range(done[i], len(pivot_cols)):
+            (fr, fi), (pr, pi) = aug[i][pivot_cols[k]], aug[k][pivot_cols[k]]
+            if fr or fi:
+                row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
+                       for (a, b), (c, d) in zip(aug[i], aug[k])]
+                g = math.gcd(*(part for pair in row for part in pair))
+                aug[i] = [(a // g, b // g) for a, b in row] if g > 1 else row
+        done[i] = len(pivot_cols)
+        return aug[i]
+
     r = 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != (0, 0)), None)
+        pivot = next((i for i in range(r, m) if reduced(i)[col] != (0, 0)), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        pr, pi = prow[col]
-        for i in range(m):
-            fr, fi = aug[i][col]
-            if i == r or not (fr or fi):
-                continue
-            row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
-                   for (a, b), (c, d) in zip(aug[i], prow)]
-            g = math.gcd(*(part for pair in row for part in pair))
-            if g > 1:
-                row = [(a // g, b // g) for a, b in row]
-            aug[i] = row
+        done[r] = r + 1     # the scan left done == r on rows r..pivot; a pivot skips itself
         pivot_cols.append(col)
         r += 1
         if r == m:
             break
 
-    consistent = all(aug[i][n] == (0, 0) for i in range(r, m))
+    consistent = all(reduced(i)[n] == (0, 0) for i in range(r, m))
     particular = [ZERO] * n
-    for row_idx, col in enumerate(pivot_cols):
-        particular[col] = GaussianRational(*aug[row_idx][n]) / GaussianRational(*aug[row_idx][col])
+    for k, col in enumerate(pivot_cols):
+        row = reduced(k)
+        particular[col] = GaussianRational(*row[n]) / GaussianRational(*row[col])
     return (particular if consistent else None), particular

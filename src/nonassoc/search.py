@@ -227,13 +227,9 @@ def candidate_to_algebra(cand: CandidateAlgebra):
     from .algebra import AlgebraDef
 
     products = {}
-    for i in range(cand.dim):
-        for j in range(cand.dim):
-            terms = {
-                k: Fraction(*cand.c[i, j, k].as_integer_ratio())
-                for k in range(cand.dim)
-                if cand.c[i, j, k] != 0.0
-            }
+    for i, plane in enumerate(cand.c.tolist()):
+        for j, column in enumerate(plane):
+            terms = {k: Fraction(*v.as_integer_ratio()) for k, v in enumerate(column) if v != 0.0}
             if terms:
                 products[(i, j)] = (0, terms)
     return AlgebraDef.from_products("candidate", cand.dim, products, unital=False)
@@ -264,8 +260,8 @@ class SearchConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.restarts <= 0 or self.max_iters < 0:
-            raise ValueError("restarts must be positive and max_iters non-negative")
+        if self.restarts <= 0 or self.max_iters < 0 or self.rng_seed < 0:
+            raise ValueError("restarts must be positive, max_iters and rng_seed non-negative")
         if not all(math.isfinite(x) and x > 0 for x in (self.step_scale, self.tolerance)):
             raise ValueError("step_scale and tolerance must be positive and finite")
 

@@ -1,7 +1,9 @@
 import importlib.resources
+from fractions import Fraction
 
 import pytest
 
+from nonassoc.algebra import AlgebraDef
 from nonassoc.algfile import AlgebraParseError, parse_text, serialize
 from nonassoc.corpus import (
     complex_numbers,
@@ -10,7 +12,8 @@ from nonassoc.corpus import (
     split_octonions,
     su2_bracket_algebra,
 )
-from nonassoc.scalar import GaussianRational
+from nonassoc.scalar import ZERO, GaussianRational
+from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
 
 FIXTURES = {
@@ -105,6 +108,35 @@ def test_unspecified_products_default_to_zero():
     parsed = parse_text("dimension 2\nunital false\ne1 e2 -> e1\n")
     unit, coeffs = parsed.algebra.structure[1][1]
     assert unit.is_zero() and all(c.is_zero() for c in coeffs)
+
+
+def test_repeated_term_is_summed():
+    parsed = parse_text("dimension 2\nunital false\ne1 e1 -> e1 + 1/2e1 - (1/3i)e2 + 2e2\n")
+    _, coeffs = parsed.algebra.structure[0][0]
+    assert coeffs == (GaussianRational(Fraction(3, 2)), GaussianRational(2, Fraction(-1, 3)))
+
+
+def test_from_products_sums_a_repeated_index():
+    class Pairs:
+        """Terms whose items repeat an index, as a plain dict cannot."""
+
+        def items(self):
+            return [(1, 1), (0, Fraction(1, 2)), (1, Fraction(1, 2))]
+
+    alg = AlgebraDef.from_products("repeat", 2, {(0, 0): (ZERO, Pairs())}, unital=False)
+    _, coeffs = alg.structure[0][0]
+    assert coeffs == (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_round_trip_is_exact(seed):
+    cand = CandidateAlgebra.random(seed)
+    alg = candidate_to_algebra(cand)
+    assert alg._den.bit_length() > 64
+    parsed = parse_text(serialize(alg, roles=cand.roles, scalar_tag="float64"))
+    assert parsed.algebra == alg
+    assert parsed.roles == cand.roles
+    assert (parsed.algebra.tensor == alg.tensor).all()
 
 
 # (text, line number the diagnostic must cite)

@@ -226,6 +226,14 @@ def test_search_rejects_non_finite_settings(runner, flag, value):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_search_rejects_negative_seed(runner, init):
+    result = runner.invoke(main, ["search", "--iters", "5", "--seed", "-1", "--init", init])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: invalid value for '--seed'" in result.stderr.lower()
+
+
 def test_check_degree_below_three_is_an_input_error(runner):
     result = runner.invoke(main, ["check", fixture_path("splitO.alg"),
                                   "--properties", "power-associative", "--degree", "2"])

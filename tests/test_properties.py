@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nonassoc import properties
 from nonassoc.algebra import AlgebraDef, associator, commutator, jacobiator, multiply
 from nonassoc.corpus import (
     complex_numbers,
@@ -21,6 +22,7 @@ from nonassoc.properties import (
 from nonassoc.scalar import I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
+from test_scalar import eager_solve_gaussian_integers
 
 
 def full_corpus():
@@ -395,3 +397,17 @@ def test_candidate_fails_at_degree_three():
     assert report.witness.law == "power associativity at degree 3"
     basis = exported_candidate(1).basis()
     assert report.witness.defect == cube_defect(basis[0]).scaled(6)
+
+
+def unit_report(alg):
+    rep = check_property(alg, "unital")
+    return rep.holds, rep.detail, rep.witness.describe() if rep.witness else None
+
+
+@pytest.mark.parametrize("seed", range(1, 12))
+def test_candidate_unit_witness_matches_eager_solver(seed, monkeypatch):
+    alg = exported_candidate(seed)
+    report = unit_report(alg)
+    assert "[no identity; best candidate " in report[2]
+    monkeypatch.setattr(properties, "solve_gaussian_integers", eager_solve_gaussian_integers)
+    assert unit_report(alg) == report

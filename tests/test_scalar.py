@@ -1,8 +1,14 @@
+import copy
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from nonassoc.scalar import GaussianRational, I, ONE, ZERO, solve_exact
+from nonassoc import properties
+from nonassoc.algebra import AlgebraDef
+from nonassoc.properties import check_property
+from nonassoc.scalar import GaussianRational, I, ONE, ZERO, solve_exact, solve_gaussian_integers
 
 
 def test_exact_arithmetic():
@@ -127,3 +133,119 @@ def test_solve_exact_fractional_rows_with_zero_rows():
     sol, particular = solve_exact(rows, [ZERO, gq("1/2"), gq(0, "1/7")])
     assert sol is None and particular == [gq("3/2"), ZERO]
     assert solve_exact([], []) == ([], [])
+
+
+def eager_solve_gaussian_integers(aug):
+    """Reference: fraction-free Gauss-Jordan that rewrites every row at every
+    pivot, the solver `solve_gaussian_integers` replaced."""
+    m = len(aug)
+    n = len(aug[0]) - 1 if m else 0
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        prow = aug[r]
+        pr, pi = prow[col]
+        for i in range(m):
+            fr, fi = aug[i][col]
+            if i == r or not (fr or fi):
+                continue
+            row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
+                   for (a, b), (c, d) in zip(aug[i], prow)]
+            g = math.gcd(*(part for pair in row for part in pair))
+            if g > 1:
+                row = [(a // g, b // g) for a, b in row]
+            aug[i] = row
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    consistent = all(aug[i][n] == (0, 0) for i in range(r, m))
+    particular = [ZERO] * n
+    for row_idx, col in enumerate(pivot_cols):
+        particular[col] = GaussianRational(*aug[row_idx][n]) / GaussianRational(*aug[row_idx][col])
+    return (particular if consistent else None), particular
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gsum(terms):
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+def random_system(rng, m, n, rank, complex_entries, consistent):
+    """m rows of n unknowns, each a random Gaussian-integer combination of
+    `rank` random rows (so zero rows occur), with right-hand side A x for a
+    random x when `consistent`, and random otherwise."""
+    def entry():
+        return (rng.randint(-3, 3), rng.randint(-3, 3) if complex_entries else 0)
+
+    basis = [[entry() for _ in range(n)] for _ in range(rank)]
+    x = [entry() for _ in range(n)]
+    aug = []
+    for _ in range(m):
+        weights = [entry() for _ in basis]
+        row = [_gsum([_gmul(w, b[k]) for w, b in zip(weights, basis)]) for k in range(n)]
+        rhs = _gsum([_gmul(a, v) for a, v in zip(row, x)]) if consistent else entry()
+        aug.append(row + [rhs])
+    return aug
+
+
+@pytest.mark.parametrize("m, n, rank, complex_entries, consistent", [
+    (6, 4, 4, False, True),    # overdetermined, full column rank
+    (6, 4, 4, True, False),    # overdetermined, inconsistent
+    (7, 5, 2, True, True),     # rank-deficient
+    (7, 5, 2, True, False),    # rank-deficient, inconsistent
+    (3, 6, 3, True, True),     # fewer rows than unknowns
+    (3, 6, 2, False, False),   # fewer rows than unknowns, inconsistent
+    (1, 4, 1, True, True),     # one row
+    (1, 3, 0, True, False),    # one zero row with a nonzero right-hand side
+    (5, 3, 0, False, True),    # all rows zero
+    (5, 3, 0, True, False),    # zero rows, nonzero right-hand sides
+])
+def test_solver_matches_eager_reference(m, n, rank, complex_entries, consistent):
+    rng = random.Random(f"{m}/{n}/{rank}/{complex_entries}/{consistent}")
+    solved = set()
+    for _ in range(40):
+        aug = random_system(rng, m, n, rank, complex_entries, consistent)
+        expected = eager_solve_gaussian_integers(copy.deepcopy(aug))
+        assert solve_gaussian_integers(copy.deepcopy(aug)) == expected
+        solved.add(expected[0] is not None)
+    # every consistent system solves, and some of the others are inconsistent
+    assert (solved == {True}) if consistent else (False in solved)
+
+
+def test_internal_unit_system_matches_eager_reference(monkeypatch):
+    # The quaternions with 1 as basis element e1, in a table not flagged
+    # unital.  The unit system is consistent, so the final scan reduces
+    # every row below the pivots.
+    sign = {(1, 2): 1, (2, 3): 1, (3, 1): 1, (2, 1): -1, (3, 2): -1, (1, 3): -1}
+    products = {}
+    for i in range(4):
+        for j in range(4):
+            if i == 0 or j == 0:
+                products[(i, j)] = (ZERO, {i + j: 1})
+            elif i == j:
+                products[(i, j)] = (ZERO, {0: -1})
+            else:
+                products[(i, j)] = (ZERO, {6 - i - j: sign[(i, j)]})
+    alg = AlgebraDef.from_products("quaternion_basis_one", 4, products, unital=False)
+    systems = []
+
+    def recording(aug):
+        systems.append(copy.deepcopy(aug))
+        return solve_gaussian_integers(aug)
+
+    monkeypatch.setattr(properties, "solve_gaussian_integers", recording)
+    rep = check_property(alg, "unital")
+    assert rep.holds and rep.detail == "internal unit e1"
+    (aug,) = systems
+    assert len(aug) == 2 * 4 * 4
+    expected = eager_solve_gaussian_integers(copy.deepcopy(aug))
+    assert solve_gaussian_integers(copy.deepcopy(aug)) == expected
+    assert expected[0] == [ONE, ZERO, ZERO, ZERO]

@@ -268,6 +268,11 @@ def test_search_rejects_bad_config():
         search(SearchConfig(), freeze={"bogus"})
 
 
+def test_search_rejects_negative_seed():
+    with pytest.raises(ValueError, match="rng_seed non-negative"):
+        SearchConfig(rng_seed=-1)
+
+
 @pytest.mark.parametrize("field", ["step_scale", "tolerance"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_search_rejects_non_finite_config(field, value):

@@ -47,11 +47,15 @@ _MIXED_RE = re.compile(
 )
 _IMAG_RE = re.compile(r"^(?P<im>-?(?:\d+(?:/\d+)?)?)i$")
 _TOKEN_RE = re.compile(r"[()+-]|[^()+-]+")
+_NO_IMAGINARY_PART = Fraction(0)
 
 
-def _parse_fraction(text: str, line: int) -> Fraction:
+def _parse_fraction(text: str, line: int, sign: int = 1) -> Fraction:
+    """`text` as a rational times `sign`.  The sign goes on the denominator,
+    so a zero denominator is reported with the numerator as written."""
     try:
-        return Fraction(*map(int, text.split("/")))
+        num, *den = map(int, text.split("/"))
+        return Fraction(num, sign * den[0]) if den else Fraction(sign * num)
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraParseError(f"bad rational {text!r}: {exc}", line)
 
@@ -128,10 +132,10 @@ def _parse_term(sign: int, term: str, dim: int, line: int):
         elif m.group("imag"):
             base = m.group("plain")
             coeff = GaussianRational(0, _parse_fraction(base, line) if base else 1)
-        elif m.group("plain"):
-            coeff = GaussianRational(_parse_fraction(m.group("plain"), line))
-        else:
-            coeff = GaussianRational(1)
+        else:    # a real coefficient, signed as it is parsed
+            plain = m.group("plain")
+            re_part = _parse_fraction(plain, line, sign) if plain else Fraction(sign)
+            return None, idx - 1, GaussianRational(re_part, _NO_IMAGINARY_PART)
         return None, idx - 1, (coeff if sign > 0 else -coeff)
     m = _SCALAR_RE.match(term)
     if m:

@@ -9,13 +9,13 @@ passing judgement.  The id set is closed: golden-file tests pin it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import superspace as ss
-from .corpus import epsilon3, split_octonions, standard_corpus
-from .algebra import associator, commutator
-from .properties import myung_equivalence
+from .corpus import split_octonions, standard_corpus
+from .properties import _slab_kernel, myung_equivalence
 from .scalar import GaussianRational
 from .spinor import (
     EPS_LOWER,
@@ -24,6 +24,11 @@ from .spinor import (
     SigmaConvention,
 )
 from .zorn import (
+    EPS3,
+    Q7,
+    QUAT,
+    SPLIT,
+    eps_vectors,
     verify_spin_commutators,
     verify_spin_decomposition,
     verify_zorn_isomorphism,
@@ -82,37 +87,20 @@ def _status(ok: bool) -> str:
 
 
 def _table_identity_entries() -> list[ReportEntry]:
+    """Eq. 2-10, 2-30 and 2-40 on the split-octonion tensor T: the brackets
+    are blocks of T - T^T and the associators the law kernels' slabs of T,
+    each side times the table's denominator (its square for associators)."""
     alg = split_octonions()
-    q = alg.basis()
-
-    ok_210 = True
-    for i, j in itertools.product(range(1, 4), repeat=2):
-        lhs = commutator(q[i + 2], q[j + 2])
-        rhs = alg.zero()
-        for k in range(1, 4):
-            e = epsilon3(i, j, k)
-            if e:
-                rhs = rhs + q[k - 1].scaled(-2 * e)
-        if not (lhs - rhs).is_zero():
-            ok_210 = False
-
-    ok_230 = True
-    for i, j in itertools.product(range(1, 4), repeat=2):
-        lhs = commutator(q[i - 1], q[j - 1])
-        rhs = alg.zero()
-        for k in range(1, 4):
-            e = epsilon3(i, j, k)
-            if e:
-                rhs = rhs + q[k - 1].scaled(2 * e)
-        if not (lhs - rhs).is_zero():
-            ok_230 = False
-
-    ok_240 = True
-    for i, j, k in itertools.product(range(1, 4), repeat=3):
-        lhs = associator(q[i + 2], q[j + 2], q[k + 2])
-        rhs = q[6].scaled(2 * epsilon3(i, j, k))
-        if not (lhs - rhs).is_zero():
-            ok_240 = False
+    t, den = alg.tensor, alg._den
+    brackets = t - t.transpose(1, 0, 2)
+    eps = eps_vectors(t, den)
+    ok_210 = np.array_equal(brackets[SPLIT, SPLIT], -2 * eps)
+    ok_230 = np.array_equal(brackets[QUAT, QUAT], 2 * eps)
+    slab = _slab_kernel(alg)    # slab(i, 0)[j, k] is A(e_i, e_j, e_k) for basis j, k
+    associators = np.array([slab(i, 0)[3:6, 3:6] for i in range(4, 7)])
+    eps_q7 = np.zeros_like(associators)
+    eps_q7[..., Q7] = 2 * EPS3 * den**2
+    ok_240 = np.array_equal(associators, eps_q7)
 
     return [
         ReportEntry("Eq. 2-10", _status(ok_210),

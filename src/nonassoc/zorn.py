@@ -7,11 +7,20 @@ the block product
         (ac + x.v,  au + dx - y X v;  cy + bv + x X u,  bd + y.u).
 
 The basis map sends 1 to the identity, q7 to -(1,0;0,-1), q_i to
-(0,-e_i;e_i,0) and q_{i+3} to (0,e_i;e_i,0).  The images of the basis
-generate a product table of their own, zorn_octonions.
+(0,-e_i;e_i,0) and q_{i+3} to (0,e_i;e_i,0).  The images of the basis hold
+plain ints, and the products zorn_multiply forms of them are read back
+into a product table of their own, zorn_octonions, in integer halves.
 verify_zorn_isomorphism is a diff of its structure tensor against the
 bundled table's, over every ordered pair of 1, q1..q7, and reports the
 (substantial) disagreement it finds.
+
+The split-octonion identities behind the spin operator (Eq. 2-50, 2-60
+and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
+table's structure tensor T as well: brackets are blocks of the commutator
+tensor T - T^T, associators the slabs the law kernels contract T into,
+and the scalars i/2, -1/4 and -i/4 of the printed relations come out by
+bilinearity.  Elements are built only for a witness and for the measured
+constants kappa and lambda.
 """
 
 from __future__ import annotations
@@ -23,11 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, commutator, multiply
+from .algebra import AlgebraDef, Element
 from .corpus import epsilon3, split_octonions
-from .properties import PropertyReport, Witness
-from .scalar import GaussianRational, I, ZERO
-from .spinor import PAULI, Mat2, commutator2
+from .properties import PropertyReport, Witness, _turn
+from .scalar import GaussianRational, I, ZERO, gaussian_integers
+from .spinor import pauli_spin_commutators_hold
 
 Vec3 = tuple[GaussianRational, GaussianRational, GaussianRational]
 
@@ -128,16 +137,11 @@ def zorn_multiply(A: ZornMatrix, B: ZornMatrix) -> ZornMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _basis_images() -> tuple[ZornMatrix, ...]:
-    """Images of q1..q7; the unit maps to the identity matrix."""
-    images = []
-    for i in range(3):
-        e = unit_vec3(i)
-        images.append(ZornMatrix.build(0, _vscale(-1, e), e, 0))
-    for i in range(3):
-        e = unit_vec3(i)
-        images.append(ZornMatrix.build(0, e, e, 0))
-    images.append(ZornMatrix.build(-1, VZERO, VZERO, 1))
-    return tuple(images)
+    """Images of q1..q7, with plain int entries; the unit maps to the identity matrix."""
+    units = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    return (tuple(ZornMatrix(0, tuple(-v for v in e), e, 0) for e in units)
+            + tuple(ZornMatrix(0, e, e, 0) for e in units)
+            + (ZornMatrix(-1, (0, 0, 0), (0, 0, 0), 1),))
 
 
 def to_zorn(s: Element) -> ZornMatrix:
@@ -165,6 +169,44 @@ def from_zorn(Z: ZornMatrix) -> Element:
     return alg.element(unit, coeffs)
 
 
+# Tensor indices of q1..q3, q4..q6 and q7 in `AlgebraDef.tensor`, whose
+# index 0 is the unit, and the Levi-Civita symbol over a block of three.
+QUAT, SPLIT, Q7 = slice(1, 4), slice(4, 7), 7
+EPS3 = np.array([[[epsilon3(i, j, k) for k in range(1, 4)] for j in range(1, 4)]
+                 for i in range(1, 4)])
+
+
+def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:
+    """`alg.tensor` with its imaginary half present even for a real table.
+
+    Its last axis holds Gaussian tensor vectors: real parts at 0..dim, then
+    imaginary parts, so that i times a vector is `_turn`.
+    """
+    t = alg.tensor
+    return t if t.shape[2] > len(t) else np.concatenate([t, np.zeros_like(t)], axis=2)
+
+
+def eps_vectors(t: np.ndarray, den) -> np.ndarray:
+    """E[i, j] = den * sum_k eps_ijk q_k, as tensor vectors of t's width."""
+    e = np.zeros((3, 3, t.shape[2]), dtype=t.dtype)
+    e[:, :, QUAT] = EPS3 * den
+    return e
+
+
+def _element(alg: AlgebraDef, vec: np.ndarray, den) -> Element:
+    """The element whose Gaussian tensor vector, times `den`, is `vec`."""
+    n = alg.dim + 1
+    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
+                     for a, b in zip(vec[:n].tolist(), vec[n:].tolist()))
+    return Element(alg, unit, tuple(coeffs))
+
+
+def _scaled(c: GaussianRational, vecs: np.ndarray):
+    """(d, d * c * vecs) for Gaussian tensor vectors, d being c's common denominator."""
+    d, [(re, im)] = gaussian_integers([c])
+    return d, re * vecs + im * _turn(vecs, vecs.shape[-1] // 2)
+
+
 def verify_zorn_isomorphism() -> PropertyReport:
     """Diff the structure tensor of the bundled table against the Zorn one's.
 
@@ -185,8 +227,9 @@ def verify_zorn_isomorphism() -> PropertyReport:
     names = ["1"] + list(alg.basis_names)
     i, j = mismatches[0]
     u, v = (alg.one() if k == 0 else alg.basis_element(k - 1) for k in (i, j))
-    table_side = multiply(u, v)
-    zorn_side = from_zorn(zorn_multiply(to_zorn(u), to_zorn(v)))
+    # Both tensors make index 0 the unit, so a mismatch is a product of two
+    # basis elements, one cell of each table.
+    table_side, zorn_side = (alg.element(*a.structure[i - 1][j - 1]) for a in (alg, zorn_alg))
     witness = Witness(defect=zorn_side - table_side, elements=(u, v),
                       law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {zorn_side}")
     signs = f"{not_by_sign} not by sign" if not_by_sign else "all by sign"
@@ -215,51 +258,36 @@ class SpinCommutatorReport:
 
 
 def verify_spin_commutators() -> SpinCommutatorReport:
-    alg = split_octonions()
-    half_i = I * Fraction(1, 2)
-    s = [alg.basis_element(k).scaled(half_i) for k in range(3)]
+    """Brackets of s_k = (i/2) q_k, k = 1..3, on the split-octonion tensor.
 
-    printed_ok = True
+    By bilinearity [s_i, s_j] = -(1/4) C_ij and eps_ijk s_k = (i/2) E_ij,
+    where C is the commutator tensor and E the `eps_vectors`.  So the printed
+    relation [s_i, s_j] = eps_ijk s_k reads i C_ij = 2 E_ij, and
+    [s_i, s_j] = kappa eps_ijk s_k reads i C_ij = 2 kappa E_ij.  The witness
+    is the first failing (i, j) in row-major order.
+    """
+    alg = split_octonions()
+    t, den = _gaussian_tensor(alg), alg._den
+    brackets = (t - t.transpose(1, 0, 2))[QUAT, QUAT]
+    i_brackets, twice_eps = _turn(brackets, len(t)), 2 * eps_vectors(t, den)
+    failing = np.argwhere((i_brackets != twice_eps).any(axis=-1)).tolist()
     witness = None
-    for i, j in itertools.product(range(3), repeat=2):
-        lhs = commutator(s[i], s[j])
-        rhs = alg.zero()
-        for k in range(3):
-            e = epsilon3(i + 1, j + 1, k + 1)
-            if e:
-                rhs = rhs + s[k].scaled(e)
-        d = lhs - rhs
-        if not d.is_zero():
-            printed_ok = False
-            if witness is None:
-                witness = Witness(defect=d, indices=(i, j), law="bracket of i/2-scaled basis")
-            break
+    if failing:
+        i, j = failing[0]
+        # [s_i, s_j] - eps_ijk s_k = -(C_ij + 2i E_ij) / 4
+        defect = _element(alg, -brackets[i, j] - _turn(twice_eps[i, j], len(t)), 4 * den)
+        witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
     # Measure kappa from [s_1, s_2] = kappa * s_3.
-    kappa = _multiple(commutator(s[0], s[1]), s[2])
-    measured_ok = kappa is not None and all(
-        (commutator(s[i], s[j]) - sum(
-            (s[k].scaled(kappa * epsilon3(i + 1, j + 1, k + 1)) for k in range(3)),
-            alg.zero(),
-        )).is_zero()
-        for i, j in itertools.product(range(3), repeat=2)
-    )
-    if not measured_ok:
-        kappa = ZERO
+    s3 = alg.basis_element(2).scaled(I * Fraction(1, 2))
+    kappa = _multiple(_element(alg, -brackets[0, 1], 4 * den), s3)
+    if kappa is not None:
+        d, kappa_eps = _scaled(kappa, twice_eps)
+        if not np.array_equal(d * i_brackets, kappa_eps):
+            kappa = None
 
-    pauli_ok = True
-    halves = [p.scaled(Fraction(1, 2)) for p in PAULI]
-    for i, j in itertools.product(range(3), repeat=2):
-        rhs = Mat2([[0, 0], [0, 0]])
-        for k in range(3):
-            e = epsilon3(i + 1, j + 1, k + 1)
-            if e:
-                rhs = rhs + halves[k].scaled(I * e)
-        if commutator2(halves[i], halves[j]) != rhs:
-            pauli_ok = False
-            break
-
-    return SpinCommutatorReport(printed_ok, kappa, pauli_ok, witness)
+    return SpinCommutatorReport(not failing, ZERO if kappa is None else kappa,
+                                pauli_spin_commutators_hold(), witness)
 
 
 @dataclass(frozen=True)
@@ -273,37 +301,27 @@ class SpinDecompositionReport:
 
 
 def verify_spin_decomposition() -> SpinDecompositionReport:
+    """Both decompositions on the split-octonion tensor.
+
+    With P_i = sum_jk eps_ijk q_(j+3) q_(k+3), (i/2) q_i = -(i/4) P_i reads
+    P_i = -2 q_i.  R_i = -sum_jk eps_ijk [q_(j+3), q_(k+3)] is four times
+    the bracket side, so lambda is the c with R_i = 4c q_i, measured at
+    i = 1 and then required of i = 2, 3.
+    """
     alg = split_octonions()
-    q = alg.basis()
+    t, den = _gaussian_tensor(alg), alg._den
+    quat = np.eye(3, t.shape[2], 1, dtype=t.dtype) * den    # q1..q3
+    split = t[SPLIT, SPLIT]
+    product_ok = np.array_equal(np.tensordot(EPS3, split, axes=2), -2 * quat)
 
-    product_ok = True
-    for i in range(1, 4):
-        rhs = alg.zero()
-        for j, k in itertools.product(range(1, 4), repeat=2):
-            e = epsilon3(i, j, k)
-            if e:
-                rhs = rhs + multiply(q[j + 2], q[k + 2]).scaled(I * Fraction(-1, 4) * e)
-        lhs = q[i - 1].scaled(I * Fraction(1, 2))
-        if not (lhs - rhs).is_zero():
-            product_ok = False
-
-    lam = ZERO
-    uniform = True
-    for i in range(1, 4):
-        r = alg.zero()
-        for j, k in itertools.product(range(1, 4), repeat=2):
-            e = epsilon3(i, j, k)
-            if e:
-                r = r + commutator(q[j + 2], q[k + 2]).scaled(Fraction(-1, 4) * e)
-        this = _multiple(r, q[i - 1])    # r should be lam * q_i
-        if this is None:
-            uniform = False
-            break
-        if i == 1:
-            lam = this
-        elif this != lam:
-            uniform = False
-            break
+    bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
+    lam = _multiple(_element(alg, bracket_sides[0], 4 * den), alg.basis_element(0))
+    uniform = lam is not None
+    if uniform:
+        d, lam_quat = _scaled(lam, 4 * quat)
+        uniform = np.array_equal(d * bracket_sides, lam_quat)
+    else:
+        lam = ZERO
 
     detail = (
         f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
@@ -313,17 +331,25 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
 
 
 def _zorn_table() -> AlgebraDef:
-    """The basis-product table the Zorn images generate, built afresh."""
-    alg = split_octonions()
-    products = {}
-    for i in range(7):
-        for j in range(7):
-            el = from_zorn(zorn_multiply(_basis_images()[i], _basis_images()[j]))
-            terms = {k: c for k, c in enumerate(el.coeffs) if not c.is_zero()}
-            products[(i, j)] = (el.unit, terms)
-    return AlgebraDef.from_products(
-        "zornO", 7, products, unital=True, basis_names=alg.basis_names
-    )
+    """The basis-product table the Zorn images generate, built afresh.
+
+    Each product of two integer images is read back as from_zorn does, in
+    integer halves: (a+b)/2 of the unit, (y-x)/2 of q1..q3, (y+x)/2 of
+    q4..q6 and (b-a)/2 of q7.
+    """
+    images = _basis_images()
+    structure = [[None] * 7 for _ in range(7)]
+    for i, j in itertools.product(range(7), repeat=2):
+        z = zorn_multiply(images[i], images[j])
+        unit, *coeffs = (Fraction(h, 2) for h in (
+            z.a + z.b,
+            *(y - x for x, y in zip(z.x, z.y)),
+            *(y + x for x, y in zip(z.x, z.y)),
+            z.b - z.a,
+        ))
+        structure[i][j] = (unit, coeffs)
+    return AlgebraDef("zornO", 7, structure, unital=True,
+                      basis_names=split_octonions().basis_names)
 
 
 @functools.lru_cache(maxsize=None)

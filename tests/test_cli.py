@@ -115,6 +115,34 @@ def test_table_zorn_flag(runner):
     assert "[-1, (0, 0, 0); (0, 0, 0), 1]" in result.output  # q7
 
 
+TABLE_SPLITO_ZORN = """\
+      q1   q2   q3   q4   q5   q6   q7
+ q1   -1   q3  -q2  -q7   q6  -q5   q4
+ q2  -q3   -1   q1  -q6  -q7   q4   q5
+ q3   q2  -q1   -1   q5  -q4  -q7   q6
+ q4   q7   q6  -q5    1  -q3   q2   q1
+ q5  -q6   q7   q4   q3    1  -q1   q2
+ q6   q5  -q4   q7  -q2   q1    1   q3
+ q7  -q4  -q5  -q6  -q1  -q2  -q3    1
+
+Zorn images:
+  1  [1, (0, 0, 0); (0, 0, 0), 1]
+ q1  [0, (-1, 0, 0); (1, 0, 0), 0]
+ q2  [0, (0, -1, 0); (0, 1, 0), 0]
+ q3  [0, (0, 0, -1); (0, 0, 1), 0]
+ q4  [0, (1, 0, 0); (1, 0, 0), 0]
+ q5  [0, (0, 1, 0); (0, 1, 0), 0]
+ q6  [0, (0, 0, 1); (0, 0, 1), 0]
+ q7  [-1, (0, 0, 0); (0, 0, 0), 1]
+"""
+
+
+def test_table_zorn_flag_full_output(runner):
+    result = runner.invoke(main, ["table", fixture_path("splitO.alg"), "--zorn"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == TABLE_SPLITO_ZORN.splitlines()
+
+
 def test_table_zorn_flag_rejected_elsewhere(runner):
     result = runner.invoke(main, ["table", fixture_path("quaternion.alg"), "--zorn"])
     assert result.exit_code == 2

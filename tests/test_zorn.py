@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc import zorn
-from nonassoc.algebra import multiply
-from nonassoc.corpus import split_octonions
-from nonassoc.properties import check_property
-from nonassoc.scalar import GaussianRational, I, ONE, solve_exact
+from nonassoc import report, zorn
+from nonassoc.algebra import AlgebraDef, associator, commutator, multiply
+from nonassoc.corpus import epsilon3, split_octonions
+from nonassoc.properties import Witness, check_property
+from nonassoc.scalar import GaussianRational, I, ONE, ZERO, solve_exact
 from nonassoc.zorn import (
     ZornMatrix,
     from_zorn,
@@ -200,3 +200,108 @@ def test_zorn_scalar_coefficients_survive():
     splitO = split_octonions()
     s = splitO.element(GaussianRational(1, 2), [Fraction(1, 3), 0, 0, 2, 0, 0, GaussianRational(0, -1)])
     assert from_zorn(to_zorn(s)) == s
+
+
+def test_integer_zorn_table_matches_gaussian_rational_reference(splitO):
+    # the reference multiplies GaussianRational Zorn matrices and reads the
+    # product back through from_zorn, on all 64 ordered pairs of 1, q1..q7
+    refs = [splitO.one()] + splitO.basis()
+    for table in (zorn._zorn_table(), zorn_octonions()):
+        elems = [table.one()] + table.basis()
+        for (u, ru), (v, rv) in itertools.product(zip(elems, refs), repeat=2):
+            got = multiply(u, v)
+            want = from_zorn(zorn_multiply(to_zorn(ru), to_zorn(rv)))
+            assert (got.unit, got.coeffs) == (want.unit, want.coeffs)
+    assert zorn._zorn_table() == zorn_octonions()
+
+
+# -- tensor-decided octonion entries against an Element reference -------------
+
+def _eps_sum(alg, i, j, scale, target):
+    """sum_k eps_ijk scale * target[k] for 0-based i, j."""
+    out = alg.zero()
+    for k in range(3):
+        e = epsilon3(i + 1, j + 1, k + 1)
+        if e:
+            out = out + target[k].scaled(scale * e)
+    return out
+
+
+def reference_verdicts(alg):
+    """The octonion entries as loops of Element products."""
+    q = alg.basis()
+    pairs = list(itertools.product(range(3), repeat=2))
+    eq_210 = all(commutator(q[i + 3], q[j + 3]) == _eps_sum(alg, i, j, -2, q)
+                 for i, j in pairs)
+    eq_230 = all(commutator(q[i], q[j]) == _eps_sum(alg, i, j, 2, q) for i, j in pairs)
+    eq_240 = all(associator(q[i + 3], q[j + 3], q[k + 3])
+                 == q[6].scaled(2 * epsilon3(i + 1, j + 1, k + 1))
+                 for i, j, k in itertools.product(range(3), repeat=3))
+
+    s = [b.scaled(I * Fraction(1, 2)) for b in q[:3]]
+    defects = [(i, j, commutator(s[i], s[j]) - _eps_sum(alg, i, j, 1, s)) for i, j in pairs]
+    failing = [(i, j, d) for i, j, d in defects if not d.is_zero()]
+    witness = None
+    if failing:
+        i, j, d = failing[0]
+        witness = Witness(defect=d, indices=(i, j), law="bracket of i/2-scaled basis")
+    kappa = zorn._multiple(commutator(s[0], s[1]), s[2])
+    if kappa is None or not all(commutator(s[i], s[j]) == _eps_sum(alg, i, j, kappa, s)
+                                for i, j in pairs):
+        kappa = ZERO
+
+    eq_260 = all(q[i].scaled(I * Fraction(1, 2)) == sum(
+        (multiply(q[j + 3], q[k + 3]).scaled(I * Fraction(-1, 4) * epsilon3(i + 1, j + 1, k + 1))
+         for j, k in pairs), alg.zero()) for i in range(3))
+    lams = [zorn._multiple(sum(
+        (commutator(q[j + 3], q[k + 3]).scaled(Fraction(-1, 4) * epsilon3(i + 1, j + 1, k + 1))
+         for j, k in pairs), alg.zero()), q[i]) for i in range(3)]
+    lam = ZERO if lams[0] is None else lams[0]
+    uniform = lams[0] is not None and lams == [lams[0]] * 3
+    return dict(eq_210=eq_210, eq_230=eq_230, eq_240=eq_240, eq_250=not failing,
+                witness=witness, kappa=kappa, eq_260=eq_260, lam=lam, uniform=uniform)
+
+
+def _flipped(alg, i, j):
+    """A copy of `alg` with the product e_i e_j (0-based) negated."""
+    structure = [list(row) for row in alg.structure]
+    unit, coeffs = structure[i][j]
+    structure[i][j] = (-unit, [-c for c in coeffs])
+    return AlgebraDef(f"{alg.name}-flip", alg.dim, structure, alg.unital, alg.basis_names)
+
+
+def _variants():
+    splitO = split_octonions()
+    return [splitO, zorn_octonions(), _flipped(splitO, 3, 4), _flipped(splitO, 0, 1),
+            _flipped(splitO, 1, 2), _flipped(splitO, 3, 3)]
+
+
+@pytest.mark.parametrize("alg", _variants(), ids=["splitO", "zornO", "flip-q4q5",
+                                                  "flip-q1q2", "flip-q2q3", "flip-q4q4"])
+def test_tensor_decided_entries_match_element_reference(alg, monkeypatch):
+    monkeypatch.setattr(report, "split_octonions", lambda: alg)
+    monkeypatch.setattr(zorn, "split_octonions", lambda: alg)
+    want = reference_verdicts(alg)
+
+    entries = {e.eq_id: e.status for e in report._table_identity_entries()}
+    assert entries == {eq: "PASS" if want[key] else "FAIL" for eq, key in
+                       (("Eq. 2-10", "eq_210"), ("Eq. 2-30", "eq_230"), ("Eq. 2-40", "eq_240"))}
+
+    spin = verify_spin_commutators()
+    assert spin.printed_relation_holds == want["eq_250"]
+    assert spin.witness == want["witness"]
+    assert spin.measured_factor == want["kappa"]
+
+    decomp = verify_spin_decomposition()
+    assert decomp.product_decomposition_holds == want["eq_260"]
+    assert decomp.bracket_constant == want["lam"]
+    assert decomp.bracket_constant_uniform == want["uniform"]
+
+
+def test_element_reference_sees_every_verdict_both_ways():
+    # the variants above exercise each verdict as PASS and as FAIL
+    outcomes = [reference_verdicts(alg) for alg in _variants()]
+    for key in ("eq_210", "eq_230", "eq_240", "eq_260", "uniform"):
+        assert {o[key] for o in outcomes} == {True, False}, key
+    assert len({str(o["kappa"]) for o in outcomes}) > 1
+    assert len({str(o["witness"].defect) for o in outcomes}) > 1

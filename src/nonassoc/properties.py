@@ -18,12 +18,15 @@ associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) at permutations of
 
 The associator entries are contractions of T with itself.  They are
 computed one slab of first index i at a time, as the three slices with i
-in each position, A[i,j,k], A[j,i,k] and A[j,k,i], so memory stays
-O(dim^3).  Slabs are taken in order of i and the nonzero entries of a slab
-in (j, k, law) order, and the scan stops at the first failing slab: the
-witness is the lexicographically first failing (i, j, k, law), the same
-triple a loop over basis elements finds, and its defect is the slab entry
-divided by the denominator squared.
+in each position, A[i,j,k], A[j,i,k] and A[j,k,i].  Slabs are taken in
+order of i and the nonzero entries of a slab in (j, k, law) order, and the
+scan stops at the first failing slab: the witness is the lexicographically
+first failing (i, j, k, law), the same triple a loop over basis elements
+finds, and its defect is the slab entry divided by the denominator squared.
+All laws read the slabs from one kernel per algebra, which keeps the
+slices of the slab it computed last: the laws of one `check` usually fail
+at the same slab, and each slice of it is contracted once for all of them.
+Only one slab is kept, so memory stays O(dim^3).
 
 T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
@@ -138,14 +141,47 @@ def _turn(a, half):
     return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
 
 
+class _LastSlab:
+    """slices(i, pos) of a raw slice function `compute`, memoised for the
+    slab i asked for last.
+
+    Every law that reads slab i gets the same read-only arrays, so each
+    slice of the slab is contracted once.  Asking for another slab drops
+    the stored one, so memory stays that of one slab.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.i, self.slab = compute, None, {}
+
+    def __call__(self, i, pos):
+        if i != self.i:
+            self.i, self.slab = i, {}
+        if pos not in self.slab:
+            s = self.compute(i, pos)
+            s.flags.writeable = False
+            self.slab[pos] = s
+        return self.slab[pos]
+
+
 def _slab_kernel(alg):
-    """Associator slices of `alg.tensor`, one slab of first index i at a time.
+    """The associator kernel of `alg`: one per algebra, built on first use.
 
     Returns slices(i, pos) for tensor index i >= 1: the array S[j, k],
     over basis elements j and k, of A[i, j, k] (pos 0), A[j, i, k] (pos 1)
     or A[j, k, i] (pos 2), where A[a, b, c] is the associator of the
     elements at tensor indices a, b, c times `_den**2`, as a tensor vector.
+    The kernel is kept on `alg` and remembers the slices of the slab it
+    computed last (`_LastSlab`), so the laws of one `check` that fail or
+    read the same slab share its contractions.
     """
+    kernel = vars(alg).get("_slabs")
+    if kernel is None:
+        kernel = alg._slabs = _LastSlab(_associator_slices(alg))
+    return kernel
+
+
+def _associator_slices(alg):
+    """The raw slice function of `_slab_kernel`, one contraction per call."""
     t = alg.tensor
     n, width = alg.dim, t.shape[2]
     # times_right[m, k] is u_m e_k and times_left[j, m] is e_j u_m, where
@@ -178,8 +214,9 @@ def _form_kernel(form, arity):
     """Kernel of a multilinear `form`(mul, *args) of `arity` arguments:
     slices(i, pos) is the form on basis tuples with e_i in argument pos, as
     an array over the other arguments of tensor vectors times `_den` to
-    the power arity - 1.  mul(u, v) multiplies two arrays of tensor vectors
-    pairwise, the indices of u first."""
+    the power arity - 1, memoised for the last slab like `_slab_kernel`.
+    mul(u, v) multiplies two arrays of tensor vectors pairwise, the
+    indices of u first."""
     def kernel(alg):
         t = alg.tensor
         n, width = alg.dim, t.shape[2]
@@ -198,7 +235,7 @@ def _form_kernel(form, arity):
             args[pos] = basis[i - 1:i]
             return form(mul, *args).reshape((n,) * (arity - 1) + (width,))
 
-        return slices
+        return _LastSlab(slices)
 
     return kernel
 
@@ -208,14 +245,16 @@ def _first_failure(alg, laws, kernel=_slab_kernel):
 
     `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
     slab i from `kernel`, to the law's defects at (i, j, ...) as an array
-    over (j, ...).  Slabs are decided in order of i and each is scanned in
-    (j, ..., law) order, so the first hit is the first failure in
-    (i, j, ..., law) order; no later slab is computed.
+    over (j, ...).  The kernel memoises the last slab, so the laws share
+    each slice, within this call and, for the per-algebra `_slab_kernel`,
+    with the laws checked before it.  Slabs are decided in order of i and
+    each is scanned in (j, ..., law) order, so the first hit is the first
+    failure in (i, j, ..., law) order; no later slab is computed.
     """
     slices = kernel(alg)
     half = alg.dim + 1
     for i in range(1, alg.dim + 1):
-        s = functools.cache(functools.partial(slices, i))
+        s = functools.partial(slices, i)
         defects = np.stack([defect(s) for _, defect in laws], axis=-2)
         hits = np.flatnonzero((defects != 0).any(axis=-1))
         if hits.size:

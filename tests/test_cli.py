@@ -278,3 +278,17 @@ def test_python_dash_m_runs_the_cli():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert "verify-paper" in result.stdout
+
+
+def test_check_all_laws_prints_the_single_law_lines(runner, tmp_path):
+    out = tmp_path / "cand.alg"
+    exported = runner.invoke(main, ["search", "--init", "random", "--iters", "0", "--seed", "1",
+                                    "--out", str(out)])
+    assert exported.exit_code == 0
+    laws = ["associative", "alternative", "flexible", "lie-admissible", "power-associative",
+            "jordan", "unital", "derivation-property"]
+    together = runner.invoke(main, ["check", str(out), "--properties", ",".join(laws)])
+    assert together.exit_code == 1
+    single = [runner.invoke(main, ["check", str(out), "--properties", law]) for law in laws]
+    assert together.output.splitlines() == [r.output.rstrip("\n") for r in single]
+    assert [r.exit_code for r in single] == [1] * len(laws)

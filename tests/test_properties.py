@@ -1,3 +1,5 @@
+import functools
+import importlib.resources
 import itertools
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from nonassoc import properties
+from nonassoc.algfile import parse_text
 from nonassoc.algebra import AlgebraDef, associator, commutator, jacobiator, multiply
 from nonassoc.corpus import (
     complex_numbers,
@@ -15,6 +18,7 @@ from nonassoc.corpus import (
     su2_bracket_algebra,
 )
 from nonassoc.properties import (
+    PROPERTIES,
     check_derivation_property,
     check_property,
     myung_equivalence,
@@ -411,3 +415,108 @@ def test_candidate_unit_witness_matches_eager_solver(seed, monkeypatch):
     assert "[no identity; best candidate " in report[2]
     monkeypatch.setattr(properties, "solve_gaussian_integers", eager_solve_gaussian_integers)
     assert unit_report(alg) == report
+
+
+# -- one associator kernel per algebra, shared by the laws ---------------------
+
+FIXTURES = ["complex.alg", "quaternion.alg", "so31.alg", "splitO.alg", "su2.alg", "zornO.alg"]
+
+
+def parse_fixture(name):
+    return parse_text(importlib.resources.files("nonassoc").joinpath("fixtures", name)
+                      .read_text()).algebra
+
+
+def flipped_split_octonions():
+    """splitO with the product q4 q5 negated."""
+    alg = split_octonions()
+    structure = [list(row) for row in alg.structure]
+    unit, coeffs = structure[3][4]
+    structure[3][4] = (-unit, [-c for c in coeffs])
+    return AlgebraDef("splitO-flip", alg.dim, structure, alg.unital, alg.basis_names)
+
+
+SHARING_CASES = (
+    [(name, functools.partial(parse_fixture, name)) for name in FIXTURES]
+    + [(f"corpus-{alg.name}", lambda alg=alg: alg) for alg in full_corpus()]
+    + [(f"candidate-{seed}", functools.partial(exported_candidate, seed)) for seed in range(1, 6)]
+    + [("splitO-flip", flipped_split_octonions)]
+)
+
+
+def outcome(report):
+    w = report.witness
+    return (report.property, report.holds, w.describe() if w else None,
+            w.law if w else None, report.detail)
+
+
+@pytest.mark.parametrize("make", [make for _, make in SHARING_CASES],
+                         ids=[name for name, _ in SHARING_CASES])
+def test_laws_do_not_depend_on_what_ran_before(make):
+    """A law run after the other seven on one shared algebra, or in either
+    order, reports what it reports on a fresh copy of the algebra."""
+    shared = make()
+
+    def fresh_copy():    # no tensor, kernel or memoised slab yet
+        return AlgebraDef(shared.name, shared.dim, shared.structure, shared.unital,
+                          shared.basis_names)
+
+    fresh = {law: outcome(check_property(fresh_copy(), law)) for law in PROPERTIES}
+    # in the second round each law runs right after the other seven
+    for _ in range(2):
+        assert {law: outcome(check_property(shared, law)) for law in PROPERTIES} == fresh
+    backwards = fresh_copy()
+    assert {law: outcome(check_property(backwards, law)) for law in PROPERTIES[::-1]} == fresh
+
+
+def count_slices(monkeypatch):
+    """Record (algebra, i, pos) for each associator slice computed."""
+    calls = []
+    raw_slices = properties._associator_slices
+
+    def counting(alg):
+        raw = raw_slices(alg)
+
+        def slices(i, pos):
+            calls.append((alg, i, pos))
+            return raw(i, pos)
+
+        return slices
+
+    monkeypatch.setattr(properties, "_associator_slices", counting)
+    return calls
+
+
+def test_all_laws_on_a_candidate_compute_one_slab(monkeypatch):
+    calls = count_slices(monkeypatch)
+    alg = exported_candidate(1)
+    for law in PROPERTIES:
+        check_property(alg, law)
+    # every law fails at slab 1; each of its three slices is contracted once
+    assert [(i, pos) for _, i, pos in calls] == [(1, 0), (1, 1), (1, 2)]
+    assert properties._slab_kernel(alg) is properties._slab_kernel(alg)
+    assert properties._slab_kernel(exported_candidate(1)) is not properties._slab_kernel(alg)
+
+
+def test_no_slice_is_computed_twice_in_a_row(monkeypatch):
+    calls = count_slices(monkeypatch)
+    algebras = [parse_fixture(name) for name in FIXTURES] + [exported_candidate(2)]
+    for alg in algebras:
+        for law in PROPERTIES:
+            check_property(alg, law)
+    for alg in algebras:
+        mine = [(i, pos) for a, i, pos in calls if a is alg]
+        assert mine
+        # within each run of one slab, every position is computed once
+        for _, run in itertools.groupby(mine, key=lambda c: c[0]):
+            positions = [pos for _, pos in run]
+            assert len(positions) == len(set(positions)), alg.name
+
+
+def test_shared_slices_are_read_only():
+    alg = parse_fixture("splitO.alg")
+    check_property(alg, "flexible")
+    s = properties._slab_kernel(alg)(1, 0)
+    assert s is properties._slab_kernel(alg)(1, 0)
+    with pytest.raises(ValueError):
+        s[0, 0, 0] = 1

@@ -91,3 +91,41 @@ def test_sigma_raised_contraction_is_twice_delta():
                 for ad in range(2):
                     total = total + raised[mu][a][ad] * up[nu][a][ad]
             assert total == (GaussianRational(2) if mu == nu else GaussianRational(0))
+
+
+def reference_spin_commutators_hold(pauli):
+    """[s_i, s_j] = i eps_ijk s_k for s = pauli/2, in `Mat2` arithmetic."""
+    from nonassoc.corpus import epsilon3
+
+    s = [p.scaled(Fraction(1, 2)) for p in pauli]
+    for i in range(3):
+        for j in range(3):
+            rhs = Mat2([[0, 0], [0, 0]])
+            for k in range(3):
+                rhs = rhs + s[k].scaled(I * epsilon3(i + 1, j + 1, k + 1))
+            if s[i] * s[j] - s[j] * s[i] != rhs:
+                return False
+    return True
+
+
+X, Y, Z = PAULI
+PAULI_VARIANTS = {
+    "pauli": (X, Y, Z),
+    "minus-sigma2": (X, -Y, Z),
+    "minus-all": (-X, -Y, -Z),
+    "swap-12": (Y, X, Z),
+    "swap-23": (X, Z, Y),
+    "doubled": tuple(p.scaled(2) for p in PAULI),
+    "halved": tuple(p.scaled(Fraction(1, 2)) for p in PAULI),
+    "cyclic": (Y, Z, X),
+}
+
+
+@pytest.mark.parametrize("name", PAULI_VARIANTS)
+def test_spin_commutators_match_matrix_reference(name, monkeypatch):
+    import nonassoc.spinor as spinor
+
+    monkeypatch.setattr(spinor, "PAULI", PAULI_VARIANTS[name])
+    expected = name in ("pauli", "cyclic")
+    assert reference_spin_commutators_hold(PAULI_VARIANTS[name]) is expected
+    assert pauli_spin_commutators_hold() is expected

@@ -2,10 +2,12 @@
 
 An algebra is a table of basis products e_i * e_j, each a linear combination
 of basis elements plus an optional multiple of an external unit.  Elements
-are coefficient vectors; all operations are pure and exact.  The table's
-one computational form is `AlgebraDef.tensor`, an integer array over a
-common denominator with the unit at index 0: `multiply` contracts two
-elements with it, and the laws in `properties` are contractions of it.
+are coefficient vectors; all operations are pure and exact.  The table is
+stored in one form only, `AlgebraDef.tensor`: an integer array over the
+least common denominator `_den`, with the unit at index 0.  `multiply`
+contracts two elements with it, the laws in `properties` are contractions of
+it, and the text format in `algfile` is parsed into it and written from it.
+`structure`, the table as exact scalars, is a view derived from it.
 """
 
 from __future__ import annotations
@@ -16,95 +18,102 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalar import GaussianRational, ONE, ZERO
+from .scalar import GaussianRational, ONE, ZERO, gaussian_integers
 
 
 class AlgebraMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
 
 
-def _numerators(fractions, den) -> list[int]:
-    """The numerators of `fractions` over their common multiple `den`."""
-    return [fr.numerator * (den // fr.denominator) for fr in fractions]
+def _vector_element(alg, vec, den) -> "Element":
+    """The element whose tensor vector (a list), times `den`, is `vec`."""
+    n = alg.dim + 1
+    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
+                     for a, b in zip(vec[:n], vec[n:] or [0] * n))
+    return Element(alg, unit, tuple(coeffs))
 
 
 class AlgebraDef:
-    """An algebra presented by basis labels and structure constants.
+    """An algebra presented by basis labels and an exact integer product table.
 
-    `structure[i][j]` is the product e_i * e_j as a pair
-    (unit multiple, coefficient tuple).  If `unital` is false every unit
-    multiple must vanish.
+    `tensor` has shape (dim+1, dim+1, K): index 0 stands for the unit and
+    index k + 1 for basis element k, and `tensor[a, b]` is the product of
+    elements a and b times the common denominator `_den`, the least positive
+    integer that makes every structure constant integral.  Its last axis
+    holds real parts of the unit and basis coefficients at 0..dim, then,
+    only when some structure constant is not real, imaginary parts at
+    dim+1..2*dim+1 (K is dim+1 or 2*(dim+1)).  The rows of index 0 make the
+    unit act as an identity; a non-unital table never produces a unit
+    component.  The dtype is int64 when 48*K**2*M**3 fits in it, M being
+    the largest entry, so that no sum the law kernels in `properties` form
+    can overflow; otherwise it is object, holding Python ints.
+
+    The constructor takes `structure[i][j]`, e_i * e_j as (unit multiple,
+    coefficient tuple) of exact scalars; it, `from_products` and
+    `from_integers` all build the tensor once, in `_setup`.  If `unital` is
+    false every unit multiple must vanish.
     """
 
     def __init__(self, name, dim, structure, unital, basis_names=None):
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        if basis_names is None:
-            basis_names = tuple(f"e{k + 1}" for k in range(dim))
-        if len(basis_names) != dim:
-            raise ValueError("need one basis name per dimension")
         if len(structure) != dim or any(len(row) != dim for row in structure):
             raise ValueError("structure table must be dim x dim")
-        norm = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                unit, coeffs = structure[i][j]
-                coeffs = tuple(GaussianRational.of(c) for c in coeffs)
-                unit = GaussianRational.of(unit)
+        values = []
+        for i, row in enumerate(structure):
+            for j, (unit, coeffs) in enumerate(row):
                 if len(coeffs) != dim:
                     raise ValueError(f"product e{i+1}*e{j+1} has wrong width")
-                if not unital and not unit.is_zero():
-                    raise ValueError(
-                        f"product e{i+1}*e{j+1} uses the unit in a non-unital algebra"
-                    )
-                row.append((unit, coeffs))
-            norm.append(tuple(row))
-        self.name = name
-        self.dim = dim
-        self.basis_names = tuple(basis_names)
-        self.structure = tuple(norm)
-        self.unital = bool(unital)
-        self._den = math.lcm(*(
-            part.denominator
-            for row in self.structure
-            for unit, coeffs in row
-            for c in (unit, *coeffs)
-            for part in (c.re, c.im)
-        ))
+                values += map(GaussianRational.of, (unit, *coeffs))
+        den, pairs = gaussian_integers(values)
+        cells = (pairs[s:s + dim + 1] for s in range(0, len(pairs), dim + 1))
+        self._setup(name, dim, den, [[re for re, _ in c] + [im for _, im in c] for c in cells],
+                    unital, basis_names)
+
+    @classmethod
+    def from_integers(cls, name, dim, den, cells, unital, basis_names=None):
+        """Build from integer numerators over a positive `den`, not
+        necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j
+        as real parts of its unit multiple and basis coefficients, then
+        optionally imaginary parts (all of length dim+1 or all 2*(dim+1))."""
+        alg = cls.__new__(cls)
+        alg._setup(name, dim, den, cells, unital, basis_names)
+        return alg
+
+    def _setup(self, name, dim, den, cells, unital, basis_names):
+        if dim <= 0:
+            raise ValueError("dimension must be positive")
+        basis_names = tuple(basis_names or (f"e{k + 1}" for k in range(dim)))
+        if len(basis_names) != dim:
+            raise ValueError("need one basis name per dimension")
+        n = dim + 1
+        width = 2 * n if any(any(vec[n:]) for vec in cells) else n
+        cells = [vec[:width] for vec in cells]
+        units = [divmod(s, dim) for s, vec in enumerate(cells) if any(vec[::n])]
+        if units and not unital:
+            i, j = units[0]
+            raise ValueError(f"product e{i+1}*e{j+1} uses the unit in a non-unital algebra")
+        g = math.gcd(den, *(v for vec in cells for v in vec))
+        if g > 1:
+            den //= g
+            cells = [[v // g for v in vec] for vec in cells]
+        big = max(den, *(abs(v) for vec in cells for v in vec))
+        fits = 48 * width**2 * big**3 <= np.iinfo(np.int64).max
+        eye = [[den * (a == k) for k in range(width)] for a in range(n)]
+        self.name, self.dim, self.basis_names = name, dim, basis_names
+        self.unital, self._den = bool(unital), den
+        self.tensor = np.array([eye] + [[eye[i + 1], *cells[i * dim:(i + 1) * dim]]
+                                        for i in range(dim)],
+                               dtype=np.int64 if fits else object)
 
     @functools.cached_property
-    def tensor(self) -> np.ndarray:
-        """The product table as one exact integer array, built once.
+    def structure(self):
+        """`structure[i][j]` is e_i * e_j as (unit multiple, coefficient
+        tuple) of exact scalars: a view derived from `tensor`, built on first use."""
+        products = [[self.basis_product(i, j) for j in range(self.dim)] for i in range(self.dim)]
+        return tuple(tuple((p.unit, p.coeffs) for p in row) for row in products)
 
-        Index 0 stands for the unit and index k + 1 for basis element k, so
-        the array has shape (dim+1, dim+1, K).  `tensor[a, b]` is the product
-        of elements a and b times the common denominator `_den`: real parts
-        of its unit and basis coefficients at 0..dim, then, only when some
-        structure constant is not real, imaginary parts at dim+1..2*dim+1
-        (K is dim+1 or 2*(dim+1)).  The rows of index 0 make the unit act as
-        an identity; a non-unital table never produces a unit component.
-
-        The dtype is int64 when 48*K**2*M**3 fits in it, M being the largest
-        entry, so that no sum the law kernels in `properties` form can
-        overflow; otherwise it is object, holding Python ints.
-        """
-        n = self.dim + 1
-        den = self._den
-        gaussian = any(c.im for row in self.structure for unit, coeffs in row
-                       for c in (unit, *coeffs))
-        width = 2 * n if gaussian else n
-        t = [[[0] * width for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            t[0][a][a] = t[a][0][a] = den
-        for i, row in enumerate(self.structure):
-            for j, (unit, coeffs) in enumerate(row):
-                values = (unit, *coeffs)
-                t[i + 1][j + 1] = _numerators((c.re for c in values), den) + (
-                    _numerators((c.im for c in values), den) if gaussian else [])
-        big = max(abs(v) for plane in t for vec in plane for v in vec)
-        fits = 48 * width**2 * big**3 <= np.iinfo(np.int64).max
-        return np.array(t, dtype=np.int64 if fits else object)
+    def basis_product(self, i, j) -> "Element":
+        """e_i * e_j, read off `tensor`."""
+        return _vector_element(self, self.tensor[i + 1, j + 1].tolist(), self._den)
 
     @classmethod
     def from_products(cls, name, dim, products, unital, basis_names=None):
@@ -130,7 +139,7 @@ class AlgebraDef:
             self.dim == other.dim
             and self.unital == other.unital
             and self.basis_names == other.basis_names
-            and self.structure == other.structure
+            and bool(np.array_equal(self.tensor, other.tensor))
         )
 
     __hash__ = None
@@ -184,10 +193,8 @@ class Element:
     def _int_form(self):
         """(den, [re parts, im parts]) over (unit,) + coeffs, as Python ints."""
         if self._ints is None:
-            values = (self.unit, *self.coeffs)
-            den = math.lcm(*(part.denominator for c in values for part in (c.re, c.im)))
-            self._ints = (den, np.array([_numerators((c.re for c in values), den),
-                                         _numerators((c.im for c in values), den)], dtype=object))
+            den, pairs = gaussian_integers([self.unit, *self.coeffs])
+            self._ints = (den, np.array(pairs, dtype=object).T)
         return self._ints
 
     def _check(self, other) -> "Element":
@@ -293,9 +300,7 @@ def multiply(x: Element, y: Element) -> Element:
     if t.shape[2] > n:    # a Gaussian table: fold the imaginary half in as i * im
         re, im = re[:n] - im[n:], re[n:] + im[:n]
     den = den_x * den_y * alg._den
-    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(re.tolist(), im.tolist()))
-    return Element(alg, unit, tuple(coeffs))
+    return _vector_element(alg, re.tolist() + im.tolist(), den)
 
 
 def commutator(x: Element, y: Element) -> Element:

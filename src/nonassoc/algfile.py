@@ -14,18 +14,22 @@
 Products unspecified default to zero; specifying one twice is an error.
 Coefficients are exact: integers, fractions p/q, purely imaginary values
 like 2i, or parenthesized mixed values like (1-2/3i).  A bare scalar term
-is a multiple of the unit and is only legal in unital algebras.  Every
-diagnostic carries a 1-based line number.
+is a multiple of the unit and is only legal in unital algebras.  A roles
+line gives each label once and each its own index.  Every diagnostic
+carries a 1-based line number.
+
+Parsing keeps every coefficient in integers, as (re, im, q) for
+(re + im i) / q, and builds `AlgebraDef.tensor` once at the end;
+`serialize` writes straight from the tensor.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraDef
-from .scalar import GaussianRational, ZERO
 
 
 class AlgebraParseError(Exception):
@@ -37,7 +41,7 @@ class AlgebraParseError(Exception):
 _RAT = r"-?\d+(?:/\d+)?"
 _PRODUCT_RE = re.compile(r"^e(\d+)\s+e(\d+)\s*->\s*(.*)$")
 _BASIS_TERM_RE = re.compile(
-    rf"^(?:(?P<paren>\((?P<inner>[^()]*)\))|(?P<plain>{_RAT})?(?P<imag>i)?)\s*\*?\s*e(?P<idx>\d+)$"
+    rf"^(?:\((?P<inner>[^()]*)\)|(?P<plain>{_RAT})?(?P<imag>i)?)\s*\*?\s*e(?P<idx>\d+)$"
 )
 _SCALAR_RE = re.compile(
     rf"^(?:\((?P<inner>[^()]*)\)|(?P<bare>(?:{_RAT})?i|{_RAT}))$"
@@ -47,38 +51,38 @@ _MIXED_RE = re.compile(
 )
 _IMAG_RE = re.compile(r"^(?P<im>-?(?:\d+(?:/\d+)?)?)i$")
 _TOKEN_RE = re.compile(r"[()+-]|[^()+-]+")
-_NO_IMAGINARY_PART = Fraction(0)
 
 
-def _parse_fraction(text: str, line: int, sign: int = 1) -> Fraction:
-    """`text` as a rational times `sign`.  The sign goes on the denominator,
-    so a zero denominator is reported with the numerator as written."""
+def _ratio(text: str, line: int) -> tuple[int, int]:
+    """`text`, a rational p or p/q, as integers (p, q) with q > 0.  A zero
+    denominator is reported with the numerator as written."""
+    num, _, den = text.partition("/")
     try:
-        num, *den = map(int, text.split("/"))
-        return Fraction(num, sign * den[0]) if den else Fraction(sign * num)
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
         raise AlgebraParseError(f"bad rational {text!r}: {exc}", line)
+    if not den:
+        raise AlgebraParseError(f"bad rational {text!r}: Fraction({num}, 0)", line)
+    return num, den
 
 
-def _parse_scalar_body(text: str, line: int) -> GaussianRational:
+def _parse_scalar_body(text: str, line: int) -> tuple[int, int, int]:
+    """(re, im, q): the scalar (re + im i) / q."""
     text = text.strip()
     m = _IMAG_RE.match(text)
     if m:
         imtxt = m.group("im")
-        if imtxt in ("", "-"):
-            imtxt += "1"
-        return GaussianRational(0, _parse_fraction(imtxt, line))
+        return 0, *_ratio(imtxt + "1" if imtxt in ("", "-") else imtxt, line)
     m = _MIXED_RE.match(text)
     if not m:
         raise AlgebraParseError(f"bad scalar {text!r}", line)
-    re_part = _parse_fraction(m.group("re"), line)
-    im_part = Fraction(0)
-    if m.group("sign"):
-        imtxt = m.group("im") or "1"
-        im_part = _parse_fraction(imtxt, line)
-        if m.group("sign") == "-":
-            im_part = -im_part
-    return GaussianRational(re_part, im_part)
+    re_num, re_den = _ratio(m.group("re"), line)
+    if not m.group("sign"):
+        return re_num, 0, re_den
+    im_num, im_den = _ratio(m.group("im") or "1", line)
+    if m.group("sign") == "-":
+        im_num = -im_num
+    return re_num * im_den, im_num * re_den, re_den * im_den
 
 
 def _split_terms(expr: str, line: int) -> list[tuple[int, str]]:
@@ -120,28 +124,26 @@ def _split_terms(expr: str, line: int) -> list[tuple[int, str]]:
     return terms
 
 
-def _parse_term(sign: int, term: str, dim: int, line: int):
-    """Returns (unit_scalar, basis_index_or_None, coefficient)."""
+def _parse_term(sign: int, term: str, dim: int, line: int) -> tuple[int, int, int, int]:
+    """(index, re, im, q): the term is (re + im i) / q times e_index, or
+    times the unit for index 0."""
     m = _BASIS_TERM_RE.match(term)
     if m:
-        idx = int(m.group("idx"))
+        inner, plain, imag, idx = m.groups()
+        idx = int(idx)
         if not 1 <= idx <= dim:
             raise AlgebraParseError(f"basis index e{idx} out of range 1..{dim}", line)
-        if m.group("paren") is not None:
-            coeff = _parse_scalar_body(m.group("inner"), line)
-        elif m.group("imag"):
-            base = m.group("plain")
-            coeff = GaussianRational(0, _parse_fraction(base, line) if base else 1)
-        else:    # a real coefficient, signed as it is parsed
-            plain = m.group("plain")
-            re_part = _parse_fraction(plain, line, sign) if plain else Fraction(sign)
-            return None, idx - 1, GaussianRational(re_part, _NO_IMAGINARY_PART)
-        return None, idx - 1, (coeff if sign > 0 else -coeff)
+        if inner is not None:
+            re_num, im_num, den = _parse_scalar_body(inner, line)
+        else:
+            num, den = _ratio(plain, line) if plain else (1, 1)
+            re_num, im_num = (0, num) if imag else (num, 0)
+        return idx, sign * re_num, sign * im_num, den
     m = _SCALAR_RE.match(term)
     if m:
         body = m.group("inner") if m.group("inner") is not None else m.group("bare")
-        value = _parse_scalar_body(body, line)
-        return (value if sign > 0 else -value), None, None
+        re_num, im_num, den = _parse_scalar_body(body, line)
+        return 0, sign * re_num, sign * im_num, den
     raise AlgebraParseError(f"unrecognized term {term!r}", line)
 
 
@@ -162,7 +164,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
     roles_line = 1
     basis_names: tuple[str, ...] | None = None
     basis_line = 1
-    products: dict[tuple[int, int], tuple] = {}
+    terms: list[tuple[int, int, int, int, int]] = []    # (cell, index, re, im, q)
     seen_lines: dict[tuple[int, int], int] = {}
     line_no = 1
 
@@ -213,6 +215,10 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
                 label, _, idx = piece.strip().partition("=")
                 if not label or not re.fullmatch(r"\d+", idx):
                     raise AlgebraParseError(f"bad role assignment {piece.strip()!r}", line_no)
+                if label in roles:
+                    raise AlgebraParseError(f"duplicate role {label}", line_no)
+                if int(idx) - 1 in roles.values():
+                    raise AlgebraParseError(f"role {label} repeats index {idx}", line_no)
                 roles[label] = int(idx) - 1
             continue
         m = _PRODUCT_RE.match(line)
@@ -230,20 +236,13 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
                 )
             seen_lines[key] = line_no
             expr = m.group(3).strip()
-            unit = ZERO
-            coeffs: dict[int, GaussianRational] = {}
             if expr != "0":
+                cell = (i - 1) * dim + j - 1
                 for sign, term in _split_terms(expr, line_no):
-                    u, idx, coeff = _parse_term(sign, term, dim, line_no)
-                    if u is not None:
-                        if not unital:
-                            raise AlgebraParseError(
-                                "unit multiple in a non-unital algebra", line_no
-                            )
-                        unit = unit + u
-                    else:
-                        coeffs[idx] = coeffs[idx] + coeff if idx in coeffs else coeff
-            products[key] = (unit, coeffs)
+                    idx, re_num, im_num, den = _parse_term(sign, term, dim, line_no)
+                    if idx == 0 and not unital:
+                        raise AlgebraParseError("unit multiple in a non-unital algebra", line_no)
+                    terms.append((cell, idx, re_num, im_num, den))
             continue
         raise AlgebraParseError(f"unrecognized line {line!r}", line_no)
 
@@ -257,7 +256,17 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
         raise AlgebraParseError(
             f"basis list has {len(basis_names)} names for dimension {dim}", basis_line
         )
-    algebra = AlgebraDef.from_products(name, dim, products, unital, basis_names)
+    dens = {q for *_, q in terms}
+    den = math.lcm(*dens)
+    factor = {q: den // q for q in dens}
+    n = dim + 1
+    cells = [[0] * (2 * n) for _ in range(dim * dim)]
+    for cell, idx, re_num, im_num, q in terms:    # repeated terms add up
+        vec, f = cells[cell], factor[q]
+        vec[idx] += re_num * f
+        if im_num:
+            vec[n + idx] += im_num * f
+    algebra = AlgebraDef.from_integers(name, dim, den, cells, unital, basis_names)
     return ParsedAlgebraFile(algebra, roles, scalar_tag)
 
 
@@ -265,29 +274,29 @@ def parse_algebra(text: str) -> AlgebraDef:
     return parse_text(text).algebra
 
 
-def _scalar_text(value: GaussianRational) -> str:
-    if value.im == 0:
-        return str(value.re)
-    if value.re == 0:
-        if value.im == 1:
-            return "i"
-        if value.im == -1:
-            return "-i"
-        return f"{value.im}i"
-    return f"({value})"
+def _rational_text(num: int, den: int) -> str:
+    """num / den in lowest terms, written as `Fraction` writes it."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
 
 
-def _coeff_prefix(coeff: GaussianRational) -> tuple[bool, str]:
+def _gaussian_text(re_num: int, im_num: int, den: int) -> str:
+    """(re + im i) / den written as `GaussianRational` writes it."""
+    if not im_num:
+        return _rational_text(re_num, den)
+    imag = ("" if abs(im_num) == den else _rational_text(abs(im_num), den)) + "i"
+    if not re_num:
+        return f"-{imag}" if im_num < 0 else imag
+    return f"{_rational_text(re_num, den)}{'+' if im_num > 0 else '-'}{imag}"
+
+
+def _coeff_prefix(re_num: int, im_num: int, den: int) -> tuple[bool, str]:
     """(negative, prefix) so q-terms render as e.g. '', '-', '2', '(1+i)'."""
-    if coeff.im == 0:
-        neg = coeff.re < 0
-        mag = abs(coeff.re)
-        return neg, "" if mag == 1 else str(mag)
-    if coeff.re == 0:
-        neg = coeff.im < 0
-        mag = abs(coeff.im)
-        return neg, "(i)" if mag == 1 else f"({mag}i)"
-    return False, f"({coeff})"
+    if re_num and im_num:
+        return False, f"({_gaussian_text(re_num, im_num, den)})"
+    part = re_num or im_num
+    mag = "" if abs(part) == den else _rational_text(abs(part), den)
+    return part < 0, f"({mag}i)" if im_num else mag
 
 
 def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,
@@ -304,24 +313,22 @@ def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,
     if roles:
         pieces = ",".join(f"{label}={idx + 1}" for label, idx in sorted(roles.items(), key=lambda kv: kv[1]))
         lines.append(f"roles {pieces}")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            unit, coeffs = alg.structure[i][j]
+    n, den = alg.dim + 1, alg._den
+    for i, plane in enumerate(alg.tensor.tolist()[1:], start=1):
+        for j, vec in enumerate(plane[1:], start=1):
+            re_parts, im_parts = vec[:n], vec[n:] or [0] * n
             parts = []
-            if not unit.is_zero():
-                parts.append((False, _scalar_text(unit)))
-            for k, c in enumerate(coeffs):
-                if c.is_zero():
-                    continue
-                neg, prefix = _coeff_prefix(c)
-                parts.append((neg, f"{prefix}e{k + 1}"))
+            if re_parts[0] or im_parts[0]:
+                text = _gaussian_text(re_parts[0], im_parts[0], den)
+                parts.append((False, f"({text})" if re_parts[0] and im_parts[0] else text))
+            for k in range(1, n):
+                if re_parts[k] or im_parts[k]:
+                    neg, prefix = _coeff_prefix(re_parts[k], im_parts[k], den)
+                    parts.append((neg, f"{prefix}e{k}"))
             if not parts:
                 continue
-            expr = ""
-            for pos, (neg, body) in enumerate(parts):
-                if pos == 0:
-                    expr = f"-{body}" if neg else body
-                else:
-                    expr += f" - {body}" if neg else f" + {body}"
-            lines.append(f"e{i + 1} e{j + 1} -> {expr}")
+            (neg, body), *rest = parts
+            expr = ("-" if neg else "") + body + "".join(
+                f" - {b}" if minus else f" + {b}" for minus, b in rest)
+            lines.append(f"e{i} e{j} -> {expr}")
     return "\n".join(lines) + "\n"

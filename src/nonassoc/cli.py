@@ -10,7 +10,6 @@ import sys
 
 import click
 
-from .algebra import Element
 from .algfile import AlgebraParseError, parse_text, serialize
 from .corpus import split_octonions
 from .properties import check_property
@@ -93,8 +92,7 @@ def table(file, show_zorn):
     """Print the full multiplication table (rows are left factors)."""
     parsed = _load_file(file)
     alg = parsed.algebra
-    # the product of two basis elements is their structure-table entry
-    cells = [[str(Element(alg, unit, coeffs)) for unit, coeffs in row] for row in alg.structure]
+    cells = [[str(alg.basis_product(i, j)) for j in range(alg.dim)] for i in range(alg.dim)]
     names = list(alg.basis_names)
     width = max(
         [len(n) for n in names] + [len(cell) for row in cells for cell in row]
@@ -174,7 +172,8 @@ def search(restarts, iters, seed, tol, step, out_path, trace_path, freeze, init_
     result = run_search(cfg, init=init, freeze=set(freeze))
     click.echo("# residual convention: real structure constants; the factor i of the")
     click.echo("# Lorentz closure right-hand side is absorbed into the M-sector constants")
-    click.echo(f"restarts={restarts} iters={iters} seed={seed} init={init_kind}")
+    click.echo(f"restarts={restarts} iters={iters} seed={seed} "
+               f"init={'file' if init_file else init_kind}")
     click.echo(f"best {result.best_residual}")
     click.echo(f"converged={'yes' if result.converged else 'no'} (tolerance {tol:g})")
 

@@ -221,33 +221,32 @@ def residual(cand: CandidateAlgebra) -> ResidualBreakdown:
 
 
 def candidate_to_algebra(cand: CandidateAlgebra):
-    """Exact snapshot of a float candidate (doubles serialize as p/q)."""
-    from fractions import Fraction
+    """Exact snapshot of a float candidate (doubles serialize as p/q).
 
+    Each double is p / 2**k exactly (`as_integer_ratio`), so the largest
+    2**k is the common denominator and the numerators go straight into the
+    integer table of `AlgebraDef.from_integers`.
+    """
     from .algebra import AlgebraDef
 
-    products = {}
-    for i, plane in enumerate(cand.c.tolist()):
-        for j, column in enumerate(plane):
-            terms = {k: Fraction(*v.as_integer_ratio()) for k, v in enumerate(column) if v != 0.0}
-            if terms:
-                products[(i, j)] = (0, terms)
-    return AlgebraDef.from_products("candidate", cand.dim, products, unital=False)
+    ratios = [v.as_integer_ratio() for v in cand.c.ravel().tolist()]
+    den = max(q for _, q in ratios)
+    nums = [p * (den // q) for p, q in ratios]
+    d = cand.dim
+    return AlgebraDef.from_integers("candidate", d, den,
+                                    [[0, *nums[s:s + d]] for s in range(0, d**3, d)],
+                                    unital=False)
 
 
 def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) -> CandidateAlgebra:
     """Rebuild a candidate from a parsed algebra file and its roles line."""
-    c = np.zeros((alg.dim, alg.dim, alg.dim))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            unit, coeffs = alg.structure[i][j]
-            if not unit.is_zero():
-                raise ValueError("candidate algebras carry no unit multiples")
-            for k, v in enumerate(coeffs):
-                if not v.is_zero():
-                    if v.im != 0:
-                        raise ValueError("candidate structure constants must be real")
-                    c[i, j, k] = float(v.re)
+    n = alg.dim + 1
+    t = alg.tensor[1:, 1:].astype(object)
+    if (t[..., ::n] != 0).any():    # the unit's real and imaginary parts
+        raise ValueError("candidate algebras carry no unit multiples")
+    if (t[..., n + 1:] != 0).any():
+        raise ValueError("candidate structure constants must be real")
+    c = (t[..., 1:n] / alg._den).astype(float)
     return CandidateAlgebra(alg.dim, c, dict(roles), seed)
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element
+from .algebra import AlgebraDef, Element, _vector_element
 from .corpus import epsilon3, split_octonions
 from .properties import PropertyReport, Witness, _turn
 from .scalar import GaussianRational, I, ZERO, gaussian_integers
@@ -193,14 +193,6 @@ def eps_vectors(t: np.ndarray, den) -> np.ndarray:
     return e
 
 
-def _element(alg: AlgebraDef, vec: np.ndarray, den) -> Element:
-    """The element whose Gaussian tensor vector, times `den`, is `vec`."""
-    n = alg.dim + 1
-    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(vec[:n].tolist(), vec[n:].tolist()))
-    return Element(alg, unit, tuple(coeffs))
-
-
 def _scaled(c: GaussianRational, vecs: np.ndarray):
     """(d, d * c * vecs) for Gaussian tensor vectors, d being c's common denominator."""
     d, [(re, im)] = gaussian_integers([c])
@@ -229,7 +221,8 @@ def verify_zorn_isomorphism() -> PropertyReport:
     u, v = (alg.one() if k == 0 else alg.basis_element(k - 1) for k in (i, j))
     # Both tensors make index 0 the unit, so a mismatch is a product of two
     # basis elements, one cell of each table.
-    table_side, zorn_side = (alg.element(*a.structure[i - 1][j - 1]) for a in (alg, zorn_alg))
+    table_side, zorn_side = (_vector_element(alg, a.tensor[i, j].tolist(), a._den)
+                             for a in (alg, zorn_alg))
     witness = Witness(defect=zorn_side - table_side, elements=(u, v),
                       law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {zorn_side}")
     signs = f"{not_by_sign} not by sign" if not_by_sign else "all by sign"
@@ -275,12 +268,13 @@ def verify_spin_commutators() -> SpinCommutatorReport:
     if failing:
         i, j = failing[0]
         # [s_i, s_j] - eps_ijk s_k = -(C_ij + 2i E_ij) / 4
-        defect = _element(alg, -brackets[i, j] - _turn(twice_eps[i, j], len(t)), 4 * den)
+        defect = _vector_element(alg, (-brackets[i, j] - _turn(twice_eps[i, j], len(t))).tolist(),
+                                 4 * den)
         witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
     # Measure kappa from [s_1, s_2] = kappa * s_3.
     s3 = alg.basis_element(2).scaled(I * Fraction(1, 2))
-    kappa = _multiple(_element(alg, -brackets[0, 1], 4 * den), s3)
+    kappa = _multiple(_vector_element(alg, (-brackets[0, 1]).tolist(), 4 * den), s3)
     if kappa is not None:
         d, kappa_eps = _scaled(kappa, twice_eps)
         if not np.array_equal(d * i_brackets, kappa_eps):
@@ -315,7 +309,7 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     product_ok = np.array_equal(np.tensordot(EPS3, split, axes=2), -2 * quat)
 
     bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
-    lam = _multiple(_element(alg, bracket_sides[0], 4 * den), alg.basis_element(0))
+    lam = _multiple(_vector_element(alg, bracket_sides[0].tolist(), 4 * den), alg.basis_element(0))
     uniform = lam is not None
     if uniform:
         d, lam_quat = _scaled(lam, 4 * quat)
@@ -335,21 +329,16 @@ def _zorn_table() -> AlgebraDef:
 
     Each product of two integer images is read back as from_zorn does, in
     integer halves: (a+b)/2 of the unit, (y-x)/2 of q1..q3, (y+x)/2 of
-    q4..q6 and (b-a)/2 of q7.
+    q4..q6 and (b-a)/2 of q7, so the table holds these numerators over 2.
     """
     images = _basis_images()
-    structure = [[None] * 7 for _ in range(7)]
+    cells = []
     for i, j in itertools.product(range(7), repeat=2):
         z = zorn_multiply(images[i], images[j])
-        unit, *coeffs = (Fraction(h, 2) for h in (
-            z.a + z.b,
-            *(y - x for x, y in zip(z.x, z.y)),
-            *(y + x for x, y in zip(z.x, z.y)),
-            z.b - z.a,
-        ))
-        structure[i][j] = (unit, coeffs)
-    return AlgebraDef("zornO", 7, structure, unital=True,
-                      basis_names=split_octonions().basis_names)
+        cells.append([z.a + z.b, *(y - x for x, y in zip(z.x, z.y)),
+                      *(y + x for x, y in zip(z.x, z.y)), z.b - z.a])
+    return AlgebraDef.from_integers("zornO", 7, 2, cells, unital=True,
+                                    basis_names=split_octonions().basis_names)
 
 
 @functools.lru_cache(maxsize=None)

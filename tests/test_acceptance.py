@@ -336,7 +336,7 @@ def test_c10_parser_round_trip_and_fuzz(criterion):
         ok = ok and parse_text(serialize(parsed.algebra)).algebra == parsed.algebra
 
     ok = ok and len(MALFORMED) >= 50
-    for text, line in MALFORMED:
+    for text, line, _ in MALFORMED:
         try:
             parse_text(text)
             ok = False

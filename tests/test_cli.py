@@ -233,6 +233,27 @@ def test_search_init_file_round_trip(runner, tmp_path):
     assert line in resumed.output
 
 
+def test_search_header_names_the_init_file_start(runner, tmp_path):
+    out = tmp_path / "seeded.alg"
+    assert runner.invoke(main, ["search", "--iters", "0", "--init", "random",
+                                "--out", str(out)]).exit_code == 0
+    resumed = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(out)])
+    assert resumed.exit_code == 0
+    assert "restarts=1 iters=0 seed=0 init=file" in resumed.output.splitlines()
+
+
+@pytest.mark.parametrize("roles, message", [
+    ("R0=1,R0=2", "line 3: duplicate role R0"),
+    ("R0=1,R1=1", "line 3: role R1 repeats index 1"),
+])
+def test_search_init_file_rejects_an_ambiguous_roles_line(runner, tmp_path, roles, message):
+    bad = tmp_path / "aliased.alg"
+    bad.write_text(f"dimension 15\nunital false\nroles {roles}\ne1 e2 -> e3\n")
+    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_search_init_file_requires_roles(runner, tmp_path):
     bad = tmp_path / "noroles.alg"
     bad.write_text("dimension 15\nunital false\ne1 e2 -> e3\n")

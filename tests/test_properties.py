@@ -457,7 +457,7 @@ def test_laws_do_not_depend_on_what_ran_before(make):
     order, reports what it reports on a fresh copy of the algebra."""
     shared = make()
 
-    def fresh_copy():    # no tensor, kernel or memoised slab yet
+    def fresh_copy():    # no kernel or memoised slab yet
         return AlgebraDef(shared.name, shared.dim, shared.structure, shared.unital,
                           shared.basis_names)
 

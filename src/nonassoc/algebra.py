@@ -118,6 +118,9 @@ class AlgebraDef:
     @classmethod
     def from_products(cls, name, dim, products, unital, basis_names=None):
         """Build from a sparse {(i, j): (unit, {k: coeff})} table; missing products are zero."""
+        for i, j in products:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"product key {(i, j)} out of range")
         structure = []
         for i in range(dim):
             row = []

@@ -154,11 +154,14 @@ class ParsedAlgebraFile:
     scalar_tag: str
 
 
+# header lines that may appear at most once; `basis` may repeat (the last wins)
+_HEADERS = frozenset(("name", "dimension", "unital", "scalar", "roles"))
+
+
 def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
     name = default_name
     dim: int | None = None
     unital = False
-    unital_seen = False
     scalar_tag = "gaussian-rational"
     roles: dict[str, int] | None = None
     roles_line = 1
@@ -166,6 +169,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
     basis_line = 1
     terms: list[tuple[int, int, int, int, int]] = []    # (cell, index, re, im, q)
     seen_lines: dict[tuple[int, int], int] = {}
+    headers: set[str] = set()
     line_no = 1
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -174,25 +178,24 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in _HEADERS:
+            if head in headers:
+                raise AlgebraParseError(f"duplicate {head} line", line_no)
+            headers.add(head)
         if head == "name":
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", rest):
                 raise AlgebraParseError(f"bad name {rest!r}", line_no)
             name = rest
             continue
         if head == "dimension":
-            if dim is not None:
-                raise AlgebraParseError("duplicate dimension line", line_no)
             if not re.fullmatch(r"\d+", rest) or int(rest) == 0:
                 raise AlgebraParseError(f"dimension must be a positive integer, got {rest!r}", line_no)
             dim = int(rest)
             continue
         if head == "unital":
-            if unital_seen:
-                raise AlgebraParseError("duplicate unital line", line_no)
             if rest not in ("true", "false"):
                 raise AlgebraParseError(f"unital must be true or false, got {rest!r}", line_no)
             unital = rest == "true"
-            unital_seen = True
             continue
         if head == "scalar":
             if not rest:

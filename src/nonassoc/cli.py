@@ -45,7 +45,7 @@ def _load_file(path: str):
     try:
         return parse_text(text)
     except AlgebraParseError as exc:
-        click.echo(f"{path}:{exc.line}: {exc}", err=True)
+        click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(2)
 
 

@@ -125,27 +125,18 @@ def sigma_lower(conv: SigmaConvention) -> tuple[Mat2, ...]:
 
 
 def sigma_lower_raised(conv: SigmaConvention) -> tuple[Mat2, ...]:
-    """sigma_mu with both spinor indices raised: eps * sigma_mu * eps^T."""
-    out = []
-    for m in sigma_lower(conv):
-        raised = Mat2(
-            [
-                [
-                    sum(
-                        (
-                            EPS_RAISE[a][b] * EPS_RAISE[ad][bd] * m[b][bd]
-                            for b in range(2)
-                            for bd in range(2)
-                        ),
-                        ZERO,
-                    )
-                    for ad in range(2)
-                ]
-                for a in range(2)
-            ]
-        )
-        out.append(raised)
-    return tuple(out)
+    """sigma_mu with both spinor indices raised: eps * sigma_mu * eps^T.
+
+    Row a of eps^{ab} has its one nonzero entry, +-1, at b = 1 - a, so the
+    raised entry eps^{ab} eps^{ad bd} sigma_{mu, b bd} is the single term
+    eps^{a, 1-a} eps^{ad, 1-ad} sigma_{mu, 1-a, 1-ad}: a sign times one entry.
+    """
+    e = (EPS_RAISE[0][1], EPS_RAISE[1][0])
+    return tuple(
+        Mat2([[m[1 - a][1 - ad] if e[a] == e[ad] else -m[1 - a][1 - ad] for ad in range(2)]
+              for a in range(2)])
+        for m in sigma_lower(conv)
+    )
 
 
 RAISE_UNDOTTED = "raise-undotted"

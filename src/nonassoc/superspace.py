@@ -52,7 +52,9 @@ Key = tuple  # (xexp 4-tuple, th mask, tb mask, dxexp 4-tuple, dth mask, dtb mas
 IDENTITY_KEY: Key = ((0, 0, 0, 0), 0, 0, (0, 0, 0, 0), 0, 0)
 
 
+@functools.lru_cache(maxsize=None)
 def _key_to_seq(key: Key) -> tuple:
+    """The generator sequence of a monomial; a report needs a few dozen keys."""
     xexp, th, tb, dxexp, dth, dtb = key
     seq = []
     for mu in range(4):
@@ -179,7 +181,7 @@ class SuperOp:
 
     @classmethod
     def zero(cls) -> "SuperOp":
-        return cls()
+        return _op(1, {})
 
     @classmethod
     def one(cls) -> "SuperOp":
@@ -237,7 +239,9 @@ class SuperOp:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self.scaled(-1)
+        op = SuperOp.__new__(SuperOp)
+        op._den, op._num = self._den, {k: (-re, -im) for k, (re, im) in self._num.items()}
+        return op
 
     def scaled(self, s) -> "SuperOp":
         d, ((p, q),) = gaussian_integers([GaussianRational.of(s)])
@@ -349,6 +353,14 @@ def _op(den: int, num: dict) -> SuperOp:
     op = SuperOp.__new__(SuperOp)
     op._den, op._num = _reduce(den, num)
     return op
+
+
+def _signed_sum(terms) -> SuperOp:
+    """The sum of s * op over (int s, op) pairs."""
+    out = SuperOp.zero()
+    for s, op in terms:
+        out = out._combine(op, s)
+    return out
 
 
 def compose(A: SuperOp, B: SuperOp) -> SuperOp:
@@ -481,41 +493,85 @@ class PoincareReport:
 
 
 def verify_poincare(gens: GeneratorSet) -> PoincareReport:
-    i_eta = [I * e for e in MINKOWSKI]   # i eta^{mu mu}
+    """Decide Eq. 1-10a to 1-30a on all 336 index tuples of `gens`.
+
+    Every tuple keeps its own exact verdict lhs == rhs, with the failures
+    listed in tuple order, but the left sides are read off at most 45
+    distinct commutators: 6 [P,P], 24 [M,P] and 15 [M,M] for built
+    generators.  Each `M^{mu nu}` is first written as sign * canonical
+    generator, and only where that equality is checked exactly here:
+    `M^{nu mu} = -M^{mu nu}` makes `M^{nu mu}` the negative of `M^{mu nu}`
+    (mu < nu), and `M^{mu mu} = 0` makes it zero.  A pair that fails its
+    check stays a generator of its own.  Then [A, A] = 0, [A, B] = -[B, A]
+    and bilinearity are identities of the exact operator product, so each
+    tuple's commutator is exactly +-1 or 0 times one memo entry, which is
+    computed the first time a tuple needs it.  The right sides are signed
+    sums of the i P^mu and i M^{mu nu} computed once.
+    """
+    M = gens.M_upper
     P = [gens.P_upper(mu) for mu in range(4)]
+    eta = MINKOWSKI
+    iP = [p.scaled(I) for p in P]
+    iM = [[m.scaled(I) for m in row] for row in M]
+
+    # canon[mu][nu] = (sign, key) with M^{mu nu} = sign * ops[key]
+    canon = [[(1, (1, mu, nu)) for nu in range(4)] for mu in range(4)]
+    for mu in range(4):
+        if M[mu][mu].is_zero():
+            canon[mu][mu] = (0, None)
+        for nu in range(mu + 1, 4):
+            if M[nu][mu] == -M[mu][nu]:
+                canon[nu][mu] = (-1, (1, mu, nu))
+    ops = {(0, lam): P[lam] for lam in range(4)}
+    ops.update(((1, mu, nu), M[mu][nu]) for mu in range(4) for nu in range(4))
+    memo: dict[tuple, SuperOp] = {}
+
+    def holds(a, b, rhs_terms) -> bool:
+        """[A, B] == sum(c * op for c, op in rhs_terms), for canonical A and B."""
+        (sa, ka), (sb, kb) = a, b
+        sign = sa * sb
+        if not sign or ka == kb:
+            return _signed_sum(rhs_terms).is_zero()
+        if ka > kb:
+            ka, kb, sign = kb, ka, -sign
+        lhs = memo.get((ka, kb))
+        if lhs is None:
+            lhs = memo[ka, kb] = op_commutator(ops[ka], ops[kb])
+        # sign * lhs == rhs  <=>  lhs == sign * rhs, as sign is +-1
+        return lhs == _signed_sum([(sign * c, op) for c, op in rhs_terms])
+
     failures = []
+    P_canon = [(1, (0, lam)) for lam in range(4)]
 
     pp_ok = True
     for mu, nu in itertools.product(range(4), repeat=2):
-        if not op_commutator(P[mu], P[nu]).is_zero():
+        if not holds(P_canon[mu], P_canon[nu], ()):
             pp_ok = False
             failures.append(f"[P^{mu},P^{nu}] != 0")
 
     mp_ok = True
     for mu, nu, lam in itertools.product(range(4), repeat=3):
-        lhs = op_commutator(gens.M_upper[mu][nu], P[lam])
-        rhs = SuperOp.zero()
+        rhs = []
         if nu == lam:
-            rhs = rhs + P[mu].scaled(i_eta[nu])
+            rhs.append((eta[nu], iP[mu]))
         if mu == lam:
-            rhs = rhs - P[nu].scaled(i_eta[mu])
-        if lhs != rhs:
+            rhs.append((-eta[mu], iP[nu]))
+        if not holds(canon[mu][nu], P_canon[lam], rhs):
             mp_ok = False
             failures.append(f"[M^{{{mu}{nu}}},P^{lam}]")
 
     mm_ok = True
     for mu, nu, rho, sig in itertools.product(range(4), repeat=4):
-        lhs = op_commutator(gens.M_upper[mu][nu], gens.M_upper[rho][sig])
-        rhs = SuperOp.zero()
+        rhs = []
         if nu == rho:
-            rhs = rhs + gens.M_upper[mu][sig].scaled(i_eta[nu])
+            rhs.append((eta[nu], iM[mu][sig]))
         if mu == sig:
-            rhs = rhs + gens.M_upper[nu][rho].scaled(i_eta[mu])
+            rhs.append((eta[mu], iM[nu][rho]))
         if mu == rho:
-            rhs = rhs - gens.M_upper[nu][sig].scaled(i_eta[mu])
+            rhs.append((-eta[mu], iM[nu][sig]))
         if nu == sig:
-            rhs = rhs - gens.M_upper[mu][rho].scaled(i_eta[nu])
-        if lhs != rhs:
+            rhs.append((-eta[nu], iM[mu][rho]))
+        if not holds(canon[mu][nu], canon[rho][sig], rhs):
             mm_ok = False
             failures.append(f"[M^{{{mu}{nu}}},M^{{{rho}{sig}}}]")
 

@@ -140,6 +140,30 @@ def test_from_products_sums_a_repeated_index():
     assert coeffs == (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(3, 2)))
 
 
+def test_from_products_rejects_an_out_of_range_product_key():
+    with pytest.raises(ValueError, match=r"product key \(5, 5\) out of range"):
+        AlgebraDef.from_products("x", 2, {(5, 5): (0, {0: 1})}, False)
+    with pytest.raises(ValueError, match="out of range"):
+        AlgebraDef.from_products("x", 2, {(0, -1): (0, {0: 1})}, False)
+
+
+HEADER_WORDS = ("name", "dimension", "unital", "scalar", "roles")
+
+
+def header_counts(text):
+    heads = [line.strip().partition(" ")[0] for line in text.splitlines()]
+    return {word: heads.count(word) for word in HEADER_WORDS}
+
+
+@pytest.mark.parametrize("fname", sorted(FIXTURES), ids=lambda f: f)
+def test_fixtures_and_serialize_write_each_header_once(fname):
+    for text in (fixture_text(fname), serialize(FIXTURES[fname]())):
+        assert all(n <= 1 for n in header_counts(text).values()), header_counts(text)
+    cand = CandidateAlgebra.random(1)
+    text = serialize(candidate_to_algebra(cand), roles=cand.roles, scalar_tag="float64")
+    assert set(header_counts(text).values()) == {1}
+
+
 # sha256 of `serialize` output: the written bytes are part of the file format
 SERIALIZED_SHA256 = {
     "complex.alg": "1356c3ea67cf1264221913da668c82232cf4b79a40fee79c45e5d7efbdc24e61",
@@ -336,6 +360,11 @@ MALFORMED = [
     # a roles line that repeats a label or gives two labels one index
     ("dimension 2\nroles R0=1,R0=2\n", 2, 'duplicate role R0'),
     ("dimension 2\nroles R0=1,R1=1\n", 2, 'role R1 repeats index 1'),
+    # a second name, scalar or roles line would silently replace the first
+    ("name a\nname b\ndimension 1\n", 2, 'duplicate name line'),
+    ("dimension 2\nscalar float64\nscalar gaussian-rational\n", 3, 'duplicate scalar line'),
+    ("dimension 2\nroles R0=1\nroles R1=2\n", 3, 'duplicate roles line'),
+    ("name a\ndimension 1\nname a\n", 3, 'duplicate name line'),
 ]
 
 

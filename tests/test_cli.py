@@ -254,6 +254,16 @@ def test_search_init_file_rejects_an_ambiguous_roles_line(runner, tmp_path, role
     assert message in result.output
 
 
+@pytest.mark.parametrize("header", ["name a", "scalar float64", "roles R1=2"])
+def test_check_rejects_a_repeated_header_line(runner, tmp_path, header):
+    word = header.split()[0]
+    bad = tmp_path / "twice.alg"
+    bad.write_text(f"name a\nscalar float64\nroles R0=1\ndimension 2\n{header}\n")
+    result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
+    assert result.exit_code == 2
+    assert f"error: {bad}: line 5: duplicate {word} line" in result.stderr
+
+
 def test_search_init_file_requires_roles(runner, tmp_path):
     bad = tmp_path / "noroles.alg"
     bad.write_text("dimension 15\nunital false\ne1 e2 -> e3\n")

@@ -129,3 +129,19 @@ def test_spin_commutators_match_matrix_reference(name, monkeypatch):
     expected = name in ("pauli", "cyclic")
     assert reference_spin_commutators_hold(PAULI_VARIANTS[name]) is expected
     assert pauli_spin_commutators_hold() is expected
+
+
+
+def reference_sigma_lower_raised(conv):
+    """eps^{ab} eps^{ad bd} sigma_{mu, b bd} as the full triple sum."""
+    return tuple(
+        Mat2([[sum((EPS_RAISE[a][b] * EPS_RAISE[ad][bd] * m[b][bd]
+                    for b in range(2) for bd in range(2)), GaussianRational(0))
+               for ad in range(2)] for a in range(2)])
+        for m in sigma_lower(conv)
+    )
+
+
+@pytest.mark.parametrize("conv", list(SigmaConvention))
+def test_sigma_lower_raised_matches_the_triple_sum(conv):
+    assert sigma_lower_raised(conv) == reference_sigma_lower_raised(conv)

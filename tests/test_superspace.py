@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from nonassoc import report, superspace
 from nonassoc.scalar import ZERO, GaussianRational, I, ONE
 from nonassoc.spinor import MINKOWSKI, SigmaConvention
 from nonassoc.superspace import (
     IDENTITY_KEY,
+    PoincareReport,
     SuperOp,
     _key_to_seq,
     _normal_order,
@@ -20,6 +23,7 @@ from nonassoc.superspace import (
     verify_poincare,
     verify_susy,
 )
+from test_spinor import reference_sigma_lower_raised
 
 
 def random_superop(rng, terms=3):
@@ -285,3 +289,138 @@ def test_superop_rendering_of_a_complex_rational_coefficient():
     c = GaussianRational(Fraction(1, 2), Fraction(1, 4))
     assert str(SuperOp.theta(1).scaled(c)) == "(1/2+1/4i) th1"
     assert str(SuperOp.one().scaled(c) - SuperOp.dx(2)) == "(1/2+1/4i) - dx2"
+
+
+def reference_verify_poincare(gens):
+    """verify_poincare as one commutator and one right side per index tuple."""
+    i_eta = [I * e for e in MINKOWSKI]   # i eta^{mu mu}
+    P = [gens.P_upper(mu) for mu in range(4)]
+    failures = []
+
+    pp_ok = True
+    for mu, nu in itertools.product(range(4), repeat=2):
+        if not op_commutator(P[mu], P[nu]).is_zero():
+            pp_ok = False
+            failures.append(f"[P^{mu},P^{nu}] != 0")
+
+    mp_ok = True
+    for mu, nu, lam in itertools.product(range(4), repeat=3):
+        lhs = op_commutator(gens.M_upper[mu][nu], P[lam])
+        rhs = SuperOp.zero()
+        if nu == lam:
+            rhs = rhs + P[mu].scaled(i_eta[nu])
+        if mu == lam:
+            rhs = rhs - P[nu].scaled(i_eta[mu])
+        if lhs != rhs:
+            mp_ok = False
+            failures.append(f"[M^{{{mu}{nu}}},P^{lam}]")
+
+    mm_ok = True
+    for mu, nu, rho, sig in itertools.product(range(4), repeat=4):
+        lhs = op_commutator(gens.M_upper[mu][nu], gens.M_upper[rho][sig])
+        rhs = SuperOp.zero()
+        if nu == rho:
+            rhs = rhs + gens.M_upper[mu][sig].scaled(i_eta[nu])
+        if mu == sig:
+            rhs = rhs + gens.M_upper[nu][rho].scaled(i_eta[mu])
+        if mu == rho:
+            rhs = rhs - gens.M_upper[nu][sig].scaled(i_eta[mu])
+        if nu == sig:
+            rhs = rhs - gens.M_upper[mu][rho].scaled(i_eta[nu])
+        if lhs != rhs:
+            mm_ok = False
+            failures.append(f"[M^{{{mu}{nu}}},M^{{{rho}{sig}}}]")
+
+    return PoincareReport(gens.momentum_sign, pp_ok, mp_ok, mm_ok, tuple(failures))
+
+
+@pytest.mark.parametrize("conv", list(SigmaConvention))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_poincare_report_matches_the_per_tuple_reference(conv, sign):
+    gens = build_generators(conv, momentum_sign=sign)
+    expected = reference_verify_poincare(gens)
+    assert verify_poincare(gens) == expected
+    # the closing sign passes all 336 tuples; the other fails the 24 [M,P]
+    # and 96 [M,M] tuples whose right side is nonzero
+    assert len(expected.failures) == (0 if sign == 1 else 24 + 96)
+
+
+def with_m(gens, mu, nu, op):
+    rows = [list(row) for row in gens.M_upper]
+    rows[mu][nu] = op
+    return dataclasses.replace(gens, M_upper=tuple(tuple(row) for row in rows))
+
+
+def perturbed_sets():
+    """Hand-built sets whose M breaks antisymmetry in one entry."""
+    plus = build_generators(momentum_sign=+1)
+    minus = build_generators(momentum_sign=-1)
+    M = plus.M_upper
+    return {
+        "M21-shifted": with_m(plus, 2, 1, M[2][1] + SuperOp.x(0)),
+        "M30-symmetric": with_m(plus, 3, 0, M[0][3]),
+        "M11-nonzero": with_m(plus, 1, 1, SuperOp.x(3)),
+        "M12-scaled": with_m(minus, 1, 2, minus.M_upper[1][2].scaled(2)),
+        "M03-is-M30": with_m(plus, 0, 3, M[3][0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(perturbed_sets()))
+def test_poincare_report_on_a_non_antisymmetric_m_matches_the_reference(name):
+    gens = perturbed_sets()[name]
+    expected = reference_verify_poincare(gens)
+    assert not expected.all_hold
+    assert verify_poincare(gens) == expected
+
+
+REPORT_SETS = [(SigmaConvention.STANDARD, -1), (SigmaConvention.STANDARD, 1),
+               (SigmaConvention.QUARTER, -1)]
+
+
+@pytest.mark.parametrize("conv, sign", REPORT_SETS)
+def test_susy_report_matches_the_triple_sum_reference(conv, sign, monkeypatch):
+    gens = build_generators(conv, momentum_sign=sign)
+    fast = verify_susy(gens)
+    monkeypatch.setattr(superspace, "sigma_lower_raised", reference_sigma_lower_raised)
+    assert verify_susy(gens) == fast
+    # reading the Poincare memo first leaves the report as it was
+    verify_poincare(gens)
+    assert verify_susy(gens) == fast
+
+
+def count_compose(monkeypatch):
+    calls = []
+    raw = superspace.compose
+
+    def counting(A, B):
+        calls.append(None)
+        return raw(A, B)
+
+    monkeypatch.setattr(superspace, "compose", counting)
+    return calls
+
+
+def test_verify_poincare_composes_each_distinct_bracket_once(monkeypatch):
+    gens = build_generators(momentum_sign=+1)
+    calls = count_compose(monkeypatch)
+    verify_poincare(gens)
+    # 6 [P,P] + 24 [M,P] + 15 [M,M] commutators, two products each
+    assert len(calls) == 2 * 45
+
+
+def test_verify_report_compose_count_is_pinned(monkeypatch):
+    calls = count_compose(monkeypatch)
+    report.build_verify_report()
+    # three build_generators (48 each), two verify_poincare (90 each), two
+    # verify_susy (64 each) and the Grassmann relations (32); one product
+    # per commutator tuple made it 1648
+    assert len(calls) == 3 * 48 + 2 * 90 + 2 * 64 + 32 == 484
+
+
+def test_negation_and_zero_are_exact():
+    rng = random.Random(82)
+    A = SuperOp({random_key(rng): random_coefficient(rng) for _ in range(4)})
+    assert -A == A.scaled(-1)
+    assert -(-A) == A
+    assert (A + -A) == SuperOp.zero() == SuperOp()
+    assert -SuperOp.zero() == SuperOp.zero()

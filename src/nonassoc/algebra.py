@@ -4,15 +4,15 @@ An algebra is a table of basis products e_i * e_j, each a linear combination
 of basis elements plus an optional multiple of an external unit.  Elements
 are coefficient vectors; all operations are pure and exact.  The table is
 stored in one form only, `AlgebraDef.tensor`: an integer array over the
-least common denominator `_den`, with the unit at index 0.  `multiply`
-contracts two elements with it, the laws in `properties` are contractions of
-it, and the text format in `algfile` is parsed into it and written from it.
-`structure`, the table as exact scalars, is a view derived from it.
+least common denominator `_den`, with the unit at index 0.  `AlgebraDef`
+has one constructor, which takes that table as integer numerators over a
+common denominator.  `multiply` contracts two elements with it, the laws in
+`properties` are contractions of it, and the text format in `algfile` is
+parsed into it and written from it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -48,43 +48,28 @@ class AlgebraDef:
     the largest entry, so that no sum the law kernels in `properties` form
     can overflow; otherwise it is object, holding Python ints.
 
-    The constructor takes `structure[i][j]`, e_i * e_j as (unit multiple,
-    coefficient tuple) of exact scalars; it, `from_products` and
-    `from_integers` all build the tensor once, in `_setup`.  If `unital` is
-    false every unit multiple must vanish.
+    The constructor takes integer numerators over a positive `den`, not
+    necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j as
+    real parts of its unit multiple and basis coefficients, then optionally
+    imaginary parts (all cells of length dim+1 or all of 2*(dim+1)).  If
+    `unital` is false every unit multiple must vanish.  `from_products`
+    builds the cells from a sparse table of exact scalars.
     """
 
-    def __init__(self, name, dim, structure, unital, basis_names=None):
-        if len(structure) != dim or any(len(row) != dim for row in structure):
-            raise ValueError("structure table must be dim x dim")
-        values = []
-        for i, row in enumerate(structure):
-            for j, (unit, coeffs) in enumerate(row):
-                if len(coeffs) != dim:
-                    raise ValueError(f"product e{i+1}*e{j+1} has wrong width")
-                values += map(GaussianRational.of, (unit, *coeffs))
-        den, pairs = gaussian_integers(values)
-        cells = (pairs[s:s + dim + 1] for s in range(0, len(pairs), dim + 1))
-        self._setup(name, dim, den, [[re for re, _ in c] + [im for _, im in c] for c in cells],
-                    unital, basis_names)
-
-    @classmethod
-    def from_integers(cls, name, dim, den, cells, unital, basis_names=None):
-        """Build from integer numerators over a positive `den`, not
-        necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j
-        as real parts of its unit multiple and basis coefficients, then
-        optionally imaginary parts (all of length dim+1 or all 2*(dim+1))."""
-        alg = cls.__new__(cls)
-        alg._setup(name, dim, den, cells, unital, basis_names)
-        return alg
-
-    def _setup(self, name, dim, den, cells, unital, basis_names):
+    def __init__(self, name, dim, den, cells, unital, basis_names=None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
+        if den <= 0:
+            raise ValueError("common denominator must be positive")
         basis_names = tuple(basis_names or (f"e{k + 1}" for k in range(dim)))
         if len(basis_names) != dim:
             raise ValueError("need one basis name per dimension")
+        if len(cells) != dim * dim:
+            raise ValueError(f"need dim*dim = {dim * dim} product cells, got {len(cells)}")
         n = dim + 1
+        widths = {len(vec) for vec in cells}
+        if widths not in ({n}, {2 * n}):
+            raise ValueError(f"product cells must all have length {n} or all {2 * n}")
         width = 2 * n if any(any(vec[n:]) for vec in cells) else n
         cells = [vec[:width] for vec in cells]
         units = [divmod(s, dim) for s, vec in enumerate(cells) if any(vec[::n])]
@@ -104,36 +89,33 @@ class AlgebraDef:
                                         for i in range(dim)],
                                dtype=np.int64 if fits else object)
 
-    @functools.cached_property
-    def structure(self):
-        """`structure[i][j]` is e_i * e_j as (unit multiple, coefficient
-        tuple) of exact scalars: a view derived from `tensor`, built on first use."""
-        products = [[self.basis_product(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        return tuple(tuple((p.unit, p.coeffs) for p in row) for row in products)
-
     def basis_product(self, i, j) -> "Element":
         """e_i * e_j, read off `tensor`."""
         return _vector_element(self, self.tensor[i + 1, j + 1].tolist(), self._den)
 
     @classmethod
     def from_products(cls, name, dim, products, unital, basis_names=None):
-        """Build from a sparse {(i, j): (unit, {k: coeff})} table; missing products are zero."""
+        """Build from a sparse {(i, j): (unit, {k: coeff})} table of exact
+        scalars; missing products are zero and a repeated index adds up."""
         for i, j in products:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product key {(i, j)} out of range")
-        structure = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                unit, terms = products.get((i, j), (ZERO, {}))
-                coeffs = [ZERO] * dim
-                for k, c in terms.items():
-                    if not 0 <= k < dim:
-                        raise ValueError(f"basis index {k} out of range")
-                    coeffs[k] = GaussianRational.of(c) if coeffs[k] is ZERO else coeffs[k] + c
-                row.append((GaussianRational.of(unit), tuple(coeffs)))
-            structure.append(row)
-        return cls(name, dim, structure, unital, basis_names)
+        places, values = [], []
+        for (i, j), (unit, terms) in products.items():
+            places.append((i * dim + j, 0))
+            values.append(GaussianRational.of(unit))
+            for k, c in terms.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"basis index {k} out of range")
+                places.append((i * dim + j, k + 1))
+                values.append(GaussianRational.of(c))
+        den, pairs = gaussian_integers(values)
+        n = dim + 1
+        cells = [[0] * (2 * n) for _ in range(dim * dim)]
+        for (s, k), (re, im) in zip(places, pairs):
+            cells[s][k] += re
+            cells[s][n + k] += im
+        return cls(name, dim, den, cells, unital, basis_names)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraDef):

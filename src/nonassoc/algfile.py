@@ -269,7 +269,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
         vec[idx] += re_num * f
         if im_num:
             vec[n + idx] += im_num * f
-    algebra = AlgebraDef.from_integers(name, dim, den, cells, unital, basis_names)
+    algebra = AlgebraDef(name, dim, den, cells, unital, basis_names)
     return ParsedAlgebraFile(algebra, roles, scalar_tag)
 
 

@@ -17,12 +17,7 @@ from . import superspace as ss
 from .corpus import split_octonions, standard_corpus
 from .properties import _slab_kernel, myung_equivalence
 from .scalar import GaussianRational
-from .spinor import (
-    EPS_LOWER,
-    EPS_RAISE,
-    Mat2,
-    SigmaConvention,
-)
+from .spinor import EPS_LOWER, EPS_RAISE, ID2, SigmaConvention
 from .zorn import (
     EPS3,
     Q7,
@@ -113,14 +108,7 @@ def _table_identity_entries() -> list[ReportEntry]:
 
 
 def _epsilon_entry() -> ReportEntry:
-    prod = Mat2(
-        [
-            [sum((EPS_RAISE[a][b] * EPS_LOWER[b][c] for b in range(2)),
-                 GaussianRational(0)) for c in range(2)]
-            for a in range(2)
-        ]
-    )
-    ok = prod == Mat2([[1, 0], [0, 1]])
+    ok = EPS_RAISE * EPS_LOWER == ID2
     # the dotted/undotted matrices are shared objects, so the equalities
     # between them hold by construction; the contraction is the real check
     detail = "eps^{ab} eps_{bc} = delta, dotted = undotted; note i*sigma^2 = -(printed eps^{ab})"

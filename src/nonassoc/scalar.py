@@ -76,9 +76,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- comparisons / conversions ---------------------------------------
 
     def __eq__(self, other):
@@ -98,9 +95,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -131,6 +125,26 @@ def gaussian_integers(values: list[GaussianRational]) -> tuple[int, list[tuple[i
     den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
     return den, [(v.re.numerator * (den // v.re.denominator),
                   v.im.numerator * (den // v.im.denominator)) for v in values]
+
+
+def common_scale(u, v) -> GaussianRational | None:
+    """The c with u = c * v, or None if there is none.
+
+    u and v are equally long sequences of Gaussian integers as (re, im)
+    pairs; a family of such pairs is measured by concatenating its members.
+    c is read at the first nonzero v_p, and every entry is decided by
+    u_j * v_p == u_p * v_j, so nothing is divided.  A zero v admits every c
+    when u is zero too; the answer is then 0, and None otherwise.
+    """
+    entries = list(zip(u, v))
+    first = next(((a, b) for a, b in entries if b != (0, 0)), None)
+    if first is None:
+        return ZERO if all(a == (0, 0) for a, _ in entries) else None
+    (pr, pi), (qr, qi) = first
+    for (ar, ai), (br, bi) in entries:
+        if (ar * qr - ai * qi, ar * qi + ai * qr) != (pr * br - pi * bi, pr * bi + pi * br):
+            return None
+    return GaussianRational(pr, pi) / GaussianRational(qr, qi)
 
 
 def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational]):

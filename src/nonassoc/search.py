@@ -225,7 +225,7 @@ def candidate_to_algebra(cand: CandidateAlgebra):
 
     Each double is p / 2**k exactly (`as_integer_ratio`), so the largest
     2**k is the common denominator and the numerators go straight into the
-    integer table of `AlgebraDef.from_integers`.
+    integer table `AlgebraDef` takes.
     """
     from .algebra import AlgebraDef
 
@@ -233,9 +233,8 @@ def candidate_to_algebra(cand: CandidateAlgebra):
     den = max(q for _, q in ratios)
     nums = [p * (den // q) for p, q in ratios]
     d = cand.dim
-    return AlgebraDef.from_integers("candidate", d, den,
-                                    [[0, *nums[s:s + d]] for s in range(0, d**3, d)],
-                                    unital=False)
+    return AlgebraDef("candidate", d, den, [[0, *nums[s:s + d]] for s in range(0, d**3, d)],
+                      unital=False)
 
 
 def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) -> CandidateAlgebra:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+from .corpus import MINKOWSKI
 from .scalar import GaussianRational, I, ZERO, gaussian_integers
 
 
@@ -73,9 +74,6 @@ class Mat2:
 
     __hash__ = None
 
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1]
-
     def is_zero(self):
         return all(v.is_zero() for row in self.rows for v in row)
 
@@ -102,9 +100,6 @@ class SigmaConvention(enum.Enum):
     @property
     def scale(self) -> Fraction:
         return Fraction(1, 4) if self is SigmaConvention.QUARTER else Fraction(1)
-
-
-MINKOWSKI = (1, -1, -1, -1)
 
 
 def sigma_upper(conv: SigmaConvention) -> tuple[Mat2, ...]:

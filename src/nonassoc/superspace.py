@@ -39,8 +39,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import GaussianRational, I, ONE, ZERO, gaussian_integers
-from .spinor import EPS_RAISE, MINKOWSKI, SigmaConvention, sigma_lower_raised, sigma_upper
+from .corpus import MINKOWSKI
+from .scalar import GaussianRational, I, ONE, ZERO, common_scale, gaussian_integers
+from .spinor import EPS_RAISE, SigmaConvention, sigma_lower_raised, sigma_upper
 
 # Generator classes in canonical order: coordinates first, then derivatives.
 X, TH, TB, DX, DTH, DTB = range(6)
@@ -592,13 +593,16 @@ class SusyReport:
     m_q_samples: tuple[tuple[str, str], ...]  # rendered [M, Q] / [M, Qbar] brackets
 
 
-def _measure_scale(lhs: SuperOp, rhs: SuperOp) -> GaussianRational | None:
-    """The scalar c with lhs = c*rhs, if one exists (rhs may be zero only with lhs)."""
-    if rhs.is_zero():
-        return ZERO if lhs.is_zero() else None
-    key, coeff = rhs.terms()[0]
-    c = lhs.coefficient(key) / coeff
-    return c if (lhs - rhs.scaled(c)).is_zero() else None
+def _scale(pairs) -> GaussianRational | None:
+    """The c with lhs = c*rhs for every (lhs, rhs) pair of operators, or None:
+    `common_scale` of the numerators, each over the other side's denominator."""
+    u, v = [], []
+    for lhs, rhs in pairs:
+        for key in {**lhs._num, **rhs._num}:
+            (a, b), (c, d) = lhs._num.get(key, _ZERO_PAIR), rhs._num.get(key, _ZERO_PAIR)
+            u.append((a * rhs._den, b * rhs._den))
+            v.append((c * lhs._den, d * lhs._den))
+    return common_scale(u, v)
 
 
 def verify_susy(gens: GeneratorSet) -> SusyReport:
@@ -619,18 +623,12 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
                 for a, ad in itertools.product(range(2), repeat=2)}
 
     # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd).
-    c1 = None
+    sides = []
     for (a, bd), lhs in brackets.items():
-        rhs = SuperOp.zero()
-        for mu in range(4):
-            coeff = sigma[mu][a][bd]
-            if not coeff.is_zero():
-                rhs = rhs + gens.P_lower[mu].scaled(coeff)
-        this = _measure_scale(lhs, rhs)
-        if this is None or (c1 is not None and this != c1):
-            c1 = None
-            break
-        c1 = this
+        terms = [P.scaled(sigma[mu][a][bd])
+                 for mu, P in enumerate(gens.P_lower) if sigma[mu][a][bd]]
+        sides.append((lhs, sum(terms, SuperOp.zero())))
+    c1 = _scale(sides)
 
     # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}
     traces = []
@@ -643,13 +641,7 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
         traces.append(lhs)
 
     # c2 from sigma_mu^{a ad} {Q_a, Qbar_ad} = c2 * P_mu, uniform over mu.
-    c2 = None
-    for mu in range(4):
-        this = _measure_scale(traces[mu], gens.P_lower[mu])
-        if this is None or (c2 is not None and this != c2):
-            c2 = None
-            break
-        c2 = this
+    c2 = _scale(zip(traces, gens.P_lower))
 
     quarter = GaussianRational(Fraction(1, 4))
     inversion = c2 is not None and (quarter * c2) == ONE

@@ -19,8 +19,8 @@ and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
 table's structure tensor T as well: brackets are blocks of the commutator
 tensor T - T^T, associators the slabs the law kernels contract T into,
 and the scalars i/2, -1/4 and -i/4 of the printed relations come out by
-bilinearity.  Elements are built only for a witness and for the measured
-constants kappa and lambda.
+bilinearity.  Elements are built only for a witness; the constants kappa
+and lambda are measured with `common_scale` on tensor vectors.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import AlgebraDef, Element, _vector_element
 from .corpus import epsilon3, split_octonions
 from .properties import PropertyReport, Witness, _turn
-from .scalar import GaussianRational, I, ZERO, gaussian_integers
+from .scalar import GaussianRational, ZERO, common_scale
 from .spinor import pauli_spin_commutators_hold
 
 Vec3 = tuple[GaussianRational, GaussianRational, GaussianRational]
@@ -193,10 +193,10 @@ def eps_vectors(t: np.ndarray, den) -> np.ndarray:
     return e
 
 
-def _scaled(c: GaussianRational, vecs: np.ndarray):
-    """(d, d * c * vecs) for Gaussian tensor vectors, d being c's common denominator."""
-    d, [(re, im)] = gaussian_integers([c])
-    return d, re * vecs + im * _turn(vecs, vecs.shape[-1] // 2)
+def _pairs(vecs: np.ndarray) -> list[tuple[int, int]]:
+    """Gaussian tensor vectors as one sequence of (re, im) pairs, for `common_scale`."""
+    h = vecs.shape[-1] // 2
+    return list(zip(vecs[..., :h].ravel().tolist(), vecs[..., h:].ravel().tolist()))
 
 
 def verify_zorn_isomorphism() -> PropertyReport:
@@ -207,7 +207,7 @@ def verify_zorn_isomorphism() -> PropertyReport:
     agrees exactly; the witness is the first disagreeing pair with the
     defect pulled back to the algebra.
     """
-    alg, zorn_alg = split_octonions(), _zorn_table()
+    alg, zorn_alg = split_octonions(), zorn_octonions()
     table = alg.tensor * zorn_alg._den
     image = zorn_alg.tensor * alg._den
     differ = (table != image).any(axis=-1)
@@ -231,15 +231,6 @@ def verify_zorn_isomorphism() -> PropertyReport:
     return PropertyReport(alg, "zorn_isomorphism", False, witness, detail)
 
 
-def _multiple(lhs: Element, rhs: Element) -> GaussianRational | None:
-    """The scalar c with lhs = c * rhs for a nonzero rhs, or None if there is none."""
-    for c_l, c_r in zip((lhs.unit,) + lhs.coeffs, (rhs.unit,) + rhs.coeffs):
-        if not c_r.is_zero():
-            c = c_l / c_r
-            return c if lhs == rhs.scaled(c) else None
-    return None
-
-
 @dataclass(frozen=True)
 class SpinCommutatorReport:
     """Outcome of the q-side bracket check against its Pauli counterpart."""
@@ -256,8 +247,9 @@ def verify_spin_commutators() -> SpinCommutatorReport:
     By bilinearity [s_i, s_j] = -(1/4) C_ij and eps_ijk s_k = (i/2) E_ij,
     where C is the commutator tensor and E the `eps_vectors`.  So the printed
     relation [s_i, s_j] = eps_ijk s_k reads i C_ij = 2 E_ij, and
-    [s_i, s_j] = kappa eps_ijk s_k reads i C_ij = 2 kappa E_ij.  The witness
-    is the first failing (i, j) in row-major order.
+    [s_i, s_j] = kappa eps_ijk s_k reads i C_ij = 2 kappa E_ij, over all
+    (i, j) at once.  The witness is the first failing (i, j) in row-major
+    order.
     """
     alg = split_octonions()
     t, den = _gaussian_tensor(alg), alg._den
@@ -272,14 +264,7 @@ def verify_spin_commutators() -> SpinCommutatorReport:
                                  4 * den)
         witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
-    # Measure kappa from [s_1, s_2] = kappa * s_3.
-    s3 = alg.basis_element(2).scaled(I * Fraction(1, 2))
-    kappa = _multiple(_vector_element(alg, (-brackets[0, 1]).tolist(), 4 * den), s3)
-    if kappa is not None:
-        d, kappa_eps = _scaled(kappa, twice_eps)
-        if not np.array_equal(d * i_brackets, kappa_eps):
-            kappa = None
-
+    kappa = common_scale(_pairs(i_brackets), _pairs(twice_eps))
     return SpinCommutatorReport(not failing, ZERO if kappa is None else kappa,
                                 pauli_spin_commutators_hold(), witness)
 
@@ -309,13 +294,9 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     product_ok = np.array_equal(np.tensordot(EPS3, split, axes=2), -2 * quat)
 
     bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
-    lam = _multiple(_vector_element(alg, bracket_sides[0].tolist(), 4 * den), alg.basis_element(0))
-    uniform = lam is not None
-    if uniform:
-        d, lam_quat = _scaled(lam, 4 * quat)
-        uniform = np.array_equal(d * bracket_sides, lam_quat)
-    else:
-        lam = ZERO
+    lam = common_scale(_pairs(bracket_sides[0]), _pairs(4 * quat[0]))
+    uniform = lam is not None and common_scale(_pairs(bracket_sides), _pairs(4 * quat)) == lam
+    lam = ZERO if lam is None else lam
 
     detail = (
         f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
@@ -324,9 +305,12 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     return SpinDecompositionReport(product_ok, lam, uniform, detail)
 
 
-def _zorn_table() -> AlgebraDef:
-    """The basis-product table the Zorn images generate, built afresh.
+@functools.lru_cache(maxsize=None)
+def zorn_octonions() -> AlgebraDef:
+    """The basis-product table the Zorn representation actually generates.
 
+    Differs from the bundled table by 36 signs; unlike it, this one is
+    alternative.  Shipped as a corpus member and fixture for comparison.
     Each product of two integer images is read back as from_zorn does, in
     integer halves: (a+b)/2 of the unit, (y-x)/2 of q1..q3, (y+x)/2 of
     q4..q6 and (b-a)/2 of q7, so the table holds these numerators over 2.
@@ -337,15 +321,5 @@ def _zorn_table() -> AlgebraDef:
         z = zorn_multiply(images[i], images[j])
         cells.append([z.a + z.b, *(y - x for x, y in zip(z.x, z.y)),
                       *(y + x for x, y in zip(z.x, z.y)), z.b - z.a])
-    return AlgebraDef.from_integers("zornO", 7, 2, cells, unital=True,
-                                    basis_names=split_octonions().basis_names)
-
-
-@functools.lru_cache(maxsize=None)
-def zorn_octonions() -> AlgebraDef:
-    """The basis-product table the Zorn representation actually generates.
-
-    Differs from the bundled table by 36 signs; unlike it, this one is
-    alternative.  Shipped as a corpus member and fixture for comparison.
-    """
-    return _zorn_table()
+    return AlgebraDef("zornO", 7, 2, cells, unital=True,
+                      basis_names=split_octonions().basis_names)

@@ -157,13 +157,14 @@ def test_element_rendering(splitO):
 # -- multiply against the structure table it is built from --------------------
 
 def reference_product(x, y):
-    """(unit, coeffs) of x y, expanded bilinearly over `structure` in exact
+    """(unit, coeffs) of x y, expanded bilinearly over `basis_product` in exact
     scalars, with the unit acting as the identity."""
     alg = x.algebra
     unit = x.unit * y.unit
     coeffs = [x.unit * b + y.unit * a for a, b in zip(x.coeffs, y.coeffs)]
     for (i, a), (j, b) in itertools.product(enumerate(x.coeffs), enumerate(y.coeffs)):
-        p_unit, p_coeffs = alg.structure[i][j]
+        p = alg.basis_product(i, j)
+        p_unit, p_coeffs = p.unit, p.coeffs
         unit = unit + a * b * p_unit
         coeffs = [c + a * b * p for c, p in zip(coeffs, p_coeffs)]
     return unit, tuple(coeffs)
@@ -174,7 +175,8 @@ def gaussian_split_octonions():
     alg = split_octonions()
     products = {}
     for i, j in itertools.product(range(7), repeat=2):
-        unit, coeffs = alg.structure[i][j]
+        p = alg.basis_product(i, j)
+        unit, coeffs = p.unit, p.coeffs
         f = I if (i + 2 * j) % 3 == 0 else 1
         products[(i, j)] = (unit * f, {k: c * f for k, c in enumerate(coeffs)})
     return AlgebraDef.from_products("gsplitO", 7, products, True, alg.basis_names)
@@ -213,3 +215,39 @@ def test_multiply_matches_the_structure_table(alg):
     for x, y in pairs:
         product = multiply(x, y)
         assert (product.unit, product.coeffs) == reference_product(x, y)
+
+
+# -- the integer constructor ----------------------------------------------------
+
+def test_constructor_reduces_integer_cells_over_a_common_denominator():
+    # e1 e1 = 1/2 e2 - i e1, e2 e1 = -1: numerators over 4, not the least
+    cells = [[0, 0, 2, 0, -4, 0], [0] * 6, [-4, 0, 0, 0, 0, 0], [0] * 6]
+    alg = AlgebraDef("g", 2, 4, cells, unital=True)
+    assert alg._den == 2
+    assert alg.basis_product(0, 0) == alg.element(0, [-I, Fraction(1, 2)])
+    assert alg.basis_product(1, 0) == alg.one().scaled(-1)
+    # an all-zero imaginary half is dropped
+    real = AlgebraDef("r", 2, 4, [c[:3] + [0, 0, 0] for c in cells], unital=True)
+    assert real.tensor.shape == (3, 3, 3)
+    assert real == AlgebraDef("r", 2, 4, [c[:3] for c in cells], unital=True)
+
+
+@pytest.mark.parametrize("dim, den, cells, message", [
+    (0, 1, [], "dimension must be positive"),
+    (1, 0, [[0, 1]], "denominator must be positive"),
+    (2, 1, [[0, 0, 0]] * 3, r"need dim\*dim = 4 product cells, got 3"),
+    (2, 1, [[0, 0, 0]] * 5, r"need dim\*dim = 4 product cells, got 5"),
+    (2, 1, [[0, 0, 0]] * 3 + [[0] * 6], "all have length 3 or all 6"),
+    (2, 1, [[0, 0]] * 4, "all have length 3 or all 6"),
+    (2, 1, [[0] * 4] * 4, "all have length 3 or all 6"),
+], ids=["dim-0", "den-0", "3-cells", "5-cells", "mixed-widths", "too-short", "between-widths"])
+def test_constructor_rejects_a_bad_shape(dim, den, cells, message):
+    with pytest.raises(ValueError, match=message):
+        AlgebraDef("bad", dim, den, cells, unital=True)
+
+
+def test_constructor_rejects_bad_names_and_a_unit_in_a_non_unital_table():
+    with pytest.raises(ValueError, match="one basis name per dimension"):
+        AlgebraDef("bad", 1, 1, [[0, 1]], unital=False, basis_names=("a", "b"))
+    with pytest.raises(ValueError, match=r"e1\*e1 uses the unit in a non-unital algebra"):
+        AlgebraDef("bad", 1, 1, [[-1, 0]], unital=False)

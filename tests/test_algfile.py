@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import itertools
 import math
 from fractions import Fraction
 
@@ -82,7 +83,8 @@ def test_gaussian_coefficients_round_trip():
     from fractions import Fraction
 
     parsed = parse_text(text)
-    unit, coeffs = parsed.algebra.structure[0][0]
+    p = parsed.algebra.basis_product(0, 0)
+    unit, coeffs = p.unit, p.coeffs
     assert unit == GaussianRational(Fraction(1, 2))
     assert coeffs[1] == GaussianRational(1, Fraction(-2, 3))
     assert serialize(parse_text(serialize(parsed.algebra)).algebra) == serialize(parsed.algebra)
@@ -111,20 +113,19 @@ def test_comments_and_blank_lines_ignored():
 
 def test_unspecified_products_default_to_zero():
     parsed = parse_text("dimension 2\nunital false\ne1 e2 -> e1\n")
-    unit, coeffs = parsed.algebra.structure[1][1]
-    assert unit.is_zero() and all(c.is_zero() for c in coeffs)
+    assert parsed.algebra.basis_product(1, 1).is_zero()
 
 
 def test_repeated_term_is_summed():
     parsed = parse_text("dimension 2\nunital false\ne1 e1 -> e1 + 1/2e1 - (1/3i)e2 + 2e2\n")
-    _, coeffs = parsed.algebra.structure[0][0]
+    coeffs = parsed.algebra.basis_product(0, 0).coeffs
     assert coeffs == (GaussianRational(Fraction(3, 2)), GaussianRational(2, Fraction(-1, 3)))
 
 
 def test_bare_imaginary_and_repeated_imaginary_terms_add_up():
     parsed = parse_text("dimension 2\nunital false\n"
                         "e1 e1 -> ie1 + 2ie1 - 1/2ie2 + (3/2i)e2 + e2\n")
-    _, coeffs = parsed.algebra.structure[0][0]
+    coeffs = parsed.algebra.basis_product(0, 0).coeffs
     assert coeffs == (GaussianRational(0, 3), GaussianRational(1, 1))
 
 
@@ -136,7 +137,7 @@ def test_from_products_sums_a_repeated_index():
             return [(1, 1), (0, Fraction(1, 2)), (1, Fraction(1, 2))]
 
     alg = AlgebraDef.from_products("repeat", 2, {(0, 0): (ZERO, Pairs())}, unital=False)
-    _, coeffs = alg.structure[0][0]
+    coeffs = alg.basis_product(0, 0).coeffs
     assert coeffs == (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(3, 2)))
 
 
@@ -208,9 +209,10 @@ def test_candidate_path_builds_no_gaussian_rational(monkeypatch):
     assert built == []
     monkeypatch.undo()
     assert (tensor == alg.tensor).all()
-    # the counter does see the exact-scalar view the path no longer needs
+    # the counter does see exact scalars read off the table: dim+1 per product
     monkeypatch.setattr(GaussianRational, "__init__", counting)
-    assert len(alg.structure) == alg.dim
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        alg.basis_product(i, j)
     assert len(built) == alg.dim**2 * (alg.dim + 1)
 
 

@@ -212,7 +212,8 @@ def scaled(alg, name, factor, unit_factor):
     and its unit multiple by `unit_factor`(i, j)."""
     products = {}
     for i, j in itertools.product(range(alg.dim), repeat=2):
-        unit, coeffs = alg.structure[i][j]
+        p = alg.basis_product(i, j)
+        unit, coeffs = p.unit, p.coeffs
         f = factor(i, j)
         products[(i, j)] = (unit * unit_factor(i, j), {k: c * f for k, c in enumerate(coeffs)})
     return AlgebraDef.from_products(name, alg.dim, products, alg.unital, alg.basis_names)
@@ -430,10 +431,9 @@ def parse_fixture(name):
 def flipped_split_octonions():
     """splitO with the product q4 q5 negated."""
     alg = split_octonions()
-    structure = [list(row) for row in alg.structure]
-    unit, coeffs = structure[3][4]
-    structure[3][4] = (-unit, [-c for c in coeffs])
-    return AlgebraDef("splitO-flip", alg.dim, structure, alg.unital, alg.basis_names)
+    cells = alg.tensor[1:, 1:].reshape(alg.dim**2, -1).tolist()
+    cells[3 * alg.dim + 4] = [-v for v in cells[3 * alg.dim + 4]]
+    return AlgebraDef("splitO-flip", alg.dim, alg._den, cells, alg.unital, alg.basis_names)
 
 
 SHARING_CASES = (
@@ -458,7 +458,8 @@ def test_laws_do_not_depend_on_what_ran_before(make):
     shared = make()
 
     def fresh_copy():    # no kernel or memoised slab yet
-        return AlgebraDef(shared.name, shared.dim, shared.structure, shared.unital,
+        return AlgebraDef(shared.name, shared.dim, shared._den,
+                          shared.tensor[1:, 1:].reshape(shared.dim**2, -1).tolist(), shared.unital,
                           shared.basis_names)
 
     fresh = {law: outcome(check_property(fresh_copy(), law)) for law in PROPERTIES}

@@ -8,7 +8,15 @@ import pytest
 from nonassoc import properties
 from nonassoc.algebra import AlgebraDef
 from nonassoc.properties import check_property
-from nonassoc.scalar import GaussianRational, I, ONE, ZERO, solve_exact, solve_gaussian_integers
+from nonassoc.scalar import (
+    GaussianRational,
+    I,
+    ONE,
+    ZERO,
+    common_scale,
+    solve_exact,
+    solve_gaussian_integers,
+)
 
 
 def test_exact_arithmetic():
@@ -249,3 +257,33 @@ def test_internal_unit_system_matches_eager_reference(monkeypatch):
     expected = eager_solve_gaussian_integers(copy.deepcopy(aug))
     assert solve_gaussian_integers(copy.deepcopy(aug)) == expected
     assert expected[0] == [ONE, ZERO, ZERO, ZERO]
+
+
+# -- common_scale ----------------------------------------------------------------
+
+def test_common_scale_reads_and_decides_the_factor():
+    v = [(0, 0), (2, 0), (1, -1)]
+    half_1_3i = GaussianRational(Fraction(1, 2), Fraction(3, 2))
+    assert common_scale([(0, 0), (1, 3), (2, 1)], v) == half_1_3i
+    assert common_scale([(0, 0), (2, 0), (1, -1)], v) == ONE
+    assert common_scale([(0, 0), (0, 0), (0, 0)], v) == ZERO
+    # the factor read at the first nonzero v_p must hold at every entry
+    assert common_scale([(0, 0), (2, 0), (1, 1)], v) is None
+    assert common_scale([(1, 0), (2, 0), (1, -1)], v) is None
+
+
+def test_common_scale_measures_a_family_by_concatenation():
+    # u_k = 3 v_k for both members; a zero member admits any factor
+    family = [([(3, 0), (0, 6)], [(1, 0), (0, 2)]), ([(0, 0)], [(0, 0)])]
+    u = [a for uk, _ in family for a in uk]
+    v = [b for _, vk in family for b in vk]
+    assert common_scale(u, v) == GaussianRational(3)
+
+
+def test_common_scale_of_all_zero_right_sides():
+    """Every c fits when u is zero too, and the answer is then 0; no c
+    fits a nonzero u."""
+    zero = [(0, 0), (0, 0)]
+    assert common_scale(zero, zero) == ZERO
+    assert common_scale([(0, 0), (0, 1)], zero) is None
+    assert common_scale([], []) == ZERO

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nonassoc import report, superspace
+from nonassoc.corpus import MINKOWSKI
 from nonassoc.scalar import ZERO, GaussianRational, I, ONE
-from nonassoc.spinor import MINKOWSKI, SigmaConvention
+from nonassoc.spinor import SigmaConvention
 from nonassoc.superspace import (
     IDENTITY_KEY,
     PoincareReport,

@@ -46,7 +46,11 @@ class AlgebraDef:
     unit act as an identity; a non-unital table never produces a unit
     component.  The dtype is int64 when 48*K**2*M**3 fits in it, M being
     the largest entry, so that no sum the law kernels in `properties` form
-    can overflow; otherwise it is object, holding Python ints.
+    can overflow; otherwise it is object, holding Python ints.  Object
+    tables remain the exact form of large entries, which `multiply`, the
+    unit search and the text format read as they are; the law kernels do
+    not contract them but their residues modulo a few primes, in float64.
+    `zorn` and `report` do int64 arithmetic on the small tables they build.
 
     The constructor takes integer numerators over a positive `den`, not
     necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j as

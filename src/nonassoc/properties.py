@@ -32,13 +32,31 @@ T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
 associator entry sums 2*K products of two entries and a law adds at most
 six associators, and the four-argument forms below add at most 48 terms
-of K**2 products of three entries.  Otherwise T holds Python ints (dtype
-object), as for exported search candidates, whose common denominator is
-about 2**68.  A table without imaginary parts carries none, which keeps K
-at dim + 1.  The search for an internal unit solves its linear system from
-slices of T by fraction-free elimination over the Gaussian integers, which
-reduces a row below the pivots only when a scan reaches it: when no unit
-exists, the scan stops at the first row that rules one out.
+of K**2 products of three entries.  A table without imaginary parts
+carries none, which keeps K at dim + 1.
+
+The kernels run on T in exact integer layers.  An int64 T is taken as it
+is, and its sums are exact as they stand.  A larger T (dtype object:
+exported search candidates, whose common denominator is about 2**68)
+becomes a stack, along a leading axis that the same code broadcasts
+over, of one float64 layer per prime p holding T modulo p, so no
+contraction runs on Python ints.  The primes are the largest with
+2*K*p**2 <= 2**52: a contraction of two layers sums K products below
+p**2, and the difference of two such sums is an integer of at most
+2**52, which float64 holds and BLAS computes exactly.  Each contraction
+is reduced to [0, p) by x - floor(x/p)*p before it is used again.  A
+kernel whose integer results are at most B in absolute value takes the
+fewest primes whose product exceeds 2*B: B is 12*K*M**2 for the
+associator laws, 48*K**2*M**3 for the four-argument forms and 2*M for
+commutativity.  Such an integer is zero exactly when it is zero modulo
+every prime, and the witness defect is rebuilt from its residues by the
+Chinese remainder theorem in the symmetric range (D. E. Knuth, TAOCP
+Vol. 2, 4.3.2).
+
+The search for an internal unit solves its linear system from slices of
+T by fraction-free elimination over the Gaussian integers, which reduces
+a row below the pivots only when a scan reaches it: when no unit exists,
+the scan stops at the first row that rules one out.
 
 Power associativity and the Jordan law are decided on the same tensor.
 Over a field of characteristic zero an algebra is power-associative if
@@ -82,6 +100,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +159,107 @@ def _turn(a, half):
     return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
 
 
+def _is_prime(m):
+    """Miller-Rabin for odd m > 7: the bases 2, 3, 5 and 7 decide every
+    m < 3215031751 (C. Pomerance, J. L. Selfridge and S. S. Wagstaff, Math.
+    Comp. 35, 1980)."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _primes(width, count):
+    """The `count` largest primes p with 2*width*p**2 <= 2**52, descending."""
+    if count == 0:
+        return ()
+    head = _primes(width, count - 1)
+    p = head[-1] - 2 if head else (math.isqrt(2**51 // width) - 1) | 1
+    while not _is_prime(p):
+        p -= 2
+    return head + (p,)
+
+
+def _layers(alg, bound):
+    """`alg.tensor` in exact integer layers, for a kernel whose integer
+    results are at most bound(K, M) in absolute value.
+
+    An int64 tensor is taken as it is, with no leading axis.  An object
+    tensor becomes a stack along a leading axis of one float64 layer per
+    prime of `_primes(K, L)`, L the fewest whose product exceeds twice the
+    bound, holding its residues.  They are read off 47-bit float64 limbs
+    of the tensor, least significant first and the last one signed, which
+    are kept on `alg` for the other kernels: each Python int is split
+    once, whatever the number of primes."""
+    t = alg.tensor
+    if t.dtype != object:
+        return t
+    if "_limbs" not in vars(alg):
+        big, limbs = max(map(abs, t.flat)), []
+        for _ in range(big.bit_length() // 47):
+            limbs.append((t & (2**47 - 1)).astype(np.float64))
+            t = t >> 47
+        alg._limbs = big, [*limbs, t.astype(np.float64)]
+    big, limbs = alg._limbs
+    width, count = limbs[0].shape[-1], 1
+    while math.prod(_primes(width, count)) <= 2 * bound(width, big):
+        count += 1
+    shift = np.array([2**47 % p for p in _primes(width, count)], dtype=np.float64)
+    shift = shift.reshape(-1, 1, 1, 1)
+    residues = _mod(limbs[-1] + np.zeros_like(shift))
+    for limb in limbs[-2::-1]:    # Horner's rule: each step stays below p**2 + 2**47
+        residues *= shift
+        residues += limb
+        residues = _mod(residues)
+    return residues
+
+
+def _mod(x):
+    """x, a float64 stack of integers of absolute value at most 2**52,
+    with each layer reduced in place to [0, p) modulo its prime; an int64
+    array as it is.
+
+    x/p is an integer or at least 1/p below the next one, and its float64
+    rounding is off by at most |x/p| * 2**-53 <= 1/(2p), so floor(x/p) is
+    the exact quotient and x - floor(x/p)*p the exact remainder."""
+    if x.dtype.kind != "f":
+        return x
+    p = np.array(_primes(x.shape[-1], len(x)), dtype=np.float64)
+    p = p.reshape((-1,) + (1,) * (x.ndim - 1))
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _exact(layers):
+    """The integers, as a list, whose residues are the reduced layers of
+    a float64 stack of tensor vectors, by the Chinese remainder theorem in
+    the symmetric range; an int64 vector as it is."""
+    if layers.dtype.kind != "f":
+        return layers.tolist()
+    primes = _primes(layers.shape[-1], len(layers))
+    modulus = math.prod(primes)
+    basis = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    out = []
+    for residues in layers.T.tolist():
+        x = sum(int(r) * b for r, b in zip(residues, basis)) % modulus
+        out.append(x - modulus if 2 * x > modulus else x)
+    return out
+
+
 class _LastSlab:
     """slices(i, pos) of a raw slice function `compute`, memoised for the
     slab i asked for last.
@@ -168,10 +288,11 @@ def _slab_kernel(alg):
     Returns slices(i, pos) for tensor index i >= 1: the array S[j, k],
     over basis elements j and k, of A[i, j, k] (pos 0), A[j, i, k] (pos 1)
     or A[j, k, i] (pos 2), where A[a, b, c] is the associator of the
-    elements at tensor indices a, b, c times `_den**2`, as a tensor vector.
-    The kernel is kept on `alg` and remembers the slices of the slab it
-    computed last (`_LastSlab`), so the laws of one `check` that fail or
-    read the same slab share its contractions.
+    elements at tensor indices a, b, c times `_den**2`, as a tensor vector,
+    with the leading axis of `_layers` if it has one.  The kernel is kept
+    on `alg` and remembers the slices of the slab it computed last
+    (`_LastSlab`), so the laws of one `check` that fail or read the same
+    slab share its contractions.
     """
     kernel = vars(alg).get("_slabs")
     if kernel is None:
@@ -181,58 +302,65 @@ def _slab_kernel(alg):
 
 def _associator_slices(alg):
     """The raw slice function of `_slab_kernel`, one contraction per call."""
-    t = alg.tensor
-    n, width = alg.dim, t.shape[2]
+    t = _layers(alg, lambda k, m: 12 * k * m**2)    # six associators of 2*K products
+    n, width = alg.dim, t.shape[-1]
     # times_right[m, k] is u_m e_k and times_left[j, m] is e_j u_m, where
     # u_m is the unit vector of component m.  In a Gaussian table the
     # components from `half` on are imaginary parts: u_(half+m) is i u_m.
     if width > n + 1:
         turned = _turn(t, n + 1)
-        times_right = np.concatenate([t, turned], axis=0)
-        times_left = np.concatenate([t, turned], axis=1)
+        times_right = np.concatenate([t, turned], axis=-3)
+        times_left = np.concatenate([t, turned], axis=-2)
     else:
         times_right = times_left = t
-    right = times_right[:, 1:].reshape(width, n * width)
-    left = times_left[1:]
-    products = t[1:, 1:].reshape(n * n, width)   # [(j, k)]: e_j e_k
+    stack = t.shape[:-3]    # the leading axis of residue layers, if any
+    right = times_right[..., 1:, :].reshape(stack + (width, n * width))
+    left = times_left[..., 1:, :, :]
+    products = t[..., 1:, 1:, :].reshape(stack + (n * n, width))   # [(j, k)]: e_j e_k
+    shape = stack + (n, n, width)
 
     def slices(i, pos):
         if pos == 0:    # (e_i e_j) e_k - e_i (e_j e_k)
-            return ((t[i, 1:] @ right).reshape(n, n, width)
-                    - (products @ times_left[i]).reshape(n, n, width))
-        if pos == 1:    # (e_j e_i) e_k - e_j (e_i e_k)
-            return (t[1:, i] @ right).reshape(n, n, width) - t[i, 1:] @ left
-        # (e_j e_k) e_i - e_j (e_k e_i)
-        return ((products @ times_right[:, i]).reshape(n, n, width)
-                - t[1:, i] @ left)
+            a, b = t[..., i, 1:, :] @ right, products @ times_left[..., i, :, :]
+        elif pos == 1:    # (e_j e_i) e_k - e_j (e_i e_k)
+            a, b = t[..., 1:, i, :] @ right, t[..., None, i, 1:, :] @ left
+        else:    # (e_j e_k) e_i - e_j (e_k e_i)
+            a, b = products @ times_right[..., i, :], t[..., None, 1:, i, :] @ left
+        a = a.reshape(shape)
+        a -= b.reshape(shape)
+        return _mod(a)
 
     return slices
 
 
-def _form_kernel(form, arity):
-    """Kernel of a multilinear `form`(mul, *args) of `arity` arguments:
-    slices(i, pos) is the form on basis tuples with e_i in argument pos, as
-    an array over the other arguments of tensor vectors times `_den` to
-    the power arity - 1, memoised for the last slab like `_slab_kernel`.
-    mul(u, v) multiplies two arrays of tensor vectors pairwise, the
-    indices of u first."""
+def _form_kernel(form, arity, bound):
+    """Kernel of a multilinear `form`(mul, *args) of `arity` arguments whose
+    integer results are at most bound(K, M): slices(i, pos) is the form on
+    basis tuples with e_i in argument pos, as an array over the other
+    arguments of tensor vectors times `_den` to the power arity - 1, with
+    the leading axis of `_layers` if it has one, memoised for the last
+    slab like `_slab_kernel`.  mul(u, v) multiplies two such arrays
+    pairwise, the indices of u first."""
     def kernel(alg):
-        t = alg.tensor
-        n, width = alg.dim, t.shape[2]
+        t = _layers(alg, bound)
+        n, width = alg.dim, t.shape[-1]
         if width > n + 1:    # all components, imaginary ones too: t[m, p] = u_m u_p
-            for axis in (0, 1):
+            for axis in (-3, -2):
                 t = np.concatenate([t, _turn(t, n + 1)], axis=axis)
-        table = t.reshape(width, width * width)
-        basis = np.eye(width, dtype=t.dtype)[1:n + 1]
+        stack = t.shape[:-3]
+        table = t.reshape(stack + (width, width * width))
+        basis = np.eye(width, dtype=t.dtype)[1:n + 1] * np.ones(stack + (1, 1), dtype=t.dtype)
+        rows, blocks, cols = stack + (-1, width), stack + (-1, width, width), stack + (1, -1, width)
+        lead = len(stack)
 
         def mul(u, v):
-            by_u = (u.reshape(-1, width) @ table).reshape(-1, width, width)
-            return (v.reshape(-1, width) @ by_u).reshape(u.shape[:-1] + v.shape[:-1] + (width,))
+            by_u = _mod((u.reshape(rows) @ table).reshape(blocks))
+            return _mod(v.reshape(cols) @ by_u).reshape(u.shape[:-1] + v.shape[lead:])
 
         def slices(i, pos):
             args = [basis] * arity
-            args[pos] = basis[i - 1:i]
-            return form(mul, *args).reshape((n,) * (arity - 1) + (width,))
+            args[pos] = basis[..., i - 1:i, :]
+            return form(mul, *args).reshape(stack + (n,) * (arity - 1) + (width,))
 
         return _LastSlab(slices)
 
@@ -244,20 +372,25 @@ def _first_failure(alg, laws, kernel=_slab_kernel):
 
     `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
     slab i from `kernel`, to the law's defects at (i, j, ...) as an array
-    over (j, ...).  The kernel memoises the last slab, so the laws share
-    each slice, within this call and, for the per-algebra `_slab_kernel`,
-    with the laws checked before it.  Slabs are decided in order of i and
-    each is scanned in (j, ..., law) order, so the first hit is the first
-    failure in (i, j, ..., law) order; no later slab is computed.
+    over (j, ...), with the leading axis of residue layers if it has one.
+    A defect is nonzero when it is nonzero in some layer.  The kernel
+    memoises the last slab, so the laws share each slice, within this call
+    and, for the per-algebra `_slab_kernel`, with the laws checked before
+    it.  Slabs are decided in order of i and each is scanned in
+    (j, ..., law) order, so the first hit is the first failure in
+    (i, j, ..., law) order; no later slab is computed.
     """
     slices = kernel(alg)
     for i in range(1, alg.dim + 1):
         s = functools.partial(slices, i)
-        defects = np.stack([defect(s) for _, defect in laws], axis=-2)
-        hits = np.flatnonzero((defects != 0).any(axis=-1))
+        defects = _mod(np.stack([defect(s) for _, defect in laws], axis=-2))
+        nonzero = (defects != 0).any(axis=-1)
+        if defects.dtype.kind == "f":    # in some layer
+            nonzero = nonzero.any(axis=0)
+        hits = np.flatnonzero(nonzero)
         if hits.size:
-            *rest, law = (int(v) for v in np.unravel_index(hits[0], defects.shape[:-1]))
-            w = _vector_element(alg, defects[(*rest, law)].tolist(),
+            *rest, law = (int(v) for v in np.unravel_index(hits[0], nonzero.shape))
+            w = _vector_element(alg, _exact(defects[(..., *rest, law, slice(None))]),
                                 alg._den ** len(rest))    # one factor per product
             return Witness(defect=w, indices=(i - 1, *rest), law=laws[law][0])
     return None
@@ -265,7 +398,17 @@ def _first_failure(alg, laws, kernel=_slab_kernel):
 
 def _swap(a):
     """a[j, k] -> a[k, j]: the same slice with the last two indices exchanged."""
-    return a.transpose(1, 0, 2)
+    return a.swapaxes(-3, -2)
+
+
+# _ORDERS[ndim][order]: the axes of a[..., j, k, l, :] with j, k, l in `order`
+_ORDERS = {ndim: {order: (*range(ndim - 4), *(ndim - 4 + axis for axis in order), ndim - 1)
+                  for order in itertools.permutations(range(3))} for ndim in (4, 5)}
+
+
+def _permuted(a, order):
+    """a[j, k, l] with its three indices taken in `order`."""
+    return a.transpose(_ORDERS[a.ndim][order])
 
 
 def _check_associative(alg, **_):
@@ -308,6 +451,12 @@ def _check_derivation_property(alg, **_):
     return PropertyReport(alg, "derivation_property", w is None, w)
 
 
+def _form_bound(k, m):
+    """The bound on the four-argument forms: 48 terms of K**2 products of
+    three entries."""
+    return 48 * k**2 * m**3
+
+
 def _check_power_associative(alg, degree=4, **_):
     if degree < 3:
         raise ValueError("power associativity needs degree >= 3")
@@ -315,9 +464,9 @@ def _check_power_associative(alg, degree=4, **_):
                               lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))])
     if w is None and degree >= 4:
         fourth = _form_kernel(lambda mul, a, b, c, d: (
-            mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4)
+            mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4, _form_bound)
         w = _first_failure(alg, [("power associativity at degree 4", lambda s: sum(
-            s(p).transpose(*o, 3) for p in range(4) for o in itertools.permutations(range(3))))],
+            _permuted(s(p), o) for p in range(4) for o in itertools.permutations(range(3))))],
             fourth)
     detail = ("x^2 x = x x^2 on basis triples" if degree == 3 else "x^2 x = x x^2 and "
               "x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree")
@@ -328,11 +477,12 @@ def _check_jordan(alg, **_):
     # (x1 y)(x2 x3) - x1 (y (x2 x3)) at (x1, x2, x3, y), axes ordered from
     # (x1, y, x2, x3), and summed over the six orders of x1, x2, x3.
     linearized = _form_kernel(lambda mul, a, b, c, d: np.moveaxis(
-        mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), 1, 3), 4)
-    commutator = _form_kernel(lambda mul, a, b: mul(a, b) - np.swapaxes(mul(b, a), 0, 1), 2)
+        mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), -4, -2), 4, _form_bound)
+    commutator = _form_kernel(lambda mul, a, b: mul(a, b) - _swap(mul(b, a)), 2,
+                              lambda k, m: 2 * m)
     w = (_first_failure(alg, [("commutativity", lambda s: s(0))], commutator)
          or _first_failure(alg, [("Jordan law (xy)(xx) = x(y(xx))", lambda s: sum(
-             s(p).transpose(*o, 3) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))], linearized))
+             _permuted(s(p), o) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))], linearized))
     return PropertyReport(alg, "jordan", w is None, w, "commutativity on basis pairs, "
                           "then the linearized Jordan law on basis 4-tuples")
 

@@ -410,21 +410,11 @@ class GeneratorSet:
     convention: SigmaConvention
     momentum_sign: int
     P_lower: tuple[SuperOp, ...]       # P_mu
+    P_upper: tuple[SuperOp, ...]       # P^mu = eta^{mu mu} P_mu
     M_upper: tuple[tuple[SuperOp, ...], ...]  # M^{mu nu}
     Q: tuple[SuperOp, ...]             # Q_a
     Q_bar_lower: tuple[SuperOp, ...]   # Qbar_adot
-
-    def P_upper(self, mu: int) -> SuperOp:
-        return self.P_lower[mu].scaled(MINKOWSKI[mu])
-
-    def Q_bar_upper(self, adot: int) -> SuperOp:
-        # Qbar^adot = eps^{adot bdot} Qbar_bdot
-        out = SuperOp.zero()
-        for bd in range(2):
-            c = EPS_RAISE[adot][bd]
-            if not c.is_zero():
-                out = out + self.Q_bar_lower[bd].scaled(c)
-        return out
+    Q_bar_upper: tuple[SuperOp, ...]   # Qbar^adot = eps^{adot bdot} Qbar_bdot
 
 
 def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
@@ -434,21 +424,20 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
     P_mu = momentum_sign * i * d_mu.  M^{mu nu} = x^mu P^nu - x^nu P^mu.
     Q_a = -i d/dth^a - sigma^mu_{a bdot} tb^bdot d_mu and
     Qbar_adot = i d/dtb^adot + th^b sigma^mu_{b adot} d_mu, with sigma in
-    the requested normalization.
+    the requested normalization.  The raised P^mu = eta^{mu mu} P_mu and
+    Qbar^adot = eps^{adot bdot} Qbar_bdot are built here, once per set.
     """
     if momentum_sign not in (1, -1):
         raise ValueError("momentum_sign must be +1 or -1")
     sgn = GaussianRational.of(momentum_sign)
     P_lower = tuple(SuperOp.dx(mu).scaled(sgn * I) for mu in range(4))
-
-    def P_up(mu):
-        return P_lower[mu].scaled(MINKOWSKI[mu])
+    P_upper = tuple(P_lower[mu].scaled(MINKOWSKI[mu]) for mu in range(4))
 
     M = []
     for mu in range(4):
         row = []
         for nu in range(4):
-            row.append(compose(SuperOp.x(mu), P_up(nu)) - compose(SuperOp.x(nu), P_up(mu)))
+            row.append(compose(SuperOp.x(mu), P_upper[nu]) - compose(SuperOp.x(nu), P_upper[mu]))
         M.append(tuple(row))
 
     sigma = sigma_upper(convention)
@@ -472,7 +461,10 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
                     op = op + compose(SuperOp.theta(b + 1), SuperOp.dx(mu)).scaled(c)
         Q_bar.append(op)
 
-    return GeneratorSet(convention, momentum_sign, P_lower, tuple(M), tuple(Q), tuple(Q_bar))
+    Q_bar_upper = tuple(sum((Q_bar[bd].scaled(c) for bd, c in enumerate(EPS_RAISE[ad])
+                             if not c.is_zero()), SuperOp.zero()) for ad in range(2))
+    return GeneratorSet(convention, momentum_sign, P_lower, P_upper, tuple(M), tuple(Q),
+                        tuple(Q_bar), Q_bar_upper)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +502,7 @@ def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     sums of the i P^mu and i M^{mu nu} computed once.
     """
     M = gens.M_upper
-    P = [gens.P_upper(mu) for mu in range(4)]
+    P = gens.P_upper
     eta = MINKOWSKI
     iP = [p.scaled(I) for p in P]
     iM = [[m.scaled(I) for m in row] for row in M]
@@ -648,8 +640,8 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
     spatial_ok = all(traces[mu].scaled(quarter) == gens.P_lower[mu] for mu in (1, 2, 3))
 
     pq = all(
-        op_commutator(gens.P_upper(mu), gens.Q[a]).is_zero()
-        and op_commutator(gens.P_upper(mu), gens.Q_bar_upper(a)).is_zero()
+        op_commutator(gens.P_upper[mu], gens.Q[a]).is_zero()
+        and op_commutator(gens.P_upper[mu], gens.Q_bar_upper[a]).is_zero()
         for mu in range(4) for a in range(2)
     )
 

@@ -1,6 +1,12 @@
 import collections
 
 import pytest
+from hypothesis import settings
+
+# The property tests run one fixed set of examples: derandomized, with no
+# example database and no per-example deadline.
+settings.register_profile("exact", derandomize=True, database=None, deadline=None,
+                          max_examples=100)
 
 _criteria: dict[str, list[tuple[bool, str]]] = collections.defaultdict(list)
 

@@ -256,7 +256,7 @@ def fraction_tensor(dim, cells):
     return den, t
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(settings.get_profile("exact"))
 @given(exact_tables())
 def test_parse_of_serialize_is_the_identity(table):
     dim, unital, cells = table

@@ -1,10 +1,15 @@
 import functools
 import importlib.resources
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc import properties
 from nonassoc.algfile import parse_text
@@ -23,7 +28,7 @@ from nonassoc.properties import (
     check_property,
     myung_equivalence,
 )
-from nonassoc.scalar import I, ZERO
+from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
 from test_scalar import eager_solve_gaussian_integers
@@ -302,24 +307,44 @@ def polarization(g, xs):
     return total
 
 
+def memoized(g):
+    """g of one element, evaluated once per element."""
+    values = {}
+
+    def at(x):
+        key = (x.unit, x.coeffs)
+        if key not in values:
+            values[key] = g(x)
+        return values[key]
+
+    return at
+
+
 def linearized_failure(alg, law):
     """(indices, tag, defect) of the first failing basis tuple in lex order,
-    from element arithmetic alone."""
+    from element arithmetic alone.  A polarization is symmetric in the
+    elements it sums over, so it is computed once per multiset of them."""
     basis = alg.basis()
     if law == "jordan":
         for i, j in itertools.product(range(alg.dim), repeat=2):
             d = multiply(basis[i], basis[j]) - multiply(basis[j], basis[i])
             if not d.is_zero():
                 return (i, j), "commutativity", d
-        stages = [(4, "Jordan law (xy)(xx) = x(y(xx))",
-                   lambda xs: polarization(lambda x: jordan_defect(x, xs[3]), xs[:3]))]
+        at_y = [memoized(functools.partial(jordan_defect, y=y)) for y in basis]
+        stages = [(4, "Jordan law (xy)(xx) = x(y(xx))", lambda xs: (at_y[xs[3]], xs[:3]))]
     else:
-        stages = [(3, "power associativity at degree 3", lambda xs: polarization(cube_defect, xs)),
-                  (4, "power associativity at degree 4",
-                   lambda xs: polarization(fourth_power_defect, xs))]
-    for arity, tag, defect in stages:
+        cube, fourth = memoized(cube_defect), memoized(fourth_power_defect)
+        stages = [(3, "power associativity at degree 3", lambda xs: (cube, xs)),
+                  (4, "power associativity at degree 4", lambda xs: (fourth, xs))]
+
+    @functools.cache
+    def polarized(g, indices):
+        return polarization(g, [basis[i] for i in indices])
+
+    for arity, tag, form in stages:
         for indices in itertools.product(range(alg.dim), repeat=arity):
-            d = defect([basis[i] for i in indices])
+            g, summed = form(indices)
+            d = polarized(g, tuple(sorted(summed)))
             if not d.is_zero():
                 return indices, tag, d
     return None
@@ -521,3 +546,165 @@ def test_shared_slices_are_read_only():
     assert s is properties._slab_kernel(alg)(1, 0)
     with pytest.raises(ValueError):
         s[0, 0, 0] = 1
+
+
+# -- object tables on residue layers ------------------------------------------
+
+def test_object_table_slices_are_float64_residue_layers():
+    alg = exported_candidate(1)
+    t, n = alg.tensor, alg.dim
+    s = properties._slab_kernel(alg)(1, 0)
+    assert s.dtype == np.float64 and s.shape[1:] == (n, n, n + 1)
+    # A[1, j, k] = (e_1 e_j) e_k - e_1 (e_j e_k), contracted in Python ints
+    exact = (np.tensordot(t[1, 1:], t[:, 1:], axes=(1, 0))
+             - np.tensordot(t[1:, 1:], t[1], axes=(2, 0)))
+    for layer, p in zip(s, properties._primes(n + 1, len(s))):
+        assert np.array_equal(layer, (exact % p).astype(np.float64))
+
+
+def test_int64_table_slices_have_no_layer_axis():
+    alg = split_octonions()
+    s = properties._slab_kernel(alg)(1, 0)
+    assert s.dtype == np.int64 and s.shape == (alg.dim, alg.dim, alg.dim + 1)
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 9, 16, 32, 64])
+def test_primes_are_prime_and_keep_contractions_exact(width):
+    primes = properties._primes(width, 24)
+    assert all(sympy.isprime(p) for p in primes)
+    # the largest such primes, in descending order
+    assert list(primes) == sorted(sympy.primerange(primes[-1], primes[0] + 1), reverse=True)
+    # a difference of two sums of K products of residues stays below 2**53
+    assert 2 * width * primes[0] ** 2 <= 2**52 < 2 * width * sympy.nextprime(primes[0]) ** 2
+
+
+def assert_matches_references(alg, law):
+    """check_property agrees with element arithmetic: verdict, witness
+    tuple, law tag and exact defect (for `unital`, with the eager solver)."""
+    report = check_property(alg, law)
+    if law == "unital":
+        with mock.patch.object(properties, "solve_gaussian_integers",
+                               eager_solve_gaussian_integers):
+            assert outcome(check_property(alg, law)) == outcome(report)
+        return
+    reference = reference_failure if law in REFERENCE_LAWS else linearized_failure
+    expected = reference(alg, law)
+    assert report.holds is (expected is None), law
+    if expected is not None:
+        w = report.witness
+        assert (w.indices, w.law, w.defect) == expected
+
+
+def all_but_one_prime():
+    """e1 e1 = a e2, e2 e1 = b e1 with a b the product of the first four
+    primes of the associator kernel, which takes five: the first defect,
+    A(e1, e1, e1) = a b e1, is zero modulo every prime but the last."""
+    p = properties._primes(3, 4)
+    a, b = p[0] * p[2], p[1] * p[3]
+    return AlgebraDef.from_products("all-but-one", 2, {(0, 0): (ZERO, {1: a}),
+                                                       (1, 0): (ZERO, {0: b})}, unital=False)
+
+
+def test_a_defect_nonzero_modulo_one_prime_only():
+    alg = all_but_one_prime()
+    assert alg.tensor.dtype == object
+    layers = properties._slab_kernel(alg)(1, 0)[:, 0, 0]    # A(e1, e1, e1), times den**2
+    assert len(layers) == 5
+    assert not layers[:4].any() and layers[4, 1] != 0
+    rep = check_property(alg, "associative")
+    assert rep.witness.indices == (0, 0, 0)
+    assert rep.witness.defect == alg.basis_element(0).scaled(math.prod(properties._primes(3, 4)))
+    for law in PROPERTIES:
+        assert_matches_references(alg, law)
+
+
+def one_dimensional(unital):
+    c = Fraction(2**71 + 1, 3**45)
+    return AlgebraDef.from_products("line", 1, {(0, 0): (c * c if unital else ZERO, {0: c})},
+                                    unital=unital)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("law", PROPERTIES)
+def test_dimension_one_object_tables(unital, law):
+    alg = one_dimensional(unital)
+    assert alg.tensor.dtype == object and alg.tensor.shape == (2, 2, 2)
+    assert_matches_references(alg, law)
+
+
+C, D = Fraction(2**70 + 1, 3**44), Fraction(-(5**31), 2**71 + 7)
+
+
+def hand_built_object_tables():
+    """Tables over denominators above 2**70: small Gaussian ones whose
+    products are imaginary multiples, so every associator passes through
+    i * i = -1, the Gaussian split octonions, and the quaternions, on which
+    every law but the Jordan law holds."""
+    c, d = C, D
+    twisted = AlgebraDef.from_products("twisted", 2, {
+        (0, 0): (ZERO, {1: I * c}), (1, 0): (ZERO, {0: I * d})}, unital=False)
+    jordan = AlgebraDef.from_products("i-jordan", 2, {
+        (0, 0): (ZERO, {1: I * c}), (0, 1): (ZERO, {0: I * d}), (1, 0): (ZERO, {0: I * d})},
+        unital=False)
+    return [twisted, jordan, squares_to_next(I * c),
+            scaled(gaussian_split_octonions(), "tiny-gsplitO", lambda i, j: c, lambda i, j: c * c),
+            scaled(quaternions(), "tiny-quaternion", lambda i, j: d, lambda i, j: d * d)]
+
+
+# the polarized references take too long on the 7-dimensional table, so it
+# is checked on the five multilinear laws and `unital` only
+HAND_BUILT = [(alg, law) for alg in hand_built_object_tables() for law in PROPERTIES
+              if alg.dim <= 4 or law not in ("power_associative", "jordan")]
+
+
+@pytest.mark.parametrize("alg, law", HAND_BUILT,
+                         ids=[f"{alg.name}-{law}" for alg, law in HAND_BUILT])
+def test_hand_built_object_tables(alg, law):
+    assert alg.tensor.dtype == object
+    assert_matches_references(alg, law)
+
+
+def test_hand_built_tables_reach_every_kernel():
+    by_name = {alg.name: alg for alg in hand_built_object_tables()}
+    assert all(alg.tensor.shape[2] == 2 * (alg.dim + 1)
+               for name, alg in by_name.items() if name != "tiny-quaternion")
+    # (e1 e1) e1 - e1 (e1 e1) = (i C e2) e1 = i C i D e1
+    twisted = by_name["twisted"]
+    assert check_property(twisted, "associative").witness.defect == \
+        twisted.basis_element(0).scaled(-C * D)
+    for name, law, tag in [("i-jordan", "jordan", "Jordan law"),
+                           ("squares", "power_associative", "power associativity at degree 4")]:
+        assert check_property(by_name[name], law).witness.law.startswith(tag)
+    quaternion = by_name["tiny-quaternion"]
+    assert all(check_property(quaternion, law).holds for law in PROPERTIES if law != "jordan")
+
+
+@st.composite
+def object_tables(draw):
+    """Random tables of dim 1 to 5, real or Gaussian, unital or not, over a
+    common denominator between 2**63 and 2**140: numerators 3v + 1 over
+    3**k d keep the factor 3**k > 2**63, which puts the table on residues."""
+    dim, unital, gaussian = draw(st.integers(1, 5)), draw(st.booleans()), draw(st.booleans())
+    den = 3 ** draw(st.integers(40, 75)) * draw(st.integers(1, 2**20))
+    value = st.integers(-2**58, 2**58).map(lambda v: Fraction(3 * v + 1, den))
+    place = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                      st.integers(-1 if unital else 0, dim - 1), st.booleans() if gaussian
+                      else st.just(False))
+    products = {}
+    for (i, j, k, imaginary), v in draw(st.dictionaries(place, value, min_size=dim * dim,
+                                                        max_size=dim**3)).items():
+        unit, terms = products.setdefault((i, j), (ZERO, {}))
+        v = GaussianRational(0, v) if imaginary else GaussianRational(v)
+        if k < 0:
+            products[i, j] = (unit + v, terms)
+        else:
+            terms[k] = terms.get(k, ZERO) + v
+    return AlgebraDef.from_products("drawn", dim, products, unital)
+
+
+@settings(settings.get_profile("exact"), max_examples=15)
+@given(object_tables())
+def test_residue_kernels_match_the_references(alg):
+    assert alg.tensor.dtype == object
+    for law in PROPERTIES:
+        assert_matches_references(alg, law)

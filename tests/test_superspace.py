@@ -8,7 +8,7 @@ import pytest
 from nonassoc import report, superspace
 from nonassoc.corpus import MINKOWSKI
 from nonassoc.scalar import ZERO, GaussianRational, I, ONE
-from nonassoc.spinor import SigmaConvention
+from nonassoc.spinor import EPS_RAISE, SigmaConvention
 from nonassoc.superspace import (
     IDENTITY_KEY,
     PoincareReport,
@@ -123,12 +123,12 @@ def test_poincare_sign_dependence():
     assert not minus.lorentz_closure_holds
     gens = build_generators(momentum_sign=-1)
     for mu, nu, lam in itertools.product(range(4), repeat=3):
-        lhs = op_commutator(gens.M_upper[mu][nu], gens.P_upper(lam))
+        lhs = op_commutator(gens.M_upper[mu][nu], gens.P_upper[lam])
         rhs = SuperOp.zero()
         if nu == lam:
-            rhs = rhs + gens.P_upper(mu).scaled(I * MINKOWSKI[nu])
+            rhs = rhs + gens.P_upper[mu].scaled(I * MINKOWSKI[nu])
         if mu == lam:
-            rhs = rhs - gens.P_upper(nu).scaled(I * MINKOWSKI[mu])
+            rhs = rhs - gens.P_upper[nu].scaled(I * MINKOWSKI[mu])
         assert lhs == rhs.scaled(-1)
 
 
@@ -142,8 +142,8 @@ def test_translation_and_lorentz_generators_ignore_sigma_convention():
 def test_boost_translation_example():
     # [M^{01}, P^1] = i eta^{11} P^0 = -i P^0 in the closing convention
     gens = build_generators(momentum_sign=+1)
-    lhs = op_commutator(gens.M_upper[0][1], gens.P_upper(1))
-    assert lhs == gens.P_upper(0).scaled(-I)
+    lhs = op_commutator(gens.M_upper[0][1], gens.P_upper[1])
+    assert lhs == gens.P_upper[0].scaled(-I)
 
 
 def test_lorentz_closure_example():
@@ -295,7 +295,7 @@ def test_superop_rendering_of_a_complex_rational_coefficient():
 def reference_verify_poincare(gens):
     """verify_poincare as one commutator and one right side per index tuple."""
     i_eta = [I * e for e in MINKOWSKI]   # i eta^{mu mu}
-    P = [gens.P_upper(mu) for mu in range(4)]
+    P = gens.P_upper
     failures = []
 
     pp_ok = True
@@ -416,6 +416,35 @@ def test_verify_report_compose_count_is_pinned(monkeypatch):
     # verify_susy (64 each) and the Grassmann relations (32); one product
     # per commutator tuple made it 1648
     assert len(calls) == 3 * 48 + 2 * 90 + 2 * 64 + 32 == 484
+
+
+def test_verify_report_scaling_count_is_pinned(monkeypatch):
+    calls = []
+    raw = SuperOp.scaled
+
+    def counting(self, s):
+        calls.append(s)
+        return raw(self, s)
+
+    monkeypatch.setattr(SuperOp, "scaled", counting)
+    build_generators()
+    # 4 P_mu, 4 P^mu, 2 + 8 terms of Q, 2 + 8 of Qbar and 2 Qbar^adot
+    assert len(calls) == 30
+    calls.clear()
+    report.build_verify_report()
+    # three build_generators (30 each), two verify_poincare (20 each: i P^mu
+    # and i M^{mu nu}) and two verify_susy (18 each); raising an index on
+    # every use made it 300
+    assert len(calls) == 3 * 30 + 2 * 20 + 2 * 18 == 166
+
+
+def test_raised_generators_lower_back():
+    gens = build_generators()
+    for mu, sign in enumerate(MINKOWSKI):
+        assert gens.P_upper[mu] == gens.P_lower[mu].scaled(sign)
+    # Qbar^1 = eps^{12} Qbar_2 and Qbar^2 = eps^{21} Qbar_1
+    assert gens.Q_bar_upper[0] == gens.Q_bar_lower[1].scaled(EPS_RAISE[0][1])
+    assert gens.Q_bar_upper[1] == gens.Q_bar_lower[0].scaled(EPS_RAISE[1][0])
 
 
 def test_negation_and_zero_are_exact():

@@ -12,7 +12,7 @@ import click
 
 from .algfile import AlgebraParseError, parse_text, serialize
 from .corpus import split_octonions
-from .properties import check_property
+from .properties import PROPERTIES, check_property
 from .report import build_verify_report
 from .search import (
     CandidateAlgebra,
@@ -23,16 +23,7 @@ from .search import (
 )
 from .zorn import to_zorn
 
-PROPERTY_CHOICES = (
-    "associative",
-    "alternative",
-    "flexible",
-    "lie-admissible",
-    "power-associative",
-    "jordan",
-    "unital",
-    "derivation-property",
-)
+PROPERTY_CHOICES = tuple(p.replace("_", "-") for p in PROPERTIES)
 
 
 def _load_file(path: str):

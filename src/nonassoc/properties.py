@@ -91,6 +91,16 @@ degree-4 defect adds 48 terms (24 orders of two terms) and a Jordan
 defect 12, each a sum of K**2 products of three entries of T, which the
 bound on T above covers.
 
+Each scanned law is one entry of a single table, `_LAWS`: an ordered
+list of slab scans, each a kernel and the (tag, defect) pairs
+`_first_failure` reads from its slabs, run until one fails.  The five
+multilinear laws are one scan of the associator kernel, power
+associativity scans degree 3 and then, at a degree of 4 or more, degree
+4, and the Jordan law scans commutativity and then its linearized form.
+The table also names `unital`, which keeps its own solve, so its keys are
+the law names, `PROPERTIES`; `check_property` is the one body that runs a
+law's scans and builds its report.
+
 Every check is exact: a law either holds or a nonzero defect element is
 produced as a witness.  Witnesses are deterministic: the lexicographically
 first failing basis tuple, with the linearized defect F there.
@@ -107,18 +117,6 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element, _vector_element, multiply
 from .scalar import solve_gaussian_integers
-
-PROPERTIES = (
-    "associative",
-    "alternative",
-    "flexible",
-    "lie_admissible",
-    "power_associative",
-    "jordan",
-    "unital",
-    "derivation_property",
-)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -367,7 +365,7 @@ def _form_kernel(form, arity, bound):
     return kernel
 
 
-def _first_failure(alg, laws, kernel=_slab_kernel):
+def _first_failure(alg, laws, kernel):
     """The lexicographically first failing (i, j, ..., law), or None.
 
     `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
@@ -411,83 +409,51 @@ def _permuted(a, order):
     return a.transpose(_ORDERS[a.ndim][order])
 
 
-def _check_associative(alg, **_):
-    w = _first_failure(alg, [("associativity", lambda s: s(0))])
-    return PropertyReport(alg, "associative", w is None, w)
-
-
-def _check_flexible(alg, **_):
-    # A(i,j,k) + A(k,j,i)
-    w = _first_failure(alg, [("flexible law", lambda s: s(0) + _swap(s(2)))])
-    return PropertyReport(alg, "flexible", w is None, w)
-
-
-def _check_alternative(alg, **_):
-    # Linearizations of (x,x,y) = 0 and (y,x,x) = 0; equivalent in char 0:
-    # A(i,j,k) + A(j,i,k) and A(i,j,k) + A(i,k,j).
-    w = _first_failure(alg, [
-        ("left-alternative", lambda s: s(0) + s(1)),
-        ("right-alternative", lambda s: s(0) + _swap(s(0))),
-    ])
-    return PropertyReport(alg, "alternative", w is None, w)
-
-
-def _check_lie_admissible(alg, **_):
-    # The jacobiator of the commutator is the signed sum of A over the six
-    # orders of (i, j, k).
-    def jacobiator(s):
-        return s(0) - _swap(s(0)) - s(1) + _swap(s(1)) + s(2) - _swap(s(2))
-
-    w = _first_failure(alg, [("Jacobi identity for the commutator", jacobiator)])
-    return PropertyReport(alg, "lie_admissible", w is None, w)
-
-
-def _check_derivation_property(alg, **_):
-    # [z, xy] - x[z, y] - [z, x]y at (x, y, z) = (e_i, e_j, e_k) expands to
-    # -A(i,j,k) + A(i,k,j) - A(k,i,j).
-    w = _first_failure(alg, [
-        ("bracket Leibniz rule", lambda s: _swap(s(0)) - s(0) - _swap(s(1))),
-    ])
-    return PropertyReport(alg, "derivation_property", w is None, w)
-
-
 def _form_bound(k, m):
     """The bound on the four-argument forms: 48 terms of K**2 products of
     three entries."""
     return 48 * k**2 * m**3
 
 
-def _check_power_associative(alg, degree=4, **_):
-    if degree < 3:
-        raise ValueError("power associativity needs degree >= 3")
-    w = _first_failure(alg, [("power associativity at degree 3",
-                              lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))])
-    if w is None and degree >= 4:
-        fourth = _form_kernel(lambda mul, a, b, c, d: (
-            mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4, _form_bound)
-        w = _first_failure(alg, [("power associativity at degree 4", lambda s: sum(
-            _permuted(s(p), o) for p in range(4) for o in itertools.permutations(range(3))))],
-            fourth)
-    detail = ("x^2 x = x x^2 on basis triples" if degree == 3 else "x^2 x = x x^2 and "
-              "x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree")
-    return PropertyReport(alg, f"power_associative({degree})", w is None, w, detail)
+_QUARTIC = _form_kernel(lambda mul, a, b, c, d: (
+    mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4, _form_bound)
+# (x1 y)(x2 x3) - x1 (y (x2 x3)) at (x1, x2, x3, y): the axes of the product
+# are ordered from (x1, y, x2, x3)
+_JORDAN = _form_kernel(lambda mul, a, b, c, d: np.moveaxis(
+    mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), -4, -2), 4, _form_bound)
+_COMMUTATOR = _form_kernel(lambda mul, a, b: mul(a, b) - _swap(mul(b, a)), 2,
+                           lambda k, m: 2 * m)
+
+# law -> (slab scans, detail), as in the module docstring; unital has its own solve
+_LAWS = {
+    "associative": ([(_slab_kernel, [("associativity", lambda s: s(0))])], ""),
+    "alternative": ([(_slab_kernel, [
+        ("left-alternative", lambda s: s(0) + s(1)),
+        ("right-alternative", lambda s: s(0) + _swap(s(0))),
+    ])], ""),
+    "flexible": ([(_slab_kernel, [("flexible law", lambda s: s(0) + _swap(s(2)))])], ""),
+    "lie_admissible": ([(_slab_kernel, [("Jacobi identity for the commutator", lambda s: (
+        s(0) - _swap(s(0)) - s(1) + _swap(s(1)) + s(2) - _swap(s(2))))])], ""),
+    "power_associative": ([
+        (_slab_kernel, [("power associativity at degree 3",
+                         lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))]),
+        (_QUARTIC, [("power associativity at degree 4", lambda s: sum(
+            _permuted(s(p), o) for p in range(4) for o in itertools.permutations(range(3))))]),
+    ], "x^2 x = x x^2 and x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree"),
+    "jordan": ([
+        (_COMMUTATOR, [("commutativity", lambda s: s(0))]),
+        (_JORDAN, [("Jordan law (xy)(xx) = x(y(xx))", lambda s: sum(
+            _permuted(s(p), o) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))]),
+    ], "commutativity on basis pairs, then the linearized Jordan law on basis 4-tuples"),
+    "unital": None,
+    "derivation_property": ([(_slab_kernel, [
+        ("bracket Leibniz rule", lambda s: _swap(s(0)) - s(0) - _swap(s(1))),
+    ])], ""),
+}
+PROPERTIES = tuple(_LAWS)
 
 
-def _check_jordan(alg, **_):
-    # (x1 y)(x2 x3) - x1 (y (x2 x3)) at (x1, x2, x3, y), axes ordered from
-    # (x1, y, x2, x3), and summed over the six orders of x1, x2, x3.
-    linearized = _form_kernel(lambda mul, a, b, c, d: np.moveaxis(
-        mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), -4, -2), 4, _form_bound)
-    commutator = _form_kernel(lambda mul, a, b: mul(a, b) - _swap(mul(b, a)), 2,
-                              lambda k, m: 2 * m)
-    w = (_first_failure(alg, [("commutativity", lambda s: s(0))], commutator)
-         or _first_failure(alg, [("Jordan law (xy)(xx) = x(y(xx))", lambda s: sum(
-             _permuted(s(p), o) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))], linearized))
-    return PropertyReport(alg, "jordan", w is None, w, "commutativity on basis pairs, "
-                          "then the linearized Jordan law on basis 4-tuples")
-
-
-def _check_unital(alg, **_):
+def _check_unital(alg):
     if alg.unital:
         return PropertyReport(alg, "unital", True, None, detail="external unit")
     # Look for an internal two-sided identity by solving u*e_j = e_j = e_j*u,
@@ -518,30 +484,33 @@ def _check_unital(alg, **_):
     raise AssertionError("inconsistent identity system with no failing product")
 
 
-_CHECKS = {
-    "associative": _check_associative,
-    "alternative": _check_alternative,
-    "flexible": _check_flexible,
-    "lie_admissible": _check_lie_admissible,
-    "power_associative": _check_power_associative,
-    "jordan": _check_jordan,
-    "unital": _check_unital,
-    "derivation_property": _check_derivation_property,
-}
+def _decide(alg, prop, degree=4):
+    """The body of `check_property`, shared with `check_derivation_property`
+    so that neither calls the other's public name: a tracer that wraps both
+    sees one call per law decided."""
+    name = prop.replace("-", "_")
+    if name not in _LAWS:
+        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if name == "unital":
+        return _check_unital(alg)
+    scans, detail = _LAWS[name]
+    if name == "power_associative":
+        if degree < 3:
+            raise ValueError("power associativity needs degree >= 3")
+        if degree == 3:
+            scans, detail = scans[:1], "x^2 x = x x^2 on basis triples"
+        name = f"power_associative({degree})"
+    w = next(filter(None, (_first_failure(alg, laws, kernel) for kernel, laws in scans)), None)
+    return PropertyReport(alg, name, w is None, w, detail)
 
 
 def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4) -> PropertyReport:
     """Decide one named law for `alg`; see module docstring for method."""
-    key = prop.replace("-", "_")
-    if key.startswith("power_associative"):
-        key = "power_associative"
-    if key not in _CHECKS:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    return _CHECKS[key](alg, degree=degree)
+    return _decide(alg, prop, degree)
 
 
 def check_derivation_property(alg: AlgebraDef) -> PropertyReport:
-    return _check_derivation_property(alg)
+    return _decide(alg, "derivation_property")
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,14 @@ def build_verify_report() -> VerifyReport:
             "spatial components of the Eq. 1-90 inversion, standard convention",
         )
     )
+    lam = str(decomp.bracket_constant)
+    if not decomp.bracket_constant_uniform:
+        lam += " (not uniform over i)"
     entries.append(
         ReportEntry(
             "Eq. 3-30",
             RECORDED,
-            f"lambda = {decomp.bracket_constant}: -(1/4) eps [q_(j+3), q_(k+3)] = "
+            f"lambda = {lam}: -(1/4) eps [q_(j+3), q_(k+3)] = "
             "lambda q_i, while the i/2-scaled operator of Eq. 2-60 is (i/2) q_i; factor i/2",
         )
     )
@@ -235,22 +238,13 @@ def build_verify_report() -> VerifyReport:
         )
     )
 
-    entries.append(
-        ReportEntry(
-            "Eq. 1-10",
-            RECORDED,
-            "computed [P^mu, Q_a] = 0 for all mu, a; stated right side is "
-            "sigma^mu_(a ad) Qbar^ad",
-        )
-    )
-    entries.append(
-        ReportEntry(
-            "Eq. 1-20",
-            RECORDED,
-            "computed [P^mu, Qbar^ad] = 0 for all mu, ad; stated right side is "
-            "-sigma^(mu ad a) Q_a",
-        )
-    )
+    for eq_id, bracket, index, stated in (
+            ("Eq. 1-10", "[P^mu, Q_a]", "a", "sigma^mu_(a ad) Qbar^ad"),
+            ("Eq. 1-20", "[P^mu, Qbar^ad]", "ad", "-sigma^(mu ad a) Q_a")):
+        computed = (f"{bracket} = 0 for all mu, {index}" if susy_std.p_q_brackets_vanish
+                    else "[P^mu, Q_a] and [P^mu, Qbar^ad] do not all vanish")
+        entries.append(ReportEntry(eq_id, RECORDED,
+                                   f"computed {computed}; stated right side is {stated}"))
     m_q = dict(susy_std.m_q_samples)
     entries.append(
         ReportEntry(
@@ -292,7 +286,7 @@ def build_verify_report() -> VerifyReport:
         ReportEntry(
             "Const lambda",
             RECORDED,
-            f"lambda = {decomp.bracket_constant}; bracket decomposition lands on q_i, "
+            f"lambda = {lam}; bracket decomposition lands on q_i, "
             "not on the i/2-scaled operator",
         )
     )

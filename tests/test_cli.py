@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib.resources
 import os
 import pathlib
@@ -153,6 +155,41 @@ def test_verify_paper_lines_matches_golden(runner):
     assert result.output == GOLDEN.read_text()
     # FAIL entries exist (documented discrepancies), so the exit code is 1
     assert result.exit_code == 1
+
+
+def report_details():
+    from nonassoc.report import build_verify_report
+
+    return {e.eq_id: e.detail for e in build_verify_report().entries}
+
+
+def test_p_q_details_are_worded_from_the_computed_verdict(monkeypatch):
+    from nonassoc import superspace
+
+    verified = report_details()
+    real = superspace.verify_susy
+    monkeypatch.setattr(superspace, "verify_susy", lambda gens: dataclasses.replace(
+        real(gens), p_q_brackets_vanish=False))
+    details = report_details()
+    for eq_id in ("Eq. 1-10", "Eq. 1-20"):
+        assert "= 0" in verified[eq_id]
+        assert "= 0" not in details[eq_id]
+        assert "do not all vanish" in details[eq_id]
+    assert {k: v for k, v in details.items() if k not in ("Eq. 1-10", "Eq. 1-20")} == {
+        k: v for k, v in verified.items() if k not in ("Eq. 1-10", "Eq. 1-20")}
+
+
+def test_lambda_details_say_when_lambda_is_not_uniform(monkeypatch):
+    from nonassoc import report
+
+    verified = report_details()
+    real = report.verify_spin_decomposition
+    monkeypatch.setattr(report, "verify_spin_decomposition", lambda: dataclasses.replace(
+        real(), bracket_constant_uniform=False))
+    details = report_details()
+    for eq_id in ("Eq. 3-30", "Const lambda"):
+        assert "not uniform" not in verified[eq_id]
+        assert details[eq_id].startswith("lambda = 1 (not uniform over i)")
 
 
 def test_verify_paper_text_summary(runner):
@@ -323,3 +360,47 @@ def test_check_all_laws_prints_the_single_law_lines(runner, tmp_path):
     single = [runner.invoke(main, ["check", str(out), "--properties", law]) for law in laws]
     assert together.output.splitlines() == [r.output.rstrip("\n") for r in single]
     assert [r.exit_code for r in single] == [1] * len(laws)
+
+
+# (exit code, sha256 of stdout) of `check FILE --properties <all eight> --degree D`:
+# every verdict, witness and detail the law layer prints is part of its output
+ALL_LAWS = ("associative,alternative,flexible,lie-admissible,power-associative,jordan,"
+            "unital,derivation-property")
+CHECK_ALL_LAWS_SHA256 = {
+    ("splitO", 3): (1, "2568d15af92b232c0e9154c005a828d20681e17b734b5ceac875dd49a1b981c6"),
+    ("splitO", 4): (1, "39c8e64a300b6f607d50bcedae4990550f233b273d86f53bb31fbb845d807c56"),
+    ("quaternion", 3): (1, "ae0064f26fcba768bdb35320f64a0a1967e9b5b90d0a5f2ca919169cc2c944b0"),
+    ("quaternion", 4): (1, "bd942095240576c9eb06cf3ead52f1ddefdbf330dd43c2665c3858e8f4ff2813"),
+    ("su2", 3): (1, "6c0703c3a3240b320712988559eef1d2d62a6b1e68d631bc1b9d5715ef34e79f"),
+    ("su2", 4): (1, "df34c39be9d50591a41538671b845be09726a7a0b7b9e22c9193d8e06ac7fe1a"),
+    ("so31", 3): (1, "cd6d9dad6d6a61aef0fdc41cdc6cbf0d63e1b49732153650d725664919054518"),
+    ("so31", 4): (1, "5a86686534fab7c8e877b3c6a75fde2d289d6f3355b72f7af02196d98f3b2803"),
+    ("complex", 3): (0, "16c38192ffa3150ca649794dde1b6ccddac2b8ce97b42ec8c9c4b7987273697a"),
+    ("complex", 4): (0, "1440f92633caa11aec3f4a46d42e2f95bbd6b4baa2de238cee624f7d8c6b8263"),
+    ("zornO", 3): (1, "69b18dd84b8098cee85887e79b453f261d39ad85f74721a5489f7ad7a284331c"),
+    ("zornO", 4): (1, "09683572e9ebfa980652f4fa954671786bb98e2eae78e2587275ed198ad62e1c"),
+    ("candidate-1", 3): (1, "0cb37b42554864b7390c5ceb723e478b61ad2d33f57be846c1dadf1860b85b83"),
+    ("candidate-1", 4): (1, "7bd67f136a7763a293fdc338a5e7a8f61bec333d73d9e51ace284e42b9c9a2a3"),
+    ("candidate-2", 3): (1, "5c3e401328e2b540e95a836bb22465d36c8a3aca74ff8ee469fb355d207f510c"),
+    ("candidate-2", 4): (1, "f2cd22845c6ae3a5f1af79e0911cfe6350c9ec3a326c5bcb014e073677afd6ed"),
+    ("candidate-3", 3): (1, "0a1aae4a6e40c069c5617457e3ead5d3f6a6c9497e00a6948218d293b589a907"),
+    ("candidate-3", 4): (1, "e486a4916275c2b51850b538571647a88fcb47c8c34b1d8fce935faaa8ecf09d"),
+}
+
+
+@pytest.mark.parametrize("name, degree", sorted(CHECK_ALL_LAWS_SHA256))
+def test_check_all_laws_output_is_pinned(runner, tmp_path, name, degree):
+    from nonassoc.algfile import serialize
+    from nonassoc.search import CandidateAlgebra, candidate_to_algebra
+
+    if name.startswith("candidate-"):
+        cand = CandidateAlgebra.random(int(name.split("-")[1]))
+        path = tmp_path / f"{name}.alg"
+        path.write_text(serialize(candidate_to_algebra(cand), roles=cand.roles,
+                                  scalar_tag="float64"), encoding="utf-8")
+    else:
+        path = fixture_path(f"{name}.alg")
+    result = runner.invoke(main, ["check", str(path), "--properties", ALL_LAWS,
+                                  "--degree", str(degree)])
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == CHECK_ALL_LAWS_SHA256[name, degree]

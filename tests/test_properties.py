@@ -169,6 +169,27 @@ def test_myung_rejects_empty_corpus():
         myung_equivalence([])
 
 
+@pytest.mark.parametrize("name", ["bogus", "power_associative_nonsense", "power-associativeX"])
+def test_check_property_rejects_unknown_names(name):
+    with pytest.raises(ValueError, match="unknown property"):
+        check_property(split_octonions(), name)
+
+
+@pytest.mark.parametrize("law", [law for law in PROPERTIES if "_" in law])
+def test_check_property_takes_both_spellings(law):
+    alg = split_octonions()
+    hyphenated = outcome(check_property(alg, law.replace("_", "-"), degree=3))
+    assert hyphenated == outcome(check_property(alg, law, degree=3))
+
+
+def test_one_law_list_serves_the_library_and_the_cli():
+    from nonassoc.cli import PROPERTY_CHOICES
+
+    assert PROPERTIES == ("associative", "alternative", "flexible", "lie_admissible",
+                          "power_associative", "jordan", "unital", "derivation_property")
+    assert PROPERTY_CHOICES == tuple(law.replace("_", "-") for law in PROPERTIES)
+
+
 def test_split_octonion_lie_admissibility_defect_value():
     alg = split_octonions()
     q = alg.basis()

@@ -23,9 +23,6 @@ from .search import (
 )
 from .zorn import to_zorn
 
-PROPERTY_CHOICES = tuple(p.replace("_", "-") for p in PROPERTIES)
-
-
 def _load_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -61,7 +58,7 @@ def check(file, properties, degree):
         click.echo("error: no properties requested", err=True)
         sys.exit(2)
     for prop in requested:
-        if prop not in PROPERTY_CHOICES:
+        if prop.replace("-", "_") not in PROPERTIES:
             click.echo(f"error: unknown property {prop!r}", err=True)
             sys.exit(2)
     any_failed = False

@@ -24,6 +24,25 @@ appears only where coefficients go in or come out.  The normal-ordered
 product of two monomials depends only on their keys, so `_key_product`
 computes it once per key pair and caches it.
 
+The ledger (`verify_poincare`, `verify_susy`) does not compose.  Each
+operator it brackets is first order with affine coefficients, an affine
+supervector field on R^{4|4}; these form the Lie superalgebra gl(4|4)
+semidirect R^{4|4} (V. G. Kac, Adv. Math. 26, 1977; superspace operators
+as in J. Wess and J. Bagger, *Supersymmetry and Supergravity*, 1992,
+ch. 4).  `_read` writes one as a 9x9 Gaussian-integer matrix A over a
+denominator: rows 1, x0..x3, th1, th2, tb1, tb2, columns d_0..d_7 (the
+derivatives along those coordinates) and then the zeroth-order part.
+With D = A[:, :8] and R = A[1:, :] the graded bracket is
+
+    [A1, A2] = D1 @ R2 - s * D2 @ R1,    s = (-1)^{|A1||A2|},
+
+as the second-order parts of A1 A2 and s A2 A1 cancel.  Stacks are int64
+when 64 * M**2 fits, M the largest numerator part or denominator: a
+bracket entry sums 32 products of two parts, and the right sides the
+ledger subtracts add at most 4 * M**2.  Otherwise they hold Python ints
+(dtype object), the rule of `AlgebraDef.tensor`.  `_write` turns a matrix
+back into a SuperOp.
+
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
 momentum_sign = -1 by default; the sign is a flag because the bracket
 relations under verification pull in opposite directions (the Lorentz
@@ -38,6 +57,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .corpus import MINKOWSKI
 from .scalar import GaussianRational, I, ONE, ZERO, common_scale, gaussian_integers
@@ -60,20 +81,12 @@ def _key_to_seq(key: Key) -> tuple:
     seq = []
     for mu in range(4):
         seq.extend(((X, mu),) * xexp[mu])
-    for a in range(2):
-        if th >> a & 1:
-            seq.append((TH, a))
-    for a in range(2):
-        if tb >> a & 1:
-            seq.append((TB, a))
+    for cls, mask in ((TH, th), (TB, tb)):
+        seq.extend((cls, a) for a in range(2) if mask >> a & 1)
     for mu in range(4):
         seq.extend(((DX, mu),) * dxexp[mu])
-    for a in range(2):
-        if dth >> a & 1:
-            seq.append((DTH, a))
-    for a in range(2):
-        if dtb >> a & 1:
-            seq.append((DTB, a))
+    for cls, mask in ((DTH, dth), (DTB, dtb)):
+        seq.extend((cls, a) for a in range(2) if mask >> a & 1)
     return tuple(seq)
 
 
@@ -106,16 +119,10 @@ def _normal_order(seq: tuple) -> tuple:
                 coeff = 0
                 break
             if g1 > g2:
-                both_odd = g1[0] in _ODD and g2[0] in _ODD
-                swapped = s[:pos] + [g2, g1] + s[pos + 2:]
+                sign = -1 if g1[0] in _ODD and g2[0] in _ODD else 1
+                work.append((sign * coeff, s[:pos] + [g2, g1] + s[pos + 2:]))
                 if (g1[0], g2[0]) in _CONTRACTIONS and g1[1] == g2[1]:
-                    contracted = s[:pos] + s[pos + 2:]
-                    sign = -1 if both_odd else 1
-                    work.append((coeff * sign, swapped))
-                    work.append((coeff, contracted))
-                else:
-                    sign = -1 if both_odd else 1
-                    work.append((coeff * sign, swapped))
+                    work.append((coeff, s[:pos] + s[pos + 2:]))     # contracted
                 rewritten = True
                 break
             pos += 1
@@ -356,14 +363,6 @@ def _op(den: int, num: dict) -> SuperOp:
     return op
 
 
-def _signed_sum(terms) -> SuperOp:
-    """The sum of s * op over (int s, op) pairs."""
-    out = SuperOp.zero()
-    for s, op in terms:
-        out = out._combine(op, s)
-    return out
-
-
 def compose(A: SuperOp, B: SuperOp) -> SuperOp:
     """Operator product, re-normal-ordered."""
     acc: dict[Key, tuple[int, int]] = {}
@@ -468,6 +467,65 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
 
 
 # --------------------------------------------------------------------------
+# Affine matrices
+# --------------------------------------------------------------------------
+
+# The coordinates z^0..z^7 of R^{4|4}; the derivative along (cls, idx) is (cls + 3, idx).
+_COORDS = ((X, 0), (X, 1), (X, 2), (X, 3), (TH, 0), (TH, 1), (TB, 0), (TB, 1))
+# _KEYS[r][c]: the monomial (row r)(column c) of an affine matrix
+_KEYS = tuple(tuple(_seq_to_key(row + col)
+                    for col in [((cls + 3, idx),) for cls, idx in _COORDS] + [()])
+              for row in [()] + [(z,) for z in _COORDS])
+# _AFFINE[p]: the (row, column) of each monomial of parity p that an affine matrix holds
+_AFFINE = tuple({key: (r, c) for r, row in enumerate(_KEYS) for c, key in enumerate(row)
+                 if _key_parity(key) == p} for p in (0, 1))
+
+
+def _read(ops, parity: int) -> tuple[int, np.ndarray]:
+    """(den, A): `ops` as affine matrices over their least common denominator,
+    shape (2, len(ops), 9, 9), real then imaginary parts, int64 or object as
+    the module docstring states.  An operator that is not first order with
+    affine coefficients, or not of parity `parity`, raises ValueError; zero
+    has either parity."""
+    den = math.lcm(*(op._den for op in ops))
+    cells = []
+    for n, op in enumerate(ops):
+        f = den // op._den
+        for key, (re, im) in op._num.items():
+            if key not in _AFFINE[parity]:
+                raise ValueError(f"not an {('even', 'odd')[parity]} first-order operator "
+                                 f"with affine coefficients: {op}")
+            cells.append(((n, *_AFFINE[parity][key]), re * f, im * f))
+    big = max([den] + [abs(v) for _, re, im in cells for v in (re, im)])
+    fits = 64 * big**2 <= np.iinfo(np.int64).max
+    A = np.zeros((2, len(ops), 9, 9), dtype=np.int64 if fits else object)
+    for at, re, im in cells:
+        A[(0, *at)], A[(1, *at)] = re, im
+    return den, A
+
+
+def _gauss(f, X, Y):
+    """The bilinear map f on Gaussian-integer stacks, (re, im) on axis 0."""
+    return np.stack((f(X[0], Y[0]) - f(X[1], Y[1]), f(X[0], Y[1]) + f(X[1], Y[0])))
+
+
+def _bracket(A, B, s: int):
+    """All brackets [A_i, B_j] = A_i B_j - s B_j A_i of two stacks, shape
+    (2, len(A), len(B), 9, 9), for s = (-1)^{|A_i||B_j|}; a stack bracketed
+    with itself takes one product."""
+    AB = _gauss(np.matmul, A[:, :, None, :, :8], B[:, None, :, 1:, :])
+    BA = AB if B is A else _gauss(np.matmul, B[:, :, None, :, :8], A[:, None, :, 1:, :])
+    return AB - BA.swapaxes(1, 2) if s == 1 else AB + BA.swapaxes(1, 2)
+
+
+def _write(A, den: int) -> SuperOp:
+    """The operator of one affine matrix A, shape (2, 9, 9), over den."""
+    re, im = A.tolist()
+    return _op(den, {key: (re[r][c], im[r][c]) for r, row in enumerate(_KEYS)
+                     for c, key in enumerate(row)})
+
+
+# --------------------------------------------------------------------------
 # Verifications
 # --------------------------------------------------------------------------
 
@@ -485,90 +543,42 @@ class PoincareReport:
                 and self.lorentz_closure_holds)
 
 
+def _times_i(A):
+    return np.stack((-A[1], A[0]))
+
+
+def _failures(diff, label) -> list[str]:
+    """The labels of the index tuples where lhs - rhs is nonzero, in tuple order."""
+    return [label(*t) for t in np.argwhere(diff.any(axis=(0, -2, -1))).tolist()]
+
+
 def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     """Decide Eq. 1-10a to 1-30a on all 336 index tuples of `gens`.
 
-    Every tuple keeps its own exact verdict lhs == rhs, with the failures
-    listed in tuple order, but the left sides are read off at most 45
-    distinct commutators: 6 [P,P], 24 [M,P] and 15 [M,M] for built
-    generators.  Each `M^{mu nu}` is first written as sign * canonical
-    generator, and only where that equality is checked exactly here:
-    `M^{nu mu} = -M^{mu nu}` makes `M^{nu mu}` the negative of `M^{mu nu}`
-    (mu < nu), and `M^{mu mu} = 0` makes it zero.  A pair that fails its
-    check stays a generator of its own.  Then [A, A] = 0, [A, B] = -[B, A]
-    and bilinearity are identities of the exact operator product, so each
-    tuple's commutator is exactly +-1 or 0 times one memo entry, which is
-    computed the first time a tuple needs it.  The right sides are signed
-    sums of the i P^mu and i M^{mu nu} computed once.
+    P^mu and M^{mu nu} are read as one stack of affine matrices over one
+    denominator d, and each family of brackets is one `_bracket`: [P, P] on
+    16 tuples, [M, P] on 64 and [M, M] on 256, each over d**2.  The right
+    sides, i eta P^mu and i eta M^{mu nu} times d, are subtracted term by
+    term from the slots whose Kronecker delta they carry.  Every tuple keeps
+    its own exact verdict, and failures are listed in tuple order.
     """
-    M = gens.M_upper
-    P = gens.P_upper
-    eta = MINKOWSKI
-    iP = [p.scaled(I) for p in P]
-    iM = [[m.scaled(I) for m in row] for row in M]
-
-    # canon[mu][nu] = (sign, key) with M^{mu nu} = sign * ops[key]
-    canon = [[(1, (1, mu, nu)) for nu in range(4)] for mu in range(4)]
-    for mu in range(4):
-        if M[mu][mu].is_zero():
-            canon[mu][mu] = (0, None)
-        for nu in range(mu + 1, 4):
-            if M[nu][mu] == -M[mu][nu]:
-                canon[nu][mu] = (-1, (1, mu, nu))
-    ops = {(0, lam): P[lam] for lam in range(4)}
-    ops.update(((1, mu, nu), M[mu][nu]) for mu in range(4) for nu in range(4))
-    memo: dict[tuple, SuperOp] = {}
-
-    def holds(a, b, rhs_terms) -> bool:
-        """[A, B] == sum(c * op for c, op in rhs_terms), for canonical A and B."""
-        (sa, ka), (sb, kb) = a, b
-        sign = sa * sb
-        if not sign or ka == kb:
-            return _signed_sum(rhs_terms).is_zero()
-        if ka > kb:
-            ka, kb, sign = kb, ka, -sign
-        lhs = memo.get((ka, kb))
-        if lhs is None:
-            lhs = memo[ka, kb] = op_commutator(ops[ka], ops[kb])
-        # sign * lhs == rhs  <=>  lhs == sign * rhs, as sign is +-1
-        return lhs == _signed_sum([(sign * c, op) for c, op in rhs_terms])
-
-    failures = []
-    P_canon = [(1, (0, lam)) for lam in range(4)]
-
-    pp_ok = True
-    for mu, nu in itertools.product(range(4), repeat=2):
-        if not holds(P_canon[mu], P_canon[nu], ()):
-            pp_ok = False
-            failures.append(f"[P^{mu},P^{nu}] != 0")
-
-    mp_ok = True
-    for mu, nu, lam in itertools.product(range(4), repeat=3):
-        rhs = []
-        if nu == lam:
-            rhs.append((eta[nu], iP[mu]))
-        if mu == lam:
-            rhs.append((-eta[mu], iP[nu]))
-        if not holds(canon[mu][nu], P_canon[lam], rhs):
-            mp_ok = False
-            failures.append(f"[M^{{{mu}{nu}}},P^{lam}]")
-
-    mm_ok = True
-    for mu, nu, rho, sig in itertools.product(range(4), repeat=4):
-        rhs = []
-        if nu == rho:
-            rhs.append((eta[nu], iM[mu][sig]))
-        if mu == sig:
-            rhs.append((eta[mu], iM[nu][rho]))
-        if mu == rho:
-            rhs.append((-eta[mu], iM[nu][sig]))
-        if nu == sig:
-            rhs.append((-eta[nu], iM[mu][rho]))
-        if not holds(canon[mu][nu], canon[rho][sig], rhs):
-            mm_ok = False
-            failures.append(f"[M^{{{mu}{nu}}},M^{{{rho}{sig}}}]")
-
-    return PoincareReport(gens.momentum_sign, pp_ok, mp_ok, mm_ok, tuple(failures))
+    d, A = _read(gens.P_upper + sum(gens.M_upper, ()), 0)
+    P, M = A[:, :4], A[:, 4:]
+    iP, iM = _times_i(P) * d, (_times_i(M) * d).reshape(2, 4, 4, 9, 9)
+    pp = _bracket(P, P, 1)
+    mp = _bracket(M, P, 1).reshape(2, 4, 4, 4, 9, 9)            # (mu, nu, lam)
+    mm = _bracket(M, M, 1).reshape(2, 4, 4, 4, 4, 9, 9)         # (mu, nu, rho, sig)
+    for k, eta in enumerate(MINKOWSKI):
+        mp[:, :, k, k] -= eta * iP          # i eta^{nu lam} P^mu
+        mp[:, k, :, k] += eta * iP          # -i eta^{mu lam} P^nu
+        mm[:, :, k, k] -= eta * iM          # i eta^{nu rho} M^{mu sig}
+        mm[:, k, :, :, k] -= eta * iM       # i eta^{mu sig} M^{nu rho}
+        mm[:, k, :, k] += eta * iM          # -i eta^{mu rho} M^{nu sig}
+        mm[:, :, k, :, k] += eta * iM       # -i eta^{nu sig} M^{mu rho}
+    pp = _failures(pp, "[P^{},P^{}] != 0".format)
+    mp = _failures(mp, "[M^{{{}{}}},P^{}]".format)
+    mm = _failures(mm, "[M^{{{}{}}},M^{{{}{}}}]".format)
+    return PoincareReport(gens.momentum_sign, not pp, not mp, not mm, tuple(pp + mp + mm))
 
 
 @dataclass(frozen=True)
@@ -585,75 +595,63 @@ class SusyReport:
     m_q_samples: tuple[tuple[str, str], ...]  # rendered [M, Q] / [M, Qbar] brackets
 
 
-def _scale(pairs) -> GaussianRational | None:
-    """The c with lhs = c*rhs for every (lhs, rhs) pair of operators, or None:
-    `common_scale` of the numerators, each over the other side's denominator."""
-    u, v = [], []
-    for lhs, rhs in pairs:
-        for key in {**lhs._num, **rhs._num}:
-            (a, b), (c, d) = lhs._num.get(key, _ZERO_PAIR), rhs._num.get(key, _ZERO_PAIR)
-            u.append((a * rhs._den, b * rhs._den))
-            v.append((c * lhs._den, d * lhs._den))
-    return common_scale(u, v)
+def _sigma_integers(sigma) -> tuple[int, np.ndarray]:
+    """(den, S): sigma[mu][a][b] over its least common denominator as
+    Python ints, shape (2, 4, 2, 2), real parts then imaginary parts."""
+    den, pairs = gaussian_integers([sigma[mu][a][b] for mu in range(4)
+                                    for a in range(2) for b in range(2)])
+    return den, np.array(pairs, dtype=object).T.reshape(2, 4, 2, 2)
+
+
+def _pairs(A, d: int) -> list[tuple[int, int]]:
+    """The entries of a stack times d, as (re, im) pairs of Python ints."""
+    return [(re * d, im * d) for re, im in zip(A[0].ravel().tolist(), A[1].ravel().tolist())]
+
+
+def _scale(lhs, lhs_den: int, rhs, rhs_den: int) -> GaussianRational | None:
+    """The c with lhs / lhs_den = c * rhs / rhs_den for two stacks of one
+    shape, or None; entries that are zero on both sides admit every c."""
+    at = lhs.any(axis=0) | rhs.any(axis=0)
+    return common_scale(_pairs(lhs[:, at], rhs_den), _pairs(rhs[:, at], lhs_den))
 
 
 def verify_susy(gens: GeneratorSet) -> SusyReport:
-    sigma = sigma_upper(gens.convention)
-    sigma_raised = sigma_lower_raised(gens.convention)
+    """Decide Eq. 1-50, 1-60, 1-90 and 3-10 and the [P, Q] brackets of `gens`.
 
-    qq = all(
-        op_anticommutator(gens.Q[a], gens.Q[b]).is_zero()
-        for a in range(2) for b in range(2)
-    )
-    qbqb = all(
-        op_anticommutator(gens.Q_bar_lower[a], gens.Q_bar_lower[b]).is_zero()
-        for a in range(2) for b in range(2)
-    )
+    The even generators P_mu, P^mu, M^{01} and M^{12} are read as one stack
+    over e and the supercharges Q_a, Qbar_ad and Qbar^ad as one over o; the
+    sigma tables enter as Gaussian integers over their own denominators.
+    """
+    e, even = _read(gens.P_lower + gens.P_upper + (gens.M_upper[0][1], gens.M_upper[1][2]), 0)
+    o, odd = _read(gens.Q + gens.Q_bar_lower + gens.Q_bar_upper, 1)
+    P, P_up, M = even[:, :4], even[:, 4:8], even[:, 8:]
+    Q, Qb, Qb_up = odd[:, :2], odd[:, 2:4], odd[:, 4:]
 
-    # {Q_a, Qbar_ad}, computed once for the c1, c2 and spatial-inversion checks
-    brackets = {(a, ad): op_anticommutator(gens.Q[a], gens.Q_bar_lower[ad])
-                for a, ad in itertools.product(range(2), repeat=2)}
+    qq = not _bracket(Q, Q, -1).any()
+    qbqb = not _bracket(Qb, Qb, -1).any()
+    pq = not (_bracket(P_up, Q, 1).any() or _bracket(P_up, Qb_up, 1).any())
 
+    # {Q_a, Qbar_ad} over o**2, computed once for the c1, c2 and spatial-inversion checks
+    brackets = _bracket(Q, Qb, -1)
     # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd).
-    sides = []
-    for (a, bd), lhs in brackets.items():
-        terms = [P.scaled(sigma[mu][a][bd])
-                 for mu, P in enumerate(gens.P_lower) if sigma[mu][a][bd]]
-        sides.append((lhs, sum(terms, SuperOp.zero())))
-    c1 = _scale(sides)
-
-    # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}
-    traces = []
-    for mu in range(4):
-        lhs = SuperOp.zero()
-        for (a, ad), bracket in brackets.items():
-            coeff = sigma_raised[mu][a][ad]
-            if not coeff.is_zero():
-                lhs = lhs + bracket.scaled(coeff)
-        traces.append(lhs)
-
+    s, S = _sigma_integers(sigma_upper(gens.convention))
+    c1 = _scale(brackets, o * o, _gauss(functools.partial(np.einsum, "mab,mxy->abxy"), S, P), s * e)
+    # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}, over r * o**2
+    r, R = _sigma_integers(sigma_lower_raised(gens.convention))
+    traces = _gauss(functools.partial(np.einsum, "mab,abxy->mxy"), R, brackets)
     # c2 from sigma_mu^{a ad} {Q_a, Qbar_ad} = c2 * P_mu, uniform over mu.
-    c2 = _scale(zip(traces, gens.P_lower))
+    c2 = _scale(traces, r * o * o, P, e)
 
     quarter = GaussianRational(Fraction(1, 4))
     inversion = c2 is not None and (quarter * c2) == ONE
-    spatial_ok = all(traces[mu].scaled(quarter) == gens.P_lower[mu] for mu in (1, 2, 3))
+    spatial_ok = _pairs(traces[:, 1:], e) == _pairs(P[:, 1:], 4 * r * o * o)
 
-    pq = all(
-        op_commutator(gens.P_upper[mu], gens.Q[a]).is_zero()
-        and op_commutator(gens.P_upper[mu], gens.Q_bar_upper[a]).is_zero()
-        for mu in range(4) for a in range(2)
-    )
-
+    # [M^{01}, M^{12}] x [Q_1, Qbar_1], over e * o
+    mq = _bracket(M, odd[:, [0, 2]], 1)
     samples = []
-    for (mu, nu) in ((0, 1), (1, 2)):
-        samples.append(
-            (f"[M^{{{mu}{nu}}}, Q_1]", str(op_commutator(gens.M_upper[mu][nu], gens.Q[0])))
-        )
-        samples.append(
-            (f"[M^{{{mu}{nu}}}, Qbar_1]",
-             str(op_commutator(gens.M_upper[mu][nu], gens.Q_bar_lower[0])))
-        )
+    for k, (mu, nu) in enumerate(((0, 1), (1, 2))):
+        samples.append((f"[M^{{{mu}{nu}}}, Q_1]", str(_write(mq[:, k, 0], e * o))))
+        samples.append((f"[M^{{{mu}{nu}}}, Qbar_1]", str(_write(mq[:, k, 1], e * o))))
 
     return SusyReport(
         convention=gens.convention,

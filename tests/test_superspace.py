@@ -1,20 +1,26 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nonassoc import report, superspace
 from nonassoc.corpus import MINKOWSKI
 from nonassoc.scalar import ZERO, GaussianRational, I, ONE
-from nonassoc.spinor import EPS_RAISE, SigmaConvention
+from nonassoc.spinor import EPS_RAISE, SigmaConvention, sigma_upper
 from nonassoc.superspace import (
     IDENTITY_KEY,
     PoincareReport,
     SuperOp,
+    SusyReport,
+    _bracket,
     _key_to_seq,
     _normal_order,
+    _read,
+    _write,
     build_generators,
     compose,
     graded_bracket,
@@ -353,7 +359,7 @@ def with_m(gens, mu, nu, op):
 
 
 def perturbed_sets():
-    """Hand-built sets whose M breaks antisymmetry in one entry."""
+    """Hand-built sets whose M breaks antisymmetry."""
     plus = build_generators(momentum_sign=+1)
     minus = build_generators(momentum_sign=-1)
     M = plus.M_upper
@@ -363,6 +369,9 @@ def perturbed_sets():
         "M11-nonzero": with_m(plus, 1, 1, SuperOp.x(3)),
         "M12-scaled": with_m(minus, 1, 2, minus.M_upper[1][2].scaled(2)),
         "M03-is-M30": with_m(plus, 0, 3, M[3][0]),
+        "M12-M21-unlike-denominators": with_m(with_m(plus, 1, 2, M[1][2].scaled(Fraction(1, 2))),
+                                              2, 1, M[2][1].scaled(Fraction(1, 3))),
+        "M12-over-2**70": with_m(minus, 1, 2, minus.M_upper[1][2].scaled(Fraction(1, 2**70))),
     }
 
 
@@ -384,7 +393,7 @@ def test_susy_report_matches_the_triple_sum_reference(conv, sign, monkeypatch):
     fast = verify_susy(gens)
     monkeypatch.setattr(superspace, "sigma_lower_raised", reference_sigma_lower_raised)
     assert verify_susy(gens) == fast
-    # reading the Poincare memo first leaves the report as it was
+    # running verify_poincare on the same set first leaves the report as it was
     verify_poincare(gens)
     assert verify_susy(gens) == fast
 
@@ -401,21 +410,23 @@ def count_compose(monkeypatch):
     return calls
 
 
-def test_verify_poincare_composes_each_distinct_bracket_once(monkeypatch):
-    gens = build_generators(momentum_sign=+1)
+def test_the_ledger_makes_no_compose_call(monkeypatch):
+    sets = [build_generators(conv, momentum_sign=sign)
+            for conv in SigmaConvention for sign in (1, -1)]
     calls = count_compose(monkeypatch)
-    verify_poincare(gens)
-    # 6 [P,P] + 24 [M,P] + 15 [M,M] commutators, two products each
-    assert len(calls) == 2 * 45
+    for gens in sets:
+        verify_poincare(gens)
+        verify_susy(gens)
+    assert calls == []
 
 
 def test_verify_report_compose_count_is_pinned(monkeypatch):
     calls = count_compose(monkeypatch)
     report.build_verify_report()
-    # three build_generators (48 each), two verify_poincare (90 each), two
-    # verify_susy (64 each) and the Grassmann relations (32); one product
-    # per commutator tuple made it 1648
-    assert len(calls) == 3 * 48 + 2 * 90 + 2 * 64 + 32 == 484
+    # three build_generators (48 each) and the Grassmann relations of Eq.
+    # 4-30 (32); the ledger brackets affine matrices, and with one product
+    # per distinct commutator it made 484
+    assert len(calls) == 3 * 48 + 32 == 176
 
 
 def test_verify_report_scaling_count_is_pinned(monkeypatch):
@@ -432,10 +443,24 @@ def test_verify_report_scaling_count_is_pinned(monkeypatch):
     assert len(calls) == 30
     calls.clear()
     report.build_verify_report()
-    # three build_generators (30 each), two verify_poincare (20 each: i P^mu
-    # and i M^{mu nu}) and two verify_susy (18 each); raising an index on
-    # every use made it 300
-    assert len(calls) == 3 * 30 + 2 * 20 + 2 * 18 == 166
+    # three build_generators (30 each); the ledger scales affine matrices,
+    # and scaling the right-side operators made it 166
+    assert len(calls) == 3 * 30 == 90
+
+
+def test_verify_report_reader_count_is_pinned(monkeypatch):
+    calls = []
+    raw = superspace._read
+
+    def counting(ops, parity):
+        calls.append(len(ops))
+        return raw(ops, parity)
+
+    monkeypatch.setattr(superspace, "_read", counting)
+    report.build_verify_report()
+    # two verify_poincare read P^mu and the 16 M^{mu nu} in one stack; two
+    # verify_susy read P_mu, P^mu, M^{01}, M^{12} and then the 6 supercharges
+    assert calls == [20, 20, 10, 6, 10, 6]
 
 
 def test_raised_generators_lower_back():
@@ -454,3 +479,161 @@ def test_negation_and_zero_are_exact():
     assert -(-A) == A
     assert (A + -A) == SuperOp.zero() == SuperOp()
     assert -SuperOp.zero() == SuperOp.zero()
+
+
+# -- the affine-matrix kernel against the normal-ordering engine ---------------
+
+def distinct_operators():
+    """The 30 generators of all four (convention, sign) sets, then x0, x3,
+    x0 + M^{21}, th1 and tb2, each once."""
+    ops = []
+    for conv in SigmaConvention:
+        for sign in (1, -1):
+            gens = build_generators(conv, momentum_sign=sign)
+            ops += [*gens.P_lower, *gens.P_upper, *sum(gens.M_upper, ()), *gens.Q,
+                    *gens.Q_bar_lower, *gens.Q_bar_upper]
+    M21 = build_generators(momentum_sign=+1).M_upper[2][1]
+    ops += [SuperOp.x(0), SuperOp.x(3), SuperOp.x(0) + M21, SuperOp.theta(1),
+            SuperOp.theta_bar(2)]
+    out = []
+    for op in ops:
+        if op not in out:
+            out.append(op)
+    return out
+
+
+def test_matrix_bracket_equals_graded_bracket_on_every_pair():
+    ops = distinct_operators()
+    # 8 P, 13 M (zero included) and 10 supercharges; Qbar^2 = Qbar_1
+    assert len(ops) == 8 + 13 + 10 + 5
+    by_parity = [[op for op in ops if (op.parity() or 0) == p] for p in (0, 1)]
+    read = [_read(group, p) for p, group in enumerate(by_parity)]
+    for (p, (d1, A)), (q, (d2, B)) in itertools.product(enumerate(read), repeat=2):
+        brackets = _bracket(A, B, (-1) ** (p * q))
+        for (i, X), (j, Y) in itertools.product(enumerate(by_parity[p]),
+                                                enumerate(by_parity[q])):
+            assert _write(brackets[:, i, j], d1 * d2) == graded_bracket(X, Y)
+
+
+def test_reading_and_writing_back_is_the_identity():
+    ops = distinct_operators() + [SuperOp.x(0).scaled(Fraction(1, 2)),
+                                  SuperOp.dx(1).scaled(Fraction(1, 3))]
+    for op in ops:
+        den, A = _read([op], op.parity() or 0)
+        assert A.dtype == np.int64
+        assert _write(A[:, 0], den) == op
+    # a stack is over the lcm of its operators' denominators (1, 2, 3 and 4 here)
+    for p in (0, 1):
+        group = [op for op in ops if (op.parity() or 0) == p]
+        den, A = _read(group, p)
+        assert [_write(A[:, n], den) for n in range(len(group))] == group
+
+
+def test_reader_rejects_operators_outside_the_affine_class():
+    second_order = compose(SuperOp.dx(0), SuperOp.dx(1))
+    quadratic = compose(SuperOp.x(0), SuperOp.x(1))
+    for op in (second_order, quadratic, SuperOp.one() + SuperOp.theta(1)):
+        with pytest.raises(ValueError, match="first-order operator with affine"):
+            _read([op], 0)
+    with pytest.raises(ValueError, match="not an odd"):
+        _read([SuperOp.x(0)], 1)
+    plus = build_generators(momentum_sign=+1)
+    with pytest.raises(ValueError):
+        verify_poincare(with_m(plus, 0, 1, second_order))
+    with pytest.raises(ValueError):
+        verify_poincare(with_m(plus, 0, 1, SuperOp.theta(1)))
+
+
+def test_matrix_dtype_switches_where_the_bound_does():
+    # 64 * M**2 must fit in int64, M the largest numerator part or denominator
+    big = math.isqrt(np.iinfo(np.int64).max // 64)
+    assert _read([SuperOp.x(0).scaled(big)], 0)[1].dtype == np.int64
+    assert _read([SuperOp.x(0).scaled(big + 1)], 0)[1].dtype == object
+    assert _read([SuperOp.x(0).scaled(Fraction(1, big + 1))], 0)[1].dtype == object
+    # the sets over 2**70 below are decided on Python ints
+    gens = perturbed_sets()["M12-over-2**70"]
+    assert _read(gens.P_upper + sum(gens.M_upper, ()), 0)[1].dtype == object
+    assert _read(susy_sets()["Q-over-2**70"].Q, 1)[1].dtype == object
+
+
+
+def reference_scale(pairs):
+    """The c with lhs = c * rhs for every (lhs, rhs) pair of operators, or
+    None, read coefficient by coefficient in GaussianRational."""
+    u, v = [], []
+    for lhs, rhs in pairs:
+        keys = {key for key, _ in lhs.terms() + rhs.terms()}
+        u += [lhs.coefficient(key) for key in keys]
+        v += [rhs.coefficient(key) for key in keys]
+    p = next((j for j, b in enumerate(v) if not b.is_zero()), None)
+    if p is None:
+        return ZERO if all(a.is_zero() for a in u) else None
+    c = u[p] / v[p]
+    return c if all(a == c * b for a, b in zip(u, v)) else None
+
+
+def reference_verify_susy(gens):
+    """verify_susy on the normal-ordering engine: each bracket composed and
+    each right side a sum of scaled operators."""
+    sigma, raised = sigma_upper(gens.convention), reference_sigma_lower_raised(gens.convention)
+    Q, Qbar = gens.Q, gens.Q_bar_lower
+    brackets = {(a, ad): op_anticommutator(Q[a], Qbar[ad])
+                for a, ad in itertools.product(range(2), repeat=2)}
+    c1 = reference_scale(
+        (lhs, sum((P.scaled(sigma[mu][a][ad]) for mu, P in enumerate(gens.P_lower)),
+                  SuperOp.zero()))
+        for (a, ad), lhs in brackets.items())
+    traces = [sum((b.scaled(raised[mu][a][ad]) for (a, ad), b in brackets.items()),
+                  SuperOp.zero()) for mu in range(4)]
+    c2 = reference_scale(zip(traces, gens.P_lower))
+    quarter = GaussianRational(Fraction(1, 4))
+    return SusyReport(
+        convention=gens.convention,
+        momentum_sign=gens.momentum_sign,
+        qq_vanish=all(op_anticommutator(x, y).is_zero() for x in Q for y in Q),
+        qbar_qbar_vanish=all(op_anticommutator(x, y).is_zero() for x in Qbar for y in Qbar),
+        c1=c1,
+        c2=c2,
+        inversion_quarter_holds=c2 is not None and quarter * c2 == ONE,
+        spatial_inversion_quarter_holds=all(traces[mu].scaled(quarter) == gens.P_lower[mu]
+                                            for mu in (1, 2, 3)),
+        p_q_brackets_vanish=all(op_commutator(P, X).is_zero()
+                                for P in gens.P_upper for X in Q + gens.Q_bar_upper),
+        m_q_samples=tuple((f"[M^{{{mu}{nu}}}, {name}_1]",
+                           str(op_commutator(gens.M_upper[mu][nu], X)))
+                          for mu, nu in ((0, 1), (1, 2))
+                          for name, X in (("Q", Q[0]), ("Qbar", Qbar[0]))),
+    )
+
+
+def susy_sets():
+    """The four built sets and hand-built ones that break the relations."""
+    sets = {f"{conv.name}{sign:+d}": build_generators(conv, momentum_sign=sign)
+            for conv in SigmaConvention for sign in (1, -1)}
+    std, quarter = sets["STANDARD-1"], sets["QUARTER-1"]
+    times4 = {field: tuple(q.scaled(4) for q in getattr(quarter, field))
+              for field in ("Q", "Q_bar_lower", "Q_bar_upper")}
+    sets.update({
+        "Q2-zero": dataclasses.replace(std, Q=(std.Q[0], SuperOp.zero())),
+        "quarter-charges-times-4": dataclasses.replace(quarter, **times4),
+        "Q-over-2**70": dataclasses.replace(std, Q=tuple(q.scaled(Fraction(1, 2**70))
+                                                          for q in std.Q)),
+        "P1-negated": dataclasses.replace(std, P_lower=(std.P_lower[0], -std.P_lower[1],
+                                                        *std.P_lower[2:])),
+        "M01-shifted": with_m(std, 0, 1, std.M_upper[0][1] + SuperOp.x(0)),
+        "Qbar-upper-is-lower": dataclasses.replace(std, Q_bar_upper=std.Q_bar_lower),
+    })
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(susy_sets()))
+def test_susy_report_matches_the_engine_reference(name):
+    gens = susy_sets()[name]
+    assert verify_susy(gens) == reference_verify_susy(gens)
+
+
+def test_susy_reference_sets_reach_both_verdicts():
+    reports = {name: reference_verify_susy(gens) for name, gens in susy_sets().items()}
+    assert reports["quarter-charges-times-4"].spatial_inversion_quarter_holds
+    assert reports["Q2-zero"].c1 is None and reports["P1-negated"].c2 is None
+    assert not reports["P1-negated"].spatial_inversion_quarter_holds

@@ -6,6 +6,7 @@ Exit codes across subcommands: 0 = everything requested holds,
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import click
@@ -34,6 +35,18 @@ def _load_file(path: str):
         return parse_text(text)
     except AlgebraParseError as exc:
         click.echo(f"error: {path}: {exc}", err=True)
+        sys.exit(2)
+
+
+def _open_output(path: str | None):
+    """`path` opened for writing, or a context that yields None when no
+    path is given; exit 2 when it cannot be opened."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc}", err=True)
         sys.exit(2)
 
 
@@ -157,22 +170,22 @@ def search(restarts, iters, seed, tol, step, out_path, trace_path, freeze, init_
     else:
         init = CandidateAlgebra.zero()
 
-    result = run_search(cfg, init=init, freeze=set(freeze))
-    click.echo("# residual convention: real structure constants; the factor i of the")
-    click.echo("# Lorentz closure right-hand side is absorbed into the M-sector constants")
-    click.echo(f"restarts={restarts} iters={iters} seed={seed} "
-               f"init={'file' if init_file else init_kind}")
-    click.echo(f"best {result.best_residual}")
-    click.echo(f"converged={'yes' if result.converged else 'no'} (tolerance {tol:g})")
+    # both outputs are opened before the search, so a bad path costs no search
+    with _open_output(out_path) as out_file, _open_output(trace_path) as trace_file:
+        result = run_search(cfg, init=init, freeze=set(freeze))
+        click.echo("# residual convention: real structure constants; the factor i of the")
+        click.echo("# Lorentz closure right-hand side is absorbed into the M-sector constants")
+        click.echo(f"restarts={restarts} iters={iters} seed={seed} "
+                   f"init={'file' if init_file else init_kind}")
+        click.echo(f"best {result.best_residual}")
+        click.echo(f"converged={'yes' if result.converged else 'no'} (tolerance {tol:g})")
 
-    if out_path:
-        alg = candidate_to_algebra(result.best)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize(alg, roles=result.best.roles, scalar_tag="float64"))
-    if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        if out_file:
+            alg = candidate_to_algebra(result.best)
+            out_file.write(serialize(alg, roles=result.best.roles, scalar_tag="float64"))
+        if trace_file:
             for tr in result.traces:
-                fh.write(",".join(f"{v!r}" for v in tr) + "\n")
+                trace_file.write(",".join(f"{v!r}" for v in tr) + "\n")
     sys.exit(0)
 
 

@@ -83,13 +83,18 @@ then; and in a commutative algebra (xy)(xx) - x(y(xx)) does not change at
 x + t 1 and vanishes at y = 1.  So a PASS is a proof, and any degree of 4
 or more decides power associativity completely.
 
-These forms and commutativity are computed slab by slab over the first
-index as well, as the slices with e_i in each argument position, summed
-over the orders of the remaining indices.  A defect is a slab entry
-divided by the denominator to the number of products in each term.  A
-degree-4 defect adds 48 terms (24 orders of two terms) and a Jordan
-defect 12, each a sum of K**2 products of three entries of T, which the
-bound on T above covers.
+Commutativity is scanned slab by slab, as T[i, j] - T[j, i].  The two
+four-argument forms are symmetric in the arguments they sum over, so F at
+a tuple equals F at the tuple with those indices sorted, which is no later
+in lex order: the first failing tuple is sorted.  Their kernel, `_fold`,
+evaluates the unsymmetrized form once on every basis 4-tuple, in blocks
+of one first argument, and adds each block onto one array over the
+sorted tuples; F there is the entry times the number of orders that fix
+the tuple.  Memory is one block, O(dim^3), plus that array.  Its slabs
+are read off that array, zero at the unsorted tuples, and a defect is F
+divided by the denominator cubed.  A degree-4 defect adds 48 terms (24
+orders of two terms) and a Jordan defect 12, each a sum of K**2 products
+of three entries of T, which the bound on T above covers.
 
 Each scanned law is one entry of a single table, `_LAWS`: an ordered
 list of slab scans, each a kernel and the (tag, defect) pairs
@@ -109,7 +114,6 @@ first failing basis tuple, with the linearized defect F there.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -331,38 +335,96 @@ def _associator_slices(alg):
     return slices
 
 
-def _form_kernel(form, arity, bound):
-    """Kernel of a multilinear `form`(mul, *args) of `arity` arguments whose
-    integer results are at most bound(K, M): slices(i, pos) is the form on
-    basis tuples with e_i in argument pos, as an array over the other
-    arguments of tensor vectors times `_den` to the power arity - 1, with
-    the leading axis of `_layers` if it has one, memoised for the last
-    slab like `_slab_kernel`.  mul(u, v) multiplies two such arrays
-    pairwise, the indices of u first."""
-    def kernel(alg):
-        t = _layers(alg, bound)
-        n, width = alg.dim, t.shape[-1]
-        if width > n + 1:    # all components, imaginary ones too: t[m, p] = u_m u_p
-            for axis in (-3, -2):
-                t = np.concatenate([t, _turn(t, n + 1)], axis=axis)
-        stack = t.shape[:-3]
-        table = t.reshape(stack + (width, width * width))
-        basis = np.eye(width, dtype=t.dtype)[1:n + 1] * np.ones(stack + (1, 1), dtype=t.dtype)
-        rows, blocks, cols = stack + (-1, width), stack + (-1, width, width), stack + (1, -1, width)
-        lead = len(stack)
+def _commutator_slices(alg):
+    """slices(i, pos) for tensor index i >= 1: e_i e_j - e_j e_i over basis
+    elements j, times `_den`, in the layers of `_layers`; pos is 0."""
+    t = _layers(alg, lambda k, m: 2 * m)
+    return lambda i, pos: _mod(t[..., i, 1:, :] - t[..., 1:, i, :])
 
-        def mul(u, v):
-            by_u = _mod((u.reshape(rows) @ table).reshape(blocks))
-            return _mod(v.reshape(cols) @ by_u).reshape(u.shape[:-1] + v.shape[lead:])
 
-        def slices(i, pos):
-            args = [basis] * arity
-            args[pos] = basis[..., i - 1:i, :]
-            return form(mul, *args).reshape(stack + (n,) * (arity - 1) + (width,))
+@functools.lru_cache(maxsize=None)
+def _fold_map(n, sym):
+    """(keys, fixing, runs) for `_fold` on basis 4-tuples summed over the
+    orders of their first `sym` indices.  keys[r] is the flat index of the
+    r-th tuple in lex order with those indices sorted, and fixing[r] the
+    number of orders that fix it.  runs[a] is (order, starts, ranks): the
+    tuples (a, b, c, d), in C order over (b, c, d) and taken in `order`,
+    fall in runs of one key, which begin at `starts` and have `ranks`."""
+    t = np.indices((n,) * 4).reshape(4, -1)
+    for end in range(sym - 1, 0, -1):    # a bubble-sort network on the summed indices
+        for j in range(end):
+            low = np.minimum(t[j], t[j + 1])
+            np.maximum(t[j], t[j + 1], out=t[j + 1])
+            t[j] = low
+    flat = n ** np.arange(3, -1, -1) @ t    # the flat index of each tuple's key
+    keys = np.flatnonzero(flat == np.arange(n**4))
+    t = np.unravel_index(keys, (n,) * 4)
+    fixing = repeats = np.ones(len(keys), dtype=np.int64)
+    for p in range(1, sym):    # the product of the factorials of the multiplicities
+        repeats = repeats * (t[p] == t[p - 1]) + 1
+        fixing = fixing * repeats
+    rank = np.zeros(n**4, dtype=np.intp)
+    rank[keys] = np.arange(len(keys))
+    rank = rank[flat].reshape(n, n**3)
+    order = np.argsort(rank, axis=1, kind="stable")
+    rank = np.take_along_axis(rank, order, axis=1)
+    first = np.diff(rank, axis=1, prepend=-1) != 0
+    runs = [(o, np.flatnonzero(f), r[f]) for o, f, r in zip(order, first, rank)]
+    return keys, fixing, runs
 
-        return _LastSlab(slices)
 
-    return kernel
+def _fold(alg, form, sym):
+    """Kernel of a multilinear form(mul, a, b, c, d) summed over the orders
+    of its first `sym` arguments: slices(i, pos), pos 0, is that sum at
+    (e_i, e_j, e_k, e_l) times `_den**3` where the summed indices are
+    sorted, and zero elsewhere, as an array over (j, k, l).  form is
+    evaluated on (e_a, basis, basis, basis) for one basis element a at a
+    time, and mul(u, v) multiplies two arrays of tensor vectors pairwise,
+    the indices of u first.  A key adds at most 24 values in (-p, p) in a
+    residue layer before it is multiplied by `fixing`."""
+    t = _layers(alg, lambda k, m: 48 * k**2 * m**3)    # 48 terms of K**2 products of three entries
+    n, width = alg.dim, t.shape[-1]
+    if width > n + 1:    # all components, imaginary ones too: t[m, p] = u_m u_p
+        for axis in (-3, -2):
+            t = np.concatenate([t, _turn(t, n + 1)], axis=axis)
+    stack = t.shape[:-3]
+    table = t.reshape(stack + (width, width * width))
+    basis = np.eye(width, dtype=t.dtype)[1:n + 1] * np.ones(stack + (1, 1), dtype=t.dtype)
+    rows, blocks, cols = stack + (-1, width), stack + (-1, width, width), stack + (1, -1, width)
+    lead = len(stack)
+
+    def mul(u, v):
+        by_u = _mod((u.reshape(rows) @ table).reshape(blocks))
+        return _mod(v.reshape(cols) @ by_u).reshape(u.shape[:-1] + v.shape[lead:])
+
+    keys, fixing, runs = _fold_map(n, sym)
+    folded = np.zeros(stack + (len(keys), width), dtype=t.dtype)
+    for a, (order, starts, ranks) in enumerate(runs):
+        block = form(mul, basis[..., a:a + 1, :], basis, basis, basis).reshape(
+            stack + (n**3, width))
+        folded[..., ranks, :] += np.add.reduceat(block[..., order, :], starts, axis=-2)
+    folded *= fixing[:, None]
+    slab_starts = np.searchsorted(keys, np.arange(n + 1) * n**3)
+
+    def slices(i, pos):
+        ranks = slice(slab_starts[i - 1], slab_starts[i])
+        slab = np.zeros(stack + (n**3, width), dtype=t.dtype)
+        slab[..., keys[ranks] - (i - 1) * n**3, :] = folded[..., ranks, :]
+        return slab.reshape(stack + (n, n, n, width))
+
+    return slices
+
+
+def _quartic(mul, a, b, c, d):
+    """(ab)(cd) - ((ab)c)d: x^2 x^2 - (x^2 x) x before linearization."""
+    ab = mul(a, b)
+    return mul(ab, mul(c, d)) - mul(mul(ab, c), d)
+
+
+def _jordan(mul, x1, x2, x3, y):
+    """(x1 y)(x2 x3) - x1 (y (x2 x3)), with axes moved from (x1, y, x2, x3)."""
+    xx = mul(x2, x3)
+    return np.moveaxis(mul(mul(x1, y), xx) - mul(x1, mul(y, xx)), -4, -2)
 
 
 def _first_failure(alg, laws, kernel):
@@ -399,31 +461,6 @@ def _swap(a):
     return a.swapaxes(-3, -2)
 
 
-# _ORDERS[ndim][order]: the axes of a[..., j, k, l, :] with j, k, l in `order`
-_ORDERS = {ndim: {order: (*range(ndim - 4), *(ndim - 4 + axis for axis in order), ndim - 1)
-                  for order in itertools.permutations(range(3))} for ndim in (4, 5)}
-
-
-def _permuted(a, order):
-    """a[j, k, l] with its three indices taken in `order`."""
-    return a.transpose(_ORDERS[a.ndim][order])
-
-
-def _form_bound(k, m):
-    """The bound on the four-argument forms: 48 terms of K**2 products of
-    three entries."""
-    return 48 * k**2 * m**3
-
-
-_QUARTIC = _form_kernel(lambda mul, a, b, c, d: (
-    mul(mul(a, b), mul(c, d)) - mul(mul(mul(a, b), c), d)), 4, _form_bound)
-# (x1 y)(x2 x3) - x1 (y (x2 x3)) at (x1, x2, x3, y): the axes of the product
-# are ordered from (x1, y, x2, x3)
-_JORDAN = _form_kernel(lambda mul, a, b, c, d: np.moveaxis(
-    mul(mul(a, d), mul(b, c)) - mul(a, mul(d, mul(b, c))), -4, -2), 4, _form_bound)
-_COMMUTATOR = _form_kernel(lambda mul, a, b: mul(a, b) - _swap(mul(b, a)), 2,
-                           lambda k, m: 2 * m)
-
 # law -> (slab scans, detail), as in the module docstring; unital has its own solve
 _LAWS = {
     "associative": ([(_slab_kernel, [("associativity", lambda s: s(0))])], ""),
@@ -437,13 +474,13 @@ _LAWS = {
     "power_associative": ([
         (_slab_kernel, [("power associativity at degree 3",
                          lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))]),
-        (_QUARTIC, [("power associativity at degree 4", lambda s: sum(
-            _permuted(s(p), o) for p in range(4) for o in itertools.permutations(range(3))))]),
+        (functools.partial(_fold, form=_quartic, sym=4),
+         [("power associativity at degree 4", lambda s: s(0))]),
     ], "x^2 x = x x^2 and x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree"),
     "jordan": ([
-        (_COMMUTATOR, [("commutativity", lambda s: s(0))]),
-        (_JORDAN, [("Jordan law (xy)(xx) = x(y(xx))", lambda s: sum(
-            _permuted(s(p), o) for p in range(3) for o in [(0, 1, 2), (1, 0, 2)]))]),
+        (_commutator_slices, [("commutativity", lambda s: s(0))]),
+        (functools.partial(_fold, form=_jordan, sym=3),
+         [("Jordan law (xy)(xx) = x(y(xx))", lambda s: s(0))]),
     ], "commutativity on basis pairs, then the linearized Jordan law on basis 4-tuples"),
     "unital": None,
     "derivation_property": ([(_slab_kernel, [

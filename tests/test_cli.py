@@ -9,6 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from nonassoc import cli
 from nonassoc.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
@@ -328,6 +329,19 @@ def test_search_rejects_negative_seed(runner, init):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: invalid value for '--seed'" in result.stderr.lower()
+
+
+@pytest.mark.parametrize("option", ["--out", "--trace-out"])
+def test_search_unwritable_output_is_an_input_error(runner, tmp_path, monkeypatch, option):
+    """An output path that cannot be opened exits 2 before the search runs."""
+    searched = []
+    monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
+    path = tmp_path / "missing" / "x.out"
+    result = runner.invoke(main, ["search", "--iters", "5", option, str(path)])
+    assert (result.exit_code, searched) == (2, [])
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: cannot write {path}: " in result.stderr
+    assert "Traceback" not in result.output
 
 
 def test_check_degree_below_three_is_an_input_error(runner):

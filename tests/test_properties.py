@@ -2,6 +2,7 @@ import functools
 import importlib.resources
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -485,6 +486,103 @@ def test_witness_is_the_polarized_defect(alg, law):
     indices, tag, defect = expected
     assert (report.witness.indices, report.witness.law) == (indices, tag)
     assert report.witness.defect == defect
+
+
+def rebased(alg, name, rows):
+    """`alg` in the basis f_a = sum_b rows[a][b] e_b, for an integer matrix
+    `rows` of determinant +-1, whose inverse is an integer matrix too."""
+    inverse = sympy.Matrix(rows).inv()
+    basis = alg.basis()
+    f = [sum((basis[b].scaled(c) for b, c in enumerate(row) if c), alg.zero()) for row in rows]
+    products = {}
+    for a, b in itertools.product(range(alg.dim), repeat=2):
+        p = multiply(f[a], f[b])
+        products[(a, b)] = (p.unit, {k: sum((p.coeffs[m] * int(inverse[m, k])
+                                             for m in range(alg.dim)), ZERO)
+                                     for k in range(alg.dim)})
+    return AlgebraDef.from_products(name, alg.dim, products, alg.unital)
+
+
+def two_squares_chains(c):
+    """Two copies of `squares_to_next` whose tops cancel: e1 e1 = c e2,
+    e2 e2 = c e5, e3 e3 = c e4, e4 e4 = -c e5, in the basis e1 + e3, e2,
+    e3, e4, e5.  With x_k the coefficient of e_k, x^2 x^2 - (x^2 x) x is
+    c^3 (x1^4 - x3^4) e5, which vanishes at the first basis element, so the
+    first failing degree-4 tuple is off the diagonal.  (One chain alone
+    gives c^3 x1^4 e3, whose first failing tuple is diagonal in every
+    basis.)"""
+    chains = AlgebraDef.from_products("chains", 5, {
+        (0, 0): (ZERO, {1: c}), (1, 1): (ZERO, {4: c}),
+        (2, 2): (ZERO, {3: c}), (3, 3): (ZERO, {4: -c})}, unital=False)
+    rows = np.eye(5, dtype=int)
+    rows[0, 2] = 1
+    return rebased(chains, "two-chains", rows.tolist())
+
+
+def product_chain(c):
+    """Commutative: e1 e2 = c e5, e3 e4 = c e6, e5 e6 = c e7.  x^2 x^2 -
+    (x^2 x) x is 8 c^3 x1 x2 x3 x4 e7, so the first failing degree-4 tuple
+    has four distinct indices."""
+    products = {}
+    for i, j, k in [(0, 1, 4), (2, 3, 5), (4, 5, 6)]:
+        products[(i, j)] = products[(j, i)] = (ZERO, {k: c})
+    return AlgebraDef.from_products("product-chain", 7, products, unital=False)
+
+
+@pytest.mark.parametrize("c, dtype", [(1, np.int64), (Fraction(1, 2**70), object)])
+@pytest.mark.parametrize("make, first", [(two_squares_chains, (0, 0, 0, 2)),
+                                         (product_chain, (0, 1, 2, 3))])
+@pytest.mark.parametrize("law", ["power_associative", "jordan"])
+def test_off_diagonal_witness_is_the_polarized_defect(make, first, law, c, dtype):
+    alg = make(c)
+    assert alg.tensor.dtype == dtype
+    assert check_property(alg, "power_associative", degree=3).holds
+    report = check_property(alg, law, degree=4)
+    expected = linearized_failure(alg, law)
+    assert not report.holds and expected[0] == first
+    w = report.witness
+    assert (w.indices, w.law, w.defect) == expected
+    # the symmetric slots are sorted; the Jordan y is not one of the x slots
+    assert first[3] not in first[:3]
+
+
+def test_degree_four_evaluates_the_quartic_once_per_basis_block(monkeypatch):
+    """A degree-4 PASS evaluates the quartic once on each basis 4-tuple: one
+    block of dim**3 tuples per basis element, not one per argument position."""
+    scans, detail = properties._LAWS["power_associative"]
+    fold, laws = scans[-1]
+    blocks = []
+
+    def counting(mul, *args):
+        blocks.append(math.prod(a.shape[-2] for a in args))
+        return fold.keywords["form"](mul, *args)
+
+    monkeypatch.setitem(properties._LAWS, "power_associative",
+                        ([*scans[:-1], (functools.partial(fold, form=counting), laws)], detail))
+    alg = parse_fixture("splitO.alg")
+    assert check_property(alg, "power_associative", degree=4).holds
+    assert blocks == [alg.dim**3] * alg.dim
+
+
+def cyclic_group_algebra(n):
+    """The group algebra of Z/n: e_a e_b = e_(a+b mod n), associative and
+    commutative, with its unit e_1 internal."""
+    return AlgebraDef.from_products("Z/n", n, {
+        (a, b): (ZERO, {(a + b) % n: 1}) for a in range(n) for b in range(n)}, unital=False)
+
+
+def test_degree_four_holds_one_block_at_a_time():
+    alg = cyclic_group_algebra(16)
+    assert alg.tensor.dtype == np.int64
+    quartic_bytes = alg.dim**4 * alg.tensor.shape[2] * 8    # the form on every 4-tuple
+    tracemalloc.start()
+    try:
+        report = check_property(alg, "power_associative", degree=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < quartic_bytes / 2
 
 
 def test_candidate_fails_at_degree_three():

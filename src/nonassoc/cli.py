@@ -7,6 +7,7 @@ Exit codes across subcommands: 0 = everything requested holds,
 from __future__ import annotations
 
 import contextlib
+import os
 import sys
 
 import click
@@ -38,16 +39,25 @@ def _load_file(path: str):
         sys.exit(2)
 
 
-def _open_output(path: str | None):
-    """`path` opened for writing, or a context that yields None when no
-    path is given; exit 2 when it cannot be opened."""
-    if not path:
-        return contextlib.nullcontext()
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(2)
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """One file opened for writing per path, None where no path is given.
+    No file is emptied until all are open; when one cannot be opened, exit
+    2 with every path left as it was."""
+    existed = [bool(p) and os.path.exists(p) for p in paths]
+    with contextlib.ExitStack() as stack:
+        try:
+            files = [p and stack.enter_context(open(p, "a", encoding="utf-8")) for p in paths]
+        except OSError as exc:
+            stack.close()
+            for p, old in zip(paths, existed):
+                if p and not old and os.path.exists(p):
+                    os.remove(p)
+            click.echo(f"error: cannot write {exc.filename}: {exc}", err=True)
+            sys.exit(2)
+        for fh in filter(None, files):
+            fh.truncate(0)
+        yield files
 
 
 @click.group()
@@ -171,7 +181,7 @@ def search(restarts, iters, seed, tol, step, out_path, trace_path, freeze, init_
         init = CandidateAlgebra.zero()
 
     # both outputs are opened before the search, so a bad path costs no search
-    with _open_output(out_path) as out_file, _open_output(trace_path) as trace_file:
+    with _open_outputs(out_path, trace_path) as (out_file, trace_file):
         result = run_search(cfg, init=init, freeze=set(freeze))
         click.echo("# residual convention: real structure constants; the factor i of the")
         click.echo("# Lorentz closure right-hand side is absorbed into the M-sector constants")

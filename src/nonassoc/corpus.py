@@ -12,6 +12,8 @@ import functools
 import itertools
 import random
 
+import numpy as np
+
 from .algebra import AlgebraDef
 from .scalar import ZERO
 
@@ -29,13 +31,21 @@ SPLIT_OCTONION_TABLE = (
 SPLIT_OCTONION_NAMES = tuple(f"q{i}" for i in range(1, 8))
 
 
+def _levi_civita(n: int) -> np.ndarray:
+    """The Levi-Civita symbol on n indices: each permutation's inversion parity."""
+    eps = np.zeros((n,) * n, dtype=np.int64)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    return eps
+
+
+EPS3 = _levi_civita(3)
+EPS4 = _levi_civita(4)
+
+
 def epsilon3(i: int, j: int, k: int) -> int:
-    """Levi-Civita symbol on {1,2,3} (or any three consecutive labels)."""
-    if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        return 1
-    if (i, j, k) in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
-        return -1
-    return 0
+    """The Levi-Civita symbol on the labels 1, 2, 3, and 0 off them."""
+    return int(EPS3[i - 1, j - 1, k - 1]) if {i, j, k} <= {1, 2, 3} else 0
 
 
 def _parse_cell(cell: str):

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import superspace as ss
-from .corpus import split_octonions, standard_corpus
+from .corpus import EPS3, split_octonions, standard_corpus
 from .properties import _slab_kernel, myung_equivalence
-from .scalar import GaussianRational
+from .scalar import GaussianRational, gauss
 from .spinor import EPS_LOWER, EPS_RAISE, ID2, SigmaConvention
 from .zorn import (
-    EPS3,
     Q7,
     QUAT,
     SPLIT,
@@ -108,7 +107,7 @@ def _table_identity_entries() -> list[ReportEntry]:
 
 
 def _epsilon_entry() -> ReportEntry:
-    ok = EPS_RAISE * EPS_LOWER == ID2
+    ok = np.array_equal(gauss(np.matmul, EPS_RAISE, EPS_LOWER), ID2)
     # the dotted/undotted matrices are shared objects, so the equalities
     # between them hold by construction; the contraction is the real check
     detail = "eps^{ab} eps_{bc} = delta, dotted = undotted; note i*sigma^2 = -(printed eps^{ab})"

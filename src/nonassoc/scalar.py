@@ -1,9 +1,11 @@
-"""Exact scalars: Gaussian rationals a + b*i with Fraction components."""
+"""Exact scalars: Gaussian rationals with Fraction parts, and Gaussian-integer arrays."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 class GaussianRational:
@@ -125,6 +127,16 @@ def gaussian_integers(values: list[GaussianRational]) -> tuple[int, list[tuple[i
     den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
     return den, [(v.re.numerator * (den // v.re.denominator),
                   v.im.numerator * (den // v.im.denominator)) for v in values]
+
+
+def gauss(f, X, Y):
+    """The bilinear map f on Gaussian-integer arrays, (re, im) on axis 0."""
+    return np.stack((f(X[0], Y[0]) - f(X[1], Y[1]), f(X[0], Y[1]) + f(X[1], Y[0])))
+
+
+def times_i(A):
+    """i times a Gaussian-integer array, (re, im) on axis 0."""
+    return np.stack((-A[1], A[0]))
 
 
 def common_scale(u, v) -> GaussianRational | None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LORENTZ_SLOTS, MINKOWSKI, lorentz_bracket_coeffs
+from .corpus import EPS4, LORENTZ_SLOTS, MINKOWSKI, lorentz_bracket_coeffs
 
 # Role slots: 4 R, 4 Rtilde, 6 Lorentz, one spare; optional unit appended.
 ROLE_R = tuple(f"R{mu}" for mu in range(4))
@@ -51,24 +51,6 @@ def default_roles(with_unit: bool = False) -> dict[str, int]:
     if with_unit:
         roles[ROLE_UNIT] = len(labels)
     return roles
-
-
-def _eps4() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    import itertools
-
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-EPS4 = _eps4()
 
 
 @dataclass

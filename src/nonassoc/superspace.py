@@ -24,8 +24,8 @@ appears only where coefficients go in or come out.  The normal-ordered
 product of two monomials depends only on their keys, so `_key_product`
 computes it once per key pair and caches it.
 
-The ledger (`verify_poincare`, `verify_susy`) does not compose.  Each
-operator it brackets is first order with affine coefficients, an affine
+The generators and the ledger (`verify_poincare`, `verify_susy`) do not
+compose.  Each generator is first order with affine coefficients, an affine
 supervector field on R^{4|4}; these form the Lie superalgebra gl(4|4)
 semidirect R^{4|4} (V. G. Kac, Adv. Math. 26, 1977; superspace operators
 as in J. Wess and J. Bagger, *Supersymmetry and Supergravity*, 1992,
@@ -40,8 +40,9 @@ as the second-order parts of A1 A2 and s A2 A1 cancel.  Stacks are int64
 when 64 * M**2 fits, M the largest numerator part or denominator: a
 bracket entry sums 32 products of two parts, and the right sides the
 ledger subtracts add at most 4 * M**2.  Otherwise they hold Python ints
-(dtype object), the rule of `AlgebraDef.tensor`.  `_write` turns a matrix
-back into a SuperOp.
+(dtype object), the rule of `AlgebraDef.tensor`.  `build_generators`
+fills such matrices from sigma's (den, S), the layout of `spinor`, and
+`_write` turns each back into a SuperOp.
 
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
 momentum_sign = -1 by default; the sign is a flag because the bracket
@@ -61,7 +62,8 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import MINKOWSKI
-from .scalar import GaussianRational, I, ONE, ZERO, common_scale, gaussian_integers
+from .scalar import (GaussianRational, I, ONE, ZERO, common_scale, gauss, gaussian_integers,
+                     times_i)
 from .spinor import EPS_RAISE, SigmaConvention, sigma_lower_raised, sigma_upper
 
 # Generator classes in canonical order: coordinates first, then derivatives.
@@ -423,47 +425,32 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
     P_mu = momentum_sign * i * d_mu.  M^{mu nu} = x^mu P^nu - x^nu P^mu.
     Q_a = -i d/dth^a - sigma^mu_{a bdot} tb^bdot d_mu and
     Qbar_adot = i d/dtb^adot + th^b sigma^mu_{b adot} d_mu, with sigma in
-    the requested normalization.  The raised P^mu = eta^{mu mu} P_mu and
-    Qbar^adot = eps^{adot bdot} Qbar_bdot are built here, once per set.
+    the requested normalization, and the raised P^mu = eta^{mu mu} P_mu and
+    Qbar^adot = eps^{adot bdot} Qbar_bdot.  Each is filled into an even or an
+    odd stack of affine matrices (see `_read`) and written once with `_write`.
     """
     if momentum_sign not in (1, -1):
         raise ValueError("momentum_sign must be +1 or -1")
-    sgn = GaussianRational.of(momentum_sign)
-    P_lower = tuple(SuperOp.dx(mu).scaled(sgn * I) for mu in range(4))
-    P_upper = tuple(P_lower[mu].scaled(MINKOWSKI[mu]) for mu in range(4))
-
-    M = []
+    even = np.zeros((2, 24, 9, 9), dtype=np.int64)          # P_mu, P^mu, M^{mu nu}
+    even[1, range(4), 0, range(4)] = momentum_sign          # sgn i d_mu
+    even[:, 4:8] = even[:, :4] * np.array(MINKOWSKI)[:, None, None]
+    xP = np.zeros((2, 4, 4, 9, 9), dtype=np.int64)          # x^mu P^nu
     for mu in range(4):
-        row = []
-        for nu in range(4):
-            row.append(compose(SuperOp.x(mu), P_upper[nu]) - compose(SuperOp.x(nu), P_upper[mu]))
-        M.append(tuple(row))
+        xP[:, mu, :, 1 + mu] = even[:, 4:8, 0]
+    even[:, 8:] = (xP - xP.swapaxes(1, 2)).reshape(2, 16, 9, 9)
 
-    sigma = sigma_upper(convention)
-    Q = []
-    for a in range(2):
-        op = SuperOp.dtheta(a + 1).scaled(-I)
-        for mu in range(4):
-            for bd in range(2):
-                c = sigma[mu][a][bd]
-                if not c.is_zero():
-                    op = op - compose(SuperOp.theta_bar(bd + 1), SuperOp.dx(mu)).scaled(c)
-        Q.append(op)
+    d, S = sigma_upper(convention)
+    odd = np.zeros((2, 6, 9, 9), dtype=np.int64)            # Q_a, Qbar_ad, Qbar^ad
+    odd[1, range(4), 0, range(4, 8)] = (-d, -d, d, d)       # -i dth^a, i dtb^ad
+    odd[:, :2, 7:, :4] = -S.transpose(0, 2, 3, 1)           # -sigma^mu_{a bd} tb^bd d_mu
+    odd[:, 2:4, 5:7, :4] = S.transpose(0, 3, 2, 1)          # th^b sigma^mu_{b ad} d_mu
+    odd[:, 4:] = np.einsum("ab,rbxy->raxy", EPS_RAISE[0], odd[:, 2:4])
 
-    Q_bar = []
-    for ad in range(2):
-        op = SuperOp.dtheta_bar(ad + 1).scaled(I)
-        for mu in range(4):
-            for b in range(2):
-                c = sigma[mu][b][ad]
-                if not c.is_zero():
-                    op = op + compose(SuperOp.theta(b + 1), SuperOp.dx(mu)).scaled(c)
-        Q_bar.append(op)
-
-    Q_bar_upper = tuple(sum((Q_bar[bd].scaled(c) for bd, c in enumerate(EPS_RAISE[ad])
-                             if not c.is_zero()), SuperOp.zero()) for ad in range(2))
-    return GeneratorSet(convention, momentum_sign, P_lower, P_upper, tuple(M), tuple(Q),
-                        tuple(Q_bar), Q_bar_upper)
+    even = [_write(A, 1) for A in even.swapaxes(0, 1)]
+    odd = [_write(A, d) for A in odd.swapaxes(0, 1)]
+    return GeneratorSet(convention, momentum_sign, tuple(even[:4]), tuple(even[4:8]),
+                        tuple(tuple(even[8 + 4 * mu:12 + 4 * mu]) for mu in range(4)),
+                        tuple(odd[:2]), tuple(odd[2:4]), tuple(odd[4:]))
 
 
 # --------------------------------------------------------------------------
@@ -504,17 +491,12 @@ def _read(ops, parity: int) -> tuple[int, np.ndarray]:
     return den, A
 
 
-def _gauss(f, X, Y):
-    """The bilinear map f on Gaussian-integer stacks, (re, im) on axis 0."""
-    return np.stack((f(X[0], Y[0]) - f(X[1], Y[1]), f(X[0], Y[1]) + f(X[1], Y[0])))
-
-
 def _bracket(A, B, s: int):
     """All brackets [A_i, B_j] = A_i B_j - s B_j A_i of two stacks, shape
     (2, len(A), len(B), 9, 9), for s = (-1)^{|A_i||B_j|}; a stack bracketed
     with itself takes one product."""
-    AB = _gauss(np.matmul, A[:, :, None, :, :8], B[:, None, :, 1:, :])
-    BA = AB if B is A else _gauss(np.matmul, B[:, :, None, :, :8], A[:, None, :, 1:, :])
+    AB = gauss(np.matmul, A[:, :, None, :, :8], B[:, None, :, 1:, :])
+    BA = AB if B is A else gauss(np.matmul, B[:, :, None, :, :8], A[:, None, :, 1:, :])
     return AB - BA.swapaxes(1, 2) if s == 1 else AB + BA.swapaxes(1, 2)
 
 
@@ -543,10 +525,6 @@ class PoincareReport:
                 and self.lorentz_closure_holds)
 
 
-def _times_i(A):
-    return np.stack((-A[1], A[0]))
-
-
 def _failures(diff, label) -> list[str]:
     """The labels of the index tuples where lhs - rhs is nonzero, in tuple order."""
     return [label(*t) for t in np.argwhere(diff.any(axis=(0, -2, -1))).tolist()]
@@ -564,7 +542,7 @@ def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     """
     d, A = _read(gens.P_upper + sum(gens.M_upper, ()), 0)
     P, M = A[:, :4], A[:, 4:]
-    iP, iM = _times_i(P) * d, (_times_i(M) * d).reshape(2, 4, 4, 9, 9)
+    iP, iM = times_i(P) * d, (times_i(M) * d).reshape(2, 4, 4, 9, 9)
     pp = _bracket(P, P, 1)
     mp = _bracket(M, P, 1).reshape(2, 4, 4, 4, 9, 9)            # (mu, nu, lam)
     mm = _bracket(M, M, 1).reshape(2, 4, 4, 4, 4, 9, 9)         # (mu, nu, rho, sig)
@@ -593,14 +571,6 @@ class SusyReport:
     spatial_inversion_quarter_holds: bool
     p_q_brackets_vanish: bool            # [P^mu, Q_a] = 0 and [P^mu, Qbar^ad] = 0
     m_q_samples: tuple[tuple[str, str], ...]  # rendered [M, Q] / [M, Qbar] brackets
-
-
-def _sigma_integers(sigma) -> tuple[int, np.ndarray]:
-    """(den, S): sigma[mu][a][b] over its least common denominator as
-    Python ints, shape (2, 4, 2, 2), real parts then imaginary parts."""
-    den, pairs = gaussian_integers([sigma[mu][a][b] for mu in range(4)
-                                    for a in range(2) for b in range(2)])
-    return den, np.array(pairs, dtype=object).T.reshape(2, 4, 2, 2)
 
 
 def _pairs(A, d: int) -> list[tuple[int, int]]:
@@ -634,11 +604,11 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
     # {Q_a, Qbar_ad} over o**2, computed once for the c1, c2 and spatial-inversion checks
     brackets = _bracket(Q, Qb, -1)
     # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd).
-    s, S = _sigma_integers(sigma_upper(gens.convention))
-    c1 = _scale(brackets, o * o, _gauss(functools.partial(np.einsum, "mab,mxy->abxy"), S, P), s * e)
+    s, S = sigma_upper(gens.convention)
+    c1 = _scale(brackets, o * o, gauss(functools.partial(np.einsum, "mab,mxy->abxy"), S, P), s * e)
     # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}, over r * o**2
-    r, R = _sigma_integers(sigma_lower_raised(gens.convention))
-    traces = _gauss(functools.partial(np.einsum, "mab,abxy->mxy"), R, brackets)
+    r, R = sigma_lower_raised(gens.convention)
+    traces = gauss(functools.partial(np.einsum, "mab,abxy->mxy"), R, brackets)
     # c2 from sigma_mu^{a ad} {Q_a, Qbar_ad} = c2 * P_mu, uniform over mu.
     c2 = _scale(traces, r * o * o, P, e)
 

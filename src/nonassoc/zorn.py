@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraDef, Element, _vector_element
-from .corpus import epsilon3, split_octonions
+from .corpus import EPS3, split_octonions
 from .properties import PropertyReport, Witness, _turn
 from .scalar import GaussianRational, ZERO, common_scale
 from .spinor import pauli_spin_commutators_hold
@@ -170,10 +170,8 @@ def from_zorn(Z: ZornMatrix) -> Element:
 
 
 # Tensor indices of q1..q3, q4..q6 and q7 in `AlgebraDef.tensor`, whose
-# index 0 is the unit, and the Levi-Civita symbol over a block of three.
+# index 0 is the unit.
 QUAT, SPLIT, Q7 = slice(1, 4), slice(4, 7), 7
-EPS3 = np.array([[[epsilon3(i, j, k) for k in range(1, 4)] for j in range(1, 4)]
-                 for i in range(1, 4)])
 
 
 def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:

@@ -46,6 +46,7 @@ from nonassoc.zorn import (
     zorn_multiply,
     zorn_octonions,
 )
+from test_spinor import sympy_matrices
 
 
 # -- criterion 1: table identity suite --------------------------------------
@@ -261,10 +262,12 @@ def test_c6_poincare_suite(criterion):
 # -- criterion 7: spinor-epsilon suite ------------------------------------------
 
 def test_c7_epsilon_identities(criterion):
-    prod = EPS_RAISE * EPS_LOWER
-    ok = prod == ID2
+    (eps_raise,), (eps_lower,), (one,) = (sympy_matrices(1, m)
+                                          for m in (EPS_RAISE, EPS_LOWER, ID2))
+    prod = eps_raise * eps_lower
+    ok = prod == one
     # the dotted and undotted matrices are equal as exact matrices
-    ok = ok and EPS_RAISE == EPS_RAISE and EPS_LOWER == EPS_LOWER
+    ok = ok and eps_raise == eps_raise and eps_lower == eps_lower
     criterion("C07 spinor epsilon suite", ok)
     assert ok
 

@@ -344,6 +344,37 @@ def test_search_unwritable_output_is_an_input_error(runner, tmp_path, monkeypatc
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_search_leaves_the_other_output_as_it_was(runner, tmp_path, monkeypatch, existing):
+    """When --trace-out cannot be opened, --out is neither emptied nor created."""
+    searched = []
+    monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
+    out, bad = tmp_path / "ok.alg", tmp_path / "missing" / "x.t"
+    if existing:
+        out.write_text("name kept\n", encoding="utf-8")
+    result = runner.invoke(main, ["search", "--iters", "3", "--out", str(out),
+                                  "--trace-out", str(bad)])
+    assert (result.exit_code, searched) == (2, [])
+    assert f"error: cannot write {bad}: " in result.stderr
+    if existing:
+        assert out.read_text(encoding="utf-8") == "name kept\n"
+    else:
+        assert not out.exists()
+
+
+def test_search_empties_an_existing_output_before_writing(runner, tmp_path):
+    out, trace = tmp_path / "a.alg", tmp_path / "a.trace"
+    out.write_text("stale\n" * 1000, encoding="utf-8")
+    trace.write_text("stale\n" * 1000, encoding="utf-8")
+    args = ["search", "--iters", "3", "--out", str(out), "--trace-out", str(trace)]
+    assert runner.invoke(main, args).exit_code == 0
+    first = out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8")
+    assert "stale" not in first[0] + first[1]
+    out.unlink()
+    trace.unlink()
+    assert runner.invoke(main, args).exit_code == 0
+    assert (out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8")) == first
+
 def test_check_degree_below_three_is_an_input_error(runner):
     result = runner.invoke(main, ["check", fixture_path("splitO.alg"),
                                   "--properties", "power-associative", "--degree", "2"])

@@ -23,3 +23,20 @@ def test_readme_library_example_runs():
 def test_every_public_name_resolves():
     missing = [name for name in nonassoc.__all__ if not hasattr(nonassoc, name)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    # a change to the public surface shows here, not only in a caller
+    assert sorted(nonassoc.__all__) == [
+        "AlgebraDef", "AlgebraMismatchError", "AlgebraParseError", "CandidateAlgebra",
+        "Element", "GaussianRational", "PropertyReport", "ResidualBreakdown", "SearchConfig",
+        "SigmaConvention", "SuperOp", "Witness", "ZornMatrix", "associator",
+        "build_generators", "build_verify_report", "check_derivation_property",
+        "check_property", "commutator", "complex_numbers", "compose", "from_zorn",
+        "graded_bracket", "jacobiator", "multiply", "myung_equivalence", "parse_algebra",
+        "parse_text", "quaternions", "raise_lower", "random_commutative", "residual",
+        "search", "serialize", "so31_bracket_algebra", "split_octonions",
+        "standard_corpus", "su2_bracket_algebra", "to_zorn", "verify_spin_commutators",
+        "verify_spin_decomposition", "verify_zorn_isomorphism", "zorn_multiply",
+        "zorn_octonions",
+    ]

@@ -1,8 +1,11 @@
-from fractions import Fraction
+import math
 
+import numpy as np
 import pytest
+import sympy
 
-from nonassoc.scalar import GaussianRational, I
+from nonassoc.corpus import MINKOWSKI
+from nonassoc.scalar import GaussianRational
 from nonassoc.spinor import (
     EPS_LOWER,
     EPS_RAISE,
@@ -12,30 +15,54 @@ from nonassoc.spinor import (
     PAULI,
     RAISE_DOTTED,
     RAISE_UNDOTTED,
-    Mat2,
     SigmaConvention,
     pauli_spin_commutators_hold,
     raise_lower,
-    sigma_bar_upper,
     sigma_lower,
     sigma_lower_raised,
     sigma_upper,
 )
 
+I = sympy.I
+# The Pauli matrices, written out independently of `spinor`
+X = sympy.Matrix([[0, 1], [1, 0]])
+Y = sympy.Matrix([[0, -I], [I, 0]])
+Z = sympy.Matrix([[1, 0], [0, -1]])
+
+
+def sympy_matrices(den, S):
+    """The 2x2 matrices of a Gaussian-integer array S over den (real parts,
+    then imaginary parts, on axis 0), as sympy matrices with sympy.I."""
+    re, im = np.asarray(S).reshape(2, -1, 2, 2)
+    return [sympy.Matrix([[(int(x[r, c]) + I * int(y[r, c])) / sympy.Integer(den)
+                           for c in range(2)] for r in range(2)])
+            for x, y in zip(re, im)]
+
+
+def gaussian_pair(mats):
+    """(den, S): sympy matrices over their least common denominator, in the
+    layout of `spinor`; the inverse of `sympy_matrices`."""
+    parts = [(sympy.re(v), sympy.im(v)) for m in mats for v in m]
+    den = math.lcm(*(int(p.q) for pair in parts for p in pair))
+    S = np.array([[int(p * den) for p in pair] for pair in parts], dtype=object)
+    return den, S.T.reshape(2, len(mats), 2, 2)
+
 
 def test_epsilon_matrices_are_inverse():
-    assert EPS_RAISE * EPS_LOWER == ID2
-    assert EPS_LOWER * EPS_RAISE == ID2
+    (eps_raise,), (eps_lower,), (one,) = (sympy_matrices(1, m)
+                                          for m in (EPS_RAISE, EPS_LOWER, ID2))
+    assert eps_raise * eps_lower == one
+    assert eps_lower * eps_raise == one
 
 
 def test_epsilon_explicit_entries():
-    assert EPS_RAISE == Mat2([[0, -1], [1, 0]])
-    assert EPS_LOWER == Mat2([[0, 1], [-1, 0]])
+    assert sympy_matrices(1, EPS_RAISE) == [sympy.Matrix([[0, -1], [1, 0]])]
+    assert sympy_matrices(1, EPS_LOWER) == [sympy.Matrix([[0, 1], [-1, 0]])]
 
 
 def test_i_sigma2_is_minus_the_raising_matrix():
     # the two stated forms disagree by a sign; the explicit matrices win
-    assert PAULI[1].scaled(I) == -EPS_RAISE
+    assert I * sympy_matrices(*PAULI)[1] == -sympy_matrices(1, EPS_RAISE)[0]
 
 
 def test_raise_then_lower_is_identity():
@@ -62,61 +89,54 @@ def test_raise_lower_rejects_bad_input():
 
 
 def test_pauli_algebra():
-    for i in range(3):
-        assert PAULI[i] * PAULI[i] == ID2
+    assert sympy_matrices(*PAULI) == [X, Y, Z]
+    for p in sympy_matrices(*PAULI):
+        assert p * p == sympy_matrices(1, ID2)[0]
     assert pauli_spin_commutators_hold()
 
 
 def test_sigma_conventions():
-    std = sigma_upper(SigmaConvention.STANDARD)
-    assert std[0] == ID2
-    assert std[1] == PAULI[0]
-    quarter = sigma_upper(SigmaConvention.QUARTER)
-    scale = Fraction(1, 4)
+    std = sympy_matrices(*sigma_upper(SigmaConvention.STANDARD))
+    assert std[0] == sympy_matrices(1, ID2)[0]
+    assert std[1] == sympy_matrices(*PAULI)[0]
+    quarter = sympy_matrices(*sigma_upper(SigmaConvention.QUARTER))
     for mu in range(4):
-        assert quarter[mu] == std[mu].scaled(scale)
-    bar = sigma_bar_upper(SigmaConvention.STANDARD)
-    low = sigma_lower(SigmaConvention.STANDARD)
+        assert quarter[mu] == std[mu] * sympy.Rational(1, 4)
+    low = sympy_matrices(*sigma_lower(SigmaConvention.STANDARD))
     for mu in range(4):
-        assert bar[mu] == low[mu]  # sigmabar^mu = sigma_mu
+        assert low[mu] == std[mu] * MINKOWSKI[mu]
 
 
 def test_sigma_raised_contraction_is_twice_delta():
-    raised = sigma_lower_raised(SigmaConvention.STANDARD)
-    up = sigma_upper(SigmaConvention.STANDARD)
+    raised = sympy_matrices(*sigma_lower_raised(SigmaConvention.STANDARD))
+    up = sympy_matrices(*sigma_upper(SigmaConvention.STANDARD))
     for mu in range(4):
         for nu in range(4):
-            total = GaussianRational(0)
-            for a in range(2):
-                for ad in range(2):
-                    total = total + raised[mu][a][ad] * up[nu][a][ad]
-            assert total == (GaussianRational(2) if mu == nu else GaussianRational(0))
+            total = sum(raised[mu][a, ad] * up[nu][a, ad] for a in range(2) for ad in range(2))
+            assert total == (2 if mu == nu else 0)
 
 
 def reference_spin_commutators_hold(pauli):
-    """[s_i, s_j] = i eps_ijk s_k for s = pauli/2, in `Mat2` arithmetic."""
-    from nonassoc.corpus import epsilon3
-
-    s = [p.scaled(Fraction(1, 2)) for p in pauli]
+    """[s_i, s_j] = i eps_ijk s_k for s = pauli/2, in sympy matrix arithmetic."""
+    s = [p / 2 for p in pauli]
     for i in range(3):
         for j in range(3):
-            rhs = Mat2([[0, 0], [0, 0]])
+            rhs = sympy.zeros(2)
             for k in range(3):
-                rhs = rhs + s[k].scaled(I * epsilon3(i + 1, j + 1, k + 1))
+                rhs += I * sympy.LeviCivita(i, j, k) * s[k]
             if s[i] * s[j] - s[j] * s[i] != rhs:
                 return False
     return True
 
 
-X, Y, Z = PAULI
 PAULI_VARIANTS = {
     "pauli": (X, Y, Z),
     "minus-sigma2": (X, -Y, Z),
     "minus-all": (-X, -Y, -Z),
     "swap-12": (Y, X, Z),
     "swap-23": (X, Z, Y),
-    "doubled": tuple(p.scaled(2) for p in PAULI),
-    "halved": tuple(p.scaled(Fraction(1, 2)) for p in PAULI),
+    "doubled": tuple(2 * p for p in (X, Y, Z)),
+    "halved": tuple(p / 2 for p in (X, Y, Z)),
     "cyclic": (Y, Z, X),
 }
 
@@ -125,23 +145,30 @@ PAULI_VARIANTS = {
 def test_spin_commutators_match_matrix_reference(name, monkeypatch):
     import nonassoc.spinor as spinor
 
-    monkeypatch.setattr(spinor, "PAULI", PAULI_VARIANTS[name])
+    monkeypatch.setattr(spinor, "PAULI", gaussian_pair(PAULI_VARIANTS[name]))
     expected = name in ("pauli", "cyclic")
     assert reference_spin_commutators_hold(PAULI_VARIANTS[name]) is expected
     assert pauli_spin_commutators_hold() is expected
 
 
+def test_halved_variant_is_over_denominator_two():
+    den, S = gaussian_pair(PAULI_VARIANTS["halved"])
+    assert den == 2 and np.array_equal(S, PAULI[1])
+
 
 def reference_sigma_lower_raised(conv):
-    """eps^{ab} eps^{ad bd} sigma_{mu, b bd} as the full triple sum."""
-    return tuple(
-        Mat2([[sum((EPS_RAISE[a][b] * EPS_RAISE[ad][bd] * m[b][bd]
-                    for b in range(2) for bd in range(2)), GaussianRational(0))
-               for ad in range(2)] for a in range(2)])
-        for m in sigma_lower(conv)
-    )
+    """eps^{ab} eps^{ad bd} sigma_{mu, b bd} as the full triple sum over
+    sympy matrices, returned as `sigma_lower_raised` returns it."""
+    (eps,) = sympy_matrices(1, EPS_RAISE)
+    return gaussian_pair([
+        sympy.Matrix([[sum(eps[a, b] * eps[ad, bd] * m[b, bd]
+                           for b in range(2) for bd in range(2)) for ad in range(2)]
+                      for a in range(2)])
+        for m in sympy_matrices(*sigma_lower(conv))
+    ])
 
 
 @pytest.mark.parametrize("conv", list(SigmaConvention))
 def test_sigma_lower_raised_matches_the_triple_sum(conv):
-    assert sigma_lower_raised(conv) == reference_sigma_lower_raised(conv)
+    assert (sympy_matrices(*sigma_lower_raised(conv))
+            == sympy_matrices(*reference_sigma_lower_raised(conv)))

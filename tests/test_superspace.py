@@ -52,6 +52,72 @@ def random_superop(rng, terms=3):
     return out
 
 
+def reference_build_generators(convention=SigmaConvention.STANDARD,
+                               momentum_sign=superspace.DEFAULT_MOMENTUM_SIGN):
+    """`build_generators` on the normal-ordering engine: each generator a sum
+    of composed and scaled operators, sigma read entry by entry."""
+    if momentum_sign not in (1, -1):
+        raise ValueError("momentum_sign must be +1 or -1")
+    sgn = GaussianRational.of(momentum_sign)
+    P_lower = tuple(SuperOp.dx(mu).scaled(sgn * I) for mu in range(4))
+    P_upper = tuple(P_lower[mu].scaled(MINKOWSKI[mu]) for mu in range(4))
+
+    M = []
+    for mu in range(4):
+        row = []
+        for nu in range(4):
+            row.append(compose(SuperOp.x(mu), P_upper[nu]) - compose(SuperOp.x(nu), P_upper[mu]))
+        M.append(tuple(row))
+
+    sigma = sigma_upper(convention)
+    Q = []
+    for a in range(2):
+        op = SuperOp.dtheta(a + 1).scaled(-I)
+        for mu in range(4):
+            for bd in range(2):
+                c = gaussian_entry(sigma, mu, a, bd)
+                if not c.is_zero():
+                    op = op - compose(SuperOp.theta_bar(bd + 1), SuperOp.dx(mu)).scaled(c)
+        Q.append(op)
+
+    Q_bar = []
+    for ad in range(2):
+        op = SuperOp.dtheta_bar(ad + 1).scaled(I)
+        for mu in range(4):
+            for b in range(2):
+                c = gaussian_entry(sigma, mu, b, ad)
+                if not c.is_zero():
+                    op = op + compose(SuperOp.theta(b + 1), SuperOp.dx(mu)).scaled(c)
+        Q_bar.append(op)
+
+    eps = EPS_RAISE[0].tolist()
+    Q_bar_upper = tuple(sum((Q_bar[bd].scaled(c) for bd, c in enumerate(eps[ad]) if c),
+                            SuperOp.zero()) for ad in range(2))
+    return superspace.GeneratorSet(convention, momentum_sign, P_lower, P_upper, tuple(M),
+                                   tuple(Q), tuple(Q_bar), Q_bar_upper)
+
+
+def gaussian_entry(pair, *at):
+    """Entry `at` of a (den, S) pair of `spinor`, as a GaussianRational."""
+    den, S = pair
+    return GaussianRational(Fraction(int(S[(0, *at)]), den), Fraction(int(S[(1, *at)]), den))
+
+
+ALL_SETS = [(conv, sign) for conv in SigmaConvention for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("conv, sign", ALL_SETS)
+def test_build_generators_equals_the_compose_reference(conv, sign):
+    built = build_generators(conv, momentum_sign=sign)
+    expected = reference_build_generators(conv, momentum_sign=sign)
+    for field in dataclasses.fields(built):
+        assert getattr(built, field.name) == getattr(expected, field.name), field.name
+    # denominators and numerator parts are Python ints, as the reference's are
+    ops = [*built.P_lower, *built.P_upper, *sum(built.M_upper, ()), *built.Q,
+           *built.Q_bar_lower, *built.Q_bar_upper]
+    assert {type(v) for op in ops for pair in op._num.values() for v in (op._den, *pair)} == {int}
+
+
 def test_compose_canonical_pairs():
     assert compose(SuperOp.dx(0), SuperOp.x(0)) == compose(SuperOp.x(0), SuperOp.dx(0)) + SuperOp.one()
     assert compose(SuperOp.theta(1), SuperOp.theta(1)).is_zero()
@@ -420,16 +486,7 @@ def test_the_ledger_makes_no_compose_call(monkeypatch):
     assert calls == []
 
 
-def test_verify_report_compose_count_is_pinned(monkeypatch):
-    calls = count_compose(monkeypatch)
-    report.build_verify_report()
-    # three build_generators (48 each) and the Grassmann relations of Eq.
-    # 4-30 (32); the ledger brackets affine matrices, and with one product
-    # per distinct commutator it made 484
-    assert len(calls) == 3 * 48 + 32 == 176
-
-
-def test_verify_report_scaling_count_is_pinned(monkeypatch):
+def count_scaled(monkeypatch):
     calls = []
     raw = SuperOp.scaled
 
@@ -438,14 +495,36 @@ def test_verify_report_scaling_count_is_pinned(monkeypatch):
         return raw(self, s)
 
     monkeypatch.setattr(SuperOp, "scaled", counting)
-    build_generators()
-    # 4 P_mu, 4 P^mu, 2 + 8 terms of Q, 2 + 8 of Qbar and 2 Qbar^adot
-    assert len(calls) == 30
-    calls.clear()
+    return calls
+
+
+def test_build_generators_makes_no_compose_or_scaled_call(monkeypatch):
+    composed, scaled = count_compose(monkeypatch), count_scaled(monkeypatch)
+    for conv, sign in ALL_SETS:
+        build_generators(conv, momentum_sign=sign)
+    # the compose-based build made 48 compose and 30 scaled calls per set
+    assert (composed, scaled) == ([], [])
+
+
+def test_verify_report_compose_count_is_pinned(monkeypatch):
+    calls = count_compose(monkeypatch)
     report.build_verify_report()
-    # three build_generators (30 each); the ledger scales affine matrices,
-    # and scaling the right-side operators made it 166
-    assert len(calls) == 3 * 30 == 90
+    # only the Grassmann relations of Eq. 4-30 (32); the generators are
+    # written as affine matrices (48 each before) and the ledger brackets
+    # them, which with one product per distinct commutator made 484
+    assert len(calls) == 32
+
+
+def test_verify_report_scaling_count_is_pinned(monkeypatch):
+    calls = count_scaled(monkeypatch)
+    build_generators()
+    # the compose-based build scaled 4 P_mu, 4 P^mu, 2 + 8 terms of Q,
+    # 2 + 8 of Qbar and 2 Qbar^adot: 30
+    assert len(calls) == 0
+    report.build_verify_report()
+    # three build_generators (30 each before); the ledger scales affine
+    # matrices, and scaling the right-side operators made it 166
+    assert len(calls) == 0
 
 
 def test_verify_report_reader_count_is_pinned(monkeypatch):
@@ -468,8 +547,8 @@ def test_raised_generators_lower_back():
     for mu, sign in enumerate(MINKOWSKI):
         assert gens.P_upper[mu] == gens.P_lower[mu].scaled(sign)
     # Qbar^1 = eps^{12} Qbar_2 and Qbar^2 = eps^{21} Qbar_1
-    assert gens.Q_bar_upper[0] == gens.Q_bar_lower[1].scaled(EPS_RAISE[0][1])
-    assert gens.Q_bar_upper[1] == gens.Q_bar_lower[0].scaled(EPS_RAISE[1][0])
+    assert gens.Q_bar_upper[0] == gens.Q_bar_lower[1].scaled(int(EPS_RAISE[0, 0, 1]))
+    assert gens.Q_bar_upper[1] == gens.Q_bar_lower[0].scaled(int(EPS_RAISE[0, 1, 0]))
 
 
 def test_negation_and_zero_are_exact():
@@ -554,6 +633,7 @@ def test_matrix_dtype_switches_where_the_bound_does():
     gens = perturbed_sets()["M12-over-2**70"]
     assert _read(gens.P_upper + sum(gens.M_upper, ()), 0)[1].dtype == object
     assert _read(susy_sets()["Q-over-2**70"].Q, 1)[1].dtype == object
+    assert _read(susy_sets()["charges-at-the-int64-bound"].Q, 1)[1].dtype == np.int64
 
 
 
@@ -580,10 +660,11 @@ def reference_verify_susy(gens):
     brackets = {(a, ad): op_anticommutator(Q[a], Qbar[ad])
                 for a, ad in itertools.product(range(2), repeat=2)}
     c1 = reference_scale(
-        (lhs, sum((P.scaled(sigma[mu][a][ad]) for mu, P in enumerate(gens.P_lower)),
+        (lhs, sum((P.scaled(gaussian_entry(sigma, mu, a, ad))
+                   for mu, P in enumerate(gens.P_lower)),
                   SuperOp.zero()))
         for (a, ad), lhs in brackets.items())
-    traces = [sum((b.scaled(raised[mu][a][ad]) for (a, ad), b in brackets.items()),
+    traces = [sum((b.scaled(gaussian_entry(raised, mu, a, ad)) for (a, ad), b in brackets.items()),
                   SuperOp.zero()) for mu in range(4)]
     c2 = reference_scale(zip(traces, gens.P_lower))
     quarter = GaussianRational(Fraction(1, 4))
@@ -613,7 +694,14 @@ def susy_sets():
     std, quarter = sets["STANDARD-1"], sets["QUARTER-1"]
     times4 = {field: tuple(q.scaled(4) for q in getattr(quarter, field))
               for field in ("Q", "Q_bar_lower", "Q_bar_upper")}
+    # every odd affine monomial with coefficient big - big i, the largest
+    # numerators that keep the stacks int64: the brackets reach 2**61 and
+    # their sigma traces 2**62
+    big = math.isqrt(np.iinfo(np.int64).max // 64)
+    X = SuperOp({key: GaussianRational(big, -big) for key in superspace._AFFINE[1]})
     sets.update({
+        "charges-at-the-int64-bound": dataclasses.replace(std, Q=(X, X), Q_bar_lower=(X, X),
+                                                          Q_bar_upper=(X, X)),
         "Q2-zero": dataclasses.replace(std, Q=(std.Q[0], SuperOp.zero())),
         "quarter-charges-times-4": dataclasses.replace(quarter, **times4),
         "Q-over-2**70": dataclasses.replace(std, Q=tuple(q.scaled(Fraction(1, 2**70))

@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraDef
+from .scalar import _gaussian_text, _rational_text
 
 
 class AlgebraParseError(Exception):
@@ -275,22 +276,6 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
 
 def parse_algebra(text: str) -> AlgebraDef:
     return parse_text(text).algebra
-
-
-def _rational_text(num: int, den: int) -> str:
-    """num / den in lowest terms, written as `Fraction` writes it."""
-    g = math.gcd(num, den)
-    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
-
-
-def _gaussian_text(re_num: int, im_num: int, den: int) -> str:
-    """(re + im i) / den written as `GaussianRational` writes it."""
-    if not im_num:
-        return _rational_text(re_num, den)
-    imag = ("" if abs(im_num) == den else _rational_text(abs(im_num), den)) + "i"
-    if not re_num:
-        return f"-{imag}" if im_num < 0 else imag
-    return f"{_rational_text(re_num, den)}{'+' if im_num > 0 else '-'}{imag}"
 
 
 def _coeff_prefix(re_num: int, im_num: int, den: int) -> tuple[bool, str]:

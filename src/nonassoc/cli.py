@@ -39,11 +39,22 @@ def _load_file(path: str):
         sys.exit(2)
 
 
+def _file_identity(path):
+    """The device and inode of an existing file, else the resolved path: two
+    paths share it exactly when they name one file, links included."""
+    st = os.stat(path) if os.path.exists(path) else None
+    return (st.st_dev, st.st_ino) if st else os.path.realpath(path)
+
+
 @contextlib.contextmanager
 def _open_outputs(*paths):
     """One file opened for writing per path, None where no path is given.
-    No file is emptied until all are open; when one cannot be opened, exit
-    2 with every path left as it was."""
+    No file is emptied until all are open; when two paths name one file or
+    one cannot be opened, exit 2 with every path left as it was."""
+    named = [p for p in paths if p]
+    if len({_file_identity(p) for p in named}) < len(named):
+        click.echo(f"error: {' and '.join(named)} name one file", err=True)
+        sys.exit(2)
     existed = [bool(p) and os.path.exists(p) for p in paths]
     with contextlib.ExitStack() as stack:
         try:

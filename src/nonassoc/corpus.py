@@ -4,6 +4,11 @@ The seven-row multiplication table below is the single source of truth for
 the split-octonion algebra; the commutator/associator identities exercised
 in the test suite and the verification report are derived from it, never
 the other way around.
+
+The index algebra lives here once, as integer arrays (conventions of J. Wess
+and J. Bagger, Supersymmetry and Supergravity, ch. 4): `EPS3`, `EPS4`,
+`MINKOWSKI` and the so(3,1) structure constants `LORENTZ`.  The quaternion
+and su(2) tables are read off `EPS3`, the so(3,1) table off `LORENTZ`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import random
 import numpy as np
 
 from .algebra import AlgebraDef
-from .scalar import ZERO
 
 # Row * column products for basis q1..q7; "1"/"-1" are unit multiples.
 SPLIT_OCTONION_TABLE = (
@@ -41,6 +45,21 @@ def _levi_civita(n: int) -> np.ndarray:
 
 EPS3 = _levi_civita(3)
 EPS4 = _levi_civita(4)
+MINKOWSKI = (1, -1, -1, -1)
+LORENTZ_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# E_s = SLOT_MATRICES[s] is m_s = m^{mu nu}, for slot s = (mu, nu), as an
+# antisymmetric 4x4 matrix.  The real form of the boost/rotation bracket,
+#   [m^{mu nu}, m^{rho sigma}] = eta^{nu rho} m^{mu sigma} + eta^{mu sigma} m^{nu rho}
+#                               - eta^{mu rho} m^{nu sigma} - eta^{nu sigma} m^{mu rho},
+# is the matrix E_s eta E_t - E_t eta E_s, so LORENTZ[s, t, u], the
+# coefficient of m_u in [m_s, m_t], is its entry at slot u.
+_ROWS, _COLS = np.array(LORENTZ_SLOTS).T
+_UPPER = np.zeros((6, 4, 4), dtype=np.int64)
+_UPPER[range(6), _ROWS, _COLS] = 1
+SLOT_MATRICES = _UPPER - _UPPER.transpose(0, 2, 1)
+_E_ETA_E = np.einsum("sab,b,tbc->stac", SLOT_MATRICES, MINKOWSKI, SLOT_MATRICES)
+LORENTZ = (_E_ETA_E - _E_ETA_E.transpose(1, 0, 2, 3))[:, :, _ROWS, _COLS]
 
 
 def epsilon3(i: int, j: int, k: int) -> int:
@@ -48,120 +67,51 @@ def epsilon3(i: int, j: int, k: int) -> int:
     return int(EPS3[i - 1, j - 1, k - 1]) if {i, j, k} <= {1, 2, 3} else 0
 
 
-def _parse_cell(cell: str):
-    sign = 1
-    if cell.startswith("-"):
-        sign = -1
-        cell = cell[1:]
-    if cell == "1":
-        return sign, None
-    assert cell.startswith("q")
-    return sign, int(cell[1:]) - 1
-
-
 @functools.lru_cache(maxsize=None)
 def split_octonions() -> AlgebraDef:
-    products = {}
-    for i, row in enumerate(SPLIT_OCTONION_TABLE):
-        for j, cell in enumerate(row):
-            sign, idx = _parse_cell(cell)
-            if idx is None:
-                products[(i, j)] = (sign, {})
-            else:
-                products[(i, j)] = (ZERO, {idx: sign})
-    return AlgebraDef.from_products(
-        "splitO", 7, products, unital=True, basis_names=SPLIT_OCTONION_NAMES
-    )
+    cells = [cell for row in SPLIT_OCTONION_TABLE for cell in row]
+    labels = ("1",) + SPLIT_OCTONION_NAMES
+    vecs = np.zeros((49, 8), dtype=np.int64)
+    vecs[range(49), [labels.index(c.lstrip("-")) for c in cells]] = [
+        -1 if c[0] == "-" else 1 for c in cells]
+    return AlgebraDef("splitO", 7, 1, vecs.tolist(), True, SPLIT_OCTONION_NAMES)
 
 
 @functools.lru_cache(maxsize=None)
 def quaternions() -> AlgebraDef:
-    products = {}
-    for i, j in itertools.product(range(3), repeat=2):
-        if i == j:
-            products[(i, j)] = (-1, {})
-        else:
-            k = 3 - i - j
-            products[(i, j)] = (ZERO, {k: epsilon3(i + 1, j + 1, k + 1)})
-    return AlgebraDef.from_products(
-        "quaternion", 3, products, unital=True, basis_names=("q1", "q2", "q3")
-    )
+    cells = [[-1 if i == j else 0, *EPS3[i, j].tolist()] for i in range(3) for j in range(3)]
+    return AlgebraDef("quaternion", 3, 1, cells, True, ("q1", "q2", "q3"))
 
 
 @functools.lru_cache(maxsize=None)
 def su2_bracket_algebra() -> AlgebraDef:
     """su(2) with the Lie bracket itself as the bilinear product."""
-    products = {}
-    for i, j in itertools.product(range(3), repeat=2):
-        if i != j:
-            k = 3 - i - j
-            products[(i, j)] = (ZERO, {k: epsilon3(i + 1, j + 1, k + 1)})
-    return AlgebraDef.from_products("su2", 3, products, unital=False)
+    cells = [[0, *EPS3[i, j].tolist()] for i in range(3) for j in range(3)]
+    return AlgebraDef("su2", 3, 1, cells, False)
 
 
 @functools.lru_cache(maxsize=None)
 def complex_numbers() -> AlgebraDef:
-    return AlgebraDef.from_products(
-        "complex", 1, {(0, 0): (-1, {})}, unital=True
-    )
-
-
-MINKOWSKI = (1, -1, -1, -1)
-LORENTZ_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def lorentz_bracket_coeffs(munu, rhosigma):
-    """Coefficients of [m_munu, m_rhosigma] on the six antisymmetric slots.
-
-    Real form of the boost/rotation algebra: the bracket equals
-    eta^{nu rho} m^{mu sigma} + eta^{mu sigma} m^{nu rho}
-    - eta^{mu rho} m^{nu sigma} - eta^{nu sigma} m^{mu rho}.
-    """
-    mu, nu = munu
-    rho, sigma = rhosigma
-    out = {}
-
-    def put(coeff, a, b):
-        if coeff == 0 or a == b:
-            return
-        if a > b:
-            a, b = b, a
-            coeff = -coeff
-        slot = LORENTZ_SLOTS.index((a, b))
-        out[slot] = out.get(slot, 0) + coeff
-
-    put(MINKOWSKI[nu] if nu == rho else 0, mu, sigma)
-    put(MINKOWSKI[mu] if mu == sigma else 0, nu, rho)
-    put(-(MINKOWSKI[mu] if mu == rho else 0), nu, sigma)
-    put(-(MINKOWSKI[nu] if nu == sigma else 0), mu, rho)
-    return out
+    return AlgebraDef("complex", 1, 1, [[-1, 0]], True)
 
 
 @functools.lru_cache(maxsize=None)
 def so31_bracket_algebra() -> AlgebraDef:
     """so(3,1) with the bracket as product, basis m01..m23."""
-    products = {}
-    for a, ab in enumerate(LORENTZ_SLOTS):
-        for b, cd in enumerate(LORENTZ_SLOTS):
-            coeffs = lorentz_bracket_coeffs(ab, cd)
-            if coeffs:
-                products[(a, b)] = (ZERO, coeffs)
+    cells = [[0, *vec] for vec in LORENTZ.reshape(36, 6).tolist()]
     names = tuple(f"m{a}{b}" for a, b in LORENTZ_SLOTS)
-    return AlgebraDef.from_products("so31", 6, products, unital=False, basis_names=names)
+    return AlgebraDef("so31", 6, 1, cells, False, names)
 
 
 @functools.lru_cache(maxsize=None)
 def random_commutative(dim: int = 3, seed: int = 7) -> AlgebraDef:
     """A seeded commutative algebra with small integer structure constants."""
     rng = random.Random(seed)
-    products = {}
+    cells = [None] * (dim * dim)
     for i in range(dim):
         for j in range(i, dim):
-            terms = {k: rng.randint(-1, 1) for k in range(dim)}
-            terms = {k: v for k, v in terms.items() if v}
-            products[(i, j)] = (ZERO, terms)
-            products[(j, i)] = (ZERO, dict(terms))
-    return AlgebraDef.from_products(f"randcomm{seed}", dim, products, unital=False)
+            cells[i * dim + j] = cells[j * dim + i] = [0] + [rng.randint(-1, 1) for _ in range(dim)]
+    return AlgebraDef(f"randcomm{seed}", dim, 1, cells, False)
 
 
 def standard_corpus() -> list[AlgebraDef]:

@@ -8,6 +8,22 @@ from fractions import Fraction
 import numpy as np
 
 
+def _rational_text(num: int, den: int) -> str:
+    """num / den in lowest terms, written as `Fraction` writes it."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
+def _gaussian_text(re_num: int, im_num: int, den: int) -> str:
+    """(re + im i) / den as text: `1/2-i`, `-3/5i`, `2`; `str` of a `GaussianRational`."""
+    if not im_num:
+        return _rational_text(re_num, den)
+    imag = ("" if abs(im_num) == den else _rational_text(abs(im_num), den)) + "i"
+    if not re_num:
+        return f"-{imag}" if im_num < 0 else imag
+    return f"{_rational_text(re_num, den)}{'+' if im_num > 0 else '-'}{imag}"
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
@@ -102,18 +118,8 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imag}"
+        den, [(re, im)] = gaussian_integers([self])
+        return _gaussian_text(re, im, den)
 
 
 ZERO = GaussianRational(0)

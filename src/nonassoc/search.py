@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import EPS4, LORENTZ_SLOTS, MINKOWSKI, lorentz_bracket_coeffs
+from .corpus import EPS4, LORENTZ, LORENTZ_SLOTS, MINKOWSKI, SLOT_MATRICES
 
 # Role slots: 4 R, 4 Rtilde, 6 Lorentz, one spare; optional unit appended.
 ROLE_R = tuple(f"R{mu}" for mu in range(4))
@@ -81,13 +81,10 @@ class CandidateAlgebra:
     def so31_embedded(cls, with_unit: bool = False) -> "CandidateAlgebra":
         """Zero R-sectors with the exact boost/rotation constants in the M-sector."""
         cand = cls.zero(with_unit)
-        m_idx = [cand.roles[label] for label in ROLE_M]
-        for a in range(6):
-            for b in range(6):
-                for slot, coeff in lorentz_bracket_coeffs(LORENTZ_SLOTS[a], LORENTZ_SLOTS[b]).items():
-                    # the product table is half the bracket, so the
-                    # antisymmetrized bracket reproduces the constants
-                    cand.c[m_idx[a], m_idx[b], m_idx[slot]] = coeff / 2.0
+        m = [cand.roles[label] for label in ROLE_M]
+        # the product table is half the bracket, so the antisymmetrized
+        # bracket reproduces the constants
+        cand.c[np.ix_(m, m, m)] = LORENTZ / 2.0
         return cand
 
     @classmethod
@@ -131,33 +128,16 @@ class _Targets:
         idx_r = [roles[l] for l in ROLE_R]
         idx_rt = [roles[l] for l in ROLE_RT]
         idx_m = [roles[l] for l in ROLE_M]
-
-        def m_vec(mu, nu):
-            v = np.zeros(dim)
-            if mu == nu:
-                return v
-            sign = 1.0
-            if mu > nu:
-                mu, nu, sign = nu, mu, -1.0
-            v[idx_m[LORENTZ_SLOTS.index((mu, nu))]] = sign
-            return v
-
-        t_comm = np.zeros((4, 4, dim))
-        for mu in range(4):
-            for nu in range(4):
-                t_comm[mu, nu] = 2.0 * m_vec(mu, nu)
-
-        t_lorentz = np.zeros((6, 6, dim))
-        for a in range(6):
-            for b in range(6):
-                for slot, coeff in lorentz_bracket_coeffs(LORENTZ_SLOTS[a], LORENTZ_SLOTS[b]).items():
-                    t_lorentz[a, b, idx_m[slot]] += coeff
-
         sectors = np.array([idx_r, idx_rt])                    # (2, 4): P = R, Rt
+
+        # np.add.at adds up where two labels share an index
+        t_comm = np.zeros((4, 4, dim))
+        np.add.at(t_comm, (..., idx_m), 2.0 * SLOT_MATRICES.transpose(1, 2, 0))
+        t_lorentz = np.zeros((6, 6, dim))
+        np.add.at(t_lorentz, (..., idx_m), LORENTZ)
         t_assoc = np.zeros((2, 4, 4, 4, dim))
-        for s, sector in enumerate(sectors):
-            for mu, nu, rho, sig in zip(*np.nonzero(EPS4)):
-                t_assoc[s, mu, nu, rho, sector[sig]] += 2.0 * EPS4[mu, nu, rho, sig] * MINKOWSKI[sig]
+        np.add.at(t_assoc, (np.arange(2)[:, None], ..., sectors),
+                  np.moveaxis(2.0 * EPS4 * MINKOWSKI, -1, 0))
         self.t_assoc = t_assoc.reshape(2, -1)
 
         flat = np.arange(dim ** 3).reshape(dim, dim, dim)

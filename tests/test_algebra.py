@@ -16,6 +16,7 @@ from nonassoc.corpus import (
     SPLIT_OCTONION_TABLE,
     complex_numbers,
     quaternions,
+    random_commutative,
     split_octonions,
     standard_corpus,
 )
@@ -215,6 +216,17 @@ def test_multiply_matches_the_structure_table(alg):
     for x, y in pairs:
         product = multiply(x, y)
         assert (product.unit, product.coeffs) == reference_product(x, y)
+
+
+def test_random_commutative_cells_are_pinned():
+    # e_i e_j as (unit, e1, e2, e3), drawn from random.Random(7) in row order
+    alg = random_commutative()
+    assert (alg.name, alg._den, alg.unital, str(alg.tensor.dtype)) == ("randcomm7", 1, False, "int64")
+    assert alg.tensor[1:, 1:].tolist() == [
+        [[0, 0, -1, 0], [0, 1, -1, -1], [0, 1, -1, 0]],
+        [[0, 1, -1, -1], [0, 1, -1, 1], [0, -1, -1, -1]],
+        [[0, 1, -1, 0], [0, -1, -1, -1], [0, 0, 0, -1]],
+    ]
 
 
 # -- the integer constructor ----------------------------------------------------

@@ -362,6 +362,22 @@ def test_search_leaves_the_other_output_as_it_was(runner, tmp_path, monkeypatch,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("same", ["s.alg", "./s.alg", "link.alg", "hard.alg"])
+def test_search_outputs_naming_one_file_are_an_input_error(runner, tmp_path, monkeypatch, same):
+    """--out and --trace-out naming one file exit 2 and leave it as it was."""
+    searched = []
+    monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.alg").write_text("name kept\n", encoding="utf-8")
+    (tmp_path / "link.alg").symlink_to(tmp_path / "s.alg")
+    os.link(tmp_path / "s.alg", tmp_path / "hard.alg")
+    result = runner.invoke(main, ["search", "--iters", "2", "--out", "./s.alg",
+                                  "--trace-out", same])
+    assert (result.exit_code, searched) == (2, [])
+    assert result.stderr == f"error: ./s.alg and {same} name one file\n"
+    assert (tmp_path / "s.alg").read_text(encoding="utf-8") == "name kept\n"
+
+
 def test_search_empties_an_existing_output_before_writing(runner, tmp_path):
     out, trace = tmp_path / "a.alg", tmp_path / "a.trace"
     out.write_text("stale\n" * 1000, encoding="utf-8")

@@ -1,13 +1,18 @@
-"""The package surface: the README's library example and the public names."""
+"""The package surface: the README's library example, the public names and
+the oldest Python the sources must parse on."""
 
+import ast
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import pytest
+
 import nonassoc
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -40,3 +45,46 @@ def test_public_names_are_pinned():
         "verify_spin_decomposition", "verify_zorn_isomorphism", "zorn_multiply",
         "zorn_octonions",
     ]
+
+
+def _parenthesized(text):
+    """Whether a tuple's source text is one pair of parentheses around it."""
+    depth = 0
+    for k, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0:
+            return text[0] == "(" and k == len(text) - 1
+    return False
+
+
+def _starred_indices(source):
+    """Lines of an index that unpacks with a bare star, `a[:, *idx]`: Python
+    3.11 syntax (PEP 646) that `ast.parse(feature_version=...)` lets through.
+    The parenthesized `a[(0, *idx)]` is older syntax."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and any(isinstance(e, ast.Starred) for e in node.slice.elts)
+            and not _parenthesized(ast.get_source_segment(source, node.slice))]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("a[:, *idx]", [1]), ("a[*idx]", [1]), ("a[(0), *(idx)]", [1]),
+    ("a[(0, *idx)]", []), ("a[(0,\n   *idx)]", []), ("a[0, idx]", []), ("f(*idx)", []),
+])
+def test_starred_index_finder(source, lines):
+    assert _starred_indices(source) == lines
+
+
+@pytest.mark.parametrize("folder", ["src", "tests", "perfbench"])
+def test_sources_parse_on_the_oldest_supported_python(folder):
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    minor = int(re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"', pyproject).group(1))
+    files = sorted((ROOT / folder).rglob("*.py"))
+    assert files
+    late = {}
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(3, minor))
+        if lines := _starred_indices(source):
+            late[str(path.relative_to(ROOT))] = lines
+    assert late == {}

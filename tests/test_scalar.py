@@ -65,6 +65,25 @@ def test_str_forms():
         assert str(value) == text
 
 
+def fraction_text(value):
+    """str of a GaussianRational spelled through str(Fraction), the way the
+    class wrote it before its text came from the integer formatter."""
+    re, im = value.re, value.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}i")
+    imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+def test_str_matches_the_fraction_spelling():
+    parts = sorted({Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3, 7, 2**70)})
+    values = [GaussianRational(a, b) for a in parts for b in parts]
+    assert len(values) == 5625
+    assert [str(v) for v in values] == [fraction_text(v) for v in values]
+
+
 def test_immutability_and_hash():
     x = GaussianRational(1, 2)
     with pytest.raises(AttributeError):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nonassoc.corpus import LORENTZ_SLOTS, MINKOWSKI, lorentz_bracket_coeffs
+from nonassoc.corpus import LORENTZ, LORENTZ_SLOTS, MINKOWSKI
 from nonassoc.search import (
     BASE_DIM,
     EPS4,
@@ -16,6 +16,33 @@ from nonassoc.search import (
     residual,
     search,
 )
+
+
+def lorentz_bracket_coeffs(munu, rhosigma):
+    """Coefficients of [m_munu, m_rhosigma] on the six antisymmetric slots.
+
+    Real form of the boost/rotation algebra: the bracket equals
+    eta^{nu rho} m^{mu sigma} + eta^{mu sigma} m^{nu rho}
+    - eta^{mu rho} m^{nu sigma} - eta^{nu sigma} m^{mu rho}.
+    """
+    mu, nu = munu
+    rho, sigma = rhosigma
+    out = {}
+
+    def put(coeff, a, b):
+        if coeff == 0 or a == b:
+            return
+        if a > b:
+            a, b = b, a
+            coeff = -coeff
+        slot = LORENTZ_SLOTS.index((a, b))
+        out[slot] = out.get(slot, 0) + coeff
+
+    put(MINKOWSKI[nu] if nu == rho else 0, mu, sigma)
+    put(MINKOWSKI[mu] if mu == sigma else 0, nu, rho)
+    put(-(MINKOWSKI[mu] if mu == rho else 0), nu, sigma)
+    put(-(MINKOWSKI[nu] if nu == sigma else 0), mu, rho)
+    return out
 
 
 def brute_force_residual(cand):
@@ -89,6 +116,15 @@ def brute_force_residual(cand):
     return r_comm, r_lorentz, r_assoc
 
 
+def test_lorentz_constants_match_the_slot_by_slot_bracket():
+    for a, ab in enumerate(LORENTZ_SLOTS):
+        for b, cd in enumerate(LORENTZ_SLOTS):
+            expected = [0] * 6
+            for slot, coeff in lorentz_bracket_coeffs(ab, cd).items():
+                expected[slot] += coeff
+            assert LORENTZ[a, b].tolist() == expected, (ab, cd)
+
+
 def test_layout():
     roles = default_roles()
     assert len(roles) == BASE_DIM == 15
@@ -139,6 +175,14 @@ def test_unit_layout_matches_brute_force():
     cand = CandidateAlgebra.random(9, scale=0.3, with_unit=True)
     assert cand.dim == 16
     _assert_matches_brute_force(cand)
+
+
+def test_layout_with_a_shared_index_matches_brute_force():
+    # two labels on one basis element: their targets add up there
+    roles = default_roles()
+    roles["M02"], roles["Rt3"] = roles["M01"], roles["M23"]
+    cand = CandidateAlgebra.random(3, scale=0.3)
+    _assert_matches_brute_force(CandidateAlgebra(cand.dim, cand.c, roles))
 
 
 def test_so31_embedding_is_exact():

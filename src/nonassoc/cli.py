@@ -32,6 +32,9 @@ def _load_file(path: str):
     except OSError as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(2)
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: {path}: {exc}", err=True)
+        sys.exit(2)
     try:
         return parse_text(text)
     except AlgebraParseError as exc:

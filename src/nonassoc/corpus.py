@@ -62,11 +62,6 @@ _E_ETA_E = np.einsum("sab,b,tbc->stac", SLOT_MATRICES, MINKOWSKI, SLOT_MATRICES)
 LORENTZ = (_E_ETA_E - _E_ETA_E.transpose(1, 0, 2, 3))[:, :, _ROWS, _COLS]
 
 
-def epsilon3(i: int, j: int, k: int) -> int:
-    """The Levi-Civita symbol on the labels 1, 2, 3, and 0 off them."""
-    return int(EPS3[i - 1, j - 1, k - 1]) if {i, j, k} <= {1, 2, 3} else 0
-
-
 @functools.lru_cache(maxsize=None)
 def split_octonions() -> AlgebraDef:
     cells = [cell for row in SPLIT_OCTONION_TABLE for cell in row]

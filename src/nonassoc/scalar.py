@@ -165,24 +165,13 @@ def common_scale(u, v) -> GaussianRational | None:
     return GaussianRational(pr, pi) / GaussianRational(qr, qi)
 
 
-def solve_exact(rows: list[list[GaussianRational]], rhs: list[GaussianRational]):
-    """Solve A*x = b exactly by Gaussian elimination.
-
-    Returns (solution, particular).  `solution` is None when the system is
-    inconsistent; `particular` always holds the solution of the consistent
-    pivot rows with free variables set to zero, which callers can use to
-    build an explicit counterexample.
-    """
-    aug = []
-    for row, b in zip(rows, rhs):
-        aug.append(gaussian_integers([GaussianRational.of(v) for v in (*row, b)])[1])
-    return solve_gaussian_integers(aug)
-
-
 def solve_gaussian_integers(aug: list[list[tuple[int, int]]]):
-    """`solve_exact` on an augmented system whose entries are Gaussian
-    integers, given as (re, im) pairs.  Rows are reduced in place, each
-    only when the solve reads it, so not every row is rewritten.
+    """Solve A*x = b exactly on an augmented system [A | b] of Gaussian
+    integers, given as (re, im) pairs.  Returns (solution, particular):
+    `solution` is None when the system is inconsistent, and `particular`
+    always solves the consistent pivot rows with free variables set to
+    zero, from which callers build a counterexample.  Rows are reduced in
+    place, each only when the solve reads it, so not every row is rewritten.
 
     Elimination without fractions: the first row with a nonzero entry in
     the column is the pivot row, and reducing a row against it makes the

@@ -62,8 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import MINKOWSKI
-from .scalar import (GaussianRational, I, ONE, ZERO, common_scale, gauss, gaussian_integers,
-                     times_i)
+from .scalar import GaussianRational, ONE, common_scale, gauss, gaussian_integers, times_i
 from .spinor import EPS_RAISE, SigmaConvention, sigma_lower_raised, sigma_upper
 
 # Generator classes in canonical order: coordinates first, then derivatives.
@@ -145,10 +144,6 @@ def _key_product(k1: Key, k2: Key) -> tuple:
 def _key_parity(key: Key) -> int:
     _, th, tb, _, dth, dtb = key
     return (th.bit_count() + tb.bit_count() + dth.bit_count() + dtb.bit_count()) & 1
-
-
-def _key_has_derivatives(key: Key) -> bool:
-    return any(key[3]) or key[4] or key[5]
 
 
 _CLASS_NAMES = {X: "x", DX: "dx", TH: "th", DTH: "dth", TB: "tb", DTB: "dtb"}
@@ -283,43 +278,12 @@ class SuperOp:
         re, im = self._num.get(key, _ZERO_PAIR)
         return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
-    def monomial_count(self) -> int:
-        return len(self._num)
-
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero."""
         if not self._num:
             return None
         parities = {_key_parity(k) for k in self._num}
         return parities.pop() if len(parities) == 1 else None
-
-    # -- actions -----------------------------------------------------------
-
-    def apply_to(self, state: "SuperOp") -> "SuperOp":
-        """Act on a superspace function (an operator with no derivatives)."""
-        if any(_key_has_derivatives(k) for k in state._num):
-            raise ValueError("state must be free of derivative factors")
-        product = compose(self, state)
-        return _op(product._den,
-                   {k: v for k, v in product._num.items() if not _key_has_derivatives(k)})
-
-    def substitute_momentum(self, p) -> "SuperOp":
-        """Plane-wave backend: replace each d_mu by i*p_mu (x-free operators only)."""
-        p = tuple(GaussianRational.of(v) for v in p)
-        if len(p) != 4:
-            raise ValueError("need four momentum components")
-        terms: dict[Key, GaussianRational] = {}
-        for key, coeff in self.terms():
-            xexp, th, tb, dxexp, dth, dtb = key
-            if any(xexp):
-                raise ValueError("substitution is only valid for x-free operators")
-            factor = ONE
-            for mu in range(4):
-                for _ in range(dxexp[mu]):
-                    factor = factor * (I * p[mu])
-            new_key = (xexp, th, tb, (0, 0, 0, 0), dth, dtb)
-            terms[new_key] = terms.get(new_key, ZERO) + coeff * factor
-        return SuperOp(terms)
 
     def __str__(self):
         if not self._num:

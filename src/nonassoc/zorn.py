@@ -43,14 +43,6 @@ Vec3 = tuple[GaussianRational, GaussianRational, GaussianRational]
 VZERO: Vec3 = (ZERO, ZERO, ZERO)
 
 
-def vec3(a, b, c) -> Vec3:
-    return (GaussianRational.of(a), GaussianRational.of(b), GaussianRational.of(c))
-
-
-def unit_vec3(i: int) -> Vec3:
-    return vec3(*(1 if k == i else 0 for k in range(3)))
-
-
 def dot(u: Vec3, v: Vec3) -> GaussianRational:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 

@@ -23,7 +23,6 @@ import pytest
 from nonassoc.algebra import associator, commutator, jacobiator, multiply
 from nonassoc.corpus import (
     complex_numbers,
-    epsilon3,
     quaternions,
     random_commutative,
     split_octonions,
@@ -46,7 +45,7 @@ from nonassoc.zorn import (
     zorn_multiply,
     zorn_octonions,
 )
-from test_spinor import sympy_matrices
+from oracle import levi_civita, sympy_matrices
 
 
 # -- criterion 1: table identity suite --------------------------------------
@@ -57,7 +56,7 @@ def test_c1_table_identities(criterion):
     q = alg.basis()
     ok = True
     for i, j, k in itertools.product(range(1, 4), repeat=3):
-        e = epsilon3(i, j, k)
+        e = levi_civita(i, j, k)
         lhs = commutator(q[i + 2], q[j + 2])
         ok = ok and lhs.coeffs[k - 1] == GaussianRational(-2 * e)
         lhs = commutator(q[i - 1], q[j - 1])

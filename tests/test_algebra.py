@@ -23,6 +23,7 @@ from nonassoc.corpus import (
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
+from oracle import gaussian_split_octonions, reference_product
 
 
 @pytest.fixture(scope="module")
@@ -156,32 +157,6 @@ def test_element_rendering(splitO):
 
 
 # -- multiply against the structure table it is built from --------------------
-
-def reference_product(x, y):
-    """(unit, coeffs) of x y, expanded bilinearly over `basis_product` in exact
-    scalars, with the unit acting as the identity."""
-    alg = x.algebra
-    unit = x.unit * y.unit
-    coeffs = [x.unit * b + y.unit * a for a, b in zip(x.coeffs, y.coeffs)]
-    for (i, a), (j, b) in itertools.product(enumerate(x.coeffs), enumerate(y.coeffs)):
-        p = alg.basis_product(i, j)
-        p_unit, p_coeffs = p.unit, p.coeffs
-        unit = unit + a * b * p_unit
-        coeffs = [c + a * b * p for c, p in zip(coeffs, p_coeffs)]
-    return unit, tuple(coeffs)
-
-
-def gaussian_split_octonions():
-    """splitO with the products e_i e_j, i + 2j divisible by 3, times i."""
-    alg = split_octonions()
-    products = {}
-    for i, j in itertools.product(range(7), repeat=2):
-        p = alg.basis_product(i, j)
-        unit, coeffs = p.unit, p.coeffs
-        f = I if (i + 2 * j) % 3 == 0 else 1
-        products[(i, j)] = (unit * f, {k: c * f for k, c in enumerate(coeffs)})
-    return AlgebraDef.from_products("gsplitO", 7, products, True, alg.basis_names)
-
 
 def non_unital_table():
     """A non-unital table with a fraction and an imaginary constant."""

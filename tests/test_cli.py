@@ -8,6 +8,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc import cli
 from nonassoc.cli import main
@@ -67,6 +69,61 @@ def test_check_malformed_file(runner, tmp_path):
 def test_check_missing_file(runner):
     result = runner.invoke(main, ["check", "/no/such/file.alg", "--properties", "flexible"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [["check", "{}", "--properties", "associative"], ["table", "{}"],
+                                  ["search", "--iters", "0", "--init-file", "{}"]],
+                         ids=["check", "table", "search"])
+def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes(b"dimension 1\nunital false\n# \xff\n")
+    result = runner.invoke(main, [arg.format(bad) for arg in args])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert result.stderr.count("\n") == 1
+
+
+QUATERNION = pathlib.Path(fixture_path("quaternion.alg")).read_text(encoding="utf-8")
+HEADER = "".join(line for line in QUATERNION.splitlines(True) if not line.startswith("e"))
+PRODUCT_LINES = [line for line in QUATERNION.splitlines(True) if line.startswith("e")]
+
+
+@st.composite
+def malformed_product_lines(draw):
+    """The quaternion fixture with up to 8 characters of its product lines
+    inserted, deleted or replaced, each from the arrow of a line on, where
+    the product grammar is.  The header lines stay as they are: a huge
+    `dimension` would allocate without bound."""
+    lines = list(PRODUCT_LINES)
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        start = max(line.find("->"), 0)
+        at = start + draw(st.integers(0, len(line) - start))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if edit == "delete" else draw(st.sampled_from("0123456789/i+-() e")
+                                                 | st.characters())
+        lines[k] = line[:at] + char + line[at + (edit != "insert"):]
+    return HEADER + "".join(lines)
+
+
+@settings(settings.get_profile("exact"), max_examples=25)
+@given(malformed_product_lines())
+def test_malformed_product_lines_fail_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("malformed") / "table.alg"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path), "--properties", "associative,unital"])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 2:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    else:
+        lines = result.stdout.splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == ["associative", "unital"]
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        assert result.exit_code == int(any(line.startswith("FAIL ") for line in lines))
+        assert result.stderr == ""
 
 
 def test_table_split_octonions(runner):

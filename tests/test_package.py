@@ -1,8 +1,9 @@
-"""The package surface: the README's library example, the public names and
-the oldest Python the sources must parse on."""
+"""The package surface: the README's library example, the public names, the
+names the benchmark imports and the oldest Python the sources must parse on."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -45,6 +46,23 @@ def test_public_names_are_pinned():
         "verify_spin_decomposition", "verify_zorn_isomorphism", "zorn_multiply",
         "zorn_octonions",
     ]
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench/child.py imports names from `nonassoc` modules, some inside
+    # functions, and wraps the (module, function) pairs of its TRACED table
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    wanted = [(node.module, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "nonassoc" for alias in node.names]
+    traced = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] == ["TRACED"])
+    wanted += [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
+    assert ("nonassoc.superspace", "compose") in wanted
+    assert ("nonassoc.zorn", "verify_zorn_isomorphism") in wanted
+    missing = [(module, name) for module, name in wanted
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def _parenthesized(text):

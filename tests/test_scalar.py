@@ -1,9 +1,12 @@
 import copy
-import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from nonassoc import properties
 from nonassoc.algebra import AlgebraDef
@@ -14,9 +17,9 @@ from nonassoc.scalar import (
     ONE,
     ZERO,
     common_scale,
-    solve_exact,
     solve_gaussian_integers,
 )
+from oracle import eager_solve_gaussian_integers, solve
 
 
 def test_exact_arithmetic():
@@ -95,14 +98,14 @@ def test_immutability_and_hash():
 def test_solve_exact_consistent():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     rows = [[ONE, ONE], [ONE, -ONE]]
-    sol, particular = solve_exact(rows, [GaussianRational(3), ONE])
+    sol, particular = solve(rows, [GaussianRational(3), ONE])
     assert sol == [GaussianRational(2), ONE]
     assert particular == sol
 
 
 def test_solve_exact_underdetermined():
     rows = [[ONE, ONE]]
-    sol, _ = solve_exact(rows, [GaussianRational(5)])
+    sol, _ = solve(rows, [GaussianRational(5)])
     assert sol is not None
     assert sol[0] + sol[1] == GaussianRational(5)
 
@@ -110,7 +113,7 @@ def test_solve_exact_underdetermined():
 def test_solve_exact_inconsistent_gives_partial_candidate():
     # x = 1 and x = 2 cannot both hold; the particular solves the pivot row.
     rows = [[ONE], [ONE]]
-    sol, particular = solve_exact(rows, [ONE, GaussianRational(2)])
+    sol, particular = solve(rows, [ONE, GaussianRational(2)])
     assert sol is None
     assert particular == [ONE]
 
@@ -119,7 +122,7 @@ def test_solve_exact_gaussian_coefficients():
     # second row is -i times the first, so the system is consistent
     rows = [[I, ONE], [ONE, -I]]
     rhs = [GaussianRational(0, 2), GaussianRational(2)]
-    sol, _ = solve_exact(rows, rhs)
+    sol, _ = solve(rows, rhs)
     assert sol is not None
     assert I * sol[0] + sol[1] == GaussianRational(0, 2)
     assert sol[0] - I * sol[1] == GaussianRational(2)
@@ -132,7 +135,7 @@ def gq(re, im=0):
 def test_solve_exact_complex_full_rank():
     # (1+i) x + 2 y = 3+i, i x - y = 1
     rows = [[gq(1, 1), gq(2)], [I, -ONE]]
-    sol, particular = solve_exact(rows, [gq(3, 1), ONE])
+    sol, particular = solve(rows, [gq(3, 1), ONE])
     assert sol == [gq("4/5", "-7/5"), gq("2/5", "4/5")]
     assert particular == sol
 
@@ -140,7 +143,7 @@ def test_solve_exact_complex_full_rank():
 def test_solve_exact_complex_rank_deficient_sets_free_variables_to_zero():
     # the second row is i times the first, so y is free
     rows = [[ONE, I, ZERO], [I, -ONE, ZERO], [ZERO, ZERO, gq(2)]]
-    sol, particular = solve_exact(rows, [gq(1, 1), gq(-1, 1), gq(4)])
+    sol, particular = solve(rows, [gq(1, 1), gq(-1, 1), gq(4)])
     assert sol == particular == [gq(1, 1), ZERO, gq(2)]
 
 
@@ -148,53 +151,18 @@ def test_solve_exact_complex_inconsistent_particular_solves_pivot_rows():
     # the second row is i times the first on the left but not on the right;
     # the pivots fall on rows one and three
     rows = [[I, ONE], [-ONE, I], [ONE, ONE]]
-    sol, particular = solve_exact(rows, [ONE, gq(1, 1), ZERO])
+    sol, particular = solve(rows, [ONE, gq(1, 1), ZERO])
     assert sol is None
     assert particular == [gq("-1/2", "-1/2"), gq("1/2", "1/2")]
 
 
 def test_solve_exact_fractional_rows_with_zero_rows():
     rows = [[ZERO, ZERO], [gq("1/3"), gq("-1/6", "1/2")], [ZERO, ZERO]]
-    sol, particular = solve_exact(rows, [ZERO, gq("1/2"), ZERO])
+    sol, particular = solve(rows, [ZERO, gq("1/2"), ZERO])
     assert sol == particular == [gq("3/2"), ZERO]
-    sol, particular = solve_exact(rows, [ZERO, gq("1/2"), gq(0, "1/7")])
+    sol, particular = solve(rows, [ZERO, gq("1/2"), gq(0, "1/7")])
     assert sol is None and particular == [gq("3/2"), ZERO]
-    assert solve_exact([], []) == ([], [])
-
-
-def eager_solve_gaussian_integers(aug):
-    """Reference: fraction-free Gauss-Jordan that rewrites every row at every
-    pivot, the solver `solve_gaussian_integers` replaced."""
-    m = len(aug)
-    n = len(aug[0]) - 1 if m else 0
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != (0, 0)), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        pr, pi = prow[col]
-        for i in range(m):
-            fr, fi = aug[i][col]
-            if i == r or not (fr or fi):
-                continue
-            row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
-                   for (a, b), (c, d) in zip(aug[i], prow)]
-            g = math.gcd(*(part for pair in row for part in pair))
-            if g > 1:
-                row = [(a // g, b // g) for a, b in row]
-            aug[i] = row
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    consistent = all(aug[i][n] == (0, 0) for i in range(r, m))
-    particular = [ZERO] * n
-    for row_idx, col in enumerate(pivot_cols):
-        particular[col] = GaussianRational(*aug[row_idx][n]) / GaussianRational(*aug[row_idx][col])
-    return (particular if consistent else None), particular
+    assert solve([], []) == ([], [])
 
 
 def _gmul(x, y):
@@ -245,6 +213,42 @@ def test_solver_matches_eager_reference(m, n, rank, complex_entries, consistent)
         solved.add(expected[0] is not None)
     # every consistent system solves, and some of the others are inconsistent
     assert (solved == {True}) if consistent else (False in solved)
+
+
+GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def gaussian_systems(draw):
+    """[A | b] with 1 to 6 rows and 1 to 5 unknowns, each row a Gaussian-integer
+    combination of up to 6 drawn rows of [A | b], so that rank-deficient,
+    consistent and inconsistent systems all occur."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    basis = draw(st.lists(st.lists(GAUSSIAN, min_size=n + 1, max_size=n + 1), max_size=6))
+    weights = draw(st.lists(st.lists(GAUSSIAN, min_size=len(basis), max_size=len(basis)),
+                            min_size=m, max_size=m))
+    return [[_gsum([_gmul(w, b[k]) for w, b in zip(row, basis)]) for k in range(n + 1)]
+            for row in weights]
+
+
+def sympy_rank(rows):
+    """The rank of a Gaussian-integer matrix, exact in sympy's domain ZZ_I."""
+    return DomainMatrix.from_Matrix(sympy.Matrix([[re + sympy.I * im for re, im in row]
+                                                  for row in rows])).rank()
+
+
+@settings(settings.get_profile("exact"), max_examples=50)
+@given(gaussian_systems())
+def test_solver_agrees_with_sympy_on_consistency(aug):
+    n = len(aug[0]) - 1
+    consistent = sympy_rank([row[:n] for row in aug]) == sympy_rank(aug)
+    solution, particular = solve_gaussian_integers(copy.deepcopy(aug))
+    assert (solution is not None) is consistent
+    if consistent:
+        assert solution == particular
+        for row in aug:
+            assert sum((GaussianRational(*a) * x for a, x in zip(row[:n], particular)),
+                       ZERO) == GaussianRational(*row[n])
 
 
 def test_internal_unit_system_matches_eager_reference(monkeypatch):

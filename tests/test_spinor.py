@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import sympy
@@ -22,30 +20,13 @@ from nonassoc.spinor import (
     sigma_lower_raised,
     sigma_upper,
 )
+from oracle import gaussian_pair, reference_sigma_lower_raised, sympy_matrices
 
 I = sympy.I
 # The Pauli matrices, written out independently of `spinor`
 X = sympy.Matrix([[0, 1], [1, 0]])
 Y = sympy.Matrix([[0, -I], [I, 0]])
 Z = sympy.Matrix([[1, 0], [0, -1]])
-
-
-def sympy_matrices(den, S):
-    """The 2x2 matrices of a Gaussian-integer array S over den (real parts,
-    then imaginary parts, on axis 0), as sympy matrices with sympy.I."""
-    re, im = np.asarray(S).reshape(2, -1, 2, 2)
-    return [sympy.Matrix([[(int(x[r, c]) + I * int(y[r, c])) / sympy.Integer(den)
-                           for c in range(2)] for r in range(2)])
-            for x, y in zip(re, im)]
-
-
-def gaussian_pair(mats):
-    """(den, S): sympy matrices over their least common denominator, in the
-    layout of `spinor`; the inverse of `sympy_matrices`."""
-    parts = [(sympy.re(v), sympy.im(v)) for m in mats for v in m]
-    den = math.lcm(*(int(p.q) for pair in parts for p in pair))
-    S = np.array([[int(p * den) for p in pair] for pair in parts], dtype=object)
-    return den, S.T.reshape(2, len(mats), 2, 2)
 
 
 def test_epsilon_matrices_are_inverse():
@@ -154,18 +135,6 @@ def test_spin_commutators_match_matrix_reference(name, monkeypatch):
 def test_halved_variant_is_over_denominator_two():
     den, S = gaussian_pair(PAULI_VARIANTS["halved"])
     assert den == 2 and np.array_equal(S, PAULI[1])
-
-
-def reference_sigma_lower_raised(conv):
-    """eps^{ab} eps^{ad bd} sigma_{mu, b bd} as the full triple sum over
-    sympy matrices, returned as `sigma_lower_raised` returns it."""
-    (eps,) = sympy_matrices(1, EPS_RAISE)
-    return gaussian_pair([
-        sympy.Matrix([[sum(eps[a, b] * eps[ad, bd] * m[b, bd]
-                           for b in range(2) for bd in range(2)) for ad in range(2)]
-                      for a in range(2)])
-        for m in sympy_matrices(*sigma_lower(conv))
-    ])
 
 
 @pytest.mark.parametrize("conv", list(SigmaConvention))

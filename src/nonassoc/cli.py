@@ -115,8 +115,10 @@ def check(file, properties, degree):
               help="also print the Zorn matrix images (split-octonion table only)")
 def table(file, show_zorn):
     """Print the full multiplication table (rows are left factors)."""
-    parsed = _load_file(file)
-    alg = parsed.algebra
+    alg = _load_file(file).algebra
+    if show_zorn and alg != split_octonions():
+        click.echo("error: --zorn applies to the split-octonion table only", err=True)
+        sys.exit(2)
     cells = [[str(alg.basis_product(i, j)) for j in range(alg.dim)] for i in range(alg.dim)]
     names = list(alg.basis_names)
     width = max(
@@ -127,9 +129,6 @@ def table(file, show_zorn):
     for name, row in zip(names, cells):
         click.echo(f"{name:>{width}}  " + "  ".join(f"{cell:>{width}}" for cell in row))
     if show_zorn:
-        if alg != split_octonions():
-            click.echo("error: --zorn applies to the split-octonion table only", err=True)
-            sys.exit(2)
         click.echo("")
         click.echo("Zorn images:")
         one = alg.one()

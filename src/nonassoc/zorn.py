@@ -1,18 +1,19 @@
 """Zorn vector matrices and the split-octonion representation checks.
 
-A Zorn matrix carries scalars on the diagonal and 3-vectors off it, with
-the block product
+A Zorn matrix (a, x; y, b) carries scalars on the diagonal and 3-vectors
+off it, with the block product
 
     (a, x; y, b)(c, u; v, d) =
         (ac + x.v,  au + dx - y X v;  cy + bv + x X u,  bd + y.u).
 
-The basis map sends 1 to the identity, q7 to -(1,0;0,-1), q_i to
-(0,-e_i;e_i,0) and q_{i+3} to (0,e_i;e_i,0).  The images of the basis hold
-plain ints, and the products zorn_multiply forms of them are read back
-into a product table of their own, zorn_octonions, in integer halves.
-verify_zorn_isomorphism is a diff of its structure tensor against the
-bundled table's, over every ordered pair of 1, q1..q7, and reports the
-(substantial) disagreement it finds.
+On the components (a, x1..x3, y1..y3, b) it is one integer tensor ZORN, and
+the rows of PHI are the images of 1, q1..q7: the identity, (0,-e_i;e_i,0),
+(0,e_i;e_i,0) and (-1,0;0,1).  They are orthogonal, of squared length 2, so
+TWICE_INV = 2 PHI^-1 = PHI^T.  `to_zorn`, `from_zorn` and `zorn_multiply`
+are products of these arrays with Gaussian-integer vectors; `zorn_octonions`,
+the table the images generate, is ZORN on two rows of PHI read back through
+TWICE_INV in halves, and verify_zorn_isomorphism diffs its structure tensor
+against the bundled table's over every ordered pair of 1, q1..q7.
 
 The split-octonion identities behind the spin operator (Eq. 2-50, 2-60
 and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
@@ -26,7 +27,6 @@ and lambda are measured with `common_scale` on tensor vectors.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,105 +35,99 @@ import numpy as np
 from .algebra import AlgebraDef, Element, _vector_element
 from .corpus import EPS3, split_octonions
 from .properties import PropertyReport, Witness, _turn
-from .scalar import GaussianRational, ZERO, common_scale
+from .scalar import GaussianRational, ZERO, common_scale, gauss, gaussian_integers
 from .spinor import pauli_spin_commutators_hold
 
-Vec3 = tuple[GaussianRational, GaussianRational, GaussianRational]
+# Indices of q1..q3, q4..q6 and q7 in `AlgebraDef.tensor` and PHI (0 is the unit).
+QUAT, SPLIT, Q7 = slice(1, 4), slice(4, 7), 7
 
-VZERO: Vec3 = (ZERO, ZERO, ZERO)
+# Components of a Zorn 8-vector (a, x1..x3, y1..y3, b).
+A, X, Y, B = 0, slice(1, 4), slice(4, 7), 7
+
+I3 = np.eye(3, dtype=np.int64)
+ZORN = np.zeros((8, 8, 8), dtype=np.int64)
+ZORN[A, A, A] = ZORN[B, B, B] = 1           # ac, bd
+ZORN[X, Y, A] = ZORN[Y, X, B] = I3          # x.v, y.u
+ZORN[A, X, X] = ZORN[X, B, X] = I3          # au, dx
+ZORN[Y, A, Y] = ZORN[B, Y, Y] = I3          # cy, bv
+ZORN[Y, Y, X] = -EPS3                       # -y X v
+ZORN[X, X, Y] = EPS3                        # x X u
+
+PHI = np.zeros((8, 8), dtype=np.int64)
+PHI[0, [A, B]] = 1, 1                       # 1 -> (1, 0; 0, 1)
+PHI[QUAT, X], PHI[QUAT, Y] = -I3, I3        # q_i -> (0, -e_i; e_i, 0)
+PHI[SPLIT, X] = PHI[SPLIT, Y] = I3          # q_(i+3) -> (0, e_i; e_i, 0)
+PHI[Q7, [A, B]] = -1, 1                     # q7 -> (-1, 0; 0, 1)
+TWICE_INV = PHI.T                           # PHI PHI^T = 2 I
 
 
-def dot(u: Vec3, v: Vec3) -> GaussianRational:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def cross(u: Vec3, v: Vec3) -> Vec3:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _vadd(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def _vscale(s, u: Vec3) -> Vec3:
-    return (s * u[0], s * u[1], s * u[2])
+def _product(u, v):
+    """The block product of component vectors u and v over ZORN; for stacks
+    of them, shape (len(u), len(v), 8)."""
+    return v @ (u @ ZORN.reshape(8, 64)).reshape(u.shape[:-1] + (8, 8))
 
 
 @dataclass(frozen=True)
 class ZornMatrix:
+    """(a, x; y, b) with `GaussianRational` entries, x and y as 3-tuples."""
+
     a: GaussianRational
-    x: Vec3
-    y: Vec3
+    x: tuple[GaussianRational, ...]
+    y: tuple[GaussianRational, ...]
     b: GaussianRational
 
     @classmethod
     def build(cls, a, x, y, b) -> "ZornMatrix":
-        return cls(
-            GaussianRational.of(a),
-            tuple(GaussianRational.of(v) for v in x),
-            tuple(GaussianRational.of(v) for v in y),
-            GaussianRational.of(b),
-        )
+        return cls._of([GaussianRational.of(v) for v in (a, *x, *y, b)])
 
     @classmethod
     def zero(cls) -> "ZornMatrix":
-        return cls.build(0, VZERO, VZERO, 0)
+        return cls.build(0, (0, 0, 0), (0, 0, 0), 0)
 
     @classmethod
     def identity(cls) -> "ZornMatrix":
-        return cls.build(1, VZERO, VZERO, 1)
+        return cls.build(1, (0, 0, 0), (0, 0, 0), 1)
+
+    @classmethod
+    def _of(cls, c) -> "ZornMatrix":
+        """From the list of its eight components."""
+        return cls(c[A], tuple(c[X]), tuple(c[Y]), c[B])
+
+    @classmethod
+    def _from_ints(cls, z, den) -> "ZornMatrix":
+        """From a Gaussian-integer component vector z over den."""
+        return cls._of([GaussianRational(Fraction(re, den), Fraction(im, den))
+                        for re, im in zip(*z.tolist())])
+
+    def _components(self) -> list[GaussianRational]:
+        return [self.a, *self.x, *self.y, self.b]
+
+    def _ints(self):
+        """(den, [re parts, im parts]) over the components, as Python ints."""
+        den, pairs = gaussian_integers(self._components())
+        return den, np.array(pairs, dtype=object).T
 
     def __add__(self, other):
-        return ZornMatrix(self.a + other.a, _vadd(self.x, other.x),
-                          _vadd(self.y, other.y), self.b + other.b)
+        return ZornMatrix._of([p + q for p, q in zip(self._components(), other._components())])
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, s) -> "ZornMatrix":
-        s = GaussianRational.of(s)
-        return ZornMatrix(s * self.a, _vscale(s, self.x), _vscale(s, self.y), s * self.b)
+        return ZornMatrix._of([p - q for p, q in zip(self._components(), other._components())])
 
     def __mul__(self, other):
-        if isinstance(other, ZornMatrix):
-            return zorn_multiply(self, other)
-        return self.scaled(other)
-
-    __rmul__ = scaled
+        return zorn_multiply(self, other) if isinstance(other, ZornMatrix) else NotImplemented
 
     def is_zero(self) -> bool:
-        return (self.a.is_zero() and self.b.is_zero()
-                and all(v.is_zero() for v in self.x) and all(v.is_zero() for v in self.y))
+        return not any(self._components())
 
     def __str__(self):
-        fx = "(" + ", ".join(str(v) for v in self.x) + ")"
-        fy = "(" + ", ".join(str(v) for v in self.y) + ")"
+        fx, fy = ("(" + ", ".join(str(v) for v in vec) + ")" for vec in (self.x, self.y))
         return f"[{self.a}, {fx}; {fy}, {self.b}]"
 
 
-def zorn_multiply(A: ZornMatrix, B: ZornMatrix) -> ZornMatrix:
-    return ZornMatrix(
-        A.a * B.a + dot(A.x, B.y),
-        _vadd(_vadd(_vscale(A.a, B.x), _vscale(B.b, A.x)), _vscale(-1, cross(A.y, B.y))),
-        _vadd(_vadd(_vscale(B.a, A.y), _vscale(A.b, B.y)), cross(A.x, B.x)),
-        A.b * B.b + dot(A.y, B.x),
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_images() -> tuple[ZornMatrix, ...]:
-    """Images of q1..q7, with plain int entries; the unit maps to the identity matrix."""
-    units = [tuple(int(k == i) for k in range(3)) for i in range(3)]
-    return (tuple(ZornMatrix(0, tuple(-v for v in e), e, 0) for e in units)
-            + tuple(ZornMatrix(0, e, e, 0) for e in units)
-            + (ZornMatrix(-1, (0, 0, 0), (0, 0, 0), 1),))
+def zorn_multiply(Z: ZornMatrix, W: ZornMatrix) -> ZornMatrix:
+    """The block product Z W, contracted in Gaussian integers over ZORN."""
+    (dz, z), (dw, w) = Z._ints(), W._ints()
+    return ZornMatrix._from_ints(gauss(_product, z, w), dz * dw)
 
 
 def to_zorn(s: Element) -> ZornMatrix:
@@ -141,29 +135,14 @@ def to_zorn(s: Element) -> ZornMatrix:
     alg = split_octonions()
     if s.algebra is not alg and s.algebra != alg:
         raise ValueError("to_zorn expects a split-octonion element")
-    out = ZornMatrix.identity().scaled(s.unit)
-    for k, c in enumerate(s.coeffs):
-        if not c.is_zero():
-            out = out + _basis_images()[k].scaled(c)
-    return out
+    den, c = s._int_form()
+    return ZornMatrix._from_ints(c @ PHI, den)
 
 
 def from_zorn(Z: ZornMatrix) -> Element:
     """Inverse of to_zorn (the basis map is a linear bijection)."""
-    alg = split_octonions()
-    half = Fraction(1, 2)
-    unit = (Z.a + Z.b) * half
-    coeffs = [ZERO] * 7
-    coeffs[6] = (Z.b - Z.a) * half
-    for i in range(3):
-        coeffs[i] = (Z.y[i] - Z.x[i]) * half
-        coeffs[i + 3] = (Z.y[i] + Z.x[i]) * half
-    return alg.element(unit, coeffs)
-
-
-# Tensor indices of q1..q3, q4..q6 and q7 in `AlgebraDef.tensor`, whose
-# index 0 is the unit.
-QUAT, SPLIT, Q7 = slice(1, 4), slice(4, 7), 7
+    den, z = Z._ints()
+    return _vector_element(split_octonions(), (z @ TWICE_INV).ravel().tolist(), 2 * den)
 
 
 def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:
@@ -288,10 +267,8 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     uniform = lam is not None and common_scale(_pairs(bracket_sides), _pairs(4 * quat)) == lam
     lam = ZERO if lam is None else lam
 
-    detail = (
-        f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
-        f"the i/2-scaled product decomposition {'holds' if product_ok else 'fails'}"
-    )
+    detail = (f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
+              f"the i/2-scaled product decomposition {'holds' if product_ok else 'fails'}")
     return SpinDecompositionReport(product_ok, lam, uniform, detail)
 
 
@@ -301,15 +278,8 @@ def zorn_octonions() -> AlgebraDef:
 
     Differs from the bundled table by 36 signs; unlike it, this one is
     alternative.  Shipped as a corpus member and fixture for comparison.
-    Each product of two integer images is read back as from_zorn does, in
-    integer halves: (a+b)/2 of the unit, (y-x)/2 of q1..q3, (y+x)/2 of
-    q4..q6 and (b-a)/2 of q7, so the table holds these numerators over 2.
+    Its products are read back through TWICE_INV, as numerators over 2.
     """
-    images = _basis_images()
-    cells = []
-    for i, j in itertools.product(range(7), repeat=2):
-        z = zorn_multiply(images[i], images[j])
-        cells.append([z.a + z.b, *(y - x for x, y in zip(z.x, z.y)),
-                      *(y + x for x, y in zip(z.x, z.y)), z.b - z.a])
-    return AlgebraDef("zornO", 7, 2, cells, unital=True,
+    cells = _product(PHI[1:], PHI[1:]) @ TWICE_INV
+    return AlgebraDef("zornO", 7, 2, cells.reshape(49, 8).tolist(), unital=True,
                       basis_names=split_octonions().basis_names)

@@ -1,10 +1,11 @@
 """Exact references the tests compare the kernels against.
 
 Each reference follows the definition it checks, in `GaussianRational`
-arithmetic on `Element`s and `SuperOp` terms or in sympy matrices, and not
-through the integer tensors, affine matrices or residue layers the kernels
-use.  The Levi-Civita symbol is counted off permutation parity here, not read
-from `corpus.EPS3`.  `solve` and `act` only adapt a library call to exact
+arithmetic on `Element`s, Zorn tuples and `SuperOp` terms or in sympy
+matrices, and not through the integer tensors, affine matrices or residue
+layers the kernels use.  The Levi-Civita symbol is counted off permutation
+parity here, and the Zorn cross product written out, not read from
+`corpus.EPS3`.  `solve` and `act` only adapt a library call to exact
 values: they clear denominators for `solve_gaussian_integers`, and drop the
 derivative terms of a `compose`.  The test modules import what they share
 from this one module.
@@ -246,6 +247,28 @@ def linearized_failure(alg, law):
             if not d.is_zero():
                 return indices, tag, d
     return None
+
+
+# -- Zorn vector matrices ------------------------------------------------------
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def reference_zorn_multiply(left, right):
+    """The block product of two (a, x, y, b) tuples of GaussianRational, x and
+    y 3-tuples, written out:
+    (a, x; y, b)(c, u; v, d) = (ac + x.v, au + dx - y X v; cy + bv + x X u, bd + y.u)."""
+    (a, x, y, b), (c, u, v, d) = left, right
+    yv, xu = _cross(y, v), _cross(x, u)
+    return (a * c + _dot(x, v),
+            tuple(a * u[k] + d * x[k] - yv[k] for k in range(3)),
+            tuple(c * y[k] + b * v[k] + xu[k] for k in range(3)),
+            b * d + _dot(y, u))
 
 
 # -- the split-octonion entries of the verification report ---------------------

@@ -206,6 +206,9 @@ def test_table_zorn_flag_full_output(runner):
 def test_table_zorn_flag_rejected_elsewhere(runner):
     result = runner.invoke(main, ["table", fixture_path("quaternion.alg"), "--zorn"])
     assert result.exit_code == 2
+    # rejected before the table is printed
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: --zorn applies to the split-octonion table only"]
 
 
 def test_verify_paper_lines_matches_golden(runner):

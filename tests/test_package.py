@@ -1,5 +1,6 @@
 """The package surface: the README's library example, the public names, the
-names the benchmark imports and the oldest Python the sources must parse on."""
+names the benchmark imports, the places `tests/mutants.py` mutates and the
+oldest Python the sources must parse on."""
 
 import ast
 import contextlib
@@ -63,6 +64,17 @@ def test_every_name_the_benchmark_imports_resolves():
     missing = [(module, name) for module, name in wanted
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_every_mutant_names_one_place_in_src():
+    # tests/mutants.py replaces each old text in a copy of src/; a text that
+    # no longer occurs exactly once would leave its mutant checking nothing
+    from mutants import MUTANTS
+
+    for file, old, new, tests in MUTANTS:
+        assert (ROOT / "src" / "nonassoc" / file).read_text(encoding="utf-8").count(old) == 1, old
+        assert new != old
+        assert all((ROOT / test.split("::")[0]).is_file() for test in tests), tests
 
 
 def _parenthesized(text):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nonassoc import report, zorn
@@ -19,7 +20,7 @@ from nonassoc.zorn import (
     zorn_multiply,
     zorn_octonions,
 )
-from oracle import reference_verdicts, solve
+from oracle import reference_verdicts, reference_zorn_multiply, solve
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,31 @@ def random_zorn(rng):
         tuple(rng.randint(-3, 3) for _ in range(3)),
         rng.randint(-3, 3),
     )
+
+
+def fields(z):
+    """(a, x, y, b) of a Zorn matrix, the tuple form of the oracle."""
+    return z.a, z.x, z.y, z.b
+
+
+def random_gaussian_zorn(rng):
+    """Entries with non-integer and imaginary parts."""
+    def entry():
+        return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                                Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+
+    return ZornMatrix(entry(), (entry(), entry(), entry()), (entry(), entry(), entry()), entry())
+
+
+def test_zorn_multiply_matches_the_block_rule_reference():
+    rng = random.Random(21)
+    for _ in range(200):
+        Z, W = random_gaussian_zorn(rng), random_gaussian_zorn(rng)
+        assert fields(zorn_multiply(Z, W)) == reference_zorn_multiply(fields(Z), fields(W))
+
+
+def test_twice_inverse_of_the_basis_map():
+    assert np.array_equal(zorn.PHI @ zorn.TWICE_INV, 2 * np.eye(8, dtype=np.int64))
 
 
 def test_identity_matrix_is_neutral():
@@ -136,16 +162,11 @@ def test_isomorphism_verdict(splitO):
 
 def test_isomorphism_detail_counts_pairs_not_by_sign(monkeypatch):
     assert "(all by sign)" in verify_zorn_isomorphism().detail
-    # With the cross(A.y, B.y) term negated, some pairs differ from the table
-    # by more than a sign, and the detail must count them.
-    original = zorn.zorn_multiply
-
-    def mutated(A, B):
-        good = original(A, B)
-        x = tuple(g + c + c for g, c in zip(good.x, zorn.cross(A.y, B.y)))
-        return ZornMatrix(good.a, x, good.y, good.b)
-
-    monkeypatch.setattr(zorn, "zorn_multiply", mutated)
+    # With the sign of the y X v block flipped, some pairs differ from the
+    # table by more than a sign, and the detail must count them.
+    mutated = zorn.ZORN.copy()
+    mutated[zorn.Y, zorn.Y, zorn.X] *= -1
+    monkeypatch.setattr(zorn, "ZORN", mutated)
     # the cached table was built with the real product; build it afresh
     monkeypatch.setattr(zorn, "zorn_octonions", zorn.zorn_octonions.__wrapped__)
     report = verify_zorn_isomorphism()
@@ -205,14 +226,16 @@ def test_zorn_scalar_coefficients_survive():
 
 
 def test_integer_zorn_table_matches_gaussian_rational_reference(splitO):
-    # the reference multiplies GaussianRational Zorn matrices and reads the
-    # product back through from_zorn, on all 64 ordered pairs of 1, q1..q7
+    # the reference multiplies the GaussianRational images by the written-out
+    # block rule and reads the product back through from_zorn, on all 64
+    # ordered pairs of 1, q1..q7
     refs = [splitO.one()] + splitO.basis()
     table = zorn_octonions()
     elems = [table.one()] + table.basis()
     for (u, ru), (v, rv) in itertools.product(zip(elems, refs), repeat=2):
         got = multiply(u, v)
-        want = from_zorn(zorn_multiply(to_zorn(ru), to_zorn(rv)))
+        want = from_zorn(ZornMatrix.build(*reference_zorn_multiply(fields(to_zorn(ru)),
+                                                                  fields(to_zorn(rv)))))
         assert (got.unit, got.coeffs) == (want.unit, want.coeffs)
 
 

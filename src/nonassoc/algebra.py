@@ -1,36 +1,30 @@
 """Finite-dimensional algebras given by structure constants over exact scalars.
 
 An algebra is a table of basis products e_i * e_j, each a linear combination
-of basis elements plus an optional multiple of an external unit.  Elements
-are coefficient vectors; all operations are pure and exact.  The table is
-stored in one form only, `AlgebraDef.tensor`: an integer array over the
-least common denominator `_den`, with the unit at index 0.  `AlgebraDef`
-has one constructor, which takes that table as integer numerators over a
-common denominator.  `multiply` contracts two elements with it, the laws in
-`properties` are contractions of it, and the text format in `algfile` is
-parsed into it and written from it.
+of basis elements plus an optional multiple of an external unit.  The table
+is stored in one form only, `AlgebraDef.tensor`: an integer array over the
+least common denominator `_den`, with the unit at index 0.  An `Element` is
+held the same way, as a tensor vector of ints over one denominator, so its
+operations are pure integer arithmetic.  `AlgebraDef` has one constructor,
+which takes that table as integer numerators over a common denominator.
+`multiply` contracts two elements with the tensor, the laws in `properties`
+are contractions of it, and the text format in `algfile` is parsed into it
+and written from it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .scalar import GaussianRational, ONE, ZERO, gaussian_integers
+from .scalar import GaussianRational, gaussian_integers, sum_text
 
 
 class AlgebraMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
-
-
-def _vector_element(alg, vec, den) -> "Element":
-    """The element whose tensor vector (a list), times `den`, is `vec`."""
-    n = alg.dim + 1
-    unit, *coeffs = (GaussianRational(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(vec[:n], vec[n:] or [0] * n))
-    return Element(alg, unit, tuple(coeffs))
 
 
 class AlgebraDef:
@@ -95,7 +89,7 @@ class AlgebraDef:
 
     def basis_product(self, i, j) -> "Element":
         """e_i * e_j, read off `tensor`."""
-        return _vector_element(self, self.tensor[i + 1, j + 1].tolist(), self._den)
+        return Element(self, self._den, self.tensor[i + 1, j + 1].tolist())
 
     @classmethod
     def from_products(cls, name, dim, products, unital, basis_names=None):
@@ -139,52 +133,64 @@ class AlgebraDef:
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, ZERO, (ZERO,) * self.dim)
+        return Element(self, 1, [0] * (self.dim + 1))
 
     def one(self) -> "Element":
         if not self.unital:
             raise ValueError(f"algebra {self.name!r} has no unit")
-        return Element(self, ONE, (ZERO,) * self.dim)
+        return Element(self, 1, [1] + [0] * self.dim)
 
     def basis_element(self, k) -> "Element":
-        coeffs = [ZERO] * self.dim
-        coeffs[k] = ONE
-        return Element(self, ZERO, tuple(coeffs))
+        coeffs = [0] * self.dim
+        coeffs[k] = 1
+        return Element(self, 1, [0] + coeffs)
 
     def basis(self):
         return [self.basis_element(k) for k in range(self.dim)]
 
     def element(self, unit=0, coeffs=None) -> "Element":
-        coeffs = tuple(GaussianRational.of(c) for c in (coeffs or [0] * self.dim))
+        coeffs = [GaussianRational.of(c) for c in (coeffs or [0] * self.dim)]
         if len(coeffs) != self.dim:
             raise ValueError("coefficient vector has wrong length")
         unit = GaussianRational.of(unit)
         if not self.unital and not unit.is_zero():
             raise ValueError(f"algebra {self.name!r} has no unit")
-        return Element(self, unit, coeffs)
-
-    def random_element(self, rng, lo=-2, hi=2) -> "Element":
-        unit = rng.randint(lo, hi) if self.unital else 0
-        return self.element(unit, [rng.randint(lo, hi) for _ in range(self.dim)])
+        den, pairs = gaussian_integers([unit, *coeffs])
+        return Element(self, den, [part for parts in zip(*pairs) for part in parts])
 
 
 class Element:
-    """A vector in an AlgebraDef basis with an optional unit component."""
+    """A vector in an AlgebraDef basis with an optional unit component.
 
-    __slots__ = ("algebra", "unit", "coeffs", "_ints")
+    `vec` is the tensor vector times the positive `den`, as Python ints: real
+    parts of (unit,) + coeffs, then imaginary parts; a real-width vector gets
+    a zero imaginary half.  `den` and `vec` have gcd 1, so zero has `den` 1
+    and equal elements have equal fields."""
 
-    def __init__(self, algebra, unit, coeffs):
-        self.algebra = algebra
-        self.unit = unit
-        self.coeffs = coeffs
-        self._ints = None
+    __slots__ = ("algebra", "den", "vec")
 
-    def _int_form(self):
-        """(den, [re parts, im parts]) over (unit,) + coeffs, as Python ints."""
-        if self._ints is None:
-            den, pairs = gaussian_integers([self.unit, *self.coeffs])
-            self._ints = (den, np.array(pairs, dtype=object).T)
-        return self._ints
+    def __init__(self, algebra, den, vec):
+        n = algebra.dim + 1
+        vec = [operator.index(v) for v in vec]
+        if len(vec) == n:
+            vec += [0] * n
+        if len(vec) != 2 * n or den <= 0:
+            raise ValueError(f"need {n} or {2 * n} numerators over a positive denominator")
+        g = math.gcd(den, *vec)
+        self.algebra, self.den = algebra, den // g
+        self.vec = tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+    def _scalar(self, k) -> GaussianRational:
+        re, im = self.vec[k], self.vec[k + self.algebra.dim + 1]
+        return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
+
+    @property
+    def unit(self) -> GaussianRational:
+        return self._scalar(0)
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        return tuple(self._scalar(k + 1) for k in range(self.algebra.dim))
 
     def _check(self, other) -> "Element":
         if not isinstance(other, Element):
@@ -195,28 +201,29 @@ class Element:
             )
         return other
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "Element":
+        """self + sign*other over the lcm of the two denominators."""
         other = self._check(other)
-        return Element(
-            self.algebra,
-            self.unit + other.unit,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        return Element(self.algebra, self.den * fa,
+                       [fa * a + fb * b for a, b in zip(self.vec, other.vec)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return Element(
-            self.algebra,
-            self.unit - other.unit,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Element(self.algebra, -self.unit, tuple(-c for c in self.coeffs))
+        return Element(self.algebra, self.den, [-v for v in self.vec])
 
     def scaled(self, s) -> "Element":
-        s = GaussianRational.of(s)
-        return Element(self.algebra, s * self.unit, tuple(s * c for c in self.coeffs))
+        d, ((p, q),) = gaussian_integers([GaussianRational.of(s)])
+        n = self.algebra.dim + 1
+        re, im = self.vec[:n], self.vec[n:]
+        return Element(self.algebra, self.den * d, [p * a - q * b for a, b in zip(re, im)]
+                       + [p * b + q * a for a, b in zip(re, im)])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -229,44 +236,21 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (
-            (self.algebra is other.algebra or self.algebra == other.algebra)
-            and self.unit == other.unit
-            and self.coeffs == other.coeffs
-        )
+        return ((self.algebra is other.algebra or self.algebra == other.algebra)
+                and self.den == other.den and self.vec == other.vec)
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return self.unit.is_zero() and all(c.is_zero() for c in self.coeffs)
+        return not any(self.vec)
 
     def __repr__(self):
         return f"<{self}>"
 
     def __str__(self):
-        parts = []
-        if not self.unit.is_zero():
-            u = str(self.unit)
-            parts.append(f"({u})" if self.unit.re != 0 and self.unit.im != 0 else u)
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            name = self.algebra.basis_names[k]
-            if c == ONE:
-                parts.append(name)
-            elif c == -ONE:
-                parts.append(f"-{name}")
-            else:
-                text = str(c)
-                if c.re != 0 and c.im != 0:
-                    text = f"({text})"
-                parts.append(f"{text}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        n = self.algebra.dim + 1
+        names = ("", *self.algebra.basis_names)
+        return sum_text(zip(self.vec[:n], self.vec[n:], names), self.den, "*")
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -276,20 +260,17 @@ def multiply(x: Element, y: Element) -> Element:
     in Python ints: with x and y as integer rows over (unit,) + coeffs, real
     parts then imaginary parts, p[a, b] = sum of x[a, i] y[b, j] tensor[i, j],
     and the product's tensor vector is p[0, 0] - p[1, 1] + i (p[0, 1] + p[1, 0]).
-    Exact scalars are built only for the result.
     """
     y = x._check(y)
     alg = x.algebra
     t = alg.tensor
     n = alg.dim + 1
-    den_x, xs = x._int_form()
-    den_y, ys = y._int_form()
+    xs, ys = (np.array([e.vec[:n], e.vec[n:]], dtype=object) for e in (x, y))
     p = ys @ (xs @ t.reshape(n, -1)).reshape(2, n, -1)
     re, im = p[0, 0] - p[1, 1], p[0, 1] + p[1, 0]
     if t.shape[2] > n:    # a Gaussian table: fold the imaginary half in as i * im
         re, im = re[:n] - im[n:], re[n:] + im[:n]
-    den = den_x * den_y * alg._den
-    return _vector_element(alg, re.tolist() + im.tolist(), den)
+    return Element(alg, x.den * y.den * alg._den, re.tolist() + im.tolist())
 
 
 def commutator(x: Element, y: Element) -> Element:

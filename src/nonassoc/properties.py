@@ -124,7 +124,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, _vector_element, multiply
+from .algebra import AlgebraDef, Element, multiply
 from .scalar import solve_gaussian_integers
 
 @dataclass(frozen=True)
@@ -455,8 +455,8 @@ def _first_failure(alg, laws, kernel):
         hits = np.flatnonzero(nonzero)
         if hits.size:
             *rest, law = (int(v) for v in np.unravel_index(hits[0], nonzero.shape))
-            w = _vector_element(alg, _exact(defects[(..., *rest, law, slice(None))]),
-                                alg._den ** len(rest))    # one factor per product
+            w = Element(alg, alg._den ** len(rest),    # one factor per product
+                        _exact(defects[(..., *rest, law, slice(None))]))
             return Witness(defect=w, indices=(i - 1, *rest), law=laws[law][0])
     return None
 

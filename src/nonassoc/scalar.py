@@ -1,4 +1,4 @@
-"""Exact scalars: Gaussian rationals with Fraction parts, and Gaussian-integer arrays."""
+"""Exact scalars: Gaussian rationals with Fraction parts, Gaussian-integer arrays, their text."""
 
 from __future__ import annotations
 
@@ -22,6 +22,30 @@ def _gaussian_text(re_num: int, im_num: int, den: int) -> str:
     if not re_num:
         return f"-{imag}" if im_num < 0 else imag
     return f"{_rational_text(re_num, den)}{'+' if im_num > 0 else '-'}{imag}"
+
+
+def sum_text(terms, den: int, sep: str) -> str:
+    """The sum of (re + im i)/den times name over (re, im, name) `terms` as
+    text, `q3 - 2*q1 + (1+i)` for sep `*`: zero terms are dropped, a +-1 before
+    a name is omitted, a coefficient with both parts nonzero is parenthesized,
+    an empty name stands for a bare scalar, and no term at all reads `0`."""
+    out = ""
+    for re, im, name in terms:
+        if not (re or im):
+            continue
+        if name and not im and abs(re) == den:
+            text = name if re > 0 else f"-{name}"
+        else:
+            text = _gaussian_text(re, im, den)
+            if re and im:
+                text = f"({text})"
+            if name:
+                text = f"{text}{sep}{name}"
+        if not out:
+            out = text
+        else:
+            out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+    return out or "0"
 
 
 class GaussianRational:

@@ -98,13 +98,6 @@ class CandidateAlgebra:
     def copy(self) -> "CandidateAlgebra":
         return CandidateAlgebra(self.dim, self.c.copy(), dict(self.roles), self.seed)
 
-    def permuted(self, perm: np.ndarray) -> "CandidateAlgebra":
-        """Relabel basis indices by `perm` (new index = perm[old index])."""
-        c2 = np.zeros_like(self.c)
-        c2[np.ix_(perm, perm, perm)] = self.c
-        roles = {label: int(perm[idx]) for label, idx in self.roles.items()}
-        return CandidateAlgebra(self.dim, c2, roles, self.seed)
-
 
 @dataclass(frozen=True)
 class ResidualBreakdown:

@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import MINKOWSKI
-from .scalar import GaussianRational, ONE, common_scale, gauss, gaussian_integers, times_i
+from .scalar import GaussianRational, ONE, common_scale, gauss, gaussian_integers, sum_text, times_i
 from .spinor import EPS_RAISE, SigmaConvention, sigma_lower_raised, sigma_upper
 
 # Generator classes in canonical order: coordinates first, then derivatives.
@@ -150,9 +150,8 @@ _CLASS_NAMES = {X: "x", DX: "dx", TH: "th", DTH: "dth", TB: "tb", DTB: "dtb"}
 
 
 def _key_str(key: Key) -> str:
+    """The monomial as text, `x0^2 th1 dtb2`; empty for the identity."""
     seq = _key_to_seq(key)
-    if not seq:
-        return "1"
     parts = []
     pos = 0
     while pos < len(seq):
@@ -286,24 +285,8 @@ class SuperOp:
         return parities.pop() if len(parities) == 1 else None
 
     def __str__(self):
-        if not self._num:
-            return "0"
-        parts = []
-        for key, coeff in self.terms():
-            mono = _key_str(key)
-            if coeff == ONE and mono != "1":
-                parts.append(mono)
-            elif coeff == -ONE and mono != "1":
-                parts.append(f"-{mono}")
-            else:
-                c = str(coeff)
-                if coeff.re != 0 and coeff.im != 0:
-                    c = f"({c})"
-                parts.append(c if mono == "1" else f"{c} {mono}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+        terms = sorted(self._num.items())
+        return sum_text(((re, im, _key_str(k)) for k, (re, im) in terms), self._den, " ")
 
     __repr__ = __str__
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, _vector_element
+from .algebra import AlgebraDef, Element
 from .corpus import EPS3, split_octonions
 from .properties import PropertyReport, Witness, _turn
 from .scalar import GaussianRational, ZERO, common_scale, gauss, gaussian_integers
@@ -135,14 +135,13 @@ def to_zorn(s: Element) -> ZornMatrix:
     alg = split_octonions()
     if s.algebra is not alg and s.algebra != alg:
         raise ValueError("to_zorn expects a split-octonion element")
-    den, c = s._int_form()
-    return ZornMatrix._from_ints(c @ PHI, den)
+    return ZornMatrix._from_ints(np.array([s.vec[:8], s.vec[8:]], dtype=object) @ PHI, s.den)
 
 
 def from_zorn(Z: ZornMatrix) -> Element:
     """Inverse of to_zorn (the basis map is a linear bijection)."""
     den, z = Z._ints()
-    return _vector_element(split_octonions(), (z @ TWICE_INV).ravel().tolist(), 2 * den)
+    return Element(split_octonions(), 2 * den, (z @ TWICE_INV).ravel().tolist())
 
 
 def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:
@@ -190,7 +189,7 @@ def verify_zorn_isomorphism() -> PropertyReport:
     u, v = (alg.one() if k == 0 else alg.basis_element(k - 1) for k in (i, j))
     # Both tensors make index 0 the unit, so a mismatch is a product of two
     # basis elements, one cell of each table.
-    table_side, zorn_side = (_vector_element(alg, a.tensor[i, j].tolist(), a._den)
+    table_side, zorn_side = (Element(alg, a._den, a.tensor[i, j].tolist())
                              for a in (alg, zorn_alg))
     witness = Witness(defect=zorn_side - table_side, elements=(u, v),
                       law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {zorn_side}")
@@ -229,8 +228,8 @@ def verify_spin_commutators() -> SpinCommutatorReport:
     if failing:
         i, j = failing[0]
         # [s_i, s_j] - eps_ijk s_k = -(C_ij + 2i E_ij) / 4
-        defect = _vector_element(alg, (-brackets[i, j] - _turn(twice_eps[i, j], len(t))).tolist(),
-                                 4 * den)
+        defect = Element(alg, 4 * den,
+                         (-brackets[i, j] - _turn(twice_eps[i, j], len(t))).tolist())
         witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
     kappa = common_scale(_pairs(i_brackets), _pairs(twice_eps))

@@ -45,6 +45,12 @@ MUTANTS = [
     ("search.py", "np.add.at(t_lorentz, (..., idx_m), LORENTZ)",
      "t_lorentz[..., idx_m] = LORENTZ",
      ["tests/test_search.py::test_layout_with_a_shared_index_matches_brute_force"]),
+    # a sum of elements over the smaller denominator, not the lcm
+    ("algebra.py", "Element(self.algebra, self.den * fa,", "Element(self.algebra, self.den,",
+     ["tests/test_algebra.py::test_element_arithmetic_matches_the_tuple_oracle"]),
+    # a coefficient of -1 written out before a name
+    ("scalar.py", "if name and not im and abs(re) == den:", "if name and not im and re == den:",
+     ["tests/test_cli.py::test_table_zorn_flag_full_output"]),
     # a consistency scan that skips the last row
     ("scalar.py", "reduced(i)[n] == (0, 0) for i in range(r, m))",
      "reduced(i)[n] == (0, 0) for i in range(r, m - 1))",

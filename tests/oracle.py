@@ -1,8 +1,9 @@
 """Exact references the tests compare the kernels against.
 
-Each reference follows the definition it checks, in `GaussianRational`
-arithmetic on `Element`s, Zorn tuples and `SuperOp` terms or in sympy
-matrices, and not through the integer tensors, affine matrices or residue
+Each reference follows the definition it checks: in `GaussianRational`
+arithmetic on coefficient tuples (`TupleElement`), Zorn tuples and
+`SuperOp` terms, in products of single `Element`s, or in sympy matrices,
+and not through the whole-tensor contractions, affine matrices or residue
 layers the kernels use.  The Levi-Civita symbol is counted off permutation
 parity here, and the Zorn cross product written out, not read from
 `corpus.EPS3`.  `solve` and `act` only adapt a library call to exact
@@ -22,6 +23,7 @@ import sympy
 from nonassoc.algebra import AlgebraDef, associator, commutator, multiply
 from nonassoc.corpus import split_octonions
 from nonassoc.properties import Witness
+from nonassoc.search import CandidateAlgebra
 from nonassoc.scalar import GaussianRational, I, ZERO, gaussian_integers, solve_gaussian_integers
 from nonassoc.spinor import EPS_RAISE, sigma_lower
 from nonassoc.superspace import SuperOp, _key_to_seq, _normal_order, compose
@@ -90,6 +92,71 @@ def solve(rows, rhs):
     denominators."""
     return solve_gaussian_integers([gaussian_integers([*row, b])[1]
                                     for row, b in zip(rows, rhs)])
+
+
+# -- elements ------------------------------------------------------------------
+
+def random_element(alg, rng, lo=-2, hi=2):
+    """An element with integer coefficients from rng.randint(lo, hi), and a
+    unit part when the algebra has one."""
+    unit = rng.randint(lo, hi) if alg.unital else 0
+    return alg.element(unit, [rng.randint(lo, hi) for _ in range(alg.dim)])
+
+
+class TupleElement:
+    """An element as a unit part and a tuple of basis coefficients, each a
+    GaussianRational, with the arithmetic on those tuples that `Element`
+    had before it held one integer vector over a denominator.  The product
+    is `reference_product`."""
+
+    def __init__(self, algebra, unit, coeffs):
+        self.algebra, self.unit, self.coeffs = algebra, unit, tuple(coeffs)
+
+    def __add__(self, other):
+        return TupleElement(self.algebra, self.unit + other.unit,
+                            (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return TupleElement(self.algebra, self.unit - other.unit,
+                            (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return TupleElement(self.algebra, -self.unit, (-c for c in self.coeffs))
+
+    def scaled(self, s):
+        s = GaussianRational.of(s)
+        return TupleElement(self.algebra, s * self.unit, (s * c for c in self.coeffs))
+
+    def multiply(self, other):
+        return TupleElement(self.algebra, *reference_product(self, other))
+
+    def __eq__(self, other):
+        return self.unit == other.unit and self.coeffs == other.coeffs
+
+    def __str__(self):
+        parts = []
+        if not self.unit.is_zero():
+            u = str(self.unit)
+            parts.append(f"({u})" if self.unit.re != 0 and self.unit.im != 0 else u)
+        for k, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            name = self.algebra.basis_names[k]
+            if c == 1:
+                parts.append(name)
+            elif c == -1:
+                parts.append(f"-{name}")
+            else:
+                text = str(c)
+                if c.re != 0 and c.im != 0:
+                    text = f"({text})"
+                parts.append(f"{text}*{name}")
+        if not parts:
+            return "0"
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
 
 
 # -- algebra tables ------------------------------------------------------------
@@ -353,6 +420,17 @@ def reference_sigma_lower_raised(conv):
                       for a in range(2)])
         for m in sympy_matrices(*sigma_lower(conv))
     ])
+
+
+# -- search candidates ---------------------------------------------------------
+
+def permuted_candidate(cand, perm):
+    """`cand` with its basis indices relabelled by `perm` (new index =
+    perm[old index])."""
+    c2 = np.zeros_like(cand.c)
+    c2[np.ix_(perm, perm, perm)] = cand.c
+    roles = {label: int(perm[idx]) for label, idx in cand.roles.items()}
+    return CandidateAlgebra(cand.dim, c2, roles, cand.seed)
 
 
 # -- superspace operators ------------------------------------------------------

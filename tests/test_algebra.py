@@ -1,8 +1,13 @@
+import importlib.resources
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from nonassoc.algebra import (
     AlgebraDef,
@@ -12,6 +17,7 @@ from nonassoc.algebra import (
     jacobiator,
     multiply,
 )
+from nonassoc.cli import main
 from nonassoc.corpus import (
     SPLIT_OCTONION_TABLE,
     complex_numbers,
@@ -20,10 +26,11 @@ from nonassoc.corpus import (
     split_octonions,
     standard_corpus,
 )
+from nonassoc.properties import check_property
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import zorn_octonions
-from oracle import gaussian_split_octonions, reference_product
+from oracle import TupleElement, gaussian_split_octonions, random_element, reference_product
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +65,7 @@ def test_unit_is_identity(splitO):
     rng = random.Random(11)
     one = splitO.one()
     for _ in range(25):
-        x = splitO.random_element(rng)
+        x = random_element(splitO, rng)
         assert multiply(one, x) == x
         assert multiply(x, one) == x
 
@@ -68,7 +75,7 @@ def test_commutator_examples(splitO):
     assert commutator(q[0], q[1]) == q[2].scaled(2)    # [q1, q2] = 2 q3
     assert commutator(q[3], q[4]) == q[2].scaled(-2)   # [q4, q5] = -2 q3
     rng = random.Random(5)
-    x = splitO.random_element(rng)
+    x = random_element(splitO, rng)
     assert commutator(x, x).is_zero()
 
 
@@ -76,7 +83,7 @@ def test_associator_examples(splitO):
     q = splitO.basis()
     assert associator(q[3], q[4], q[5]) == q[6].scaled(2)   # (q4,q5,q6) = 2 q7
     rng = random.Random(6)
-    x, y = splitO.random_element(rng), splitO.random_element(rng)
+    x, y = random_element(splitO, rng), random_element(splitO, rng)
     assert associator(splitO.one(), x, y).is_zero()
     # quaternion triple is associative
     for i, j, k in itertools.product(range(3), repeat=3):
@@ -88,7 +95,7 @@ def test_jacobiator_examples(splitO):
     assert jacobiator(q[3], q[4], q[5]) == q[6].scaled(12)  # 12 q7
     assert jacobiator(q[0], q[1], q[2]).is_zero()
     rng = random.Random(7)
-    x, y = splitO.random_element(rng), splitO.random_element(rng)
+    x, y = random_element(splitO, rng), random_element(splitO, rng)
     assert jacobiator(x, x, y).is_zero()
 
 
@@ -104,7 +111,7 @@ def test_bilinearity_in_both_slots():
     rng = random.Random(42)
     for alg in standard_corpus():
         for _ in range(10):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
+            x, y, z = (random_element(alg, rng) for _ in range(3))
             a = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
             b = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
             left = multiply(x.scaled(a) + y.scaled(b), z)
@@ -117,9 +124,9 @@ def test_commutator_antisymmetry_and_associator_linearity():
     rng = random.Random(43)
     for alg in standard_corpus():
         for _ in range(8):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
+            x, y, z = (random_element(alg, rng) for _ in range(3))
             assert commutator(x, y) == -commutator(y, x)
-            w = alg.random_element(rng)
+            w = random_element(alg, rng)
             assert associator(x + w, y, z) == associator(x, y, z) + associator(w, y, z)
             assert associator(x, y + w, z) == associator(x, y, z) + associator(x, w, z)
             assert associator(x, y, z + w) == associator(x, y, z) + associator(x, y, w)
@@ -129,7 +136,7 @@ def test_jacobiator_equals_alternating_associator_sum():
     rng = random.Random(44)
     for alg in standard_corpus():
         for _ in range(8):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
+            x, y, z = (random_element(alg, rng) for _ in range(3))
             alt = (
                 associator(x, y, z) - associator(x, z, y)
                 + associator(y, z, x) - associator(y, x, z)
@@ -144,7 +151,7 @@ def test_jacobiator_is_six_associators_on_alternative_algebras():
     rng = random.Random(45)
     for alg in (quaternions(), complex_numbers(), zorn_octonions()):
         for _ in range(8):
-            x, y, z = (alg.random_element(rng) for _ in range(3))
+            x, y, z = (random_element(alg, rng) for _ in range(3))
             assert jacobiator(x, y, z) == associator(x, y, z).scaled(6)
 
 
@@ -154,6 +161,85 @@ def test_element_rendering(splitO):
     text = str(el)
     assert "q3" in text and "2*q1" in text and "(1+i)" in text
     assert str(splitO.zero()) == "0"
+
+
+def test_element_paths_build_no_gaussian_rational(monkeypatch):
+    """Products, sums, differences and their text, `table`, and the law
+    witnesses with their descriptions stay in integers."""
+    alg = split_octonions()
+    path = str(importlib.resources.files("nonassoc").joinpath("fixtures", "splitO.alg"))
+    built = []
+    init = GaussianRational.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    basis = alg.basis()
+    texts = []
+    for x, y in itertools.product(basis, repeat=2):
+        p = multiply(x, y)
+        texts += [str(p), str(p + x), str(p - y)]
+    table = CliRunner().invoke(main, ["table", path])
+    reports = [check_property(alg, law) for law in ("associative", "alternative")]
+    described = [r.witness.describe() for r in reports]
+    assert built == []
+    monkeypatch.undo()
+    assert table.exit_code == 0 and "q3" in table.output
+    assert texts[:3] == ["-1", "-1 + q1", "-1 - q1"]     # q1 q1 = -1
+    assert all(not r.holds and "defect" in d for r, d in zip(reports, described))
+
+
+# -- element arithmetic against the coefficient-tuple oracle -------------------
+
+RATIONALS = st.builds(
+    Fraction,
+    st.integers(-2, 2) | st.integers(-2**70, 2**70),
+    st.integers(1, 12) | st.sampled_from([2**35, 2**64, 2**70]) | st.integers(1, 2**70),
+)
+SCALARS = st.just(ZERO) | st.builds(GaussianRational, RATIONALS, st.just(0) | RATIONALS)
+
+
+def coefficient_tuples(alg):
+    """(unit, coeffs) of GaussianRational, often zero; no unit part in a
+    non-unital algebra."""
+    return st.tuples(SCALARS if alg.unital else st.just(ZERO),
+                     st.tuples(*[SCALARS] * alg.dim))
+
+
+def assert_canonical(e):
+    """den positive and coprime to the vector (so zero has den 1), and the
+    vector Python ints at full width."""
+    assert e.den > 0 and math.gcd(e.den, *e.vec) == 1
+    assert len(e.vec) == 2 * (e.algebra.dim + 1) and all(type(v) is int for v in e.vec)
+
+
+@pytest.mark.parametrize("alg", [
+    split_octonions(),
+    gaussian_split_octonions(),
+    candidate_to_algebra(CandidateAlgebra.random(1)),
+], ids=lambda a: a.name)
+# no shrinking: on a failure it spends minutes on the 70-bit coefficients
+@settings(settings.get_profile("exact"), max_examples=25,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_element_arithmetic_matches_the_tuple_oracle(alg, data):
+    x_parts = data.draw(coefficient_tuples(alg))
+    y_parts = data.draw(st.just(x_parts) | coefficient_tuples(alg))
+    s = data.draw(SCALARS)
+    r = data.draw(st.integers(-3, 3) | RATIONALS)
+    x, y = alg.element(*x_parts), alg.element(*y_parts)
+    rx, ry = TupleElement(alg, *x_parts), TupleElement(alg, *y_parts)
+    for got, want in [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+                      (x.scaled(s), rx.scaled(s)), (x.scaled(r), rx.scaled(r)),
+                      (multiply(x, y), rx.multiply(ry))]:
+        assert_canonical(got)
+        assert (got.unit, got.coeffs) == (want.unit, want.coeffs)
+        assert got == alg.element(want.unit, want.coeffs)
+        assert str(got) == str(want)
+        assert got.is_zero() == all(c.is_zero() for c in (want.unit, *want.coeffs))
+    assert (x == y) == (rx == ry) == (x - y).is_zero()
 
 
 # -- multiply against the structure table it is built from --------------------

@@ -209,10 +209,11 @@ def test_candidate_path_builds_no_gaussian_rational(monkeypatch):
     assert built == []
     monkeypatch.undo()
     assert (tensor == alg.tensor).all()
-    # the counter does see exact scalars read off the table: dim+1 per product
+    # the counter does see exact scalars read off a product: dim+1 per product
     monkeypatch.setattr(GaussianRational, "__init__", counting)
     for i, j in itertools.product(range(alg.dim), repeat=2):
-        alg.basis_product(i, j)
+        product = alg.basis_product(i, j)
+        product.unit, product.coeffs
     assert len(built) == alg.dim**2 * (alg.dim + 1)
 
 

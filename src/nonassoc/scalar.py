@@ -172,21 +172,25 @@ def times_i(A):
 def common_scale(u, v) -> GaussianRational | None:
     """The c with u = c * v, or None if there is none.
 
-    u and v are equally long sequences of Gaussian integers as (re, im)
-    pairs; a family of such pairs is measured by concatenating its members.
-    c is read at the first nonzero v_p, and every entry is decided by
-    u_j * v_p == u_p * v_j, so nothing is divided.  A zero v admits every c
-    when u is zero too; the answer is then 0, and None otherwise.
+    u and v are Gaussian-integer arrays of one shape, int64 or Python ints,
+    with (re, im) on axis 0.  Entries zero on both sides fit every c; the
+    others are taken as Python ints.  c is read at the first nonzero v_p in
+    C order, and u * v_p == u_p * v is decided as one array comparison, so
+    nothing is divided.  A zero v admits every c when u is zero too; the
+    answer is then 0, and None otherwise.
     """
-    entries = list(zip(u, v))
-    first = next(((a, b) for a, b in entries if b != (0, 0)), None)
-    if first is None:
-        return ZERO if all(a == (0, 0) for a, _ in entries) else None
-    (pr, pi), (qr, qi) = first
-    for (ar, ai), (br, bi) in entries:
-        if (ar * qr - ai * qi, ar * qi + ai * qr) != (pr * br - pi * bi, pr * bi + pi * br):
-            return None
-    return GaussianRational(pr, pi) / GaussianRational(qr, qi)
+    u, v = (np.asarray(a).reshape(2, -1) for a in (u, v))
+    at = np.flatnonzero(u.any(axis=0) | v.any(axis=0))
+    u, v = u[:, at].astype(object), v[:, at].astype(object)
+    p = np.flatnonzero(v.any(axis=0))
+    if not len(p):
+        return None if len(at) else ZERO
+    up, vp = u[:, p[0]], v[:, p[0]]
+    if not np.array_equal(gauss(np.multiply, u, vp), gauss(np.multiply, up, v)):
+        return None
+    (ur, ui), (vr, vi) = up.tolist(), vp.tolist()
+    n = vr * vr + vi * vi           # c = u_p * conj(v_p) / |v_p|^2
+    return GaussianRational(Fraction(ur * vr + ui * vi, n), Fraction(ui * vr - ur * vi, n))
 
 
 def solve_gaussian_integers(aug: list[list[tuple[int, int]]]):

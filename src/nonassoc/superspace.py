@@ -520,18 +520,6 @@ class SusyReport:
     m_q_samples: tuple[tuple[str, str], ...]  # rendered [M, Q] / [M, Qbar] brackets
 
 
-def _pairs(A, d: int) -> list[tuple[int, int]]:
-    """The entries of a stack times d, as (re, im) pairs of Python ints."""
-    return [(re * d, im * d) for re, im in zip(A[0].ravel().tolist(), A[1].ravel().tolist())]
-
-
-def _scale(lhs, lhs_den: int, rhs, rhs_den: int) -> GaussianRational | None:
-    """The c with lhs / lhs_den = c * rhs / rhs_den for two stacks of one
-    shape, or None; entries that are zero on both sides admit every c."""
-    at = lhs.any(axis=0) | rhs.any(axis=0)
-    return common_scale(_pairs(lhs[:, at], rhs_den), _pairs(rhs[:, at], lhs_den))
-
-
 def verify_susy(gens: GeneratorSet) -> SusyReport:
     """Decide Eq. 1-50, 1-60, 1-90 and 3-10 and the [P, Q] brackets of `gens`.
 
@@ -550,18 +538,23 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
 
     # {Q_a, Qbar_ad} over o**2, computed once for the c1, c2 and spatial-inversion checks
     brackets = _bracket(Q, Qb, -1)
-    # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd).
+    # c1 from {Q_a, Qbar_bd} = c1 * sigma^mu_{a bd} P_mu, uniform over (a, bd);
+    # the sigma side is over s * e, so the scale of the numerators is c1 o**2 / (s e).
     s, S = sigma_upper(gens.convention)
-    c1 = _scale(brackets, o * o, gauss(functools.partial(np.einsum, "mab,mxy->abxy"), S, P), s * e)
+    c1 = common_scale(brackets, gauss(functools.partial(np.einsum, "mab,mxy->abxy"), S, P))
+    c1 = None if c1 is None else c1 * Fraction(s * e, o * o)
     # traces[mu] = sigma_mu^{a ad} {Q_a, Qbar_ad}, over r * o**2
     r, R = sigma_lower_raised(gens.convention)
     traces = gauss(functools.partial(np.einsum, "mab,abxy->mxy"), R, brackets)
     # c2 from sigma_mu^{a ad} {Q_a, Qbar_ad} = c2 * P_mu, uniform over mu.
-    c2 = _scale(traces, r * o * o, P, e)
+    c2 = common_scale(traces, P)
+    c2 = None if c2 is None else c2 * Fraction(e, r * o * o)
 
     quarter = GaussianRational(Fraction(1, 4))
     inversion = c2 is not None and (quarter * c2) == ONE
-    spatial_ok = _pairs(traces[:, 1:], e) == _pairs(P[:, 1:], 4 * r * o * o)
+    # in Python ints, since the cross denominators need not fit in int64
+    spatial = traces[:, 1:].astype(object) * e, P[:, 1:].astype(object) * (4 * r * o * o)
+    spatial_ok = np.array_equal(*spatial)
 
     # [M^{01}, M^{12}] x [Q_1, Qbar_1], over e * o
     mq = _bracket(M, odd[:, [0, 2]], 1)

@@ -9,11 +9,13 @@ off it, with the block product
 On the components (a, x1..x3, y1..y3, b) it is one integer tensor ZORN, and
 the rows of PHI are the images of 1, q1..q7: the identity, (0,-e_i;e_i,0),
 (0,e_i;e_i,0) and (-1,0;0,1).  They are orthogonal, of squared length 2, so
-TWICE_INV = 2 PHI^-1 = PHI^T.  `to_zorn`, `from_zorn` and `zorn_multiply`
-are products of these arrays with Gaussian-integer vectors; `zorn_octonions`,
-the table the images generate, is ZORN on two rows of PHI read back through
-TWICE_INV in halves, and verify_zorn_isomorphism diffs its structure tensor
-against the bundled table's over every ordered pair of 1, q1..q7.
+TWICE_INV = 2 PHI^-1 = PHI^T.  `zorn_matrices` is ZORN as an `AlgebraDef`,
+and a `ZornMatrix` is one `Element` of it, so `zorn_multiply` is `multiply`;
+`to_zorn` and `from_zorn` map its Gaussian-integer vector through PHI and
+TWICE_INV.  `zorn_octonions`, the table the images generate, is ZORN on two
+rows of PHI read back through TWICE_INV in halves, and
+verify_zorn_isomorphism diffs its structure tensor against the bundled
+table's over every ordered pair of 1, q1..q7.
 
 The split-octonion identities behind the spin operator (Eq. 2-50, 2-60
 and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element
+from .algebra import AlgebraDef, Element, multiply
 from .corpus import EPS3, split_octonions
 from .properties import PropertyReport, Witness, _turn
-from .scalar import GaussianRational, ZERO, common_scale, gauss, gaussian_integers
+from .scalar import GaussianRational, ZERO, _gaussian_text, common_scale
 from .spinor import pauli_spin_commutators_hold
 
 # Indices of q1..q3, q4..q6 and q7 in `AlgebraDef.tensor` and PHI (0 is the unit).
@@ -61,73 +62,73 @@ PHI[Q7, [A, B]] = -1, 1                     # q7 -> (-1, 0; 0, 1)
 TWICE_INV = PHI.T                           # PHI PHI^T = 2 I
 
 
-def _product(u, v):
-    """The block product of component vectors u and v over ZORN; for stacks
-    of them, shape (len(u), len(v), 8)."""
-    return v @ (u @ ZORN.reshape(8, 64)).reshape(u.shape[:-1] + (8, 8))
+def _halves(vecs: np.ndarray) -> np.ndarray:
+    """Gaussian vectors, real half then imaginary half on the last axis, as
+    one array with (re, im) on axis 0."""
+    return np.moveaxis(vecs.reshape(vecs.shape[:-1] + (2, -1)), -2, 0)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def zorn_matrices() -> AlgebraDef:
+    """ZORN as an algebra on the components a, x1..x3, y1..y3, b.
+
+    Its table has no unit index: the identity a + b is an internal unit.
+    """
+    cells = [[0, *cell] for cell in ZORN.reshape(64, 8).tolist()]
+    return AlgebraDef("zorn", 8, 1, cells, unital=False,
+                      basis_names=("a", "x1", "x2", "x3", "y1", "y2", "y3", "b"))
+
+
 class ZornMatrix:
-    """(a, x; y, b) with `GaussianRational` entries, x and y as 3-tuples."""
+    """(a, x; y, b) as one element of `zorn_matrices()`; the views a and b
+    are `GaussianRational`s, x and y 3-tuples of them."""
 
-    a: GaussianRational
-    x: tuple[GaussianRational, ...]
-    y: tuple[GaussianRational, ...]
-    b: GaussianRational
+    __slots__ = ("element",)
+
+    def __init__(self, element: Element):
+        self.element = element
 
     @classmethod
     def build(cls, a, x, y, b) -> "ZornMatrix":
-        return cls._of([GaussianRational.of(v) for v in (a, *x, *y, b)])
+        return cls(zorn_matrices().element(0, [a, *x, *y, b]))
 
     @classmethod
     def zero(cls) -> "ZornMatrix":
-        return cls.build(0, (0, 0, 0), (0, 0, 0), 0)
+        return cls(zorn_matrices().zero())
 
     @classmethod
     def identity(cls) -> "ZornMatrix":
         return cls.build(1, (0, 0, 0), (0, 0, 0), 1)
 
-    @classmethod
-    def _of(cls, c) -> "ZornMatrix":
-        """From the list of its eight components."""
-        return cls(c[A], tuple(c[X]), tuple(c[Y]), c[B])
-
-    @classmethod
-    def _from_ints(cls, z, den) -> "ZornMatrix":
-        """From a Gaussian-integer component vector z over den."""
-        return cls._of([GaussianRational(Fraction(re, den), Fraction(im, den))
-                        for re, im in zip(*z.tolist())])
-
-    def _components(self) -> list[GaussianRational]:
-        return [self.a, *self.x, *self.y, self.b]
-
-    def _ints(self):
-        """(den, [re parts, im parts]) over the components, as Python ints."""
-        den, pairs = gaussian_integers(self._components())
-        return den, np.array(pairs, dtype=object).T
+    a = property(lambda self: self.element.coeffs[A])
+    x = property(lambda self: self.element.coeffs[X])
+    y = property(lambda self: self.element.coeffs[Y])
+    b = property(lambda self: self.element.coeffs[B])
 
     def __add__(self, other):
-        return ZornMatrix._of([p + q for p, q in zip(self._components(), other._components())])
+        return ZornMatrix(self.element + other.element)
 
     def __sub__(self, other):
-        return ZornMatrix._of([p - q for p, q in zip(self._components(), other._components())])
+        return ZornMatrix(self.element - other.element)
 
     def __mul__(self, other):
         return zorn_multiply(self, other) if isinstance(other, ZornMatrix) else NotImplemented
 
+    def __eq__(self, other):
+        return self.element == other.element if isinstance(other, ZornMatrix) else NotImplemented
+
     def is_zero(self) -> bool:
-        return not any(self._components())
+        return self.element.is_zero()
 
     def __str__(self):
-        fx, fy = ("(" + ", ".join(str(v) for v in vec) + ")" for vec in (self.x, self.y))
-        return f"[{self.a}, {fx}; {fy}, {self.b}]"
+        e = self.element
+        a, *xy, b = (_gaussian_text(re, im, e.den) for re, im in zip(e.vec[1:9], e.vec[10:]))
+        return f"[{a}, ({', '.join(xy[:3])}); ({', '.join(xy[3:])}), {b}]"
 
 
 def zorn_multiply(Z: ZornMatrix, W: ZornMatrix) -> ZornMatrix:
-    """The block product Z W, contracted in Gaussian integers over ZORN."""
-    (dz, z), (dw, w) = Z._ints(), W._ints()
-    return ZornMatrix._from_ints(gauss(_product, z, w), dz * dw)
+    """The block product Z W: `multiply` in `zorn_matrices()`, over ZORN."""
+    return ZornMatrix(multiply(Z.element, W.element))
 
 
 def to_zorn(s: Element) -> ZornMatrix:
@@ -135,13 +136,14 @@ def to_zorn(s: Element) -> ZornMatrix:
     alg = split_octonions()
     if s.algebra is not alg and s.algebra != alg:
         raise ValueError("to_zorn expects a split-octonion element")
-    return ZornMatrix._from_ints(np.array([s.vec[:8], s.vec[8:]], dtype=object) @ PHI, s.den)
+    re, im = (_halves(np.array(s.vec, dtype=object)) @ PHI).tolist()
+    return ZornMatrix(Element(zorn_matrices(), s.den, [0, *re, 0, *im]))
 
 
 def from_zorn(Z: ZornMatrix) -> Element:
     """Inverse of to_zorn (the basis map is a linear bijection)."""
-    den, z = Z._ints()
-    return Element(split_octonions(), 2 * den, (z @ TWICE_INV).ravel().tolist())
+    z = _halves(np.array(Z.element.vec, dtype=object))[:, 1:]
+    return Element(split_octonions(), 2 * Z.element.den, (z @ TWICE_INV).ravel().tolist())
 
 
 def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:
@@ -159,12 +161,6 @@ def eps_vectors(t: np.ndarray, den) -> np.ndarray:
     e = np.zeros((3, 3, t.shape[2]), dtype=t.dtype)
     e[:, :, QUAT] = EPS3 * den
     return e
-
-
-def _pairs(vecs: np.ndarray) -> list[tuple[int, int]]:
-    """Gaussian tensor vectors as one sequence of (re, im) pairs, for `common_scale`."""
-    h = vecs.shape[-1] // 2
-    return list(zip(vecs[..., :h].ravel().tolist(), vecs[..., h:].ravel().tolist()))
 
 
 def verify_zorn_isomorphism() -> PropertyReport:
@@ -232,7 +228,7 @@ def verify_spin_commutators() -> SpinCommutatorReport:
                          (-brackets[i, j] - _turn(twice_eps[i, j], len(t))).tolist())
         witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
-    kappa = common_scale(_pairs(i_brackets), _pairs(twice_eps))
+    kappa = common_scale(_halves(i_brackets), _halves(twice_eps))
     return SpinCommutatorReport(not failing, ZERO if kappa is None else kappa,
                                 pauli_spin_commutators_hold(), witness)
 
@@ -262,8 +258,8 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     product_ok = np.array_equal(np.tensordot(EPS3, split, axes=2), -2 * quat)
 
     bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
-    lam = common_scale(_pairs(bracket_sides[0]), _pairs(4 * quat[0]))
-    uniform = lam is not None and common_scale(_pairs(bracket_sides), _pairs(4 * quat)) == lam
+    lam = common_scale(_halves(bracket_sides[0]), _halves(4 * quat[0]))
+    uniform = lam is not None and common_scale(_halves(bracket_sides), _halves(4 * quat)) == lam
     lam = ZERO if lam is None else lam
 
     detail = (f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
@@ -279,6 +275,7 @@ def zorn_octonions() -> AlgebraDef:
     alternative.  Shipped as a corpus member and fixture for comparison.
     Its products are read back through TWICE_INV, as numerators over 2.
     """
-    cells = _product(PHI[1:], PHI[1:]) @ TWICE_INV
+    # [i, j] is the product of the images of q_(i+1) and q_(j+1)
+    cells = (PHI[1:] @ (PHI[1:] @ ZORN.reshape(8, 64)).reshape(7, 8, 8)) @ TWICE_INV
     return AlgebraDef("zornO", 7, 2, cells.reshape(49, 8).tolist(), unital=True,
                       basis_names=split_octonions().basis_names)

@@ -30,6 +30,25 @@ MUTANTS = [
     # Zorn basis map: the b entry of the image of q7
     ("zorn.py", "PHI[Q7, [A, B]] = -1, 1", "PHI[Q7, [A, B]] = -1, -1",
      ["tests/test_zorn.py"]),
+    # the imaginary halves of a Zorn matrix's text read one slot early
+    ("zorn.py", "zip(e.vec[1:9], e.vec[10:])", "zip(e.vec[1:9], e.vec[9:])",
+     ["tests/test_zorn.py::test_zorn_text_writes_each_component_as_its_scalar"]),
+    # to_zorn puts the unit slot of the imaginary half at its end
+    ("zorn.py", "[0, *re, 0, *im]", "[0, *re, *im, 0]",
+     ["tests/test_zorn.py::test_zorn_scalar_coefficients_survive"]),
+    # a common scale decided on real parts only
+    ("scalar.py", "np.array_equal(gauss(np.multiply, u, vp), gauss(np.multiply, up, v))",
+     "np.array_equal(gauss(np.multiply, u, vp)[0], gauss(np.multiply, up, v)[0])",
+     ["tests/test_scalar.py"]),
+    # a support that drops the entries where only u is nonzero
+    ("scalar.py", "np.flatnonzero(u.any(axis=0) | v.any(axis=0))", "np.flatnonzero(v.any(axis=0))",
+     ["tests/test_scalar.py"]),
+    # a common scale decided in int64, where products wrap around
+    ("scalar.py", "u, v = u[:, at].astype(object), v[:, at].astype(object)",
+     "u, v = u[:, at], v[:, at]", ["tests/test_scalar.py"]),
+    # the conjugate of the common scale
+    ("scalar.py", "Fraction(ui * vr - ur * vi, n)", "Fraction(ur * vi - ui * vr, n)",
+     ["tests/test_scalar.py"]),
     # sigma axes swapped in Q_a
     ("superspace.py", "odd[:, :2, 7:, :4] = -S.transpose(0, 2, 3, 1)",
      "odd[:, :2, 7:, :4] = -S.transpose(0, 3, 2, 1)", ["tests/test_superspace.py"]),

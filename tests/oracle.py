@@ -9,10 +9,11 @@ parity here, and the Zorn cross product written out, not read from
 `corpus.EPS3`.  `solve` and `act` only adapt a library call to exact
 values: they clear denominators for `solve_gaussian_integers`, and drop the
 derivative terms of a `compose`.  The test modules import what they share
-from this one module.
+from this one module, the table of bundled fixtures and their reader too.
 """
 
 import functools
+import importlib.resources
 import itertools
 import math
 from fractions import Fraction
@@ -21,12 +22,41 @@ import numpy as np
 import sympy
 
 from nonassoc.algebra import AlgebraDef, associator, commutator, multiply
-from nonassoc.corpus import split_octonions
+from nonassoc.corpus import (
+    complex_numbers,
+    quaternions,
+    so31_bracket_algebra,
+    split_octonions,
+    su2_bracket_algebra,
+)
 from nonassoc.properties import Witness
 from nonassoc.search import CandidateAlgebra
 from nonassoc.scalar import GaussianRational, I, ZERO, gaussian_integers, solve_gaussian_integers
 from nonassoc.spinor import EPS_RAISE, sigma_lower
 from nonassoc.superspace import SuperOp, _key_to_seq, _normal_order, compose
+from nonassoc.zorn import zorn_octonions
+
+
+# -- bundled fixtures ------------------------------------------------------------
+
+# each file under nonassoc/fixtures and the corpus algebra it must parse to
+FIXTURES = {
+    "complex.alg": complex_numbers,
+    "quaternion.alg": quaternions,
+    "so31.alg": so31_bracket_algebra,
+    "splitO.alg": split_octonions,
+    "su2.alg": su2_bracket_algebra,
+    "zornO.alg": zorn_octonions,
+}
+
+
+def fixture_path(name) -> str:
+    return str(importlib.resources.files("nonassoc").joinpath("fixtures", name))
+
+
+def fixture_text(name) -> str:
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 # -- scalars and linear systems ------------------------------------------------

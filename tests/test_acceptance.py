@@ -322,17 +322,13 @@ def test_c9_search_sanity(criterion):
 # -- criterion 10: parser robustness ------------------------------------------------
 
 def test_c10_parser_round_trip_and_fuzz(criterion):
-    import importlib.resources
-
     from nonassoc.algfile import AlgebraParseError, parse_text, serialize
-    from test_algfile import FIXTURES, MALFORMED
+    from oracle import FIXTURES, fixture_text
+    from test_algfile import MALFORMED
 
     ok = True
     for fname in FIXTURES:
-        text = (
-            importlib.resources.files("nonassoc")
-            .joinpath("fixtures").joinpath(fname).read_text(encoding="utf-8")
-        )
+        text = fixture_text(fname)
         parsed = parse_text(text)
         ok = ok and serialize(parsed.algebra) == text
         ok = ok and parse_text(serialize(parsed.algebra)).algebra == parsed.algebra

@@ -1,4 +1,3 @@
-import importlib.resources
 import itertools
 import math
 import random
@@ -29,8 +28,14 @@ from nonassoc.corpus import (
 from nonassoc.properties import check_property
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from nonassoc.zorn import zorn_octonions
-from oracle import TupleElement, gaussian_split_octonions, random_element, reference_product
+from nonassoc.zorn import from_zorn, to_zorn, zorn_multiply, zorn_octonions
+from oracle import (
+    TupleElement,
+    fixture_path,
+    gaussian_split_octonions,
+    random_element,
+    reference_product,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,10 +169,11 @@ def test_element_rendering(splitO):
 
 
 def test_element_paths_build_no_gaussian_rational(monkeypatch):
-    """Products, sums, differences and their text, `table`, and the law
+    """Products, sums, differences and their text, `table` with and without
+    `--zorn`, Zorn products of the basis images read back, and the law
     witnesses with their descriptions stay in integers."""
     alg = split_octonions()
-    path = str(importlib.resources.files("nonassoc").joinpath("fixtures", "splitO.alg"))
+    path = fixture_path("splitO.alg")
     built = []
     init = GaussianRational.__init__
 
@@ -182,11 +188,16 @@ def test_element_paths_build_no_gaussian_rational(monkeypatch):
         p = multiply(x, y)
         texts += [str(p), str(p + x), str(p - y)]
     table = CliRunner().invoke(main, ["table", path])
+    zorn_table = CliRunner().invoke(main, ["table", path, "--zorn"])
+    images = [to_zorn(e) for e in [alg.one()] + basis]
+    zorn_products = [from_zorn(zorn_multiply(z, w)) for z, w in itertools.product(images, repeat=2)]
     reports = [check_property(alg, law) for law in ("associative", "alternative")]
     described = [r.witness.describe() for r in reports]
     assert built == []
     monkeypatch.undo()
     assert table.exit_code == 0 and "q3" in table.output
+    assert zorn_table.exit_code == 0 and "[-1, (0, 0, 0); (0, 0, 0), 1]" in zorn_table.output
+    assert zorn_products[8 + 1] == -alg.one()            # q1 q1 = -1 through the images
     assert texts[:3] == ["-1", "-1 + q1", "-1 - q1"]     # q1 q1 = -1
     assert all(not r.holds and "defect" in d for r, d in zip(reports, described))
 

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.resources
 import itertools
 import math
 from fractions import Fraction
@@ -11,34 +10,9 @@ from hypothesis import strategies as st
 
 from nonassoc.algebra import AlgebraDef
 from nonassoc.algfile import AlgebraParseError, parse_text, serialize
-from nonassoc.corpus import (
-    complex_numbers,
-    quaternions,
-    so31_bracket_algebra,
-    split_octonions,
-    su2_bracket_algebra,
-)
 from nonassoc.scalar import ZERO, GaussianRational
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from nonassoc.zorn import zorn_octonions
-
-FIXTURES = {
-    "splitO.alg": split_octonions,
-    "quaternion.alg": quaternions,
-    "su2.alg": su2_bracket_algebra,
-    "so31.alg": so31_bracket_algebra,
-    "complex.alg": complex_numbers,
-    "zornO.alg": zorn_octonions,
-}
-
-
-def fixture_text(name):
-    return (
-        importlib.resources.files("nonassoc")
-        .joinpath("fixtures")
-        .joinpath(name)
-        .read_text(encoding="utf-8")
-    )
+from oracle import FIXTURES, fixture_text
 
 
 @pytest.mark.parametrize("fname", sorted(FIXTURES), ids=lambda f: f)

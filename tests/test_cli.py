@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import importlib.resources
 import os
 import pathlib
 import subprocess
@@ -13,12 +12,9 @@ from hypothesis import strategies as st
 
 from nonassoc import cli
 from nonassoc.cli import main
+from oracle import fixture_path, fixture_text
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
-
-
-def fixture_path(name) -> str:
-    return str(importlib.resources.files("nonassoc").joinpath("fixtures").joinpath(name))
 
 
 @pytest.fixture
@@ -84,7 +80,7 @@ def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
     assert result.stderr.count("\n") == 1
 
 
-QUATERNION = pathlib.Path(fixture_path("quaternion.alg")).read_text(encoding="utf-8")
+QUATERNION = fixture_text("quaternion.alg")
 HEADER = "".join(line for line in QUATERNION.splitlines(True) if not line.startswith("e"))
 PRODUCT_LINES = [line for line in QUATERNION.splitlines(True) if line.startswith("e")]
 

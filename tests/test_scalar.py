@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -284,29 +285,41 @@ def test_internal_unit_system_matches_eager_reference(monkeypatch):
 
 # -- common_scale ----------------------------------------------------------------
 
+def gaussian(pairs):
+    """(re, im) pairs as one Gaussian-integer array, (re, im) on axis 0."""
+    return np.array(pairs, dtype=object).reshape(-1, 2).T
+
+
 def test_common_scale_reads_and_decides_the_factor():
-    v = [(0, 0), (2, 0), (1, -1)]
+    v = gaussian([(0, 0), (2, 0), (1, -1)])
     half_1_3i = GaussianRational(Fraction(1, 2), Fraction(3, 2))
-    assert common_scale([(0, 0), (1, 3), (2, 1)], v) == half_1_3i
-    assert common_scale([(0, 0), (2, 0), (1, -1)], v) == ONE
-    assert common_scale([(0, 0), (0, 0), (0, 0)], v) == ZERO
+    assert common_scale(gaussian([(0, 0), (1, 3), (2, 1)]), v) == half_1_3i
+    assert common_scale(gaussian([(0, 0), (2, 0), (1, -1)]), v) == ONE
+    assert common_scale(gaussian([(0, 0), (0, 0), (0, 0)]), v) == ZERO
     # the factor read at the first nonzero v_p must hold at every entry
-    assert common_scale([(0, 0), (2, 0), (1, 1)], v) is None
-    assert common_scale([(1, 0), (2, 0), (1, -1)], v) is None
+    assert common_scale(gaussian([(0, 0), (2, 0), (1, 1)]), v) is None
+    assert common_scale(gaussian([(1, 0), (2, 0), (1, -1)]), v) is None
 
 
 def test_common_scale_measures_a_family_by_concatenation():
     # u_k = 3 v_k for both members; a zero member admits any factor
     family = [([(3, 0), (0, 6)], [(1, 0), (0, 2)]), ([(0, 0)], [(0, 0)])]
-    u = [a for uk, _ in family for a in uk]
-    v = [b for _, vk in family for b in vk]
+    u = gaussian([a for uk, _ in family for a in uk])
+    v = gaussian([b for _, vk in family for b in vk])
     assert common_scale(u, v) == GaussianRational(3)
 
 
 def test_common_scale_of_all_zero_right_sides():
     """Every c fits when u is zero too, and the answer is then 0; no c
     fits a nonzero u."""
-    zero = [(0, 0), (0, 0)]
+    zero = gaussian([(0, 0), (0, 0)])
     assert common_scale(zero, zero) == ZERO
-    assert common_scale([(0, 0), (0, 1)], zero) is None
-    assert common_scale([], []) == ZERO
+    assert common_scale(gaussian([(0, 0), (0, 1)]), zero) is None
+    assert common_scale(gaussian([]), gaussian([])) == ZERO
+
+
+def test_common_scale_decides_int64_input_in_python_ints():
+    # (1 + 2**32) * 2**32 wraps around to 2**32 * 1 in int64
+    v = np.array([[2**32, 1], [0, 0]])
+    assert common_scale(v, v) == ONE
+    assert common_scale(np.array([[2**32, 1 + 2**32], [0, 0]]), v) is None

@@ -8,7 +8,7 @@ import pytest
 from nonassoc import report, zorn
 from nonassoc.algebra import AlgebraDef, multiply
 from nonassoc.corpus import split_octonions
-from nonassoc.properties import check_property
+from nonassoc.properties import PROPERTIES, check_property
 from nonassoc.scalar import GaussianRational, I, ONE
 from nonassoc.zorn import (
     ZornMatrix,
@@ -17,6 +17,7 @@ from nonassoc.zorn import (
     verify_spin_commutators,
     verify_spin_decomposition,
     verify_zorn_isomorphism,
+    zorn_matrices,
     zorn_multiply,
     zorn_octonions,
 )
@@ -48,7 +49,7 @@ def random_gaussian_zorn(rng):
         return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
                                 Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
 
-    return ZornMatrix(entry(), (entry(), entry(), entry()), (entry(), entry(), entry()), entry())
+    return ZornMatrix.build(entry(), (entry(), entry(), entry()), (entry(), entry(), entry()), entry())
 
 
 def test_zorn_multiply_matches_the_block_rule_reference():
@@ -56,6 +57,27 @@ def test_zorn_multiply_matches_the_block_rule_reference():
     for _ in range(200):
         Z, W = random_gaussian_zorn(rng), random_gaussian_zorn(rng)
         assert fields(zorn_multiply(Z, W)) == reference_zorn_multiply(fields(Z), fields(W))
+
+
+def test_zorn_text_writes_each_component_as_its_scalar():
+    rng = random.Random(4)
+    for _ in range(20):
+        z = random_gaussian_zorn(rng)
+        x, y = (", ".join(map(str, v)) for v in (z.x, z.y))
+        assert str(z) == f"[{z.a}, ({x}); ({y}), {z.b}]"
+
+
+def test_zorn_matrices_and_zorn_octonions_share_every_verdict():
+    # PHI is an isomorphism, and an isomorphism preserves every multilinear
+    # identity; the Zorn table has no unit index, so its identity is internal
+    matrices, octonions = zorn_matrices(), zorn_octonions()
+    verdicts = {law: check_property(matrices, law).holds for law in PROPERTIES}
+    assert verdicts == {law: check_property(octonions, law).holds for law in PROPERTIES}
+    assert [law for law in PROPERTIES if verdicts[law]] == [
+        "alternative", "flexible", "power_associative", "unital"]
+    assert check_property(matrices, "unital").detail == "internal unit a + b"
+    assert not matrices.unital and ZornMatrix.identity().element == matrices.element(
+        0, [1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_twice_inverse_of_the_basis_map():

@@ -165,7 +165,7 @@ class Element:
     `vec` is the tensor vector times the positive `den`, as Python ints: real
     parts of (unit,) + coeffs, then imaginary parts; a real-width vector gets
     a zero imaginary half.  `den` and `vec` have gcd 1, so zero has `den` 1
-    and equal elements have equal fields."""
+    and equal elements have equal fields.  Elements are immutable."""
 
     __slots__ = ("algebra", "den", "vec")
 
@@ -177,8 +177,12 @@ class Element:
         if len(vec) != 2 * n or den <= 0:
             raise ValueError(f"need {n} or {2 * n} numerators over a positive denominator")
         g = math.gcd(den, *vec)
-        self.algebra, self.den = algebra, den // g
-        self.vec = tuple(v // g for v in vec) if g > 1 else tuple(vec)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "vec", tuple(v // g for v in vec) if g > 1 else tuple(vec))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Element is immutable")
 
     def _scalar(self, k) -> GaussianRational:
         re, im = self.vec[k], self.vec[k + self.algebra.dim + 1]

@@ -18,9 +18,12 @@ is a multiple of the unit and is only legal in unital algebras.  A roles
 line gives each label once and each its own index.  Every diagnostic
 carries a 1-based line number.
 
-Parsing keeps every coefficient in integers, as (re, im, q) for
-(re + im i) / q, and builds `AlgebraDef.tensor` once at the end;
-`serialize` writes straight from the tensor.
+Each product line is read by one compiled term pattern matched along the
+line, term after term; the diagnostics are those of splitting the line on
+signs outside parentheses first and then reading each term.  Parsing keeps
+every coefficient in integers, as (re, im, q) for (re + im i) / q, and
+builds `AlgebraDef.tensor` once at the end; `serialize` writes each cell's
+terms straight from the tensor in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraDef
-from .scalar import _gaussian_text, _rational_text
+from .scalar import _gaussian_text
 
 
 class AlgebraParseError(Exception):
@@ -39,19 +42,21 @@ class AlgebraParseError(Exception):
         self.line = line
 
 
-_RAT = r"-?\d+(?:/\d+)?"
+_NUM = r"\d+(?:/\d+)?"
 _PRODUCT_RE = re.compile(r"^e(\d+)\s+e(\d+)\s*->\s*(.*)$")
-_BASIS_TERM_RE = re.compile(
-    rf"^(?:\((?P<inner>[^()]*)\)|(?P<plain>{_RAT})?(?P<imag>i)?)\s*\*?\s*e(?P<idx>\d+)$"
-)
-_SCALAR_RE = re.compile(
-    rf"^(?:\((?P<inner>[^()]*)\)|(?P<bare>(?:{_RAT})?i|{_RAT}))$"
-)
 _MIXED_RE = re.compile(
-    rf"^(?P<re>{_RAT})\s*(?:(?P<sign>[+-])\s*(?P<im>(?:\d+(?:/\d+)?)?)i)?$"
+    rf"^(?P<re>-?{_NUM})\s*(?:(?P<sign>[+-])\s*(?P<im>(?:{_NUM})?)i)?$"
 )
-_IMAG_RE = re.compile(r"^(?P<im>-?(?:\d+(?:/\d+)?)?)i$")
-_TOKEN_RE = re.compile(r"[()+-]|[^()+-]+")
+_IMAG_RE = re.compile(rf"^(?P<im>-?(?:{_NUM})?)i$")
+# One term at a time along a product expression: its sign (absent only at
+# the start), then a scalar or basis term, or else any other text up to the
+# next sign outside parentheses.  Text with nested or unpaired parentheses
+# matches none of these, and `_paren_end` walks it.
+_TERM_RE = re.compile(
+    rf"(?P<sign>[+-]|(?![+-]))\s*"
+    rf"(?:(?:\((?P<inner>[^()]*)\)|(?P<plain>{_NUM})?(?P<imag>i)?)(?:\s*\*?\s*e(?P<idx>\d+))?"
+    rf"|(?P<other>(?:[^()+-]|\([^()]*\))+))\s*(?=[+-]|\Z)"
+)
 
 
 def _ratio(text: str, line: int) -> tuple[int, int]:
@@ -86,66 +91,57 @@ def _parse_scalar_body(text: str, line: int) -> tuple[int, int, int]:
     return re_num * im_den, im_num * re_den, re_den * im_den
 
 
-def _split_terms(expr: str, line: int) -> list[tuple[int, str]]:
-    """Split on top-level +/- into (sign, term) pairs."""
-    terms = []
+def _paren_end(expr: str, start: int, line: int) -> int:
+    """Where the term at `start`, whose parentheses nest or do not pair,
+    ends: at the next sign outside parentheses, or at the end of `expr`."""
     depth = 0
-    current = ""
-    sign = 1
-    sign_pending = False
-    for tok in _TOKEN_RE.findall(expr):
-        if tok == "(":
-            depth += 1
-            current += tok
-            continue
-        if tok == ")":
-            depth -= 1
-            if depth < 0:
-                raise AlgebraParseError("unbalanced parentheses", line)
-            current += tok
-            continue
-        if tok in ("+", "-") and depth == 0:
-            if current.strip():
-                terms.append((sign, current.strip()))
-                current = ""
-            elif sign_pending:
-                raise AlgebraParseError("doubled sign", line)
-            sign = 1 if tok == "+" else -1
-            sign_pending = True
-            continue
-        current += tok
-    if depth != 0:
+    for end, ch in enumerate(expr[start:], start):
+        if ch in "+-" and not depth:
+            return end
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    if depth:
         raise AlgebraParseError("unbalanced parentheses", line)
-    if current.strip():
-        terms.append((sign, current.strip()))
-    elif not terms:
-        raise AlgebraParseError("empty expression", line)
-    else:
-        raise AlgebraParseError("trailing operator", line)
-    return terms
+    return len(expr)
 
 
-def _parse_term(sign: int, term: str, dim: int, line: int) -> tuple[int, int, int, int]:
-    """(index, re, im, q): the term is (re + im i) / q times e_index, or
-    times the unit for index 0."""
-    m = _BASIS_TERM_RE.match(term)
-    if m:
-        inner, plain, imag, idx = m.groups()
-        idx = int(idx)
-        if not 1 <= idx <= dim:
-            raise AlgebraParseError(f"basis index e{idx} out of range 1..{dim}", line)
+def _terms(expr: str, dim: int, unital: bool, line: int) -> list[tuple[int, int, int, int]]:
+    """(index, re, im, q) for each term of the stripped product expression
+    `expr`: the term is (re + im i) / q times e_index, or times the unit for
+    index 0.  The whole line is split first, so a misplaced sign or
+    parenthesis is reported before any term; then the terms are read in
+    order, each checked for its basis index, coefficient and unit."""
+    found, pos = [], 0
+    while pos < len(expr) or not found:
+        m = _TERM_RE.match(expr, pos)
+        if m is None:       # nested or unpaired parentheses: unrecognized, or an error
+            start = pos + (expr[pos] in "+-")
+            pos = _paren_end(expr, start, line)
+            found.append(("", None, None, None, None, expr[start:pos]))
+        elif m.lastindex == 1:     # only the sign: no term before the next sign or the end
+            if m.end() < len(expr):
+                raise AlgebraParseError("doubled sign", line)
+            raise AlgebraParseError("trailing operator" if found else "empty expression", line)
+        else:
+            found.append(m.groups())
+            pos = m.end()
+    terms = []
+    for sign, inner, plain, imag, idx, other in found:
+        if other is not None:
+            raise AlgebraParseError(f"unrecognized term {other.strip()!r}", line)
+        k = int(idx) if idx else 0
+        if idx and not 1 <= k <= dim:
+            raise AlgebraParseError(f"basis index e{k} out of range 1..{dim}", line)
         if inner is not None:
             re_num, im_num, den = _parse_scalar_body(inner, line)
         else:
             num, den = _ratio(plain, line) if plain else (1, 1)
             re_num, im_num = (0, num) if imag else (num, 0)
-        return idx, sign * re_num, sign * im_num, den
-    m = _SCALAR_RE.match(term)
-    if m:
-        body = m.group("inner") if m.group("inner") is not None else m.group("bare")
-        re_num, im_num, den = _parse_scalar_body(body, line)
-        return 0, sign * re_num, sign * im_num, den
-    raise AlgebraParseError(f"unrecognized term {term!r}", line)
+        if not (k or unital):
+            raise AlgebraParseError("unit multiple in a non-unital algebra", line)
+        terms.append((k, -re_num, -im_num, den) if sign == "-" else (k, re_num, im_num, den))
+    return terms
 
 
 @dataclass
@@ -168,7 +164,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
     roles_line = 1
     basis_names: tuple[str, ...] | None = None
     basis_line = 1
-    terms: list[tuple[int, int, int, int, int]] = []    # (cell, index, re, im, q)
+    terms: list[tuple[int, list]] = []     # (cell, its (index, re, im, q) terms)
     seen_lines: dict[tuple[int, int], int] = {}
     headers: set[str] = set()
     line_no = 1
@@ -242,11 +238,7 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
             expr = m.group(3).strip()
             if expr != "0":
                 cell = (i - 1) * dim + j - 1
-                for sign, term in _split_terms(expr, line_no):
-                    idx, re_num, im_num, den = _parse_term(sign, term, dim, line_no)
-                    if idx == 0 and not unital:
-                        raise AlgebraParseError("unit multiple in a non-unital algebra", line_no)
-                    terms.append((cell, idx, re_num, im_num, den))
+                terms.append((cell, _terms(expr, dim, unital, line_no)))
             continue
         raise AlgebraParseError(f"unrecognized line {line!r}", line_no)
 
@@ -260,31 +252,23 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
         raise AlgebraParseError(
             f"basis list has {len(basis_names)} names for dimension {dim}", basis_line
         )
-    dens = {q for *_, q in terms}
+    dens = {q for _, cell_terms in terms for *_, q in cell_terms}
     den = math.lcm(*dens)
     factor = {q: den // q for q in dens}
     n = dim + 1
     cells = [[0] * (2 * n) for _ in range(dim * dim)]
-    for cell, idx, re_num, im_num, q in terms:    # repeated terms add up
-        vec, f = cells[cell], factor[q]
-        vec[idx] += re_num * f
-        if im_num:
-            vec[n + idx] += im_num * f
+    for cell, cell_terms in terms:
+        vec = cells[cell]
+        for idx, re_num, im_num, q in cell_terms:    # repeated terms add up
+            vec[idx] += re_num * factor[q]
+            if im_num:
+                vec[n + idx] += im_num * factor[q]
     algebra = AlgebraDef(name, dim, den, cells, unital, basis_names)
     return ParsedAlgebraFile(algebra, roles, scalar_tag)
 
 
 def parse_algebra(text: str) -> AlgebraDef:
     return parse_text(text).algebra
-
-
-def _coeff_prefix(re_num: int, im_num: int, den: int) -> tuple[bool, str]:
-    """(negative, prefix) so q-terms render as e.g. '', '-', '2', '(1+i)'."""
-    if re_num and im_num:
-        return False, f"({_gaussian_text(re_num, im_num, den)})"
-    part = re_num or im_num
-    mag = "" if abs(part) == den else _rational_text(abs(part), den)
-    return part < 0, f"({mag}i)" if im_num else mag
 
 
 def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,
@@ -302,21 +286,20 @@ def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,
         pieces = ",".join(f"{label}={idx + 1}" for label, idx in sorted(roles.items(), key=lambda kv: kv[1]))
         lines.append(f"roles {pieces}")
     n, den = alg.dim + 1, alg._den
-    for i, plane in enumerate(alg.tensor.tolist()[1:], start=1):
-        for j, vec in enumerate(plane[1:], start=1):
-            re_parts, im_parts = vec[:n], vec[n:] or [0] * n
-            parts = []
-            if re_parts[0] or im_parts[0]:
-                text = _gaussian_text(re_parts[0], im_parts[0], den)
-                parts.append((False, f"({text})" if re_parts[0] and im_parts[0] else text))
-            for k in range(1, n):
-                if re_parts[k] or im_parts[k]:
-                    neg, prefix = _coeff_prefix(re_parts[k], im_parts[k], den)
-                    parts.append((neg, f"{prefix}e{k}"))
-            if not parts:
+    for s, vec in enumerate(alg.tensor[1:, 1:].reshape(alg.dim**2, -1).tolist()):
+        expr = ""
+        for k, (re_num, im_num) in enumerate(zip(vec[:n], vec[n:] or [0] * n)):
+            if not (re_num or im_num):
                 continue
-            (neg, body), *rest = parts
-            expr = ("-" if neg else "") + body + "".join(
-                f" - {b}" if minus else f" + {b}" for minus, b in rest)
-            lines.append(f"e{i} e{j} -> {expr}")
+            if k and not (re_num and im_num):   # a real or imaginary multiple: sign outside
+                part = abs(re_num or im_num)
+                g = math.gcd(part, den)
+                text = "" if part == den else f"{part // g}" if g == den else f"{part // g}/{den // g}"
+                text, neg = (f"({text}i)e{k}" if im_num else f"{text}e{k}"), (re_num or im_num) < 0
+            else:
+                text, neg = _gaussian_text(re_num, im_num, den), False
+                text = (f"({text})" if re_num and im_num else text) + (f"e{k}" if k else "")
+            expr += (" - " if neg else " + ") + text if expr else "-" + text if neg else text
+        if expr:
+            lines.append(f"e{s // alg.dim + 1} e{s % alg.dim + 1} -> {expr}")
     return "\n".join(lines) + "\n"

@@ -204,7 +204,11 @@ def search(restarts, iters, seed, tol, step, out_path, trace_path, freeze, init_
         click.echo(f"converged={'yes' if result.converged else 'no'} (tolerance {tol:g})")
 
         if out_file:
-            alg = candidate_to_algebra(result.best)
+            try:
+                alg = candidate_to_algebra(result.best)
+            except ValueError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
             out_file.write(serialize(alg, roles=result.best.roles, scalar_tag="float64"))
         if trace_file:
             for tr in result.traces:

@@ -53,10 +53,11 @@ every prime, and the witness defect is rebuilt from its residues by the
 Chinese remainder theorem in the symmetric range (D. E. Knuth, TAOCP
 Vol. 2, 4.3.2).
 
-The search for an internal unit solves its linear system from slices of
-T by fraction-free elimination over the Gaussian integers, which reduces
-a row below the pivots only when a scan reaches it: when no unit exists,
-the scan stops at the first row that rules one out.
+An internal unit u solves u e_j = e_j = e_j u: 2*dim**2 rows, each a slice
+of T, solved by lazy fraction-free elimination over the Gaussian integers
+(`scalar.solve_gaussian_integers`), which makes a row only when it first
+reads it.  When no unit exists the scan stops at the first row that rules
+one out: an exported candidate reads dim + 1 rows of its 450.
 
 Power associativity and the Jordan law are decided on the same tensor.
 Over a field of characteristic zero an algebra is power-associative if
@@ -495,6 +496,16 @@ _LAWS = {
 PROPERTIES = tuple(_LAWS)
 
 
+class _LazyRows(list):
+    """The rows of a linear system, None until row i is first read, then `build(i)`."""
+
+    def __getitem__(self, i):
+        row = super().__getitem__(i)
+        if row is None:
+            row = self[i] = self.build(i)
+        return row
+
+
 def _check_unital(alg):
     if alg.unital:
         return PropertyReport(alg, "unital", True, None, detail="external unit")
@@ -502,15 +513,15 @@ def _check_unital(alg):
     # one row per (j, k) and one column per coefficient of u, times `_den`.
     n, half = alg.dim, alg.dim + 1
     t = alg.tensor[1:, 1:]
-    re = t[..., 1:half]
-    im = t[..., half + 1:] if t.shape[2] > half else np.zeros_like(re)
-    aug = []
-    for order in ((1, 2, 0), (0, 2, 1)):    # [j, k, l]: e_l e_j, then e_j e_l
-        re_rows, im_rows = re.transpose(order).tolist(), im.transpose(order).tolist()
-        for j in range(n):
-            for k in range(n):
-                target = (alg._den if j == k else 0, 0)
-                aug.append([*zip(re_rows[j][k], im_rows[j][k]), target])
+
+    def row(i):     # i = (side * n + j) * n + k: component k of u e_j, then of e_j u
+        side, j, k = i // (n * n), i // n % n, i % n
+        cells = t[j] if side else t[:, j]       # [l]: e_j e_l or e_l e_j
+        im = cells[:, half + 1 + k].tolist() if t.shape[2] > half else [0] * n
+        return [*zip(cells[:, 1 + k].tolist(), im), (alg._den if j == k else 0, 0)]
+
+    aug = _LazyRows([None] * (2 * n * n))
+    aug.build = row
     solution, particular = solve_gaussian_integers(aug)
     if solution is not None:
         u = alg.element(0, solution)

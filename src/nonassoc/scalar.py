@@ -193,59 +193,76 @@ def common_scale(u, v) -> GaussianRational | None:
     return GaussianRational(Fraction(ur * vr + ui * vi, n), Fraction(ui * vr - ur * vi, n))
 
 
-def solve_gaussian_integers(aug: list[list[tuple[int, int]]]):
+def solve_gaussian_integers(aug):
     """Solve A*x = b exactly on an augmented system [A | b] of Gaussian
     integers, given as (re, im) pairs.  Returns (solution, particular):
     `solution` is None when the system is inconsistent, and `particular`
     always solves the consistent pivot rows with free variables set to
-    zero, from which callers build a counterexample.  Rows are reduced in
-    place, each only when the solve reads it, so not every row is rewritten.
+    zero, from which callers build a counterexample.  `aug` is any sequence
+    of rows with len, get and set; a row is read and reduced in place only
+    when the pivot search of a column or the final consistency scan, which
+    stops at the first nonzero right-hand side, tests it.
 
-    Elimination without fractions: the first row with a nonzero entry in
-    the column is the pivot row, and reducing a row against it makes the
-    row pivot * row - entry * pivot row, divided by the gcd of its parts.
-    `done[i]` counts the pivots applied to row i.  A row is brought up to
-    date when the pivot search of a column or the final consistency scan
-    tests it, and that scan stops at the first nonzero right-hand side; a
-    pivot row is brought up to date when `particular` reads it.  Pivot row
-    k is zero in the columns of pivots 0..k-1, so applying the pivots in
-    order never refills a cleared column.  A reduced row differs from its
-    original by a combination of pivot rows and is zero in every pivot
-    column but its own, which fixes it up to a nonzero factor: every zero
-    test, and so the pivots, consistency and `particular`, are those of
-    eager Gauss-Jordan elimination over the field.
+    Lazy fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968):
+    step k, with pivot p_k in column c_k on the first row that has one,
+    makes each row below (p_k * row - row[c_k] * pivot row) / p_{k-1}, with
+    p_{-1} = 1, exactly in Z[i], and zero up to column c_k.  A row takes
+    every step in order, one whose factor row[c_k] is 0 too, so a reduced
+    entry is a leading minor of the system (rows: the pivot rows and its
+    own; columns: the pivot columns and its own), p_{k-1} times the entry
+    of elimination over the field: every zero test is exact, and pivots
+    and verdict are those over the field.  `particular` comes from
+    fraction-free back-substitution over the last pivot p (G. C. Nakos, P.
+    R. Turner and R. M. Williams, ACM SIGSAM Bull. 31(3), 1997): in reverse
+    order, y_k = (p * b_k - sum of row_k[c_j] * y_j over later pivots j) / p_k
+    is exact in Z[i], and x[c_k] = y_k / p.
     """
     m = len(aug)
     n = len(aug[0]) - 1 if m else 0
     pivot_cols: list[int] = []
+    pivots = [(1, 0)]       # p_{k-1} at k: p_{-1} = 1, then each pivot
     done = [0] * m
 
     def reduced(i: int) -> list[tuple[int, int]]:
+        row = aug[i]
         for k in range(done[i], len(pivot_cols)):
-            (fr, fi), (pr, pi) = aug[i][pivot_cols[k]], aug[k][pivot_cols[k]]
-            if fr or fi:
-                row = [(pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
-                       for (a, b), (c, d) in zip(aug[i], aug[k])]
-                g = math.gcd(*(part for pair in row for part in pair))
-                aug[i] = [(a // g, b // g) for a, b in row] if g > 1 else row
+            c, (qr, qi), (pr, pi) = pivot_cols[k], pivots[k], pivots[k + 1]
+            fr, fi = row[c]
+            row = [(pr * a - pi * b - fr * x + fi * y, pr * b + pi * a - fr * y - fi * x)
+                   for (a, b), (x, y) in zip(row[c + 1:], aug[k][c + 1:])]
+            if qi:      # times conj(p_{k-1}) over |p_{k-1}|^2
+                norm = qr * qr + qi * qi
+                row = [((a * qr + b * qi) // norm, (b * qr - a * qi) // norm) for a, b in row]
+            elif qr != 1:
+                row = [(a // qr, b // qr) for a, b in row]
+            aug[i] = row = [(0, 0)] * (c + 1) + row
         done[i] = len(pivot_cols)
-        return aug[i]
+        return row
 
     r = 0
     for col in range(n):
         pivot = next((i for i in range(r, m) if reduced(i)[col] != (0, 0)), None)
         if pivot is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        done[r] = r + 1     # the scan left done == r on rows r..pivot; a pivot skips itself
+        aug[r], aug[pivot] = aug[pivot], aug[r]     # both rows are up to date
         pivot_cols.append(col)
+        pivots.append(aug[r][col])
         r += 1
         if r == m:
             break
 
     consistent = all(reduced(i)[n] == (0, 0) for i in range(r, m))
     particular = [ZERO] * n
-    for k, col in enumerate(pivot_cols):
-        row = reduced(k)
-        particular[col] = GaussianRational(*row[n]) / GaussianRational(*row[col])
+    (pr, pi), ys = pivots[-1], []
+    norm = pr * pr + pi * pi
+    for k in reversed(range(r)):
+        row = aug[k]
+        (br, bi), (vr, vi) = row[n], row[pivot_cols[k]]
+        ur, ui = pr * br - pi * bi, pr * bi + pi * br
+        for (ar, ai), (yr, yi) in zip((row[c] for c in pivot_cols[k + 1:]), reversed(ys)):
+            ur, ui = ur - ar * yr + ai * yi, ui - ar * yi - ai * yr
+        yr, yi = (ur * vr + ui * vi) // (v2 := vr * vr + vi * vi), (ui * vr - ur * vi) // v2
+        ys.append((yr, yi))
+        particular[pivot_cols[k]] = GaussianRational(Fraction(yr * pr + yi * pi, norm),
+                                                     Fraction(yi * pr - yr * pi, norm))
     return (particular if consistent else None), particular

@@ -178,18 +178,23 @@ def residual(cand: CandidateAlgebra) -> ResidualBreakdown:
 def candidate_to_algebra(cand: CandidateAlgebra):
     """Exact snapshot of a float candidate (doubles serialize as p/q).
 
-    Each double is p / 2**k exactly (`as_integer_ratio`), so the largest
-    2**k is the common denominator and the numerators go straight into the
-    integer table `AlgebraDef` takes.
+    A double is m * 2**e (`np.frexp`), the integer m * 2**53 over 2**(53 - e).
+    2**D, D the largest 53 - e of a nonzero entry, is a common denominator,
+    and the numerators go straight into the integer table `AlgebraDef` takes,
+    which reduces it.  Infinite and NaN entries raise ValueError.
     """
     from .algebra import AlgebraDef
 
-    ratios = [v.as_integer_ratio() for v in cand.c.ravel().tolist()]
-    den = max(q for _, q in ratios)
-    nums = [p * (den // q) for p, q in ratios]
+    c = cand.c.ravel()
+    if not np.isfinite(c).all():
+        raise ValueError("candidate structure constants must be finite")
+    mant, exp = np.frexp(c)
+    den_bits = 53 - int(exp[c != 0].min(initial=53))
+    nums = ((mant * 2.0**53).astype(np.int64).astype(object)
+            << np.maximum(exp - 53 + den_bits, 0).astype(object))
     d = cand.dim
-    return AlgebraDef("candidate", d, den, [[0, *nums[s:s + d]] for s in range(0, d**3, d)],
-                      unital=False)
+    return AlgebraDef("candidate", d, 1 << den_bits,
+                      [[0, *row] for row in nums.reshape(d * d, d).tolist()], unital=False)
 
 
 def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) -> CandidateAlgebra:
@@ -200,7 +205,10 @@ def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) 
         raise ValueError("candidate algebras carry no unit multiples")
     if (t[..., n + 1:] != 0).any():
         raise ValueError("candidate structure constants must be real")
-    c = (t[..., 1:n] / alg._den).astype(float)
+    try:
+        c = (t[..., 1:n] / alg._den).astype(float)
+    except OverflowError:
+        raise ValueError("candidate structure constants must lie in the double range") from None
     return CandidateAlgebra(alg.dim, c, dict(roles), seed)
 
 

@@ -81,12 +81,15 @@ def zorn_matrices() -> AlgebraDef:
 
 class ZornMatrix:
     """(a, x; y, b) as one element of `zorn_matrices()`; the views a and b
-    are `GaussianRational`s, x and y 3-tuples of them."""
+    are `GaussianRational`s, x and y 3-tuples of them.  Immutable."""
 
     __slots__ = ("element",)
 
     def __init__(self, element: Element):
-        self.element = element
+        object.__setattr__(self, "element", element)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZornMatrix is immutable")
 
     @classmethod
     def build(cls, a, x, y, b) -> "ZornMatrix":

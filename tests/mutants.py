@@ -74,6 +74,16 @@ MUTANTS = [
     ("scalar.py", "reduced(i)[n] == (0, 0) for i in range(r, m))",
      "reduced(i)[n] == (0, 0) for i in range(r, m - 1))",
      ["tests/test_scalar.py::test_solver_agrees_with_sympy_on_consistency"]),
+    # a Bareiss step skipped when the row's factor is 0: the row is not
+    # rescaled, and later exact divisions by the pivots go wrong
+    ("scalar.py", "            fr, fi = row[c]\n",
+     "            fr, fi = row[c]\n            if not (fr or fi):\n                continue\n",
+     ["tests/test_scalar.py"]),
+    # back-substitution that does not scale the right-hand side by the last pivot
+    ("scalar.py", "ur, ui = pr * br - pi * bi, pr * bi + pi * br", "ur, ui = br, bi",
+     ["tests/test_scalar.py"]),
+    # a term scanner that reads two terms with no sign between them
+    ("algfile.py", r'\s*(?=[+-]|\Z)"', r'\s*"', ["tests/test_algfile.py"]),
 ]
 
 

@@ -8,20 +8,26 @@ layers the kernels use.  The Levi-Civita symbol is counted off permutation
 parity here, and the Zorn cross product written out, not read from
 `corpus.EPS3`.  `solve` and `act` only adapt a library call to exact
 values: they clear denominators for `solve_gaussian_integers`, and drop the
-derivative terms of a `compose`.  The test modules import what they share
-from this one module, the table of bundled fixtures and their reader too.
+derivative terms of a `compose`.  `reference_terms` reads a product
+expression the way `algfile` did before its one-pattern scanner: a token
+loop splits the line on signs outside parentheses, then each term is
+matched against a basis-term and a scalar pattern.  The test modules import
+what they share from this one module, the table of bundled fixtures and
+their reader too.
 """
 
 import functools
 import importlib.resources
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
 from nonassoc.algebra import AlgebraDef, associator, commutator, multiply
+from nonassoc.algfile import AlgebraParseError, _parse_scalar_body, _ratio
 from nonassoc.corpus import (
     complex_numbers,
     quaternions,
@@ -122,6 +128,92 @@ def solve(rows, rhs):
     denominators."""
     return solve_gaussian_integers([gaussian_integers([*row, b])[1]
                                     for row, b in zip(rows, rhs)])
+
+
+# -- product expressions --------------------------------------------------------
+
+_RAT = r"-?\d+(?:/\d+)?"
+_BASIS_TERM_RE = re.compile(
+    rf"^(?:\((?P<inner>[^()]*)\)|(?P<plain>{_RAT})?(?P<imag>i)?)\s*\*?\s*e(?P<idx>\d+)$"
+)
+_SCALAR_RE = re.compile(
+    rf"^(?:\((?P<inner>[^()]*)\)|(?P<bare>(?:{_RAT})?i|{_RAT}))$"
+)
+_TOKEN_RE = re.compile(r"[()+-]|[^()+-]+")
+
+
+def _split_terms(expr: str, line: int) -> list[tuple[int, str]]:
+    """Split on top-level +/- into (sign, term) pairs."""
+    terms = []
+    depth = 0
+    current = ""
+    sign = 1
+    sign_pending = False
+    for tok in _TOKEN_RE.findall(expr):
+        if tok == "(":
+            depth += 1
+            current += tok
+            continue
+        if tok == ")":
+            depth -= 1
+            if depth < 0:
+                raise AlgebraParseError("unbalanced parentheses", line)
+            current += tok
+            continue
+        if tok in ("+", "-") and depth == 0:
+            if current.strip():
+                terms.append((sign, current.strip()))
+                current = ""
+            elif sign_pending:
+                raise AlgebraParseError("doubled sign", line)
+            sign = 1 if tok == "+" else -1
+            sign_pending = True
+            continue
+        current += tok
+    if depth != 0:
+        raise AlgebraParseError("unbalanced parentheses", line)
+    if current.strip():
+        terms.append((sign, current.strip()))
+    elif not terms:
+        raise AlgebraParseError("empty expression", line)
+    else:
+        raise AlgebraParseError("trailing operator", line)
+    return terms
+
+
+def _parse_term(sign: int, term: str, dim: int, line: int) -> tuple[int, int, int, int]:
+    """(index, re, im, q): the term is (re + im i) / q times e_index, or
+    times the unit for index 0."""
+    m = _BASIS_TERM_RE.match(term)
+    if m:
+        inner, plain, imag, idx = m.groups()
+        idx = int(idx)
+        if not 1 <= idx <= dim:
+            raise AlgebraParseError(f"basis index e{idx} out of range 1..{dim}", line)
+        if inner is not None:
+            re_num, im_num, den = _parse_scalar_body(inner, line)
+        else:
+            num, den = _ratio(plain, line) if plain else (1, 1)
+            re_num, im_num = (0, num) if imag else (num, 0)
+        return idx, sign * re_num, sign * im_num, den
+    m = _SCALAR_RE.match(term)
+    if m:
+        body = m.group("inner") if m.group("inner") is not None else m.group("bare")
+        re_num, im_num, den = _parse_scalar_body(body, line)
+        return 0, sign * re_num, sign * im_num, den
+    raise AlgebraParseError(f"unrecognized term {term!r}", line)
+
+
+def reference_terms(expr, dim, unital, line):
+    """What `algfile._terms` reads from a stripped product expression: its
+    (index, re, im, q) terms, or the same `AlgebraParseError`."""
+    terms = []
+    for sign, term in _split_terms(expr, line):
+        idx, re_num, im_num, den = _parse_term(sign, term, dim, line)
+        if idx == 0 and not unital:
+            raise AlgebraParseError("unit multiple in a non-unital algebra", line)
+        terms.append((idx, re_num, im_num, den))
+    return terms
 
 
 # -- elements ------------------------------------------------------------------

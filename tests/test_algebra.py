@@ -335,3 +335,12 @@ def test_constructor_rejects_bad_names_and_a_unit_in_a_non_unital_table():
         AlgebraDef("bad", 1, 1, [[0, 1]], unital=False, basis_names=("a", "b"))
     with pytest.raises(ValueError, match=r"e1\*e1 uses the unit in a non-unital algebra"):
         AlgebraDef("bad", 1, 1, [[-1, 0]], unital=False)
+
+
+@pytest.mark.parametrize("field", ["algebra", "den", "vec"])
+def test_elements_are_immutable(field):
+    # basis elements are shared values: rescaling one in place must not work
+    e = split_octonions().basis_element(0)
+    with pytest.raises(AttributeError):
+        setattr(e, field, {"algebra": quaternions(), "den": 5, "vec": (0,) * 16}[field])
+    assert (str(e), e.den) == ("q1", 1)

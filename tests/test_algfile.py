@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonassoc.algebra import AlgebraDef
-from nonassoc.algfile import AlgebraParseError, parse_text, serialize
+from nonassoc.algfile import AlgebraParseError, _terms, parse_text, serialize
 from nonassoc.scalar import ZERO, GaussianRational
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from oracle import FIXTURES, fixture_text
+from oracle import FIXTURES, fixture_text, reference_terms
 
 
 @pytest.mark.parametrize("fname", sorted(FIXTURES), ids=lambda f: f)
@@ -356,3 +356,50 @@ def test_malformed_inputs_rejected_with_line_numbers(text, line, message):
         parse_text(text)
     assert exc_info.value.line == line
     assert str(exc_info.value) == f"line {line}: {message}"
+
+
+# -- the one-pattern term scanner against the token-loop reference -------------
+
+COEFFICIENTS = ["", "2", "1/2", "12/8", "0", "i", "2i", "1/2i", "(1+i)", "(1 - 2/3i)", "(-i)",
+                "(2)"]
+BAD_COEFFICIENTS = ["1/0", "1/0i", "ii", "(i+1)", "()", "(1/0)", "1.5", "x", "(1+i"]
+BASES = ["e1", "e2", "e3"]
+BAD_BASES = ["e5", "e0", "e02", "e", "e1e2"]
+JOINS = ["", " ", "*", " * ", "  "]
+PIECES = ["+", "-", " + ", " - ", "++", " -- ", "(", ")", "((1))", "(1)(2)", " ", "e2", "3",
+          "i", "(1+i)", "*", "x", "1/0", "((", "))"]
+
+
+@st.composite
+def product_expressions(draw):
+    """Stripped right-hand sides of product lines: terms made of a
+    coefficient, a join and a basis element, or bare scalars, joined by
+    signs.  About one choice in eight is a fault: a doubled or missing
+    sign, a bad coefficient or index, or a run of loose signs, parentheses
+    and junk."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 5 else good))
+
+    out = pick(["", "-", "+"], ["--", "+-", "- +"])
+    for k in range(draw(st.integers(0, 4))):
+        if k:
+            out += pick([" + ", " - ", "+", "-"], [" +- ", "++", " ", ""])
+        out += pick(COEFFICIENTS, BAD_COEFFICIENTS)
+        if draw(st.integers(0, 3)):
+            out += draw(st.sampled_from(JOINS)) + pick(BASES, BAD_BASES)
+        out += pick([""], ["".join(draw(st.lists(st.sampled_from(PIECES), min_size=1, max_size=3)))])
+    return out.strip()
+
+
+def term_outcome(read, expr, dim, unital):
+    try:
+        return read(expr, dim, unital, 7)
+    except AlgebraParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(settings.get_profile("exact"), max_examples=600)
+@given(product_expressions(), st.integers(1, 4), st.booleans())
+def test_term_scanner_matches_the_reference_parser(expr, dim, unital):
+    assert term_outcome(_terms, expr, dim, unital) == term_outcome(reference_terms, expr, dim, unital)
+

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -363,6 +364,30 @@ def test_search_init_file_requires_roles(runner, tmp_path):
     bad.write_text("dimension 15\nunital false\ne1 e2 -> e3\n")
     result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
     assert result.exit_code == 2
+
+
+def test_search_init_file_rejects_a_constant_beyond_the_double_range(runner, tmp_path):
+    bad = tmp_path / "huge.alg"
+    bad.write_text(f"dimension 15\nunital false\nroles R0=1\ne1 e2 -> {10**400}e3\n")
+    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    assert result.exit_code == 2
+    assert "error: candidate structure constants must lie in the double range" in result.stderr
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_search_export_rejects_a_constant_that_is_not_finite(runner, tmp_path, monkeypatch, value):
+    # no search step reaches such a constant, so the start is made to hold one
+    from nonassoc.search import CandidateAlgebra
+
+    start = CandidateAlgebra.random(0)
+    start.c[0, 1, 2] = value
+    monkeypatch.setattr(CandidateAlgebra, "random", classmethod(lambda cls, seed: start))
+    out = tmp_path / "cand.alg"
+    with np.errstate(invalid="ignore"):     # the residual of such a start is not finite either
+        result = runner.invoke(main, ["search", "--iters", "0", "--init", "random",
+                                      "--out", str(out)])
+    assert result.exit_code == 2
+    assert "error: candidate structure constants must be finite" in result.stderr
 
 
 def test_search_rejects_bad_flags(runner):

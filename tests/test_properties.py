@@ -480,6 +480,23 @@ def test_candidate_unit_witness_matches_eager_solver(seed, monkeypatch):
     assert unit_report(alg) == report
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_unit_search_builds_at_most_dim_plus_one_rows(seed, monkeypatch):
+    # the pivots fall on the first dim rows and the next row rules a unit out,
+    # so no other row of the 2 * dim**2 unit system is made
+    alg = exported_candidate(seed)
+    built, solve = [], properties.solve_gaussian_integers
+
+    def counting(aug):
+        build = aug.build
+        aug.build = lambda i: built.append(i) or build(i)
+        return solve(aug)
+
+    monkeypatch.setattr(properties, "solve_gaussian_integers", counting)
+    assert not check_property(alg, "unital").holds
+    assert len(set(built)) == len(built) <= alg.dim + 1
+
+
 # -- one associator kernel per algebra, shared by the laws ---------------------
 
 def flipped_split_octonions():

@@ -216,6 +216,25 @@ def test_solver_matches_eager_reference(m, n, rank, complex_entries, consistent)
     assert (solved == {True}) if consistent else (False in solved)
 
 
+def test_solver_matches_eager_reference_on_rows_zero_in_early_pivot_columns():
+    # Row i is zero in its first z_i columns and random after them, so rows
+    # reach steps whose factor is 0.  Such a step must still scale the row by
+    # p_k and divide it by p_{k-1}, or the next exact division goes wrong.
+    rng = random.Random("early-zero-columns")
+    for trial in range(60):
+        m, n = rng.randint(3, 7), rng.randint(2, 5)
+        x = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        aug = []
+        for _ in range(m):
+            zeros = rng.randint(0, n - 1)
+            row = [(0, 0)] * zeros + [(rng.randint(-4, 4), rng.randint(-2, 2) * (trial % 2))
+                                      for _ in range(n - zeros)]
+            rhs = _gsum([_gmul(a, v) for a, v in zip(row, x)]) if trial % 3 else (rng.randint(-3, 3), 0)
+            aug.append(row + [rhs])
+        expected = eager_solve_gaussian_integers(copy.deepcopy(aug))
+        assert solve_gaussian_integers(copy.deepcopy(aug)) == expected
+
+
 GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 

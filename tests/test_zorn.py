@@ -305,3 +305,10 @@ def test_element_reference_sees_every_verdict_both_ways():
         assert {o[key] for o in outcomes} == {True, False}, key
     assert len({str(o["kappa"]) for o in outcomes}) > 1
     assert len({str(o["witness"].defect) for o in outcomes}) > 1
+
+
+def test_zorn_matrices_are_immutable():
+    z = ZornMatrix.identity()
+    with pytest.raises(AttributeError):
+        z.element = zorn_matrices().zero()
+    assert z == ZornMatrix.identity() and not z.is_zero()

@@ -87,6 +87,12 @@ class AlgebraDef:
                                         for i in range(dim)],
                                dtype=np.int64 if fits else object)
 
+    def __reduce__(self):
+        """The constructor arguments, so that a copy or a pickle leaves out
+        what the law kernels keep on the algebra."""
+        cells = self.tensor[1:, 1:].reshape(self.dim**2, -1).tolist()
+        return AlgebraDef, (self.name, self.dim, self._den, cells, self.unital, self.basis_names)
+
     def basis_product(self, i, j) -> "Element":
         """e_i * e_j, read off `tensor`."""
         return Element(self, self._den, self.tensor[i + 1, j + 1].tolist())
@@ -183,6 +189,9 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):    # copy and pickle call the constructor, not setattr
+        return Element, (self.algebra, self.den, self.vec)
 
     def _scalar(self, k) -> GaussianRational:
         re, im = self.vec[k], self.vec[k + self.algebra.dim + 1]

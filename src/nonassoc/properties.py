@@ -24,9 +24,9 @@ scan stops at the first failing slab: the witness is the lexicographically
 first failing (i, j, k, law), the same triple a loop over basis elements
 finds, and its defect is the slab entry divided by the denominator squared.
 All laws read the slabs from one kernel per algebra, which keeps the
-slices of the slab it computed last: the laws of one `check` usually fail
-at the same slab, and each slice of it is contracted once for all of them.
-Only one slab is kept, so memory stays O(dim^3).
+three slices it computed last, one slab's worth: the laws of one `check`
+usually fail at the same slab, and each slice of it is contracted once for
+all of them.  No more slices are kept, so memory stays O(dim^3).
 
 T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
@@ -57,7 +57,9 @@ An internal unit u solves u e_j = e_j = e_j u: 2*dim**2 rows, each a slice
 of T, solved by lazy fraction-free elimination over the Gaussian integers
 (`scalar.solve_gaussian_integers`), which makes a row only when it first
 reads it.  When no unit exists the scan stops at the first row that rules
-one out: an exported candidate reads dim + 1 rows of its 450.
+one out: an exported candidate reads dim + 1 rows of its 450.  The best
+candidate's first nonzero u e_j - e_j or e_j u - e_j is the witness, each
+product u contracted with one slice of T with all components (`_full`).
 
 Power associativity and the Jordan law are decided on the same tensor.
 Over a field of characteristic zero an algebra is power-associative if
@@ -91,14 +93,14 @@ in lex order: the first failing tuple is sorted.  Their kernel, `_fold`,
 evaluates the unsymmetrized form once on every basis 4-tuple, in blocks
 of one first argument, and adds each block onto one array over the
 sorted tuples; F there is the entry times the number of orders that fix
-the tuple.  Memory grows as dim^5, not dim^3: `_fold_map` builds index
-arrays over all dim^4 tuples and keeps them cached for each dimension,
-and the folded array holds K entries per sorted tuple, about K dim^4/24
-for degree 4 and K dim^4/6 for the Jordan form (`power_associative` on a
-diagonal table raised the peak resident set by about 5, 22 and 73 MB at
-dimensions 16, 24 and 32, Python 3.11, numpy 2.4).  Its slabs are read
-off that array, zero at the unsorted tuples, and a defect is F divided by
-the denominator cubed.  A degree-4 defect adds 48 terms (24 orders of two
+the tuple, sym! over the count of tuples with that key.  Memory grows as
+dim^5, not dim^3: the keys are found on each call from index arrays over
+all dim^4 tuples, and the folded array holds K entries per sorted tuple,
+about K dim^4/24 for degree 4 and K dim^4/6 for the Jordan form (on a
+diagonal table `power_associative` and `jordan` raised the peak resident
+set by about 20 and 27 MB at dimension 24, and 61 and 95 MB at 32, Python
+3.11, numpy 2.4).  Its slabs are read off that array, zero at the
+unsorted tuples, and a defect is F divided by the denominator cubed.  A degree-4 defect adds 48 terms (24 orders of two
 terms) and a Jordan defect 12, each a sum of K**2 products of three
 entries of T, which the bound on T above covers.
 
@@ -120,12 +122,13 @@ first failing basis tuple, with the linearized defect F there.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, multiply
+from .algebra import AlgebraDef, Element
 from .scalar import solve_gaussian_integers
 
 @dataclass(frozen=True)
@@ -165,6 +168,18 @@ class PropertyReport:
 def _turn(a, half):
     """i times tensor vectors: the halves swap, the new real half negated."""
     return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
+
+
+def _full(t):
+    """t, a tensor or its residue layers, with every component of its last
+    axis on the first two as well: full[..., m, p, :] is u_m u_p, where u_m
+    is the unit vector of component m.  In a Gaussian table the components
+    from half = dim + 1 on are imaginary parts: u_(half+m) is i u_m.  A
+    real table is returned as it is."""
+    half = t.shape[-2]
+    for axis in (-3, -2) if t.shape[-1] > half else ():
+        t = np.concatenate([t, _turn(t, half)], axis=axis)
+    return t
 
 
 def _is_prime(m):
@@ -268,28 +283,6 @@ def _exact(layers):
     return out
 
 
-class _LastSlab:
-    """slices(i, pos) of a raw slice function `compute`, memoised for the
-    slab i asked for last.
-
-    Every law that reads slab i gets the same read-only arrays, so each
-    slice of the slab is contracted once.  Asking for another slab drops
-    the stored one, so memory stays that of one slab.
-    """
-
-    def __init__(self, compute):
-        self.compute, self.i, self.slab = compute, None, {}
-
-    def __call__(self, i, pos):
-        if i != self.i:
-            self.i, self.slab = i, {}
-        if pos not in self.slab:
-            s = self.compute(i, pos)
-            s.flags.writeable = False
-            self.slab[pos] = s
-        return self.slab[pos]
-
-
 def _slab_kernel(alg):
     """The associator kernel of `alg`: one per algebra, built on first use.
 
@@ -298,45 +291,39 @@ def _slab_kernel(alg):
     or A[j, k, i] (pos 2), where A[a, b, c] is the associator of the
     elements at tensor indices a, b, c times `_den**2`, as a tensor vector,
     with the leading axis of `_layers` if it has one.  The kernel is kept
-    on `alg` and remembers the slices of the slab it computed last
-    (`_LastSlab`), so the laws of one `check` that fail or read the same
-    slab share its contractions.
+    on `alg` and remembers the three slices it computed last, one slab's
+    worth, so the laws of one `check` that fail or read the same slab share
+    its contractions.
     """
     kernel = vars(alg).get("_slabs")
     if kernel is None:
-        kernel = alg._slabs = _LastSlab(_associator_slices(alg))
+        kernel = alg._slabs = functools.lru_cache(maxsize=3)(_associator_slices(alg))
     return kernel
 
 
 def _associator_slices(alg):
-    """The raw slice function of `_slab_kernel`, one contraction per call."""
+    """The raw slice function of `_slab_kernel`: one contraction per call, read-only."""
     t = _layers(alg, lambda k, m: 12 * k * m**2)    # six associators of 2*K products
+    full = _full(t)
     n, width = alg.dim, t.shape[-1]
-    # times_right[m, k] is u_m e_k and times_left[j, m] is e_j u_m, where
-    # u_m is the unit vector of component m.  In a Gaussian table the
-    # components from `half` on are imaginary parts: u_(half+m) is i u_m.
-    if width > n + 1:
-        turned = _turn(t, n + 1)
-        times_right = np.concatenate([t, turned], axis=-3)
-        times_left = np.concatenate([t, turned], axis=-2)
-    else:
-        times_right = times_left = t
     stack = t.shape[:-3]    # the leading axis of residue layers, if any
-    right = times_right[..., 1:, :].reshape(stack + (width, n * width))
-    left = times_left[..., 1:, :, :]
+    right = full[..., 1:n + 1, :].reshape(stack + (width, n * width))    # [m, (k, c)]: u_m e_k
+    left = full[..., 1:n + 1, :, :]    # [j, m]: e_j u_m
     products = t[..., 1:, 1:, :].reshape(stack + (n * n, width))   # [(j, k)]: e_j e_k
     shape = stack + (n, n, width)
 
     def slices(i, pos):
         if pos == 0:    # (e_i e_j) e_k - e_i (e_j e_k)
-            a, b = t[..., i, 1:, :] @ right, products @ times_left[..., i, :, :]
+            a, b = t[..., i, 1:, :] @ right, products @ full[..., i, :, :]
         elif pos == 1:    # (e_j e_i) e_k - e_j (e_i e_k)
             a, b = t[..., 1:, i, :] @ right, t[..., None, i, 1:, :] @ left
         else:    # (e_j e_k) e_i - e_j (e_k e_i)
-            a, b = products @ times_right[..., i, :], t[..., None, 1:, i, :] @ left
+            a, b = products @ full[..., :, i, :], t[..., None, 1:, i, :] @ left
         a = a.reshape(shape)
         a -= b.reshape(shape)
-        return _mod(a)
+        a = _mod(a)
+        a.flags.writeable = False
+        return a
 
     return slices
 
@@ -346,37 +333,6 @@ def _commutator_slices(alg):
     elements j, times `_den`, in the layers of `_layers`; pos is 0."""
     t = _layers(alg, lambda k, m: 2 * m)
     return lambda i, pos: _mod(t[..., i, 1:, :] - t[..., 1:, i, :])
-
-
-@functools.lru_cache(maxsize=None)
-def _fold_map(n, sym):
-    """(keys, fixing, runs) for `_fold` on basis 4-tuples summed over the
-    orders of their first `sym` indices.  keys[r] is the flat index of the
-    r-th tuple in lex order with those indices sorted, and fixing[r] the
-    number of orders that fix it.  runs[a] is (order, starts, ranks): the
-    tuples (a, b, c, d), in C order over (b, c, d) and taken in `order`,
-    fall in runs of one key, which begin at `starts` and have `ranks`."""
-    t = np.indices((n,) * 4).reshape(4, -1)
-    for end in range(sym - 1, 0, -1):    # a bubble-sort network on the summed indices
-        for j in range(end):
-            low = np.minimum(t[j], t[j + 1])
-            np.maximum(t[j], t[j + 1], out=t[j + 1])
-            t[j] = low
-    flat = n ** np.arange(3, -1, -1) @ t    # the flat index of each tuple's key
-    keys = np.flatnonzero(flat == np.arange(n**4))
-    t = np.unravel_index(keys, (n,) * 4)
-    fixing = repeats = np.ones(len(keys), dtype=np.int64)
-    for p in range(1, sym):    # the product of the factorials of the multiplicities
-        repeats = repeats * (t[p] == t[p - 1]) + 1
-        fixing = fixing * repeats
-    rank = np.zeros(n**4, dtype=np.intp)
-    rank[keys] = np.arange(len(keys))
-    rank = rank[flat].reshape(n, n**3)
-    order = np.argsort(rank, axis=1, kind="stable")
-    rank = np.take_along_axis(rank, order, axis=1)
-    first = np.diff(rank, axis=1, prepend=-1) != 0
-    runs = [(o, np.flatnonzero(f), r[f]) for o, f, r in zip(order, first, rank)]
-    return keys, fixing, runs
 
 
 def _fold(alg, form, sym):
@@ -390,11 +346,8 @@ def _fold(alg, form, sym):
     residue layer before it is multiplied by `fixing`."""
     t = _layers(alg, lambda k, m: 48 * k**2 * m**3)    # 48 terms of K**2 products of three entries
     n, width = alg.dim, t.shape[-1]
-    if width > n + 1:    # all components, imaginary ones too: t[m, p] = u_m u_p
-        for axis in (-3, -2):
-            t = np.concatenate([t, _turn(t, n + 1)], axis=axis)
     stack = t.shape[:-3]
-    table = t.reshape(stack + (width, width * width))
+    table = _full(t).reshape(stack + (width, width * width))
     basis = np.eye(width, dtype=t.dtype)[1:n + 1] * np.ones(stack + (1, 1), dtype=t.dtype)
     rows, blocks, cols = stack + (-1, width), stack + (-1, width, width), stack + (1, -1, width)
     lead = len(stack)
@@ -403,12 +356,26 @@ def _fold(alg, form, sym):
         by_u = _mod((u.reshape(rows) @ table).reshape(blocks))
         return _mod(v.reshape(cols) @ by_u).reshape(u.shape[:-1] + v.shape[lead:])
 
-    keys, fixing, runs = _fold_map(n, sym)
+    # a min/max network sorts the summed indices: np.sort of so many short
+    # rows would cost about a tenth of the call at dimension 12
+    key = np.indices((n,) * 4, dtype=np.int16).reshape(4, -1)
+    for j, k in itertools.combinations(range(sym), 2):
+        key[[j, k]] = np.minimum(key[j], key[k]), np.maximum(key[j], key[k])
+    key = np.ravel_multi_index(key, (n,) * 4)    # each tuple's key, as a flat index
+    orbit = np.bincount(key, minlength=n**4)    # the tuples with each key
+    keys = np.flatnonzero(orbit)
+    fixing = math.factorial(sym) // orbit[keys]    # the orders that fix each key
+    rank = (np.cumsum(orbit > 0) - 1)[key].reshape(n, n**3)
+    del key, orbit
+    order = np.argsort(rank, axis=1, kind="stable")    # each block's tuples in runs of one key
+    rank = np.take_along_axis(rank, order, axis=1)
+    first = np.diff(rank, axis=1, prepend=-1) != 0
     folded = np.zeros(stack + (len(keys), width), dtype=t.dtype)
-    for a, (order, starts, ranks) in enumerate(runs):
+    for a in range(n):    # no block is held while the next is evaluated
         block = form(mul, basis[..., a:a + 1, :], basis, basis, basis).reshape(
-            stack + (n**3, width))
-        folded[..., ranks, :] += np.add.reduceat(block[..., order, :], starts, axis=-2)
+            stack + (n**3, width))[..., order[a], :]
+        folded[..., rank[a, first[a]], :] += np.add.reduceat(block, np.flatnonzero(first[a]), axis=-2)
+        del block
     folded *= fixing[:, None]
     slab_starts = np.searchsorted(keys, np.arange(n + 1) * n**3)
 
@@ -439,10 +406,10 @@ def _first_failure(alg, laws, kernel):
     `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
     slab i from `kernel`, to the law's defects at (i, j, ...) as an array
     over (j, ...), with the leading axis of residue layers if it has one.
-    A defect is nonzero when it is nonzero in some layer.  The kernel
-    memoises the last slab, so the laws share each slice, within this call
-    and, for the per-algebra `_slab_kernel`, with the laws checked before
-    it.  Slabs are decided in order of i and each is scanned in
+    A defect is nonzero when it is nonzero in some layer.  The per-algebra
+    `_slab_kernel` keeps the last three slices it computed, so the laws
+    share each slice of a slab, within this call and with the laws checked
+    before it.  Slabs are decided in order of i and each is scanned in
     (j, ..., law) order, so the first hit is the first failure in
     (i, j, ..., law) order; no later slab is computed.
     """
@@ -528,9 +495,12 @@ def _check_unital(alg):
         return PropertyReport(alg, "unital", True, None, detail=f"internal unit {u}")
     # No identity exists; exhibit where the best candidate fails.
     u = alg.element(0, particular)
+    full = _full(alg.tensor)
+    vec = np.array(u.vec, dtype=object).reshape(-1, full.shape[-1])    # real table: [re, im]
     for j in range(n):
         ej = alg.basis_element(j)
-        for d in (multiply(u, ej) - ej, multiply(ej, u) - ej):
+        for side in (full[:, j + 1], full[j + 1]):
+            d = Element(alg, u.den * alg._den, (vec @ side).ravel().tolist()) - ej
             if not d.is_zero():
                 w = Witness(defect=d, indices=(j,), law=f"no identity; best candidate {u}")
                 return PropertyReport(alg, "unital", False, w)

@@ -68,6 +68,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):    # copy and pickle call the constructor, not setattr
+        return GaussianRational, (self.re, self.im)
+
     @classmethod
     def of(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):

@@ -91,6 +91,9 @@ class ZornMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ZornMatrix is immutable")
 
+    def __reduce__(self):    # copy and pickle call the constructor, not setattr
+        return ZornMatrix, (self.element,)
+
     @classmethod
     def build(cls, a, x, y, b) -> "ZornMatrix":
         return cls(zorn_matrices().element(0, [a, *x, *y, b]))

@@ -84,6 +84,15 @@ MUTANTS = [
      ["tests/test_scalar.py"]),
     # a term scanner that reads two terms with no sign between them
     ("algfile.py", r'\s*(?=[+-]|\Z)"', r'\s*"', ["tests/test_algfile.py"]),
+    # the fold's fixing count taken as the number of tuples with the key
+    ("properties.py", "fixing = math.factorial(sym) // orbit[keys]", "fixing = orbit[keys]",
+     ["tests/test_properties.py"]),
+    # a fold whose keys leave the last summed index unsorted
+    ("properties.py", "itertools.combinations(range(sym), 2)",
+     "itertools.combinations(range(sym - 1), 2)", ["tests/test_properties.py"]),
+    # a unit witness that reads u e_j for e_j u too
+    ("properties.py", "for side in (full[:, j + 1], full[j + 1]):",
+     "for side in (full[:, j + 1], full[:, j + 1]):", ["tests/test_properties.py"]),
 ]
 
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from nonassoc.corpus import (
 from nonassoc.properties import check_property
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from nonassoc.zorn import from_zorn, to_zorn, zorn_multiply, zorn_octonions
+from nonassoc.zorn import ZornMatrix, from_zorn, to_zorn, zorn_matrices, zorn_multiply, zorn_octonions
 from oracle import (
     TupleElement,
     fixture_path,
@@ -344,3 +346,29 @@ def test_elements_are_immutable(field):
     with pytest.raises(AttributeError):
         setattr(e, field, {"algebra": quaternions(), "den": 5, "vec": (0,) * 16}[field])
     assert (str(e), e.den) == ("q1", 1)
+
+
+def exact_values():
+    """One value of each exact type; the law kernels have run on each algebra."""
+    alg, candidate = split_octonions(), candidate_to_algebra(CandidateAlgebra.random(1))
+    for table in (alg, candidate, zorn_matrices()):
+        check_property(table, "flexible")
+    return [GaussianRational(Fraction(3, 4), -2), alg, candidate,
+            alg.basis_element(2).scaled(I + Fraction(1, 3)),
+            ZornMatrix.build(1, (I, 0, 0), (0, Fraction(1, 2), 0), -1)]
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("index", range(5),
+                         ids=["scalar", "algebra", "object-algebra", "element", "zorn"])
+def test_exact_values_survive_copy_and_pickle(copy_of, index):
+    value = exact_values()[index]
+    twin = copy_of(value)
+    assert type(twin) is type(value)
+    assert twin == value and str(twin) == str(value)
+    if isinstance(value, AlgebraDef):    # the kernels are rebuilt on demand, not carried over
+        assert twin.name == value.name and twin.tensor.dtype == value.tensor.dtype
+        assert not {"_slabs", "_limbs"} & set(vars(twin))
+        assert check_property(twin, "flexible") == check_property(value, "flexible")

@@ -288,6 +288,20 @@ def test_internal_gaussian_unit():
     assert rep.detail == "internal unit -i*e1"
 
 
+@pytest.mark.parametrize("square", [0, I, 2**70], ids=["int64", "gaussian", "object"])
+def test_unit_witness_can_fail_on_the_right(square):
+    # e1 is a left identity and e2 e1 = 0: the best candidate e1 passes u e1,
+    # e1 u and u e2, and fails first at e2 u - e2
+    alg = AlgebraDef.from_products("left_unit", 2, {
+        (0, 0): (ZERO, {0: 1}), (0, 1): (ZERO, {1: 1}), (1, 1): (ZERO, {1: square})},
+        unital=False)
+    e1, e2 = alg.basis()
+    rep = check_property(alg, "unital")
+    assert (rep.holds, rep.witness.indices) == (False, (1,))
+    assert rep.witness.law == "no identity; best candidate e1"
+    assert rep.witness.defect == multiply(e2, e1) - e2 == -e2
+
+
 # -- power associativity and the Jordan law as linearized identities ----------
 
 def squares_to_next(c):
@@ -750,7 +764,7 @@ def object_tables(draw):
     return AlgebraDef.from_products("drawn", dim, products, unital)
 
 
-@settings(settings.get_profile("exact"), max_examples=15)
+@settings(settings.get_profile("exact"), max_examples=120)
 @given(object_tables())
 def test_residue_kernels_match_the_references(alg):
     assert alg.tensor.dtype == object

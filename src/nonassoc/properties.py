@@ -6,15 +6,21 @@ exhaustively on basis triples, which suffices by multilinearity over a
 characteristic-zero field.  They run on `AlgebraDef.tensor`, the product
 table as one exact integer array T over the common denominator, with the
 unit at index 0.  Each law's defect at (e_i, e_j, e_k) is a signed sum of
-associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) at permutations of
-(i, j, k):
+associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) at the six orders
+of (i, j, k), one integer row of `_LAWS`:
 
-    associative          A(i,j,k)
-    flexible             A(i,j,k) + A(k,j,i)
-    left-alternative     A(i,j,k) + A(j,i,k)
-    right-alternative    A(i,j,k) + A(i,k,j)
-    Lie-admissible       sum of sign(p) A(p(i,j,k)) over the six orders p
-    derivation property  -A(i,j,k) + A(i,k,j) - A(k,i,j)
+                          ijk  jik  jki  ikj  kij  kji
+    associative            1    0    0    0    0    0
+    left-alternative       1    1    0    0    0    0
+    right-alternative      1    0    0    1    0    0
+    flexible               1    0    0    0    0    1
+    Lie-admissible         1   -1    1   -1    1   -1
+    power assoc. (deg 3)   1    1    1    1    1    1
+    derivation property   -1    0    0    1   -1    0
+
+A scan of all basis triples decides a row's images under the permutations
+of (i, j, k) too, so rows whose images span one space decide the same
+algebras: derivation and flexible plus Lie-admissible (H. C. Myung, 1982).
 
 The associator entries are contractions of T with itself.  They are
 computed one slab of first index i at a time, as the three slices with i
@@ -100,19 +106,21 @@ about K dim^4/24 for degree 4 and K dim^4/6 for the Jordan form (on a
 diagonal table `power_associative` and `jordan` raised the peak resident
 set by about 20 and 27 MB at dimension 24, and 61 and 95 MB at 32, Python
 3.11, numpy 2.4).  Its slabs are read off that array, zero at the
-unsorted tuples, and a defect is F divided by the denominator cubed.  A degree-4 defect adds 48 terms (24 orders of two
-terms) and a Jordan defect 12, each a sum of K**2 products of three
-entries of T, which the bound on T above covers.
+unsorted tuples, and a defect is F divided by the denominator cubed.  A
+degree-4 defect adds 48 terms (24 orders of two terms) and a Jordan
+defect 12, each a sum of K**2 products of three entries of T, which the
+bound on T above covers.
 
 Each scanned law is one entry of a single table, `_LAWS`: an ordered
-list of slab scans, each a kernel and the (tag, defect) pairs
+list of slab scans, each a kernel and the (tag, row) pairs
 `_first_failure` reads from its slabs, run until one fails.  The five
 multilinear laws are one scan of the associator kernel, power
 associativity scans degree 3 and then, at a degree of 4 or more, degree
-4, and the Jordan law scans commutativity and then its linearized form.
-The table also names `unital`, which keeps its own solve, so its keys are
-the law names, `PROPERTIES`; `check_property` is the one body that runs a
-law's scans and builds its report.
+4, and the Jordan law scans commutativity and then its linearized form,
+each reading one slice with the row (1,).  The table also names `unital`,
+which keeps its own solve, so its keys are the law names, `PROPERTIES`;
+`check_property` is the one body that runs a law's scans and builds its
+report.
 
 Every check is exact: a law either holds or a nonzero defect element is
 produced as a witness.  Witnesses are deterministic: the lexicographically
@@ -130,6 +138,7 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element
 from .scalar import solve_gaussian_integers
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -403,20 +412,30 @@ def _jordan(mul, x1, x2, x3, y):
 def _first_failure(alg, laws, kernel):
     """The lexicographically first failing (i, j, ..., law), or None.
 
-    `laws` is [(tag, defect(s))], where defect maps s(pos), the slices of
-    slab i from `kernel`, to the law's defects at (i, j, ...) as an array
-    over (j, ...), with the leading axis of residue layers if it has one.
-    A defect is nonzero when it is nonzero in some layer.  The per-algebra
-    `_slab_kernel` keeps the last three slices it computed, so the laws
-    share each slice of a slab, within this call and with the laws checked
-    before it.  Slabs are decided in order of i and each is scanned in
-    (j, ..., law) order, so the first hit is the first failure in
+    `laws` is [(tag, row)]: a law's defects at (i, j, ...), an array over
+    (j, ...) with the leading axis of residue layers if it has one, are the
+    orders of `_ORDERS`, views of the slices of slab i from `kernel`, added
+    or subtracted as its row's coefficients (1, -1 or 0) say, positive terms
+    first.  A defect is nonzero when it is nonzero in some layer.  The
+    per-algebra `_slab_kernel` keeps the last three slices it computed, so
+    the laws share each slice of a slab, within this call and with the laws
+    checked before it.  Slabs are decided in order of i and each is scanned
+    in (j, ..., law) order, so the first hit is the first failure in
     (i, j, ..., law) order; no later slab is computed.
     """
     slices = kernel(alg)
+    terms = [sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0) for _, row in laws]
+    read = {o for law in terms for o, _ in law}
     for i in range(1, alg.dim + 1):
-        s = functools.partial(slices, i)
-        defects = _mod(np.stack([defect(s) for _, defect in laws], axis=-2))
+        views = {o: slices(i, pos).swapaxes(-3, -2) if exchanged else slices(i, pos)
+                 for o, (pos, exchanged) in enumerate(_ORDERS) if o in read}
+        defects = []
+        for (o, c), *others in terms:
+            defects.append(views[o] if c > 0 else -views[o])
+            for o, c in others:
+                defects[-1] = defects[-1] + views[o] if c > 0 else defects[-1] - views[o]
+        defects = np.stack(defects, axis=-2)    # the sums are freed before `_mod` allocates
+        defects = _mod(defects)
         nonzero = (defects != 0).any(axis=-1)
         if defects.dtype.kind == "f":    # in some layer
             nonzero = nonzero.any(axis=0)
@@ -429,36 +448,26 @@ def _first_failure(alg, laws, kernel):
     return None
 
 
-def _swap(a):
-    """a[j, k] -> a[k, j]: the same slice with the last two indices exchanged."""
-    return a.swapaxes(-3, -2)
-
-
-# law -> (slab scans, detail), as in the module docstring; unital has its own solve
+# the columns of a law row, ijk, jik, jki, ikj, kij, kji: (slice of slab i, j and k exchanged)
+_ORDERS = ((0, False), (1, False), (2, False), (0, True), (1, True), (2, True))
+# law -> (slab scans, detail), the rows as in the module docstring; unital has its own solve
 _LAWS = {
-    "associative": ([(_slab_kernel, [("associativity", lambda s: s(0))])], ""),
-    "alternative": ([(_slab_kernel, [
-        ("left-alternative", lambda s: s(0) + s(1)),
-        ("right-alternative", lambda s: s(0) + _swap(s(0))),
-    ])], ""),
-    "flexible": ([(_slab_kernel, [("flexible law", lambda s: s(0) + _swap(s(2)))])], ""),
-    "lie_admissible": ([(_slab_kernel, [("Jacobi identity for the commutator", lambda s: (
-        s(0) - _swap(s(0)) - s(1) + _swap(s(1)) + s(2) - _swap(s(2))))])], ""),
+    "associative": ([(_slab_kernel, [("associativity", (1, 0, 0, 0, 0, 0))])], ""),
+    "alternative": ([(_slab_kernel, [("left-alternative", (1, 1, 0, 0, 0, 0)),
+                                     ("right-alternative", (1, 0, 0, 1, 0, 0))])], ""),
+    "flexible": ([(_slab_kernel, [("flexible law", (1, 0, 0, 0, 0, 1))])], ""),
+    "lie_admissible": ([(_slab_kernel, [("Jacobi identity for the commutator",
+                                         (1, -1, 1, -1, 1, -1))])], ""),
     "power_associative": ([
-        (_slab_kernel, [("power associativity at degree 3",
-                         lambda s: sum(s(p) + _swap(s(p)) for p in range(3)))]),
-        (functools.partial(_fold, form=_quartic, sym=4),
-         [("power associativity at degree 4", lambda s: s(0))]),
+        (_slab_kernel, [("power associativity at degree 3", (1, 1, 1, 1, 1, 1))]),
+        (functools.partial(_fold, form=_quartic, sym=4), [("power associativity at degree 4", (1,))]),
     ], "x^2 x = x x^2 and x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree"),
     "jordan": ([
-        (_commutator_slices, [("commutativity", lambda s: s(0))]),
-        (functools.partial(_fold, form=_jordan, sym=3),
-         [("Jordan law (xy)(xx) = x(y(xx))", lambda s: s(0))]),
+        (_commutator_slices, [("commutativity", (1,))]),
+        (functools.partial(_fold, form=_jordan, sym=3), [("Jordan law (xy)(xx) = x(y(xx))", (1,))]),
     ], "commutativity on basis pairs, then the linearized Jordan law on basis 4-tuples"),
     "unital": None,
-    "derivation_property": ([(_slab_kernel, [
-        ("bracket Leibniz rule", lambda s: _swap(s(0)) - s(0) - _swap(s(1))),
-    ])], ""),
+    "derivation_property": ([(_slab_kernel, [("bracket Leibniz rule", (-1, 0, 0, 1, -1, 0))])], ""),
 }
 PROPERTIES = tuple(_LAWS)
 
@@ -552,15 +561,6 @@ def myung_equivalence(corpus: list[AlgebraDef]) -> list[MyungVerdict]:
     out = []
     for alg in corpus:
         der = check_derivation_property(alg)
-        flex = check_property(alg, "flexible")
-        lie = check_property(alg, "lie_admissible")
-        out.append(
-            MyungVerdict(
-                algebra=alg,
-                equivalence_holds=der.holds == (flex.holds and lie.holds),
-                derivation=der,
-                flexible=flex,
-                lie_admissible=lie,
-            )
-        )
+        flex, lie = check_property(alg, "flexible"), check_property(alg, "lie_admissible")
+        out.append(MyungVerdict(alg, der.holds == (flex.holds and lie.holds), der, flex, lie))
     return out

@@ -93,6 +93,14 @@ MUTANTS = [
     # a unit witness that reads u e_j for e_j u too
     ("properties.py", "for side in (full[:, j + 1], full[j + 1]):",
      "for side in (full[:, j + 1], full[:, j + 1]):", ["tests/test_properties.py"]),
+    # the derivation row with the sign of its ijk order flipped: its images span all six orders
+    ("properties.py", '("bracket Leibniz rule", (-1, 0, 0, 1, -1, 0))',
+     '("bracket Leibniz rule", (1, 0, 0, 1, -1, 0))', ["tests/test_properties.py"]),
+    # the Lie-admissible row with the sign of its kji order flipped
+    ("properties.py", "(1, -1, 1, -1, 1, -1)", "(1, -1, 1, -1, 1, 1)", ["tests/test_properties.py"]),
+    # the kij order read off slice 2, the slice of kji
+    ("properties.py", "(0, True), (1, True), (2, True)", "(0, True), (2, True), (2, True)",
+     ["tests/test_properties.py"]),
 ]
 
 

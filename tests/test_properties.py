@@ -174,6 +174,77 @@ def test_myung_equivalence_over_corpus():
     assert rc.flexible.holds and rc.lie_admissible.holds and rc.derivation.holds
 
 
+# -- the law rows as data -----------------------------------------------------------
+
+def order_arguments():
+    """Each order of `properties._ORDERS` as the arguments of the associator,
+    with (i, j, k) = (0, 1, 2): slice pos puts i at position pos, in front
+    of j and k or of k and j."""
+    orders = []
+    for pos, exchanged in properties._ORDERS:
+        args = [2, 1] if exchanged else [1, 2]
+        args.insert(pos, 0)
+        orders.append(tuple(args))
+    return orders
+
+
+def law_rows():
+    """tag -> row of each law the associator kernel scans."""
+    return {tag: row for entry in properties._LAWS.values() if entry
+            for kernel, laws in entry[0] if kernel is properties._slab_kernel
+            for tag, row in laws}
+
+
+def orbit_rank(*tags):
+    """The exact rank of the images of the rows of `tags` under the six
+    permutations of (i, j, k), as vectors over the six orders.  A scan of all
+    basis triples decides a row's images too, so two sets of rows decide the
+    same algebras when their images and both together have one rank."""
+    orders, rows = order_arguments(), law_rows()
+    images = []
+    for tag in tags:
+        for sigma in itertools.permutations(range(3)):
+            image = [0] * 6
+            for args, c in zip(orders, rows[tag]):
+                image[orders.index(tuple(sigma[a] for a in args))] += c
+            images.append(image)
+    return sympy.Matrix(images).rank()
+
+
+def test_law_rows_are_signs_on_the_six_orders():
+    assert order_arguments() == [(0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 0, 1), (2, 1, 0)]
+    rows = law_rows()
+    assert sorted(rows) == sorted(["associativity", "left-alternative", "right-alternative",
+                                   "flexible law", "Jacobi identity for the commutator",
+                                   "power associativity at degree 3", "bracket Leibniz rule"])
+    assert all(len(row) == 6 and set(row) <= {-1, 0, 1} for row in rows.values())
+    # the other scans read one slice as it is
+    others = [row for entry in properties._LAWS.values() if entry for kernel, laws in entry[0]
+              if kernel is not properties._slab_kernel for _, row in laws]
+    assert others == [(1,)] * 3
+
+
+def test_derivation_property_is_flexible_and_lie_admissible_by_the_rows():
+    """Myung's theorem, decided for every algebra over a field of
+    characteristic 0: the derivation row's images span the same space as
+    the flexible and Lie-admissible rows' images."""
+    derivation, flexible, lie = ("bracket Leibniz rule", "flexible law",
+                                 "Jacobi identity for the commutator")
+    assert orbit_rank(derivation) == orbit_rank(flexible, lie) == 4
+    assert orbit_rank(derivation, flexible, lie) == 4
+    # neither condition alone is the derivation property
+    assert orbit_rank(flexible) == 3 and orbit_rank(lie) == 1
+    assert orbit_rank(derivation, flexible) == orbit_rank(derivation, lie) == 4
+
+
+def test_alternative_implies_flexible_by_the_rows():
+    alternative = ("left-alternative", "right-alternative")
+    assert orbit_rank(*alternative) == orbit_rank(*alternative, "flexible law") == 5
+    # and associative implies both; flexible does not imply alternative
+    assert orbit_rank("associativity") == orbit_rank("associativity", *alternative) == 6
+    assert orbit_rank("flexible law", *alternative) > orbit_rank("flexible law")
+
+
 def test_myung_rejects_empty_corpus():
     with pytest.raises(ValueError):
         myung_equivalence([])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,25 @@ def test_search_benchmark_run_accept_decisions():
         "total=2.178511e+02 comm=4.347381e+01 lorentz=4.553576e+00 assoc=1.698237e+02")
     decreases = [sum(b < a for a, b in zip(trace, trace[1:])) for trace in result.traces]
     assert decreases == [16, 1749]
+
+
+def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
+    """perfbench/child.py wraps `residual` in the `nonassoc.search` module and
+    splits a traced search into restarts at the call that starts each trace:
+    `search` must reach `residual` through the module global, once per trace
+    entry.  (`nonassoc.search` as an attribute is the package's `search`
+    function, so the module comes from sys.modules.)"""
+    module = sys.modules["nonassoc.search"]
+    calls = []
+
+    def counting(cand):
+        calls.append(cand)
+        return residual(cand)
+
+    monkeypatch.setattr(module, "residual", counting)
+    cfg = SearchConfig(restarts=2, max_iters=300, rng_seed=0)
+    result = search(cfg, init=CandidateAlgebra.so31_embedded())
+    assert len(calls) == sum(len(trace) for trace in result.traces) == 602
 
 
 def test_search_improves_from_zero():

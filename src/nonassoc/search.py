@@ -24,6 +24,20 @@ both P-sectors that the associators need, stacked on a leading axis. A
 residual is then a few gathers, two batched matmuls and dot products.
 The search steps one entry in place and writes the old double back on
 reject, so a candidate is never copied per iteration.
+
+A step is evaluated only when it can change what `residual` reads: its
+entry e = c[i, j, k] lies in a bracket row, is its own factor in an
+associator (i and j in a P-sector S, k in {i, j}), or multiplies a nonzero
+factor there: c[k, S, :] or c[S, k, :] when i and j are in S, c[S, S, i]
+when j is in S, c[S, S, j] when i is in S.  Any other step multiplies
+exact zeros only, so its residual would equal the current one bit for bit
+and the step would be rejected.  Such a step is skipped after its entry
+and delta are drawn, so the random stream and every accept decision stay
+those of evaluating every step.  Nonzero counts of c[S, S, m], c[m, S, :]
+and c[S, m, :] for each sector keep the test O(1); they are rebuilt at
+each restart and change only when an accepted step moves an entry to or
+from zero.  A trace holds the starting residual and then one entry per
+evaluated step, and each entry is one call of the module's `residual`.
 """
 
 from __future__ import annotations
@@ -122,6 +136,7 @@ class _Targets:
         idx_rt = [roles[l] for l in ROLE_RT]
         idx_m = [roles[l] for l in ROLE_M]
         sectors = np.array([idx_r, idx_rt])                    # (2, 4): P = R, Rt
+        self.sectors = sectors
 
         # np.add.at adds up where two labels share an index
         t_comm = np.zeros((4, 4, dim))
@@ -247,13 +262,62 @@ def _frozen_mask(cand: CandidateAlgebra, freeze: set[str]) -> np.ndarray:
     return mask
 
 
+class _Support:
+    """Whether a step on c[i, j, k] can change the residual, for one table.
+
+    `bracket[i][j]` marks the rows c[i, j, :] the bracket defects read.
+    Each P-sector S (its distinct indices) keeps `member[m]` for m in S and
+    the nonzero counts `pair[m]` of c[S, S, m], `left[m]` of c[m, S, :] and
+    `right[m]` of c[S, m, :].
+    """
+
+    def __init__(self, t: _Targets, c: np.ndarray):
+        rows = np.zeros(c.size, dtype=bool)
+        rows[t.ab] = rows[t.ba] = True
+        self.bracket = rows.reshape(c.shape).any(axis=2).tolist()
+        nonzero = c != 0
+        self.sectors = []
+        for s in t.sectors:
+            member = np.zeros(len(c), dtype=bool)
+            member[s] = True
+            s = np.flatnonzero(member)
+            self.sectors.append((member.tolist(),
+                                 nonzero[np.ix_(s, s)].sum(axis=(0, 1)).tolist(),
+                                 nonzero[:, s].sum(axis=(1, 2)).tolist(),
+                                 nonzero[s].sum(axis=(0, 2)).tolist()))
+
+    def live(self, i: int, j: int, k: int) -> bool:
+        if self.bracket[i][j]:
+            return True
+        for member, pair, left, right in self.sectors:
+            # e in c[S, S, k]: its own factor, or times c[k, S, :] or c[S, k, :]
+            if member[i] and member[j] and (k == i or k == j or left[k] or right[k]):
+                return True
+            # e in c[:, S, :] times c[S, S, i], or in c[S] times c[S, S, j]
+            if member[j] and pair[i] or member[i] and pair[j]:
+                return True
+        return False
+
+    def moved(self, i: int, j: int, k: int, change: int):
+        """Count c[i, j, k] turning nonzero (`change` 1) or zero (-1)."""
+        for member, pair, left, right in self.sectors:
+            if member[i] and member[j]:
+                pair[k] += change
+            if member[j]:
+                left[i] += change
+            if member[i]:
+                right[j] += change
+
+
 def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
            freeze: set[str] | None = None) -> SearchResult:
-    """Multi-restart coordinate perturbation with accept-if-improved."""
+    """Multi-restart coordinate perturbation with accept-if-improved; steps
+    that cannot change the residual are drawn but not evaluated."""
     freeze = freeze or set()
     base = init if init is not None else CandidateAlgebra.zero()
     mask = _frozen_mask(base, freeze)
     free_entries = np.argwhere(~mask)
+    targets = _targets_for(base)
     seed_seq = np.random.SeedSequence(cfg.rng_seed)
     streams = seed_seq.spawn(cfg.restarts)
 
@@ -269,18 +333,23 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
             noise[mask] = 0.0
             cand.c = cand.c + noise
         c = cand.c
+        support = _Support(targets, c)
         cur = residual(cand)
         trace = [cur.total]
         for _ in range(cfg.max_iters):
             if cur.total <= cfg.tolerance:
                 break
-            i, j, k = free_entries[rng.integers(len(free_entries))]
+            i, j, k = free_entries[rng.integers(len(free_entries))].tolist()
             delta = rng.normal(0.0, cfg.step_scale)
+            if not support.live(i, j, k):
+                continue  # the residual would not change, so the step would be rejected
             old = c[i, j, k]
-            c[i, j, k] = old + delta
+            c[i, j, k] = new = old + delta
             res = residual(cand)
             if res.total < cur.total:
                 cur = res
+                if (old == 0) != (new == 0):
+                    support.moved(i, j, k, 1 if old == 0 else -1)
             else:
                 c[i, j, k] = old  # the exact double, so a rejected step leaves no trace
             trace.append(cur.total)

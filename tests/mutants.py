@@ -1,11 +1,11 @@
 """Mutation checks: deliberate small faults in `src/` that the tests must catch.
 
 Each entry of MUTANTS is (file in src/nonassoc, exact old text, new text,
-tests to run).  For each entry the script copies `src/`, `tests/` and
-`pyproject.toml` to a temporary directory, replaces the old text in the
-copy of `src/`, where it must occur exactly once, and runs the listed tests
-with pytest in that directory.  A mutant survives when those tests all
-pass.  The script prints one line per mutant and exits 1 if any survived.
+tests to run).  For each entry the script copies `src/`, `tests/`,
+`perfbench/` (some tests read it) and `pyproject.toml` to a temporary
+directory, replaces the old text in the copy of `src/`, where it must occur
+exactly once, and runs the listed tests with pytest in that directory.  A
+mutant survives when those tests all pass.  The script prints one line per mutant and exits 1 if any survived.
 Run it from anywhere:
 
     python tests/mutants.py          # every mutant
@@ -64,6 +64,15 @@ MUTANTS = [
     ("search.py", "np.add.at(t_lorentz, (..., idx_m), LORENTZ)",
      "t_lorentz[..., idx_m] = LORENTZ",
      ["tests/test_search.py::test_layout_with_a_shared_index_matches_brute_force"]),
+    # a search that skips steps on an entry that is its own associator factor
+    ("search.py", "(k == i or k == j or left[k] or right[k])", "(left[k] or right[k])",
+     ["tests/test_search.py::test_search_skips_only_steps_that_leave_the_residual_unchanged"]),
+    # a search that skips steps in the bracket rows
+    ("search.py", "        if self.bracket[i][j]:\n            return True\n", "",
+     ["tests/test_search.py::test_search_skips_only_steps_that_leave_the_residual_unchanged"]),
+    # nonzero counts left as they were when an accepted step crosses zero
+    ("search.py", "support.moved(i, j, k, 1 if old == 0 else -1)", "pass",
+     ["tests/test_search.py::test_search_skips_only_steps_that_leave_the_residual_unchanged"]),
     # a sum of elements over the smaller denominator, not the lcm
     ("algebra.py", "Element(self.algebra, self.den * fa,", "Element(self.algebra, self.den,",
      ["tests/test_algebra.py::test_element_arithmetic_matches_the_tuple_oracle"]),
@@ -108,7 +117,7 @@ def survives(file, old, new, tests) -> bool:
     """True when `tests` all pass on a copy of the repository with `old` made `new`."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         path = tmp / "src" / "nonassoc" / file

@@ -11,9 +11,10 @@ values: they clear denominators for `solve_gaussian_integers`, and drop the
 derivative terms of a `compose`.  `reference_terms` reads a product
 expression the way `algfile` did before its one-pattern scanner: a token
 loop splits the line on signs outside parentheses, then each term is
-matched against a basis-term and a scalar pattern.  The test modules import
-what they share from this one module, the table of bundled fixtures and
-their reader too.
+matched against a basis-term and a scalar pattern.  `reference_search` is
+the perturb-and-accept loop that evaluates every step, with none skipped.
+The test modules import what they share from this one module, the table of
+bundled fixtures and their reader too.
 """
 
 import functools
@@ -36,7 +37,7 @@ from nonassoc.corpus import (
     su2_bracket_algebra,
 )
 from nonassoc.properties import Witness
-from nonassoc.search import CandidateAlgebra
+from nonassoc.search import CandidateAlgebra, SearchResult, _frozen_mask, residual
 from nonassoc.scalar import GaussianRational, I, ZERO, gaussian_integers, solve_gaussian_integers
 from nonassoc.spinor import EPS_RAISE, sigma_lower
 from nonassoc.superspace import SuperOp, _key_to_seq, _normal_order, compose
@@ -553,6 +554,47 @@ def permuted_candidate(cand, perm):
     c2[np.ix_(perm, perm, perm)] = cand.c
     roles = {label: int(perm[idx]) for label, idx in cand.roles.items()}
     return CandidateAlgebra(cand.dim, c2, roles, cand.seed)
+
+
+def reference_search(cfg, init, freeze=frozenset()):
+    """`search` with a `residual` call on every step, and per restart the
+    steps it took: (hash of the table the step evaluates, residual before the
+    step, residual after it).  The first entry of each list is the starting
+    table, with None for the residual before it."""
+    mask = _frozen_mask(init, freeze)
+    free_entries = np.argwhere(~mask)
+    streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts)
+    best = best_res = None
+    traces, steps = [], []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(streams[r])
+        cand = init.copy()
+        if r > 0:
+            noise = rng.normal(0.0, cfg.step_scale, size=cand.c.shape)
+            noise[mask] = 0.0
+            cand.c = cand.c + noise
+        c = cand.c
+        cur = residual(cand)
+        trace, taken = [cur.total], [(hash(c.tobytes()), None, cur)]
+        for _ in range(cfg.max_iters):
+            if cur.total <= cfg.tolerance:
+                break
+            i, j, k = free_entries[rng.integers(len(free_entries))]
+            delta = rng.normal(0.0, cfg.step_scale)
+            old = c[i, j, k]
+            c[i, j, k] = old + delta
+            res = residual(cand)
+            taken.append((hash(c.tobytes()), cur, res))
+            if res.total < cur.total:
+                cur = res
+            else:
+                c[i, j, k] = old
+            trace.append(cur.total)
+        traces.append(trace)
+        steps.append(taken)
+        if best_res is None or cur.total < best_res.total:
+            best, best_res = cand, cur
+    return SearchResult(best, best_res, traces, best_res.total <= cfg.tolerance), steps
 
 
 # -- superspace operators ------------------------------------------------------

@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import pathlib
+import statistics
 import sys
 
 import numpy as np
@@ -13,11 +16,15 @@ from nonassoc.search import (
     ROLE_RT,
     CandidateAlgebra,
     SearchConfig,
+    _Support,
+    _targets_for,
     default_roles,
     residual,
     search,
 )
-from oracle import permuted_candidate
+from oracle import permuted_candidate, reference_search
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def lorentz_bracket_coeffs(munu, rhosigma):
@@ -284,6 +291,8 @@ def test_search_benchmark_run_accept_decisions():
         "total=2.178511e+02 comm=4.347381e+01 lorentz=4.553576e+00 assoc=1.698237e+02")
     decreases = [sum(b < a for a, b in zip(trace, trace[1:])) for trace in result.traces]
     assert decreases == [16, 1749]
+    # one entry for the start and one per evaluated step of the 5000
+    assert [len(trace) for trace in result.traces] == [1727, 4724]
 
 
 def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
@@ -302,7 +311,123 @@ def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
     monkeypatch.setattr(module, "residual", counting)
     cfg = SearchConfig(restarts=2, max_iters=300, rng_seed=0)
     result = search(cfg, init=CandidateAlgebra.so31_embedded())
-    assert len(calls) == sum(len(trace) for trace in result.traces) == 602
+    assert len(calls) == sum(len(trace) for trace in result.traces) == 364
+
+
+def test_benchmark_trace_splits_restarts_at_their_first_residual_call(monkeypatch):
+    """A traced pass of perfbench/child.py, on an unedited copy of it, times
+    each restart from the `residual` span at the start of its trace: the
+    split falls on the first call with the restart's own candidate, and
+    `layer_metrics` raises nothing."""
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    module = sys.modules["nonassoc.search"]
+    owners = []
+
+    def recording(cand):
+        owners.append(cand)
+        return residual(cand)
+
+    monkeypatch.setattr(module, "residual", recording)
+    rec = child.Recorder()
+    rec.install()
+    try:
+        result = module.search(SearchConfig(restarts=3, max_iters=200, rng_seed=0),
+                               init=CandidateAlgebra.so31_embedded())
+    finally:
+        rec.uninstall()
+    metrics = child.layer_metrics(rec, [], 1.0, result.traces)
+
+    starts = [span[1] for span in rec.spans if span[0] == "search.residual"]
+    assert len(starts) == len(owners) == sum(len(trace) for trace in result.traces)
+    firsts = [n for n in range(1, len(owners)) if owners[n] is not owners[n - 1]]
+    assert firsts == list(itertools.accumulate(len(trace) for trace in result.traces[:-1]))
+    (span,) = [span for span in rec.spans if span[0] == "search.search"]
+    bounds = [span[1], *(starts[n] for n in firsts), span[1] + span[2]]
+    assert metrics["search.restart_s"] == statistics.median(
+        b - a for a, b in zip(bounds, bounds[1:]))
+    assert metrics["search.iterations"] == sum(len(trace) - 1 for trace in result.traces)
+
+
+def _shared_index_so31():
+    roles = default_roles()
+    roles["M02"], roles["Rt3"] = roles["M01"], roles["M23"]
+    cand = CandidateAlgebra.so31_embedded()
+    return CandidateAlgebra(cand.dim, cand.c, roles)
+
+
+SKIP_CASES = {
+    "so31": (CandidateAlgebra.so31_embedded(), set(), 2, 0),
+    "zero": (CandidateAlgebra.zero(), set(), 1, 3),
+    "random": (CandidateAlgebra.random(5, scale=0.3), set(), 2, 1),
+    "so31-unit": (CandidateAlgebra.so31_embedded(with_unit=True), set(), 3, 7),
+    "so31-shared-index": (_shared_index_so31(), set(), 2, 2),
+    "so31-permuted": (permuted_candidate(CandidateAlgebra.so31_embedded(),
+                                         np.random.default_rng(6).permutation(BASE_DIM)),
+                      set(), 1, 4),
+    "so31-frozen-R-Rt": (CandidateAlgebra.so31_embedded(), {"R", "Rt"}, 3, 11),
+    "zero-frozen-M": (CandidateAlgebra.zero(), {"M"}, 2, 13),
+}
+
+
+def _accepted(trace):
+    return [b for a, b in zip(trace, trace[1:]) if b < a]
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_search_skips_only_steps_that_leave_the_residual_unchanged(monkeypatch, case):
+    """Against the loop that evaluates every step: the same accepts, best
+    table and best residual; the trace is the reference trace without the
+    skipped steps' entries; and each skipped step, applied, leaves every
+    residual part bit-identical."""
+    init, freeze, restarts, seed = SKIP_CASES[case]
+    cfg = SearchConfig(restarts=restarts, max_iters=300, rng_seed=seed)
+    ref, steps = reference_search(cfg, init, freeze)
+    tables = []
+
+    def recording(cand):
+        tables.append(hash(cand.c.tobytes()))
+        return residual(cand)
+
+    monkeypatch.setattr(sys.modules["nonassoc.search"], "residual", recording)
+    got = search(cfg, init=init, freeze=freeze)
+
+    assert len(tables) == sum(len(trace) for trace in got.traces)
+    skipped = 0
+    for trace, ref_trace, taken in zip(got.traces, ref.traces, steps, strict=True):
+        keys, tables = tables[:len(trace)], tables[len(trace):]
+        evaluated, n = [], 0    # the reference steps the search evaluated, in order
+        for key in keys:
+            n = next((m for m in range(n, len(taken)) if taken[m][0] == key), None)
+            assert n is not None, "the search evaluated a table the reference never did"
+            evaluated.append(n)
+            n += 1
+        assert evaluated[0] == 0
+        assert trace == [ref_trace[n] for n in evaluated]
+        assert _accepted(trace) == _accepted(ref_trace)
+        for n in sorted(set(range(len(taken))) - set(evaluated)):
+            _, before, after = taken[n]
+            assert (after.r_comm, after.r_lorentz, after.r_assoc) == (
+                before.r_comm, before.r_lorentz, before.r_assoc), n
+        skipped += len(taken) - len(evaluated)
+    assert skipped > 0
+    assert got.best.c.tobytes() == ref.best.c.tobytes()
+    assert got.best_residual == ref.best_residual
+    assert got.converged == ref.converged
+
+
+@pytest.mark.parametrize("cand", [CandidateAlgebra.so31_embedded(), _shared_index_so31()],
+                         ids=["default", "shared-index"])
+def test_support_counts_follow_entries_to_and_from_zero(cand):
+    c = cand.c.copy()
+    targets = _targets_for(cand)
+    support = _Support(targets, c)
+    for i, j, k in np.random.default_rng(0).integers(cand.dim, size=(300, 3)).tolist():
+        was = c[i, j, k] != 0
+        c[i, j, k] = 0.0 if was else 1.0
+        support.moved(i, j, k, -1 if was else 1)
+        assert support.sectors == _Support(targets, c).sectors
 
 
 def test_search_improves_from_zero():

@@ -162,7 +162,7 @@ def verify_paper(fmt):
 @click.option("--trace-out", "trace_path", type=click.Path(), default=None,
               help="write one comma-separated residual trace per restart: the "
                    "start, then the total after each evaluated step (steps that "
-                   "cannot change the residual are skipped)")
+                   "cannot lower the residual are skipped)")
 @click.option("--freeze", multiple=True, type=click.Choice(["R", "Rt", "M"]),
               help="sectors whose internal products stay fixed")
 @click.option("--init", "init_kind", type=click.Choice(["zero", "so31", "random"]),

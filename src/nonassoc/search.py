@@ -25,19 +25,25 @@ residual is then a few gathers, two batched matmuls and dot products.
 The search steps one entry in place and writes the old double back on
 reject, so a candidate is never copied per iteration.
 
-A step is evaluated only when it can change what `residual` reads: its
-entry e = c[i, j, k] lies in a bracket row, is its own factor in an
-associator (i and j in a P-sector S, k in {i, j}), or multiplies a nonzero
-factor there: c[k, S, :] or c[S, k, :] when i and j are in S, c[S, S, i]
-when j is in S, c[S, S, j] when i is in S.  Any other step multiplies
-exact zeros only, so its residual would equal the current one bit for bit
-and the step would be rejected.  Such a step is skipped after its entry
-and delta are drawn, so the random stream and every accept decision stay
+A step is evaluated only when it can lower the residual.  On the
+associator side it can when its entry e = c[i, j, k] is its own factor in
+an associator (i and j in a P-sector S, k in {i, j}) or multiplies a
+nonzero factor there: c[k, S, :] or c[S, k, :] when i and j are in S,
+c[S, S, i] when j is in S, c[S, S, j] when i is in S.  Any other step
+multiplies exact zeros only and leaves `assoc` bit for bit.  On the bracket
+side it can when e lies in a row c[a, b, :] or c[b, a, :] of a pair with
+a != b whose defect c[a, b, k] - c[b, a, k] - t is not exactly 0.  A
+diagonal pair's defect c - c - t never moves; a zero defect's square can
+only rise, and as IEEE rounding is monotone so can the sums of squares.
+Any other step would be rejected.  It is skipped after its entry and
+delta are drawn, so the random stream and every accept decision stay
 those of evaluating every step.  Nonzero counts of c[S, S, m], c[m, S, :]
-and c[S, m, :] for each sector keep the test O(1); they are rebuilt at
-each restart and change only when an accepted step moves an entry to or
-from zero.  A trace holds the starting residual and then one entry per
-evaluated step, and each entry is one call of the module's `residual`.
+and c[S, m, :] for each sector keep the associator test O(1); they are
+rebuilt at each restart and change only when an accepted step moves an
+entry to or from zero.  The bracket test reads the defects of e's row,
+two at most in the default layout, from the table.  A trace holds the
+starting residual and then one entry per evaluated step, and each entry
+is one call of the module's `residual`.
 """
 
 from __future__ import annotations
@@ -150,7 +156,8 @@ class _Targets:
 
         flat = np.arange(dim ** 3).reshape(dim, dim, dim)
         # bracket rows c[a, b, :] - c[b, a, :]: the 16 comm pairs, then the 36 Lorentz pairs
-        pairs = [(a, b) for a in idx_r for b in idx_rt] + [(a, b) for a in idx_m for b in idx_m]
+        self.pairs = pairs = ([(a, b) for a in idx_r for b in idx_rt]
+                              + [(a, b) for a in idx_m for b in idx_m])
         self.ab = np.concatenate([flat[a, b] for a, b in pairs])
         self.ba = np.concatenate([flat[b, a] for a, b in pairs])
         self.t_bracket = np.concatenate([t_comm.ravel(), t_lorentz.ravel()])
@@ -263,22 +270,29 @@ def _frozen_mask(cand: CandidateAlgebra, freeze: set[str]) -> np.ndarray:
 
 
 class _Support:
-    """Whether a step on c[i, j, k] can change the residual, for one table.
+    """Whether a step on c[i, j, k] can lower the residual, for one table.
 
-    `bracket[i][j]` marks the rows c[i, j, :] the bracket defects read.
-    Each P-sector S (its distinct indices) keeps `member[m]` for m in S and
-    the nonzero counts `pair[m]` of c[S, S, m], `left[m]` of c[m, S, :] and
-    `right[m]` of c[S, m, :].
+    `bracket[i][j]` lists as (a, b, p) the bracket defects
+    d[p, :] = c[a, b, :] - c[b, a, :] - target[p] that read the row
+    c[i, j, :], for the pairs with a != b: a diagonal pair's defect never
+    moves.  Each P-sector S (its distinct indices) keeps `member[m]` for m
+    in S and the nonzero counts `pair[m]` of c[S, S, m], `left[m]` of
+    c[m, S, :] and `right[m]` of c[S, m, :].
     """
 
     def __init__(self, t: _Targets, c: np.ndarray):
-        rows = np.zeros(c.size, dtype=bool)
-        rows[t.ab] = rows[t.ba] = True
-        self.bracket = rows.reshape(c.shape).any(axis=2).tolist()
+        dim = len(c)
+        self.c = c
+        self.target = t.t_bracket.reshape(-1, dim).tolist()
+        self.bracket = [[[] for _ in range(dim)] for _ in range(dim)]
+        for p, (a, b) in enumerate(t.pairs):
+            if a != b:
+                self.bracket[a][b].append((a, b, p))
+                self.bracket[b][a].append((a, b, p))
         nonzero = c != 0
         self.sectors = []
         for s in t.sectors:
-            member = np.zeros(len(c), dtype=bool)
+            member = np.zeros(dim, dtype=bool)
             member[s] = True
             s = np.flatnonzero(member)
             self.sectors.append((member.tolist(),
@@ -287,14 +301,17 @@ class _Support:
                                  nonzero[s].sum(axis=(0, 2)).tolist()))
 
     def live(self, i: int, j: int, k: int) -> bool:
-        if self.bracket[i][j]:
-            return True
         for member, pair, left, right in self.sectors:
             # e in c[S, S, k]: its own factor, or times c[k, S, :] or c[S, k, :]
             if member[i] and member[j] and (k == i or k == j or left[k] or right[k]):
                 return True
             # e in c[:, S, :] times c[S, S, i], or in c[S] times c[S, S, j]
             if member[j] and pair[i] or member[i] and pair[j]:
+                return True
+        # the step moves only these defects; from exactly 0 their squares can only rise
+        c, target = self.c, self.target
+        for a, b, p in self.bracket[i][j]:
+            if c.item(a, b, k) - c.item(b, a, k) != target[p][k]:
                 return True
         return False
 
@@ -312,7 +329,7 @@ class _Support:
 def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
            freeze: set[str] | None = None) -> SearchResult:
     """Multi-restart coordinate perturbation with accept-if-improved; steps
-    that cannot change the residual are drawn but not evaluated."""
+    that cannot lower the residual are drawn but not evaluated."""
     freeze = freeze or set()
     base = init if init is not None else CandidateAlgebra.zero()
     mask = _frozen_mask(base, freeze)
@@ -342,7 +359,7 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
             i, j, k = free_entries[rng.integers(len(free_entries))].tolist()
             delta = rng.normal(0.0, cfg.step_scale)
             if not support.live(i, j, k):
-                continue  # the residual would not change, so the step would be rejected
+                continue  # the residual would not fall, so the step would be rejected
             old = c[i, j, k]
             c[i, j, k] = new = old + delta
             res = residual(cand)

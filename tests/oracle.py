@@ -559,8 +559,9 @@ def permuted_candidate(cand, perm):
 def reference_search(cfg, init, freeze=frozenset()):
     """`search` with a `residual` call on every step, and per restart the
     steps it took: (hash of the table the step evaluates, residual before the
-    step, residual after it).  The first entry of each list is the starting
-    table, with None for the residual before it."""
+    step, residual after it, the stepped entry (i, j, k)).  The first entry of
+    each list is the starting table, with None for the residual before it and
+    for the entry."""
     mask = _frozen_mask(init, freeze)
     free_entries = np.argwhere(~mask)
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts)
@@ -575,16 +576,16 @@ def reference_search(cfg, init, freeze=frozenset()):
             cand.c = cand.c + noise
         c = cand.c
         cur = residual(cand)
-        trace, taken = [cur.total], [(hash(c.tobytes()), None, cur)]
+        trace, taken = [cur.total], [(hash(c.tobytes()), None, cur, None)]
         for _ in range(cfg.max_iters):
             if cur.total <= cfg.tolerance:
                 break
-            i, j, k = free_entries[rng.integers(len(free_entries))]
+            i, j, k = free_entries[rng.integers(len(free_entries))].tolist()
             delta = rng.normal(0.0, cfg.step_scale)
             old = c[i, j, k]
             c[i, j, k] = old + delta
             res = residual(cand)
-            taken.append((hash(c.tobytes()), cur, res))
+            taken.append((hash(c.tobytes()), cur, res, (i, j, k)))
             if res.total < cur.total:
                 cur = res
             else:

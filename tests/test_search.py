@@ -292,7 +292,7 @@ def test_search_benchmark_run_accept_decisions():
     decreases = [sum(b < a for a, b in zip(trace, trace[1:])) for trace in result.traces]
     assert decreases == [16, 1749]
     # one entry for the start and one per evaluated step of the 5000
-    assert [len(trace) for trace in result.traces] == [1727, 4724]
+    assert [len(trace) for trace in result.traces] == [279, 4571]
 
 
 def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
@@ -311,7 +311,7 @@ def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
     monkeypatch.setattr(module, "residual", counting)
     cfg = SearchConfig(restarts=2, max_iters=300, rng_seed=0)
     result = search(cfg, init=CandidateAlgebra.so31_embedded())
-    assert len(calls) == sum(len(trace) for trace in result.traces) == 364
+    assert len(calls) == sum(len(trace) for trace in result.traces) == 279
 
 
 def test_benchmark_trace_splits_restarts_at_their_first_residual_call(monkeypatch):
@@ -375,15 +375,39 @@ def _accepted(trace):
     return [b for a, b in zip(trace, trace[1:]) if b < a]
 
 
+def _bracket_rows(cand):
+    """The rows c[i, j, :] that a bracket defect between two distinct basis
+    elements reads: [R^mu, Rt^nu] and [M_s, M_t], in either order."""
+    r, rt, m = ([cand.roles[label] for label in labels] for labels in (ROLE_R, ROLE_RT, ROLE_M))
+    pairs = [(a, b) for a in r for b in rt] + [(a, b) for a in m for b in m]
+    return {row for a, b in pairs if a != b for row in ((a, b), (b, a))}
+
+
+def _skip_class(entry, before, after, rows):
+    """The class of a skipped step on `entry`, whose residual goes from
+    `before` to `after`.  Off the bracket rows it cannot change anything: all
+    three parts stay bit-identical.  In a bracket row it moves only defects
+    that were exactly 0: assoc stays bit-identical, and neither bracket part
+    falls."""
+    if entry[:2] not in rows:
+        assert (after.r_comm, after.r_lorentz, after.r_assoc) == (
+            before.r_comm, before.r_lorentz, before.r_assoc), entry
+        return "cannot-change"
+    assert after.r_assoc == before.r_assoc, entry
+    assert after.r_comm >= before.r_comm and after.r_lorentz >= before.r_lorentz, entry
+    return "zero-defect"
+
+
 @pytest.mark.parametrize("case", SKIP_CASES)
-def test_search_skips_only_steps_that_leave_the_residual_unchanged(monkeypatch, case):
+def test_search_skips_only_steps_that_cannot_lower_the_residual(monkeypatch, case):
     """Against the loop that evaluates every step: the same accepts, best
     table and best residual; the trace is the reference trace without the
-    skipped steps' entries; and each skipped step, applied, leaves every
-    residual part bit-identical."""
+    skipped steps' entries; each skipped step falls in one of the two
+    classes of `_skip_class`, and the reference rejects it."""
     init, freeze, restarts, seed = SKIP_CASES[case]
     cfg = SearchConfig(restarts=restarts, max_iters=300, rng_seed=seed)
     ref, steps = reference_search(cfg, init, freeze)
+    rows = _bracket_rows(init)
     tables = []
 
     def recording(cand):
@@ -394,7 +418,7 @@ def test_search_skips_only_steps_that_leave_the_residual_unchanged(monkeypatch, 
     got = search(cfg, init=init, freeze=freeze)
 
     assert len(tables) == sum(len(trace) for trace in got.traces)
-    skipped = 0
+    classes = {"cannot-change": 0, "zero-defect": 0}
     for trace, ref_trace, taken in zip(got.traces, ref.traces, steps, strict=True):
         keys, tables = tables[:len(trace)], tables[len(trace):]
         evaluated, n = [], 0    # the reference steps the search evaluated, in order
@@ -407,11 +431,12 @@ def test_search_skips_only_steps_that_leave_the_residual_unchanged(monkeypatch, 
         assert trace == [ref_trace[n] for n in evaluated]
         assert _accepted(trace) == _accepted(ref_trace)
         for n in sorted(set(range(len(taken))) - set(evaluated)):
-            _, before, after = taken[n]
-            assert (after.r_comm, after.r_lorentz, after.r_assoc) == (
-                before.r_comm, before.r_lorentz, before.r_assoc), n
-        skipped += len(taken) - len(evaluated)
-    assert skipped > 0
+            _, before, after, entry = taken[n]
+            classes[_skip_class(entry, before, after, rows)] += 1
+            assert ref_trace[n] == ref_trace[n - 1], n
+    assert sum(classes.values()) > 0
+    if case == "so31":
+        assert min(classes.values()) > 0, classes
     assert got.best.c.tobytes() == ref.best.c.tobytes()
     assert got.best_residual == ref.best_residual
     assert got.converged == ref.converged
@@ -428,6 +453,61 @@ def test_support_counts_follow_entries_to_and_from_zero(cand):
         c[i, j, k] = 0.0 if was else 1.0
         support.moved(i, j, k, -1 if was else 1)
         assert support.sectors == _Support(targets, c).sectors
+
+
+def _planted_so31():
+    """so31 with planted bracket defects: exactly 0 on nonzero entries, and
+    nonzero, in a comm row and in a Lorentz row."""
+    cand = CandidateAlgebra.so31_embedded()
+    r0, rt0, rt1, m01, m02, x0 = (cand.roles[label]
+                                  for label in ("R0", "Rt0", "Rt1", "M01", "M02", "X0"))
+    c = cand.c
+    c[r0, rt1, m01] = 2.0                       # [R0, Rt1] = 2 M01 exactly
+    c[r0, rt0, x0] = c[rt0, r0, x0] = 0.75      # symmetric, so no bracket
+    c[m01, m02, x0] = c[m02, m01, x0] = 0.5
+    c[r0, rt1, x0] = 0.25                       # defects 0.25 and 0.375
+    c[m01, m02, m01] += 0.375
+    return cand
+
+
+LIVE_TABLES = {
+    "so31": CandidateAlgebra.so31_embedded(),
+    "zero": CandidateAlgebra.zero(),
+    "so31-shared-index": _shared_index_so31(),
+    "so31-planted": _planted_so31(),
+}
+
+
+@pytest.mark.parametrize("table", LIVE_TABLES)
+def test_support_rejects_only_entries_whose_step_cannot_lower_the_residual(table):
+    """Every entry `_Support.live` rejects, stepped by +delta and by -delta,
+    falls in one of the two classes of `_skip_class`, and both classes occur."""
+    cand = LIVE_TABLES[table].copy()
+    c, rows = cand.c, _bracket_rows(cand)
+    support = _Support(_targets_for(cand), c)
+    before = residual(cand)
+    classes = {"cannot-change": 0, "zero-defect": 0}
+    for i, j, k in itertools.product(range(cand.dim), repeat=3):
+        if support.live(i, j, k):
+            continue
+        old = c[i, j, k]
+        for delta in (0.125, -0.125):
+            c[i, j, k] = old + delta
+            classes[_skip_class((i, j, k), before, residual(cand), rows)] += 1
+        c[i, j, k] = old
+    assert min(classes.values()) > 0, classes
+
+    roles = cand.roles
+    if table == "so31-shared-index":
+        # [M01, M02] is a diagonal pair here, c - c - its target: it never moves
+        x = roles["M01"]
+        assert not any(support.live(x, x, k) for k in range(cand.dim))
+    if table == "so31-planted":
+        r0, rt0, rt1, m01, m02, x0 = (roles[label]
+                                      for label in ("R0", "Rt0", "Rt1", "M01", "M02", "X0"))
+        assert not support.live(r0, rt1, m01)
+        assert not support.live(rt0, r0, x0) and not support.live(m02, m01, x0)
+        assert support.live(rt1, r0, x0) and support.live(m02, m01, m01)
 
 
 def test_search_improves_from_zero():

@@ -30,11 +30,11 @@ associator side it can when its entry e = c[i, j, k] is its own factor in
 an associator (i and j in a P-sector S, k in {i, j}) or multiplies a
 nonzero factor there: c[k, S, :] or c[S, k, :] when i and j are in S,
 c[S, S, i] when j is in S, c[S, S, j] when i is in S.  Any other step
-multiplies exact zeros only and leaves `assoc` bit for bit.  On the bracket
-side it can when e lies in a row c[a, b, :] or c[b, a, :] of a pair with
-a != b whose defect c[a, b, k] - c[b, a, k] - t is not exactly 0.  A
-diagonal pair's defect c - c - t never moves; a zero defect's square can
-only rise, and as IEEE rounding is monotone so can the sums of squares.
+multiplies exact zeros only and leaves S's associator sum bit for bit.  On
+the bracket side it can when e lies in a row c[a, b, :] or c[b, a, :] of a
+pair with a != b whose defect c[a, b, k] - c[b, a, k] - t is not exactly
+0.  A diagonal pair's defect c - c - t never moves; a zero defect's square
+can only rise, and as IEEE rounding is monotone so can the sums of squares.
 Any other step would be rejected.  It is skipped after its entry and
 delta are drawn, so the random stream and every accept decision stay
 those of evaluating every step.  Nonzero counts of c[S, S, m], c[m, S, :]
@@ -44,6 +44,17 @@ entry to or from zero.  The bracket test reads the defects of e's row,
 two at most in the default layout, from the table.  A trace holds the
 starting residual and then one entry per evaluated step, and each entry
 is one call of the module's `residual`.
+
+An evaluated step recomputes only the residual families it can move and
+copies the others from the residual of the table before it.  There are
+three: the bracket rows (comm and lorentz), the associators of P = R and
+those of P = Rt.  The bracket family moves when e lies in a row c[a, b, :]
+or c[b, a, :] of a pair with a != b, whatever its defects; sector S moves
+when the associator test above holds for S.  A family that does not move
+has bit-identical defects, so its sum is bit-identical too, and the
+residual equals a full evaluation bit for bit.  From so31 with seed 0, of
+4848 evaluated steps 656 move the bracket rows only, 3439 one sector only
+and 753 all three families.
 """
 
 from __future__ import annotations
@@ -124,6 +135,8 @@ class ResidualBreakdown:
     r_comm: float
     r_lorentz: float
     r_assoc: float
+    # the associator sums of P = R and P = Rt; r_assoc is their sum
+    r_sectors: tuple[float, float] | None = field(default=None, compare=False, repr=False)
 
     @property
     def total(self) -> float:
@@ -152,7 +165,7 @@ class _Targets:
         t_assoc = np.zeros((2, 4, 4, 4, dim))
         np.add.at(t_assoc, (np.arange(2)[:, None], ..., sectors),
                   np.moveaxis(2.0 * EPS4 * MINKOWSKI, -1, 0))
-        self.t_assoc = t_assoc.reshape(2, -1)
+        t_assoc = t_assoc.reshape(2, -1)
 
         flat = np.arange(dim ** 3).reshape(dim, dim, dim)
         # bracket rows c[a, b, :] - c[b, a, :]: the 16 comm pairs, then the 36 Lorentz pairs
@@ -162,11 +175,14 @@ class _Targets:
         self.ba = np.concatenate([flat[b, a] for a, b in pairs])
         self.t_bracket = np.concatenate([t_comm.ravel(), t_lorentz.ravel()])
         self.n_comm = t_comm.size
-        # both sectors stacked on axis 0: cs = c[S, S, :] as 16 rows (i, j),
-        # c[:, S, :] as a (dim, 4 dim) matrix, and the four (dim, dim) slabs c[S]
-        self.cs = flat[sectors[:, :, None], sectors[:, None, :]].reshape(2, 16, dim)
-        self.c_mid = flat[:, sectors].transpose(1, 0, 2, 3).reshape(2, dim, 4 * dim)
-        self.c_row = flat[sectors]
+        # sectors stacked on axis 0: c[S, S, :] as 16 rows (i, j), c[:, S, :]
+        # as a (dim, 4 dim) matrix, the four (dim, dim) slabs c[S] and the
+        # targets, for both sectors and for each one alone
+        cs = flat[sectors[:, :, None], sectors[:, None, :]].reshape(2, 16, dim)
+        c_mid = flat[:, sectors].transpose(1, 0, 2, 3).reshape(2, dim, 4 * dim)
+        c_row = flat[sectors]
+        self.assoc = {s: (cs[list(s)], c_mid[list(s)], c_row[list(s)], t_assoc[list(s)])
+                      for s in ((0, 1), (0,), (1,))}
 
 
 _TARGET_CACHE: dict[tuple, _Targets] = {}
@@ -180,21 +196,42 @@ def _targets_for(cand: CandidateAlgebra) -> _Targets:
     return t
 
 
-def residual(cand: CandidateAlgebra) -> ResidualBreakdown:
-    """Sum of squared defects of every constraint coefficient equation."""
+def residual(cand: CandidateAlgebra, prev: ResidualBreakdown | None = None,
+             moved: tuple[bool, tuple[int, ...]] | None = None) -> ResidualBreakdown:
+    """Sum of squared defects of every constraint coefficient equation.
+
+    The defects fall into three families: the bracket rows, summed into
+    `r_comm` and `r_lorentz`, and the associators of each P-sector, whose
+    two sums (R, Rt) are `r_sectors` and add up to `r_assoc`.
+    `residual(cand)` evaluates all three.  After a step on one entry, `prev`
+    is the residual of the table before the step and `moved`, as
+    `_Support.live` returns it, is (bracket, sectors): whether the bracket
+    family moves, and the indices (0 for R, 1 for Rt) of the sectors that
+    do.  The families it leaves out are copied from `prev`: their defects
+    are bit-identical, and so are their sums.
+    """
     t = _targets_for(cand)
     c = cand.c.ravel()
+    bracket, sectors = moved or (True, (0, 1))
 
-    d = c[t.ab] - c[t.ba] - t.t_bracket
-    comm, lorentz = d[:t.n_comm], d[t.n_comm:]
+    if bracket:
+        d = c[t.ab] - c[t.ba] - t.t_bracket
+        comm, lorentz = d[:t.n_comm], d[t.n_comm:]
+        r_comm, r_lorentz = float(comm @ comm), float(lorentz @ lorentz)
+    else:
+        r_comm, r_lorentz = prev.r_comm, prev.r_lorentz
 
-    cs = c[t.cs]
-    left = cs @ c[t.c_mid]                # (P^i P^j) P^k: axes (s, (i, j), (k, l))
-    right = cs[:, None] @ c[t.c_row]      # P^i (P^j P^k): axes (s, i, (j, k), l)
-    d = left.reshape(2, -1) - right.reshape(2, -1) - t.t_assoc
+    sums = list(prev.r_sectors) if moved else [0.0, 0.0]
+    if sectors:
+        cs, c_mid, c_row, t_assoc = t.assoc[sectors]
+        cs = c[cs]
+        left = cs @ c[c_mid]              # (P^i P^j) P^k: axes (s, (i, j), (k, l))
+        right = cs[:, None] @ c[c_row]    # P^i (P^j P^k): axes (s, i, (j, k), l)
+        d = left.reshape(t_assoc.shape) - right.reshape(t_assoc.shape) - t_assoc
+        for s, row in zip(sectors, d):
+            sums[s] = float(row @ row)
 
-    return ResidualBreakdown(float(comm @ comm), float(lorentz @ lorentz),
-                             float(d[0] @ d[0]) + float(d[1] @ d[1]))
+    return ResidualBreakdown(r_comm, r_lorentz, sums[0] + sums[1], tuple(sums))
 
 
 def candidate_to_algebra(cand: CandidateAlgebra):
@@ -300,20 +337,26 @@ class _Support:
                                  nonzero[:, s].sum(axis=(1, 2)).tolist(),
                                  nonzero[s].sum(axis=(0, 2)).tolist()))
 
-    def live(self, i: int, j: int, k: int) -> bool:
-        for member, pair, left, right in self.sectors:
-            # e in c[S, S, k]: its own factor, or times c[k, S, :] or c[S, k, :]
-            if member[i] and member[j] and (k == i or k == j or left[k] or right[k]):
-                return True
+    def live(self, i: int, j: int, k: int) -> tuple[bool, tuple[int, ...]] | None:
+        """The families of `residual` that a step on c[i, j, k] can move:
+        (whether c[i, j, :] is a bracket row, the sectors whose associators
+        it reaches), or None when the step cannot lower the residual."""
+        sectors = ()
+        for s, (member, pair, left, right) in enumerate(self.sectors):
+            # e in c[S, S, k]: its own factor, or times c[k, S, :] or c[S, k, :];
             # e in c[:, S, :] times c[S, S, i], or in c[S] times c[S, S, j]
-            if member[j] and pair[i] or member[i] and pair[j]:
-                return True
+            if (member[i] and member[j] and (k == i or k == j or left[k] or right[k])
+                    or member[j] and pair[i] or member[i] and pair[j]):
+                sectors += (s,)
+        rows = self.bracket[i][j]
+        if sectors:
+            return bool(rows), sectors
         # the step moves only these defects; from exactly 0 their squares can only rise
         c, target = self.c, self.target
-        for a, b, p in self.bracket[i][j]:
+        for a, b, p in rows:
             if c.item(a, b, k) - c.item(b, a, k) != target[p][k]:
-                return True
-        return False
+                return True, ()
+        return None
 
     def moved(self, i: int, j: int, k: int, change: int):
         """Count c[i, j, k] turning nonzero (`change` 1) or zero (-1)."""
@@ -329,11 +372,12 @@ class _Support:
 def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
            freeze: set[str] | None = None) -> SearchResult:
     """Multi-restart coordinate perturbation with accept-if-improved; steps
-    that cannot lower the residual are drawn but not evaluated."""
+    that cannot lower the residual are drawn but not evaluated, and the
+    others recompute only the residual families they can move."""
     freeze = freeze or set()
     base = init if init is not None else CandidateAlgebra.zero()
     mask = _frozen_mask(base, freeze)
-    free_entries = np.argwhere(~mask)
+    free_entries = np.argwhere(~mask).tolist()
     targets = _targets_for(base)
     seed_seq = np.random.SeedSequence(cfg.rng_seed)
     streams = seed_seq.spawn(cfg.restarts)
@@ -352,26 +396,28 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
         c = cand.c
         support = _Support(targets, c)
         cur = residual(cand)
-        trace = [cur.total]
+        total = cur.total
+        trace = [total]
         for _ in range(cfg.max_iters):
-            if cur.total <= cfg.tolerance:
+            if total <= cfg.tolerance:
                 break
-            i, j, k = free_entries[rng.integers(len(free_entries))].tolist()
+            i, j, k = free_entries[rng.integers(len(free_entries))]
             delta = rng.normal(0.0, cfg.step_scale)
-            if not support.live(i, j, k):
+            families = support.live(i, j, k)
+            if families is None:
                 continue  # the residual would not fall, so the step would be rejected
             old = c[i, j, k]
             c[i, j, k] = new = old + delta
-            res = residual(cand)
-            if res.total < cur.total:
-                cur = res
+            res = residual(cand, cur, families)
+            if res.total < total:
+                cur, total = res, res.total
                 if (old == 0) != (new == 0):
                     support.moved(i, j, k, 1 if old == 0 else -1)
             else:
                 c[i, j, k] = old  # the exact double, so a rejected step leaves no trace
-            trace.append(cur.total)
+            trace.append(total)
         traces.append(trace)
-        if best_res is None or cur.total < best_res.total:
+        if best_res is None or total < best_res.total:
             best, best_res = cand, cur
 
     return SearchResult(

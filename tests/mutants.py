@@ -81,6 +81,13 @@ MUTANTS = [
     # nonzero counts left as they were when an accepted step crosses zero
     ("search.py", "support.moved(i, j, k, 1 if old == 0 else -1)", "pass",
      ["tests/test_search.py::test_search_skips_only_steps_that_cannot_lower_the_residual"]),
+    # the bracket family left unmoved for a step in a bracket row that also reaches a sector
+    ("search.py", "return bool(rows), sectors", "return False, sectors",
+     ["tests/test_search.py::test_search_partial_residual_equals_the_full_one"]),
+    # a one-sector step that keeps the moved sector's old sum
+    ("search.py", "sums[s] = float(row @ row)",
+     "sums[s] = float(row @ row) if len(sectors) == 2 else sums[s]",
+     ["tests/test_search.py::test_search_partial_residual_equals_the_full_one"]),
     # a sum of elements over the smaller denominator, not the lcm
     ("algebra.py", "Element(self.algebra, self.den * fa,", "Element(self.algebra, self.den,",
      ["tests/test_algebra.py::test_element_arithmetic_matches_the_tuple_oracle"]),

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import itertools
 import pathlib
@@ -304,9 +305,9 @@ def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
     module = sys.modules["nonassoc.search"]
     calls = []
 
-    def counting(cand):
+    def counting(cand, *args):
         calls.append(cand)
-        return residual(cand)
+        return residual(cand, *args)
 
     monkeypatch.setattr(module, "residual", counting)
     cfg = SearchConfig(restarts=2, max_iters=300, rng_seed=0)
@@ -325,9 +326,9 @@ def test_benchmark_trace_splits_restarts_at_their_first_residual_call(monkeypatc
     module = sys.modules["nonassoc.search"]
     owners = []
 
-    def recording(cand):
+    def recording(cand, *args):
         owners.append(cand)
-        return residual(cand)
+        return residual(cand, *args)
 
     monkeypatch.setattr(module, "residual", recording)
     rec = child.Recorder()
@@ -410,9 +411,9 @@ def test_search_skips_only_steps_that_cannot_lower_the_residual(monkeypatch, cas
     rows = _bracket_rows(init)
     tables = []
 
-    def recording(cand):
+    def recording(cand, *args):
         tables.append(hash(cand.c.tobytes()))
-        return residual(cand)
+        return residual(cand, *args)
 
     monkeypatch.setattr(sys.modules["nonassoc.search"], "residual", recording)
     got = search(cfg, init=init, freeze=freeze)
@@ -508,6 +509,64 @@ def test_support_rejects_only_entries_whose_step_cannot_lower_the_residual(table
         assert not support.live(r0, rt1, m01)
         assert not support.live(rt0, r0, x0) and not support.live(m02, m01, x0)
         assert support.live(rt1, r0, x0) and support.live(m02, m01, m01)
+
+
+def _bits(res):
+    return [x.hex() for x in (res.r_comm, res.r_lorentz, res.r_assoc, *res.r_sectors)]
+
+
+@pytest.mark.parametrize("case", [*SKIP_CASES, "so31-benchmark-run"])
+def test_search_partial_residual_equals_the_full_one(monkeypatch, case):
+    """Every `residual` call of a search, most of them on the families one
+    step can move, equals a fresh full `residual(cand)` of the same table bit
+    for bit: all three parts and both sector sums."""
+    if case == "so31-benchmark-run":
+        init, freeze, restarts, seed, iters = CandidateAlgebra.so31_embedded(), set(), 2, 0, 5000
+    else:
+        (init, freeze, restarts, seed), iters = SKIP_CASES[case], 300
+    moved = []
+
+    def checking(cand, *args):
+        got = residual(cand, *args)
+        assert _bits(got) == _bits(residual(cand))
+        moved.append(args[1] if args else None)
+        return got
+
+    monkeypatch.setattr(sys.modules["nonassoc.search"], "residual", checking)
+    result = search(SearchConfig(restarts=restarts, max_iters=iters, rng_seed=seed),
+                    init=init, freeze=freeze)
+    assert len(moved) == sum(len(trace) for trace in result.traces)
+    assert moved.count(None) == restarts    # the full call at the start of each restart
+    if case == "so31-benchmark-run":
+        kinds = collections.Counter(moved)
+        assert (kinds[True, ()], kinds[False, (0,)] + kinds[False, (1,)], kinds[True, (0, 1)]) == (
+            656, 3439, 753)
+
+
+@pytest.mark.parametrize("table", LIVE_TABLES)
+def test_support_names_every_family_a_step_can_move(table):
+    """Every entry `_Support.live` passes, stepped by +delta and by -delta:
+    the bracket family is named exactly for the rows of distinct-pair
+    brackets, and each family left out keeps its sums bit for bit."""
+    cand = LIVE_TABLES[table].copy()
+    c, rows = cand.c, _bracket_rows(cand)
+    support = _Support(_targets_for(cand), c)
+    before = residual(cand)
+    for i, j, k in itertools.product(range(cand.dim), repeat=3):
+        families = support.live(i, j, k)
+        if families is None:
+            continue
+        bracket, sectors = families
+        assert bracket == ((i, j) in rows), (i, j, k)
+        old = c[i, j, k]
+        for delta in (0.125, -0.125):
+            c[i, j, k] = old + delta
+            after = residual(cand)
+            if not bracket:
+                assert (after.r_comm, after.r_lorentz) == (before.r_comm, before.r_lorentz)
+            for s in {0, 1} - set(sectors):
+                assert after.r_sectors[s] == before.r_sectors[s], (i, j, k, s)
+        c[i, j, k] = old
 
 
 def test_search_improves_from_zero():

@@ -29,7 +29,7 @@ compose.  Each generator is first order with affine coefficients, an affine
 supervector field on R^{4|4}; these form the Lie superalgebra gl(4|4)
 semidirect R^{4|4} (V. G. Kac, Adv. Math. 26, 1977; superspace operators
 as in J. Wess and J. Bagger, *Supersymmetry and Supergravity*, 1992,
-ch. 4).  `_read` writes one as a 9x9 Gaussian-integer matrix A over a
+ch. 4).  One is held as a 9x9 Gaussian-integer matrix A over a
 denominator: rows 1, x0..x3, th1, th2, tb1, tb2, columns d_0..d_7 (the
 derivatives along those coordinates) and then the zeroth-order part.
 With D = A[:, :8] and R = A[1:, :] the graded bracket is
@@ -41,8 +41,9 @@ when 64 * M**2 fits, M the largest numerator part or denominator: a
 bracket entry sums 32 products of two parts, and the right sides the
 ledger subtracts add at most 4 * M**2.  Otherwise they hold Python ints
 (dtype object), the rule of `AlgebraDef.tensor`.  `build_generators`
-fills such matrices from sigma's (den, S), the layout of `spinor`, and
-`_write` turns each back into a SuperOp.
+fills an even and an odd stack from sigma's (den, S), the layout of
+`spinor`, and the ledger slices them.  Eq. 4-30 is decided on Grassmann
+bit masks, since the affine bracket assumes it.
 
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
 momentum_sign = -1 by default; the sign is a flag because the bracket
@@ -151,17 +152,11 @@ _CLASS_NAMES = {X: "x", DX: "dx", TH: "th", DTH: "dth", TB: "tb", DTB: "dtb"}
 
 def _key_str(key: Key) -> str:
     """The monomial as text, `x0^2 th1 dtb2`; empty for the identity."""
-    seq = _key_to_seq(key)
     parts = []
-    pos = 0
-    while pos < len(seq):
-        cls, idx = seq[pos]
-        run = 1
-        while pos + run < len(seq) and seq[pos + run] == (cls, idx):
-            run += 1
+    for (cls, idx), run in itertools.groupby(_key_to_seq(key)):
         label = f"{_CLASS_NAMES[cls]}{idx if cls in (X, DX) else idx + 1}"
-        parts.append(label if run == 1 else f"{label}^{run}")
-        pos += run
+        n = len(list(run))
+        parts.append(label if n == 1 else f"{label}^{n}")
     return " ".join(parts)
 
 
@@ -351,18 +346,55 @@ def graded_bracket(A: SuperOp, B: SuperOp) -> SuperOp:
 DEFAULT_MOMENTUM_SIGN = -1
 
 
-@dataclass(frozen=True)
+def _rows(stack, start: int, stop: int) -> tuple[SuperOp, ...]:
+    den, A = stack
+    return tuple(_write(A[:, n], den) for n in range(start, stop))
+
+
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Translation, Lorentz, and supersymmetry generators in one convention."""
+    """Translation, Lorentz, and supersymmetry generators in one convention.
+
+    `even` is (den, A), A of shape (2, 24, 9, 9): P_mu, P^mu, then M^{mu nu} at
+    row 8 + 4 mu + nu; `odd` is (den, A), A of shape (2, 6, 9, 9): Q_a, Qbar_adot,
+    Qbar^adot.  Both are read-only copies; each operator field is written on first use.
+    """
 
     convention: SigmaConvention
     momentum_sign: int
-    P_lower: tuple[SuperOp, ...]       # P_mu
-    P_upper: tuple[SuperOp, ...]       # P^mu = eta^{mu mu} P_mu
-    M_upper: tuple[tuple[SuperOp, ...], ...]  # M^{mu nu}
-    Q: tuple[SuperOp, ...]             # Q_a
-    Q_bar_lower: tuple[SuperOp, ...]   # Qbar_adot
-    Q_bar_upper: tuple[SuperOp, ...]   # Qbar^adot = eps^{adot bdot} Qbar_bdot
+    even: tuple[int, np.ndarray]
+    odd: tuple[int, np.ndarray]
+
+    def __post_init__(self):
+        for name in ("even", "odd"):
+            den, A = getattr(self, name)
+            A = np.array(A)
+            A.flags.writeable = False
+            object.__setattr__(self, name, (den, A))
+
+    @classmethod
+    def from_operators(cls, convention, momentum_sign, P_lower, P_upper, M_upper, Q,
+                       Q_bar_lower, Q_bar_upper) -> "GeneratorSet":
+        """The set of any affine operators of the right parity (see `_read`)."""
+        return cls(convention, momentum_sign, _read(P_lower + P_upper + sum(M_upper, ()), 0),
+                   _read(Q + Q_bar_lower + Q_bar_upper, 1))
+
+    def __reduce__(self):    # copy and pickle call the constructor, not setattr
+        return GeneratorSet, (self.convention, self.momentum_sign, self.even, self.odd)
+
+    def __eq__(self, other):    # as operators, whatever the stacks' denominators
+        names = ("convention", "momentum_sign", "P_lower", "P_upper", "M_upper", "Q",
+                 "Q_bar_lower", "Q_bar_upper")
+        return isinstance(other, GeneratorSet) and all(getattr(self, n) == getattr(other, n)
+                                                       for n in names)
+
+    P_lower = functools.cached_property(lambda self: _rows(self.even, 0, 4))        # P_mu
+    P_upper = functools.cached_property(lambda self: _rows(self.even, 4, 8))        # P^mu
+    M_upper = functools.cached_property(lambda self: tuple(                         # M^{mu nu}
+        _rows(self.even, 8 + 4 * mu, 12 + 4 * mu) for mu in range(4)))
+    Q = functools.cached_property(lambda self: _rows(self.odd, 0, 2))               # Q_a
+    Q_bar_lower = functools.cached_property(lambda self: _rows(self.odd, 2, 4))     # Qbar_adot
+    Q_bar_upper = functools.cached_property(lambda self: _rows(self.odd, 4, 6))     # Qbar^adot
 
 
 def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
@@ -373,8 +405,8 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
     Q_a = -i d/dth^a - sigma^mu_{a bdot} tb^bdot d_mu and
     Qbar_adot = i d/dtb^adot + th^b sigma^mu_{b adot} d_mu, with sigma in
     the requested normalization, and the raised P^mu = eta^{mu mu} P_mu and
-    Qbar^adot = eps^{adot bdot} Qbar_bdot.  Each is filled into an even or an
-    odd stack of affine matrices (see `_read`) and written once with `_write`.
+    Qbar^adot = eps^{adot bdot} Qbar_bdot.  Each is filled into the even or
+    the odd stack of affine matrices that `GeneratorSet` holds.
     """
     if momentum_sign not in (1, -1):
         raise ValueError("momentum_sign must be +1 or -1")
@@ -393,11 +425,7 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
     odd[:, 2:4, 5:7, :4] = S.transpose(0, 3, 2, 1)          # th^b sigma^mu_{b ad} d_mu
     odd[:, 4:] = np.einsum("ab,rbxy->raxy", EPS_RAISE[0], odd[:, 2:4])
 
-    even = [_write(A, 1) for A in even.swapaxes(0, 1)]
-    odd = [_write(A, d) for A in odd.swapaxes(0, 1)]
-    return GeneratorSet(convention, momentum_sign, tuple(even[:4]), tuple(even[4:8]),
-                        tuple(tuple(even[8 + 4 * mu:12 + 4 * mu]) for mu in range(4)),
-                        tuple(odd[:2]), tuple(odd[2:4]), tuple(odd[4:]))
+    return GeneratorSet(convention, momentum_sign, (1, even), (d, odd))
 
 
 # --------------------------------------------------------------------------
@@ -480,15 +508,15 @@ def _failures(diff, label) -> list[str]:
 def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     """Decide Eq. 1-10a to 1-30a on all 336 index tuples of `gens`.
 
-    P^mu and M^{mu nu} are read as one stack of affine matrices over one
+    P^mu and M^{mu nu} are rows 4 to 23 of the even stack, over its
     denominator d, and each family of brackets is one `_bracket`: [P, P] on
     16 tuples, [M, P] on 64 and [M, M] on 256, each over d**2.  The right
     sides, i eta P^mu and i eta M^{mu nu} times d, are subtracted term by
     term from the slots whose Kronecker delta they carry.  Every tuple keeps
     its own exact verdict, and failures are listed in tuple order.
     """
-    d, A = _read(gens.P_upper + sum(gens.M_upper, ()), 0)
-    P, M = A[:, :4], A[:, 4:]
+    d, A = gens.even
+    P, M = A[:, 4:8], A[:, 8:]
     iP, iM = times_i(P) * d, (times_i(M) * d).reshape(2, 4, 4, 9, 9)
     pp = _bracket(P, P, 1)
     mp = _bracket(M, P, 1).reshape(2, 4, 4, 4, 9, 9)            # (mu, nu, lam)
@@ -523,13 +551,12 @@ class SusyReport:
 def verify_susy(gens: GeneratorSet) -> SusyReport:
     """Decide Eq. 1-50, 1-60, 1-90 and 3-10 and the [P, Q] brackets of `gens`.
 
-    The even generators P_mu, P^mu, M^{01} and M^{12} are read as one stack
-    over e and the supercharges Q_a, Qbar_ad and Qbar^ad as one over o; the
-    sigma tables enter as Gaussian integers over their own denominators.
+    P_mu, P^mu, M^{01} and M^{12} are rows 0-7, 9 and 14 of the even stack,
+    over e, and the supercharges Q_a, Qbar_ad and Qbar^ad the odd stack, over
+    o; the sigma tables enter as Gaussian integers over their own denominators.
     """
-    e, even = _read(gens.P_lower + gens.P_upper + (gens.M_upper[0][1], gens.M_upper[1][2]), 0)
-    o, odd = _read(gens.Q + gens.Q_bar_lower + gens.Q_bar_upper, 1)
-    P, P_up, M = even[:, :4], even[:, 4:8], even[:, 8:]
+    (e, even), (o, odd) = gens.even, gens.odd
+    P, P_up, M = even[:, :4], even[:, 4:8], even[:, [9, 14]]
     Q, Qb, Qb_up = odd[:, :2], odd[:, 2:4], odd[:, 4:]
 
     qq = not _bracket(Q, Q, -1).any()
@@ -558,29 +585,22 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
 
     # [M^{01}, M^{12}] x [Q_1, Qbar_1], over e * o
     mq = _bracket(M, odd[:, [0, 2]], 1)
-    samples = []
-    for k, (mu, nu) in enumerate(((0, 1), (1, 2))):
-        samples.append((f"[M^{{{mu}{nu}}}, Q_1]", str(_write(mq[:, k, 0], e * o))))
-        samples.append((f"[M^{{{mu}{nu}}}, Qbar_1]", str(_write(mq[:, k, 1], e * o))))
+    samples = tuple((f"[M^{{{mu}{nu}}}, {name}_1]", str(_write(mq[:, k, j], e * o)))
+                    for k, (mu, nu) in enumerate(((0, 1), (1, 2)))
+                    for j, name in enumerate(("Q", "Qbar")))
+    return SusyReport(gens.convention, gens.momentum_sign, qq, qbqb, c1, c2, inversion,
+                      spatial_ok, pq, samples)
 
-    return SusyReport(
-        convention=gens.convention,
-        momentum_sign=gens.momentum_sign,
-        qq_vanish=qq,
-        qbar_qbar_vanish=qbqb,
-        c1=c1,
-        c2=c2,
-        inversion_quarter_holds=inversion,
-        spatial_inversion_quarter_holds=spatial_ok,
-        p_q_brackets_vanish=pq,
-        m_q_samples=tuple(samples),
-    )
+
+def _merge_sign(m1: int, m2: int) -> int:
+    """The sign of the Grassmann monomial m1 m2 put in order, masks over th1,
+    th2, tb1, tb2 (low to high bits); 0 when the two share a generator."""
+    crossings = sum((m1 >> j + 1).bit_count() for j in range(4) if m2 >> j & 1)
+    return 0 if m1 & m2 else (-1) ** crossings
 
 
 def grassmann_relations_hold() -> bool:
-    """{th, th} = {tb, tb} = {th, tb} = 0 for every index pair."""
-    gens = [SuperOp.theta(1), SuperOp.theta(2), SuperOp.theta_bar(1), SuperOp.theta_bar(2)]
-    return all(
-        op_anticommutator(a, b).is_zero()
-        for a, b in itertools.product(gens, repeat=2)
-    )
+    """{th, th} = {tb, tb} = {th, tb} = 0 for every index pair: th_a th_b and
+    th_b th_a have opposite signs or vanish."""
+    return all(_merge_sign(1 << a, 1 << b) == -_merge_sign(1 << b, 1 << a)
+               for a, b in itertools.product(range(4), repeat=2))

@@ -57,6 +57,12 @@ MUTANTS = [
      'np.einsum("ba,rbxy->raxy", EPS_RAISE[0], odd[:, 2:4])', ["tests/test_superspace.py"]),
     # a wrong d/dtb sign in Qbar_ad
     ("superspace.py", "= (-d, -d, d, d)", "= (-d, -d, d, -d)", ["tests/test_superspace.py"]),
+    # M^{02} (row 10) read for M^{01} in the [M, Q] samples
+    ("superspace.py", "even[:, [9, 14]]", "even[:, [10, 14]]",
+     ["tests/test_superspace.py::test_susy_report_matches_the_engine_reference"]),
+    # a merge sign that counts the crossings of the second monomial with itself
+    ("superspace.py", "(m1 >> j + 1).bit_count()", "(m2 >> j + 1).bit_count()",
+     ["tests/test_superspace.py::test_grassmann_relations"]),
     # the Pauli identity without the denominator d
     ("spinor.py", "rhs = 2 * d * times_i(", "rhs = 2 * times_i(",
      ["tests/test_spinor.py::test_spin_commutators_match_matrix_reference"]),

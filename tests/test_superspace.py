@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,10 +15,12 @@ from nonassoc.scalar import ZERO, GaussianRational, I, ONE
 from nonassoc.spinor import EPS_RAISE, SigmaConvention, sigma_upper
 from nonassoc.superspace import (
     IDENTITY_KEY,
+    GeneratorSet,
     PoincareReport,
     SuperOp,
     SusyReport,
     _bracket,
+    _merge_sign,
     _read,
     _write,
     build_generators,
@@ -91,8 +95,8 @@ def reference_build_generators(convention=SigmaConvention.STANDARD,
     eps = EPS_RAISE[0].tolist()
     Q_bar_upper = tuple(sum((Q_bar[bd].scaled(c) for bd, c in enumerate(eps[ad]) if c),
                             SuperOp.zero()) for ad in range(2))
-    return superspace.GeneratorSet(convention, momentum_sign, P_lower, P_upper, tuple(M),
-                                   tuple(Q), tuple(Q_bar), Q_bar_upper)
+    return GeneratorSet.from_operators(convention, momentum_sign, P_lower, P_upper, tuple(M),
+                                       tuple(Q), tuple(Q_bar), Q_bar_upper)
 
 
 def gaussian_entry(pair, *at):
@@ -102,14 +106,21 @@ def gaussian_entry(pair, *at):
 
 
 ALL_SETS = [(conv, sign) for conv in SigmaConvention for sign in (1, -1)]
+OPERATOR_FIELDS = ("P_lower", "P_upper", "M_upper", "Q", "Q_bar_lower", "Q_bar_upper")
+
+
+def replaced(gens, **ops):
+    """`gens` with the named operator fields replaced, read back into stacks."""
+    fields = {name: getattr(gens, name) for name in OPERATOR_FIELDS} | ops
+    return GeneratorSet.from_operators(gens.convention, gens.momentum_sign, **fields)
 
 
 @pytest.mark.parametrize("conv, sign", ALL_SETS)
 def test_build_generators_equals_the_compose_reference(conv, sign):
     built = build_generators(conv, momentum_sign=sign)
     expected = reference_build_generators(conv, momentum_sign=sign)
-    for field in dataclasses.fields(built):
-        assert getattr(built, field.name) == getattr(expected, field.name), field.name
+    for name in OPERATOR_FIELDS:
+        assert getattr(built, name) == getattr(expected, name), name
     # denominators and numerator parts are Python ints, as the reference's are
     ops = [*built.P_lower, *built.P_upper, *sum(built.M_upper, ()), *built.Q,
            *built.Q_bar_lower, *built.Q_bar_upper]
@@ -171,6 +182,19 @@ def test_grassmann_relations():
     assert grassmann_relations_hold()
 
 
+def test_merge_signs_agree_with_the_engine_on_every_monomial_pair():
+    # bits 0, 1 are th1, th2 and bits 2, 3 are tb1, tb2, as in a key's masks
+    def monomial(mask):
+        return SuperOp({((0,) * 4, mask & 3, mask >> 2, (0,) * 4, 0, 0): ONE})
+
+    for m1, m2 in itertools.product(range(16), repeat=2):
+        sign = _merge_sign(m1, m2)
+        assert compose(monomial(m1), monomial(m2)) == monomial(m1 | m2).scaled(sign), (m1, m2)
+    # the 16 generator pairs of Eq. 4-30, anticommuted by the engine
+    gens = [SuperOp.theta(1), SuperOp.theta(2), SuperOp.theta_bar(1), SuperOp.theta_bar(2)]
+    assert all(op_anticommutator(a, b).is_zero() for a, b in itertools.product(gens, repeat=2))
+
+
 def test_generator_structure():
     gens = build_generators()  # standard sigma, P_mu = -i d_mu
     assert gens.P_lower[0] == SuperOp.dx(0).scaled(-I)
@@ -200,6 +224,39 @@ def test_poincare_sign_dependence():
         if mu == lam:
             rhs = rhs - gens.P_upper[nu].scaled(I * MINKOWSKI[mu])
         assert lhs == rhs.scaled(-1)
+
+
+COPIES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+
+@pytest.mark.parametrize("copy_of", COPIES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", ["STANDARD-1", "QUARTER+1", "Q-over-2**70"])
+def test_generator_sets_are_read_only_and_copy_through_the_constructor(copy_of, name):
+    gens = susy_sets()[name]
+    views = {field: getattr(gens, field) for field in OPERATOR_FIELDS}
+    twin = copy_of(gens)
+    # rebuilt by the constructor: no operator fields carried over, read-only
+    # stacks (a pickle's arrays are writable), the same operators again
+    assert not set(OPERATOR_FIELDS) & set(vars(twin))
+    assert type(twin) is GeneratorSet and twin == gens and twin is not gens
+    assert {field: getattr(twin, field) for field in OPERATOR_FIELDS} == views
+    for g in (gens, twin):
+        for den, A in (g.even, g.odd):
+            with pytest.raises(ValueError, match="read-only"):
+                A[0, 0, 0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.odd = g.even
+    assert twin.even[1].dtype == gens.even[1].dtype and twin.odd[1].dtype == gens.odd[1].dtype
+
+
+def test_generator_set_keeps_its_own_copy_of_the_stacks():
+    gens = build_generators()
+    den, A = gens.odd
+    odd = np.array(A)
+    mine = GeneratorSet(gens.convention, gens.momentum_sign, gens.even, (den, odd))
+    odd[1, 0, 0, 4] = 7    # the caller's array, not the set's
+    assert mine == gens and mine.Q == gens.Q
+    assert mine != build_generators(momentum_sign=+1) and mine != "gens"
 
 
 def test_translation_and_lorentz_generators_ignore_sigma_convention():
@@ -387,7 +444,7 @@ def test_poincare_report_matches_the_per_tuple_reference(conv, sign):
 def with_m(gens, mu, nu, op):
     rows = [list(row) for row in gens.M_upper]
     rows[mu][nu] = op
-    return dataclasses.replace(gens, M_upper=tuple(tuple(row) for row in rows))
+    return replaced(gens, M_upper=tuple(tuple(row) for row in rows))
 
 
 def perturbed_sets():
@@ -475,10 +532,10 @@ def test_build_generators_makes_no_compose_or_scaled_call(monkeypatch):
 def test_verify_report_compose_count_is_pinned(monkeypatch):
     calls = count_compose(monkeypatch)
     report.build_verify_report()
-    # only the Grassmann relations of Eq. 4-30 (32); the generators are
-    # written as affine matrices (48 each before) and the ledger brackets
+    # Eq. 4-30 reads merge signs of bit masks (32 compose calls before); the
+    # generators are affine matrices (48 each before) and the ledger brackets
     # them, which with one product per distinct commutator made 484
-    assert len(calls) == 32
+    assert len(calls) == 0
 
 
 def test_verify_report_scaling_count_is_pinned(monkeypatch):
@@ -503,9 +560,32 @@ def test_verify_report_reader_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(superspace, "_read", counting)
     report.build_verify_report()
-    # two verify_poincare read P^mu and the 16 M^{mu nu} in one stack; two
-    # verify_susy read P_mu, P^mu, M^{01}, M^{12} and then the 6 supercharges
-    assert calls == [20, 20, 10, 6, 10, 6]
+    # the ledger slices the stacks build_generators fills; it read them back
+    # from operators before, [20, 20, 10, 6, 10, 6] generators in six calls
+    assert calls == []
+
+
+def count_writes(monkeypatch):
+    calls = []
+    raw = superspace._write
+
+    def counting(A, den):
+        calls.append(den)
+        return raw(A, den)
+
+    monkeypatch.setattr(superspace, "_write", counting)
+    return calls
+
+
+def test_verify_report_writer_count_is_pinned(monkeypatch):
+    calls = count_writes(monkeypatch)
+    for conv, sign in ALL_SETS:
+        build_generators(conv, momentum_sign=sign)
+    assert calls == []
+    report.build_verify_report()
+    # only the [M, Q] and [M, Qbar] samples, four in each verify_susy; three
+    # build_generators wrote 30 operators each before
+    assert len(calls) == 8
 
 
 def test_raised_generators_lower_back():
@@ -662,16 +742,14 @@ def susy_sets():
     big = math.isqrt(np.iinfo(np.int64).max // 64)
     X = SuperOp({key: GaussianRational(big, -big) for key in superspace._AFFINE[1]})
     sets.update({
-        "charges-at-the-int64-bound": dataclasses.replace(std, Q=(X, X), Q_bar_lower=(X, X),
-                                                          Q_bar_upper=(X, X)),
-        "Q2-zero": dataclasses.replace(std, Q=(std.Q[0], SuperOp.zero())),
-        "quarter-charges-times-4": dataclasses.replace(quarter, **times4),
-        "Q-over-2**70": dataclasses.replace(std, Q=tuple(q.scaled(Fraction(1, 2**70))
-                                                          for q in std.Q)),
-        "P1-negated": dataclasses.replace(std, P_lower=(std.P_lower[0], -std.P_lower[1],
-                                                        *std.P_lower[2:])),
+        "charges-at-the-int64-bound": replaced(std, Q=(X, X), Q_bar_lower=(X, X),
+                                               Q_bar_upper=(X, X)),
+        "Q2-zero": replaced(std, Q=(std.Q[0], SuperOp.zero())),
+        "quarter-charges-times-4": replaced(quarter, **times4),
+        "Q-over-2**70": replaced(std, Q=tuple(q.scaled(Fraction(1, 2**70)) for q in std.Q)),
+        "P1-negated": replaced(std, P_lower=(std.P_lower[0], -std.P_lower[1], *std.P_lower[2:])),
         "M01-shifted": with_m(std, 0, 1, std.M_upper[0][1] + SuperOp.x(0)),
-        "Qbar-upper-is-lower": dataclasses.replace(std, Q_bar_upper=std.Q_bar_lower),
+        "Qbar-upper-is-lower": replaced(std, Q_bar_upper=std.Q_bar_lower),
     })
     return sets
 

@@ -152,11 +152,17 @@ _CLASS_NAMES = {X: "x", DX: "dx", TH: "th", DTH: "dth", TB: "tb", DTB: "dtb"}
 
 def _key_str(key: Key) -> str:
     """The monomial as text, `x0^2 th1 dtb2`; empty for the identity."""
+    seq = _key_to_seq(key)
     parts = []
-    for (cls, idx), run in itertools.groupby(_key_to_seq(key)):
+    pos = 0
+    while pos < len(seq):
+        cls, idx = seq[pos]
+        run = 1
+        while pos + run < len(seq) and seq[pos + run] == (cls, idx):
+            run += 1
         label = f"{_CLASS_NAMES[cls]}{idx if cls in (X, DX) else idx + 1}"
-        n = len(list(run))
-        parts.append(label if n == 1 else f"{label}^{n}")
+        parts.append(label if run == 1 else f"{label}^{run}")
+        pos += run
     return " ".join(parts)
 
 
@@ -357,7 +363,8 @@ class GeneratorSet:
 
     `even` is (den, A), A of shape (2, 24, 9, 9): P_mu, P^mu, then M^{mu nu} at
     row 8 + 4 mu + nu; `odd` is (den, A), A of shape (2, 6, 9, 9): Q_a, Qbar_adot,
-    Qbar^adot.  Both are read-only copies; each operator field is written on first use.
+    Qbar^adot.  Both are read-only copies, int64 or object as `_read`'s; each
+    operator field is written on first use.
     """
 
     convention: SigmaConvention
@@ -366,9 +373,14 @@ class GeneratorSet:
     odd: tuple[int, np.ndarray]
 
     def __post_init__(self):
-        for name in ("even", "odd"):
+        for name, rows in (("even", 24), ("odd", 6)):
             den, A = getattr(self, name)
-            A = np.array(A)
+            A = np.asarray(A)
+            if not (isinstance(den, int) and den > 0 and A.shape == (2, rows, 9, 9) and (
+                    A.dtype.kind in "iu" or all(isinstance(v, int) for v in A.flat))):
+                raise ValueError(f"{name} is not (den, A), den > 0 and A integers of shape "
+                                 f"(2, {rows}, 9, 9)")
+            A = _fit(den, A)
             A.flags.writeable = False
             object.__setattr__(self, name, (den, A))
 
@@ -450,20 +462,23 @@ def _read(ops, parity: int) -> tuple[int, np.ndarray]:
     affine coefficients, or not of parity `parity`, raises ValueError; zero
     has either parity."""
     den = math.lcm(*(op._den for op in ops))
-    cells = []
+    A = np.zeros((2, len(ops), 9, 9), dtype=object)
     for n, op in enumerate(ops):
         f = den // op._den
         for key, (re, im) in op._num.items():
             if key not in _AFFINE[parity]:
                 raise ValueError(f"not an {('even', 'odd')[parity]} first-order operator "
                                  f"with affine coefficients: {op}")
-            cells.append(((n, *_AFFINE[parity][key]), re * f, im * f))
-    big = max([den] + [abs(v) for _, re, im in cells for v in (re, im)])
-    fits = 64 * big**2 <= np.iinfo(np.int64).max
-    A = np.zeros((2, len(ops), 9, 9), dtype=np.int64 if fits else object)
-    for at, re, im in cells:
-        A[(0, *at)], A[(1, *at)] = re, im
-    return den, A
+            r, c = _AFFINE[parity][key]
+            A[0, n, r, c], A[1, n, r, c] = re * f, im * f
+    return den, _fit(den, A)
+
+
+def _fit(den: int, A) -> np.ndarray:
+    """A copy of the integer array A, int64 when 64 * M**2 fits, M the largest
+    part or `den`, and Python ints otherwise (see the module docstring)."""
+    big = max(den, int(A.max(initial=0)), -int(A.min(initial=0)))
+    return A.astype(np.int64 if 64 * big**2 <= np.iinfo(np.int64).max else object)
 
 
 def _bracket(A, B, s: int):
@@ -585,11 +600,23 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
 
     # [M^{01}, M^{12}] x [Q_1, Qbar_1], over e * o
     mq = _bracket(M, odd[:, [0, 2]], 1)
-    samples = tuple((f"[M^{{{mu}{nu}}}, {name}_1]", str(_write(mq[:, k, j], e * o)))
-                    for k, (mu, nu) in enumerate(((0, 1), (1, 2)))
-                    for j, name in enumerate(("Q", "Qbar")))
-    return SusyReport(gens.convention, gens.momentum_sign, qq, qbqb, c1, c2, inversion,
-                      spatial_ok, pq, samples)
+    samples = []
+    for k, (mu, nu) in enumerate(((0, 1), (1, 2))):
+        samples.append((f"[M^{{{mu}{nu}}}, Q_1]", str(_write(mq[:, k, 0], e * o))))
+        samples.append((f"[M^{{{mu}{nu}}}, Qbar_1]", str(_write(mq[:, k, 1], e * o))))
+
+    return SusyReport(
+        convention=gens.convention,
+        momentum_sign=gens.momentum_sign,
+        qq_vanish=qq,
+        qbar_qbar_vanish=qbqb,
+        c1=c1,
+        c2=c2,
+        inversion_quarter_holds=inversion,
+        spatial_inversion_quarter_holds=spatial_ok,
+        p_q_brackets_vanish=pq,
+        m_q_samples=tuple(samples),
+    )
 
 
 def _merge_sign(m1: int, m2: int) -> int:

@@ -63,6 +63,9 @@ MUTANTS = [
     # a merge sign that counts the crossings of the second monomial with itself
     ("superspace.py", "(m1 >> j + 1).bit_count()", "(m2 >> j + 1).bit_count()",
      ["tests/test_superspace.py::test_grassmann_relations"]),
+    # a generator set that keeps a caller's int64 stack past the bound, where brackets wrap
+    ("superspace.py", "A = _fit(den, A)", "A = np.array(A)",
+     ["tests/test_superspace.py::test_generator_set_keeps_int64_only_where_brackets_cannot_overflow"]),
     # the Pauli identity without the denominator d
     ("spinor.py", "rhs = 2 * d * times_i(", "rhs = 2 * times_i(",
      ["tests/test_spinor.py::test_spin_commutators_match_matrix_reference"]),

@@ -119,7 +119,7 @@ def replaced(gens, **ops):
 def test_build_generators_equals_the_compose_reference(conv, sign):
     built = build_generators(conv, momentum_sign=sign)
     expected = reference_build_generators(conv, momentum_sign=sign)
-    for name in OPERATOR_FIELDS:
+    for name in ("convention", "momentum_sign", *OPERATOR_FIELDS):
         assert getattr(built, name) == getattr(expected, name), name
     # denominators and numerator parts are Python ints, as the reference's are
     ops = [*built.P_lower, *built.P_upper, *sum(built.M_upper, ()), *built.Q,
@@ -257,6 +257,40 @@ def test_generator_set_keeps_its_own_copy_of_the_stacks():
     odd[1, 0, 0, 4] = 7    # the caller's array, not the set's
     assert mine == gens and mine.Q == gens.Q
     assert mine != build_generators(momentum_sign=+1) and mine != "gens"
+
+
+def test_generator_set_keeps_int64_only_where_brackets_cannot_overflow():
+    gens = build_generators()
+    big = math.isqrt(np.iinfo(np.int64).max // 64)
+    for part, dtype in ((big, np.int64), (big + 1, object), (2**32, object)):
+        odd = np.zeros((2, 6, 9, 9), dtype=np.int64)
+        odd[0, 0, 0, 4] = odd[0, 0, 5, 0] = part    # Q_1 = part (dth1 + th1 d_0)
+        mine = GeneratorSet(gens.convention, gens.momentum_sign, gens.even, (1, odd))
+        assert mine.odd[1].dtype == dtype
+        # {Q_1, Q_1} = 2 part**2 d_0, which wraps to 0 in int64 at 2**32
+        Q = mine.odd[1][:, :1]
+        assert _write(_bracket(Q, Q, -1)[:, 0, 0], 1) == SuperOp.dx(0).scaled(2 * part**2)
+        assert not verify_susy(mine).qq_vanish
+    # a denominator past the bound alone switches to Python ints too
+    den, A = gens.odd
+    assert GeneratorSet(gens.convention, gens.momentum_sign, gens.even,
+                        (big + 1, A)).odd[1].dtype == object
+
+
+@pytest.mark.parametrize("stack, message", [
+    ((1, np.zeros((2, 24, 9, 9), dtype=np.int64)), "odd is not"),       # the even shape
+    ((2, np.zeros((2, 6, 9, 8), dtype=np.int64)), "odd is not"),
+    ((2, np.zeros((2, 6, 9, 9))), "odd is not"),                         # floats
+    ((2, np.full((2, 6, 9, 9), Fraction(1, 2))), "odd is not"),
+    ((0, np.zeros((2, 6, 9, 9), dtype=np.int64)), "odd is not"),         # denominator 0
+    ((2.0, np.zeros((2, 6, 9, 9), dtype=np.int64)), "odd is not"),
+])
+def test_generator_set_rejects_stacks_of_the_wrong_shape_or_type(stack, message):
+    gens = build_generators()
+    with pytest.raises(ValueError, match=message):
+        GeneratorSet(gens.convention, gens.momentum_sign, gens.even, stack)
+    with pytest.raises(ValueError, match="even is not"):
+        GeneratorSet(gens.convention, gens.momentum_sign, gens.odd, gens.odd)
 
 
 def test_translation_and_lorentz_generators_ignore_sigma_convention():

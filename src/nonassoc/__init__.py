@@ -31,17 +31,15 @@ from .properties import (
 )
 from .report import build_verify_report
 from .scalar import GaussianRational
-from .search import CandidateAlgebra, ResidualBreakdown, SearchConfig, residual, search
+from .search import CandidateAlgebra, ResidualBreakdown, SearchConfig, residual
 from .spinor import SigmaConvention, raise_lower
 from .superspace import SuperOp, build_generators, compose, graded_bracket
 from .zorn import (
-    ZornMatrix,
     from_zorn,
     to_zorn,
     verify_spin_commutators,
     verify_spin_decomposition,
     verify_zorn_isomorphism,
-    zorn_multiply,
     zorn_octonions,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "SigmaConvention",
     "SuperOp",
     "Witness",
-    "ZornMatrix",
     "associator",
     "build_generators",
     "build_verify_report",
@@ -80,7 +77,6 @@ __all__ = [
     "raise_lower",
     "random_commutative",
     "residual",
-    "search",
     "serialize",
     "so31_bracket_algebra",
     "split_octonions",
@@ -90,6 +86,5 @@ __all__ = [
     "verify_spin_commutators",
     "verify_spin_decomposition",
     "verify_zorn_isomorphism",
-    "zorn_multiply",
     "zorn_octonions",
 ]

@@ -23,7 +23,7 @@ from .search import (
     candidate_to_algebra,
     search as run_search,
 )
-from .zorn import to_zorn
+from .zorn import to_zorn, zorn_text
 
 def _load_file(path: str):
     try:
@@ -131,10 +131,8 @@ def table(file, show_zorn):
     if show_zorn:
         click.echo("")
         click.echo("Zorn images:")
-        one = alg.one()
-        click.echo(f"{'1':>{width}}  {to_zorn(one)}")
-        for k, name in enumerate(names):
-            click.echo(f"{name:>{width}}  {to_zorn(alg.basis_element(k))}")
+        for name, e in zip(["1", *names], [alg.one(), *alg.basis()]):
+            click.echo(f"{name:>{width}}  {zorn_text(to_zorn(e))}")
     sys.exit(0)
 
 

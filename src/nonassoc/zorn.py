@@ -10,12 +10,13 @@ On the components (a, x1..x3, y1..y3, b) it is one integer tensor ZORN, and
 the rows of PHI are the images of 1, q1..q7: the identity, (0,-e_i;e_i,0),
 (0,e_i;e_i,0) and (-1,0;0,1).  They are orthogonal, of squared length 2, so
 TWICE_INV = 2 PHI^-1 = PHI^T.  `zorn_matrices` is ZORN as an `AlgebraDef`,
-and a `ZornMatrix` is one `Element` of it, so `zorn_multiply` is `multiply`;
-`to_zorn` and `from_zorn` map its Gaussian-integer vector through PHI and
-TWICE_INV.  `zorn_octonions`, the table the images generate, is ZORN on two
-rows of PHI read back through TWICE_INV in halves, and
-verify_zorn_isomorphism diffs its structure tensor against the bundled
-table's over every ordered pair of 1, q1..q7.
+so a Zorn matrix is one of its `Element`s and the block product is
+`multiply`.  `to_zorn` and `from_zorn` map the Gaussian-integer vector of
+an element through PHI and TWICE_INV; `str` prints it as an `Element`, and
+`zorn_text` writes it as [a, (x); (y), b].  `zorn_octonions`, the table the
+images generate, is ZORN on two rows of PHI read back through TWICE_INV in
+halves, and verify_zorn_isomorphism diffs its structure tensor against the
+bundled table's over every ordered pair of 1, q1..q7.
 
 The split-octonion identities behind the spin operator (Eq. 2-50, 2-60
 and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, multiply
+from .algebra import AlgebraDef, Element
 from .corpus import EPS3, split_octonions
 from .properties import PropertyReport, Witness, _turn
 from .scalar import GaussianRational, ZERO, _gaussian_text, common_scale
@@ -79,77 +80,28 @@ def zorn_matrices() -> AlgebraDef:
                       basis_names=("a", "x1", "x2", "x3", "y1", "y2", "y3", "b"))
 
 
-class ZornMatrix:
-    """(a, x; y, b) as one element of `zorn_matrices()`; the views a and b
-    are `GaussianRational`s, x and y 3-tuples of them.  Immutable."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: Element):
-        object.__setattr__(self, "element", element)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZornMatrix is immutable")
-
-    def __reduce__(self):    # copy and pickle call the constructor, not setattr
-        return ZornMatrix, (self.element,)
-
-    @classmethod
-    def build(cls, a, x, y, b) -> "ZornMatrix":
-        return cls(zorn_matrices().element(0, [a, *x, *y, b]))
-
-    @classmethod
-    def zero(cls) -> "ZornMatrix":
-        return cls(zorn_matrices().zero())
-
-    @classmethod
-    def identity(cls) -> "ZornMatrix":
-        return cls.build(1, (0, 0, 0), (0, 0, 0), 1)
-
-    a = property(lambda self: self.element.coeffs[A])
-    x = property(lambda self: self.element.coeffs[X])
-    y = property(lambda self: self.element.coeffs[Y])
-    b = property(lambda self: self.element.coeffs[B])
-
-    def __add__(self, other):
-        return ZornMatrix(self.element + other.element)
-
-    def __sub__(self, other):
-        return ZornMatrix(self.element - other.element)
-
-    def __mul__(self, other):
-        return zorn_multiply(self, other) if isinstance(other, ZornMatrix) else NotImplemented
-
-    def __eq__(self, other):
-        return self.element == other.element if isinstance(other, ZornMatrix) else NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.element.is_zero()
-
-    def __str__(self):
-        e = self.element
-        a, *xy, b = (_gaussian_text(re, im, e.den) for re, im in zip(e.vec[1:9], e.vec[10:]))
-        return f"[{a}, ({', '.join(xy[:3])}); ({', '.join(xy[3:])}), {b}]"
+def zorn_text(z: Element) -> str:
+    """An element of `zorn_matrices()` as `[a, (x1, x2, x3); (y1, y2, y3), b]`."""
+    a, *xy, b = (_gaussian_text(re, im, z.den) for re, im in zip(z.vec[1:9], z.vec[10:]))
+    return f"[{a}, ({', '.join(xy[:3])}); ({', '.join(xy[3:])}), {b}]"
 
 
-def zorn_multiply(Z: ZornMatrix, W: ZornMatrix) -> ZornMatrix:
-    """The block product Z W: `multiply` in `zorn_matrices()`, over ZORN."""
-    return ZornMatrix(multiply(Z.element, W.element))
-
-
-def to_zorn(s: Element) -> ZornMatrix:
+def to_zorn(s: Element) -> Element:
     """Linear extension of the basis map to any split-octonion element."""
     alg = split_octonions()
     if s.algebra is not alg and s.algebra != alg:
         raise ValueError("to_zorn expects a split-octonion element")
     re, im = (_halves(np.array(s.vec, dtype=object)) @ PHI).tolist()
-    return ZornMatrix(Element(zorn_matrices(), s.den, [0, *re, 0, *im]))
+    return Element(zorn_matrices(), s.den, [0, *re, 0, *im])
 
 
-def from_zorn(Z: ZornMatrix) -> Element:
+def from_zorn(z: Element) -> Element:
     """Inverse of to_zorn (the basis map is a linear bijection)."""
-    z = _halves(np.array(Z.element.vec, dtype=object))[:, 1:]
-    return Element(split_octonions(), 2 * Z.element.den, (z @ TWICE_INV).ravel().tolist())
+    alg = zorn_matrices()
+    if z.algebra is not alg and z.algebra != alg:
+        raise ValueError("from_zorn expects an element of zorn_matrices()")
+    v = _halves(np.array(z.vec, dtype=object))[:, 1:]
+    return Element(split_octonions(), 2 * z.den, (v @ TWICE_INV).ravel().tolist())
 
 
 def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:

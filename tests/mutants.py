@@ -31,8 +31,11 @@ MUTANTS = [
     ("zorn.py", "PHI[Q7, [A, B]] = -1, 1", "PHI[Q7, [A, B]] = -1, -1",
      ["tests/test_zorn.py"]),
     # the imaginary halves of a Zorn matrix's text read one slot early
-    ("zorn.py", "zip(e.vec[1:9], e.vec[10:])", "zip(e.vec[1:9], e.vec[9:])",
+    ("zorn.py", "zip(z.vec[1:9], z.vec[10:])", "zip(z.vec[1:9], z.vec[9:])",
      ["tests/test_zorn.py::test_zorn_text_writes_each_component_as_its_scalar"]),
+    # from_zorn reads an element of any algebra as a Zorn matrix
+    ("zorn.py", 'raise ValueError("from_zorn expects an element of zorn_matrices()")', "pass",
+     ["tests/test_zorn.py::test_from_zorn_rejects_foreign_elements"]),
     # to_zorn puts the unit slot of the imaginary half at its end
     ("zorn.py", "[0, *re, 0, *im]", "[0, *re, *im, 0]",
      ["tests/test_zorn.py::test_zorn_scalar_coefficients_survive"]),

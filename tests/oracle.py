@@ -449,7 +449,7 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def reference_zorn_multiply(left, right):
+def reference_zorn_product(left, right):
     """The block product of two (a, x, y, b) tuples of GaussianRational, x and
     y 3-tuples, written out:
     (a, x; y, b)(c, u; v, d) = (ac + x.v, au + dx - y X v; cy + bv + x X u, bd + y.u)."""

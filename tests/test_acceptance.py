@@ -37,14 +37,7 @@ from nonassoc.spinor import (
     SigmaConvention,
 )
 from nonassoc.superspace import build_generators, verify_poincare, verify_susy
-from nonassoc.zorn import (
-    ZornMatrix,
-    from_zorn,
-    to_zorn,
-    verify_zorn_isomorphism,
-    zorn_multiply,
-    zorn_octonions,
-)
+from nonassoc.zorn import from_zorn, to_zorn, verify_zorn_isomorphism, zorn_matrices, zorn_octonions
 from oracle import levi_civita, sympy_matrices
 
 
@@ -88,7 +81,7 @@ def test_c2_zorn_isomorphism(criterion):
     mismatches, not_sign_flips = [], []
     for (a, u), (b, v) in itertools.product(enumerate(elems), repeat=2):
         table_side = multiply(u, v)
-        zorn_side = from_zorn(zorn_multiply(to_zorn(u), to_zorn(v)))
+        zorn_side = from_zorn(multiply(to_zorn(u), to_zorn(v)))
         if table_side != zorn_side:
             mismatches.append((a, b))
             if zorn_side != -table_side:
@@ -99,7 +92,8 @@ def test_c2_zorn_isomorphism(criterion):
     # by hand with the block rule: (0,-e1;e1,0)(0,e1;e1,0) = (-1,0;0,1), the
     # image of q7, where the table prints q1*q4 = -q7
     q1q4_by_hand = (
-        zorn_multiply(to_zorn(q[0]), to_zorn(q[3])) == ZornMatrix.build(-1, (0, 0, 0), (0, 0, 0), 1)
+        multiply(to_zorn(q[0]), to_zorn(q[3]))
+        == zorn_matrices().element(0, [-1, *(0, 0, 0), *(0, 0, 0), 1])
         and multiply(q[0], q[3]) == -q[6]
     )
     # y = q2 + q4.  Table: q1 y = q3 - q7, (q1 y) y = 2 q5 and y y = 0.
@@ -110,9 +104,9 @@ def test_c2_zorn_isomorphism(criterion):
     Q1, Y = to_zorn(q[0]), to_zorn(y)
     associators_by_hand = (
         associator(q[0], y, y) == q[4].scaled(2)
-        and zorn_multiply(Y, Y).is_zero()
-        and zorn_multiply(Q1, Y) == ZornMatrix.build(-1, (0, 0, -1), (0, 0, 1), 1)
-        and (zorn_multiply(zorn_multiply(Q1, Y), Y) - zorn_multiply(Q1, zorn_multiply(Y, Y))).is_zero()
+        and multiply(Y, Y).is_zero()
+        and multiply(Q1, Y) == zorn_matrices().element(0, [-1, *(0, 0, -1), *(0, 0, 1), 1])
+        and (multiply(multiply(Q1, Y), Y) - multiply(Q1, multiply(Y, Y))).is_zero()
     )
     report = verify_zorn_isomorphism()
 

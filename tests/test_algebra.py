@@ -30,7 +30,7 @@ from nonassoc.corpus import (
 from nonassoc.properties import check_property
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from nonassoc.zorn import ZornMatrix, from_zorn, to_zorn, zorn_matrices, zorn_multiply, zorn_octonions
+from nonassoc.zorn import from_zorn, to_zorn, zorn_matrices, zorn_octonions
 from oracle import (
     TupleElement,
     fixture_path,
@@ -192,7 +192,7 @@ def test_element_paths_build_no_gaussian_rational(monkeypatch):
     table = CliRunner().invoke(main, ["table", path])
     zorn_table = CliRunner().invoke(main, ["table", path, "--zorn"])
     images = [to_zorn(e) for e in [alg.one()] + basis]
-    zorn_products = [from_zorn(zorn_multiply(z, w)) for z, w in itertools.product(images, repeat=2)]
+    zorn_products = [from_zorn(multiply(z, w)) for z, w in itertools.product(images, repeat=2)]
     reports = [check_property(alg, law) for law in ("associative", "alternative")]
     described = [r.witness.describe() for r in reports]
     assert built == []
@@ -355,7 +355,7 @@ def exact_values():
         check_property(table, "flexible")
     return [GaussianRational(Fraction(3, 4), -2), alg, candidate,
             alg.basis_element(2).scaled(I + Fraction(1, 3)),
-            ZornMatrix.build(1, (I, 0, 0), (0, Fraction(1, 2), 0), -1)]
+            zorn_matrices().element(0, [1, *(I, 0, 0), *(0, Fraction(1, 2), 0), -1])]
 
 
 @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,

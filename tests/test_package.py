@@ -37,16 +37,25 @@ def test_public_names_are_pinned():
     assert sorted(nonassoc.__all__) == [
         "AlgebraDef", "AlgebraMismatchError", "AlgebraParseError", "CandidateAlgebra",
         "Element", "GaussianRational", "PropertyReport", "ResidualBreakdown", "SearchConfig",
-        "SigmaConvention", "SuperOp", "Witness", "ZornMatrix", "associator",
+        "SigmaConvention", "SuperOp", "Witness", "associator",
         "build_generators", "build_verify_report", "check_derivation_property",
         "check_property", "commutator", "complex_numbers", "compose", "from_zorn",
         "graded_bracket", "jacobiator", "multiply", "myung_equivalence", "parse_algebra",
         "parse_text", "quaternions", "raise_lower", "random_commutative", "residual",
-        "search", "serialize", "so31_bracket_algebra", "split_octonions",
+        "serialize", "so31_bracket_algebra", "split_octonions",
         "standard_corpus", "su2_bracket_algebra", "to_zorn", "verify_spin_commutators",
-        "verify_spin_decomposition", "verify_zorn_isomorphism", "zorn_multiply",
-        "zorn_octonions",
+        "verify_spin_decomposition", "verify_zorn_isomorphism", "zorn_octonions",
     ]
+
+
+def test_package_attribute_search_is_the_module():
+    # no package-level name shadows the submodule, so dotted access reaches
+    # the module's names
+    import nonassoc.search
+
+    assert nonassoc.search is importlib.import_module("nonassoc.search")
+    assert nonassoc.search.CandidateAlgebra is nonassoc.CandidateAlgebra
+    assert callable(nonassoc.search.search)
 
 
 def test_every_name_the_benchmark_imports_resolves():

@@ -300,8 +300,7 @@ def test_search_calls_the_module_residual_once_per_trace_entry(monkeypatch):
     """perfbench/child.py wraps `residual` in the `nonassoc.search` module and
     splits a traced search into restarts at the call that starts each trace:
     `search` must reach `residual` through the module global, once per trace
-    entry.  (`nonassoc.search` as an attribute is the package's `search`
-    function, so the module comes from sys.modules.)"""
+    entry.  The module comes from sys.modules, as in the benchmark."""
     module = sys.modules["nonassoc.search"]
     calls = []
 

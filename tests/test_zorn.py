@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,17 +12,16 @@ from nonassoc.corpus import split_octonions
 from nonassoc.properties import PROPERTIES, check_property
 from nonassoc.scalar import GaussianRational, I, ONE
 from nonassoc.zorn import (
-    ZornMatrix,
     from_zorn,
     to_zorn,
     verify_spin_commutators,
     verify_spin_decomposition,
     verify_zorn_isomorphism,
     zorn_matrices,
-    zorn_multiply,
     zorn_octonions,
+    zorn_text,
 )
-from oracle import random_element, reference_verdicts, reference_zorn_multiply, solve
+from oracle import random_element, reference_verdicts, reference_zorn_product, solve
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +29,19 @@ def splitO():
     return split_octonions()
 
 
+def zorn_one():
+    """The identity (1, 0; 0, 1) of `zorn_matrices()`."""
+    return zorn_matrices().element(0, [1, 0, 0, 0, 0, 0, 0, 1])
+
+
 def random_zorn(rng):
-    return ZornMatrix.build(
-        rng.randint(-3, 3),
-        tuple(rng.randint(-3, 3) for _ in range(3)),
-        tuple(rng.randint(-3, 3) for _ in range(3)),
-        rng.randint(-3, 3),
-    )
+    return zorn_matrices().element(0, [rng.randint(-3, 3) for _ in range(8)])
 
 
 def fields(z):
     """(a, x, y, b) of a Zorn matrix, the tuple form of the oracle."""
-    return z.a, z.x, z.y, z.b
+    c = z.coeffs
+    return c[0], c[1:4], c[4:7], c[7]
 
 
 def random_gaussian_zorn(rng):
@@ -49,22 +50,23 @@ def random_gaussian_zorn(rng):
         return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
                                 Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
 
-    return ZornMatrix.build(entry(), (entry(), entry(), entry()), (entry(), entry(), entry()), entry())
+    return zorn_matrices().element(0, [entry() for _ in range(8)])
 
 
-def test_zorn_multiply_matches_the_block_rule_reference():
+def test_zorn_product_matches_the_block_rule_reference():
     rng = random.Random(21)
     for _ in range(200):
         Z, W = random_gaussian_zorn(rng), random_gaussian_zorn(rng)
-        assert fields(zorn_multiply(Z, W)) == reference_zorn_multiply(fields(Z), fields(W))
+        assert fields(multiply(Z, W)) == reference_zorn_product(fields(Z), fields(W))
 
 
 def test_zorn_text_writes_each_component_as_its_scalar():
     rng = random.Random(4)
     for _ in range(20):
         z = random_gaussian_zorn(rng)
-        x, y = (", ".join(map(str, v)) for v in (z.x, z.y))
-        assert str(z) == f"[{z.a}, ({x}); ({y}), {z.b}]"
+        a, x, y, b = fields(z)
+        x, y = (", ".join(map(str, v)) for v in (x, y))
+        assert zorn_text(z) == f"[{a}, ({x}); ({y}), {b}]"
 
 
 def test_zorn_matrices_and_zorn_octonions_share_every_verdict():
@@ -76,8 +78,7 @@ def test_zorn_matrices_and_zorn_octonions_share_every_verdict():
     assert [law for law in PROPERTIES if verdicts[law]] == [
         "alternative", "flexible", "power_associative", "unital"]
     assert check_property(matrices, "unital").detail == "internal unit a + b"
-    assert not matrices.unital and ZornMatrix.identity().element == matrices.element(
-        0, [1, 0, 0, 0, 0, 0, 0, 1])
+    assert not matrices.unital
 
 
 def test_twice_inverse_of_the_basis_map():
@@ -86,43 +87,47 @@ def test_twice_inverse_of_the_basis_map():
 
 def test_identity_matrix_is_neutral():
     rng = random.Random(3)
-    e = ZornMatrix.identity()
+    e = zorn_one()
     for _ in range(20):
         z = random_zorn(rng)
-        assert zorn_multiply(e, z) == z
-        assert zorn_multiply(z, e) == z
+        assert multiply(e, z) == z
+        assert multiply(z, e) == z
 
 
 def test_block_product_formula():
     # one fully generic pair against a by-hand expansion of the block rule
-    A = ZornMatrix.build(2, (1, 0, -1), (0, 3, 1), -1)
-    B = ZornMatrix.build(1, (0, 2, 0), (1, 1, -2), 3)
-    got = zorn_multiply(A, B)
+    A = zorn_matrices().element(0, [2, *(1, 0, -1), *(0, 3, 1), -1])
+    B = zorn_matrices().element(0, [1, *(0, 2, 0), *(1, 1, -2), 3])
+    a, x, y, b = fields(multiply(A, B))
     # a*c + x.v = 2 + (1*1 + 0*1 + (-1)(-2)) = 5
-    assert got.a == GaussianRational(5)
+    assert a == GaussianRational(5)
     # b*d + y.u = -3 + (0*0 + 3*2 + 1*0) = 3
-    assert got.b == GaussianRational(3)
+    assert b == GaussianRational(3)
     # a*u + d*x - y X v ; y X v = (3*(-2)-1*1, 1*1-0*(-2), 0*1-3*1) = (-7, 1, -3)
-    assert got.x == (GaussianRational(10), GaussianRational(3), GaussianRational(0))
+    assert x == (GaussianRational(10), GaussianRational(3), GaussianRational(0))
     # c*y + b*v + x X u ; x X u = (0*0-(-1)*2, (-1)*0-1*0, 1*2-0*0) = (2, 0, 2)
-    assert got.y == (GaussianRational(1), GaussianRational(2), GaussianRational(5))
+    assert y == (GaussianRational(1), GaussianRational(2), GaussianRational(5))
 
 
 def test_basis_images(splitO):
     q = splitO.basis()
-    assert to_zorn(splitO.one()) == ZornMatrix.identity()
-    assert to_zorn(q[6]) == ZornMatrix.build(-1, (0, 0, 0), (0, 0, 0), 1)
-    assert to_zorn(q[0]) == ZornMatrix.build(0, (-1, 0, 0), (1, 0, 0), 0)
-    assert to_zorn(q[3]) == ZornMatrix.build(0, (1, 0, 0), (1, 0, 0), 0)
+    zm = zorn_matrices()
+    assert to_zorn(splitO.one()) == zorn_one()
+    assert to_zorn(q[6]) == zm.element(0, [-1, *(0, 0, 0), *(0, 0, 0), 1])
+    assert to_zorn(q[0]) == zm.element(0, [0, *(-1, 0, 0), *(1, 0, 0), 0])
+    assert to_zorn(q[3]) == zm.element(0, [0, *(1, 0, 0), *(1, 0, 0), 0])
     # linearity: q1 + q4 has a cancelling upper slot
-    assert to_zorn(q[0] + q[3]) == ZornMatrix.build(0, (0, 0, 0), (2, 0, 0), 0)
-    assert to_zorn(splitO.zero()) == ZornMatrix.zero()
+    assert to_zorn(q[0] + q[3]) == zm.element(0, [0, *(0, 0, 0), *(2, 0, 0), 0])
+    assert to_zorn(splitO.zero()) == zm.zero()
+    # str is the Element text over the components; zorn_text the block form
+    assert str(to_zorn(q[6])) == "-a + b"
+    assert zorn_text(to_zorn(q[6])) == "[-1, (0, 0, 0); (0, 0, 0), 1]"
 
 
 def test_zorn_products_of_images(splitO):
     q = splitO.basis()
-    assert zorn_multiply(to_zorn(q[0]), to_zorn(q[1])) == to_zorn(q[2])
-    assert zorn_multiply(to_zorn(q[3]), to_zorn(q[3])) == ZornMatrix.identity()
+    assert multiply(to_zorn(q[0]), to_zorn(q[1])) == to_zorn(q[2])
+    assert multiply(to_zorn(q[3]), to_zorn(q[3])) == zorn_one()
 
 
 def test_from_zorn_matches_linear_solve_oracle(splitO):
@@ -130,14 +135,11 @@ def test_from_zorn_matches_linear_solve_oracle(splitO):
     # the 8x8 linear system in the (a, x, y, b) coordinates
     images = [to_zorn(splitO.one())] + [to_zorn(b) for b in splitO.basis()]
 
-    def coords(z):
-        return [z.a, *z.x, *z.y, z.b]
-
     rng = random.Random(9)
     for _ in range(10):
         z = random_zorn(rng)
-        rows = [[coords(img)[r] for img in images] for r in range(8)]
-        sol, _ = solve(rows, coords(z))
+        rows = [[img.coeffs[r] for img in images] for r in range(8)]
+        sol, _ = solve(rows, list(z.coeffs))
         assert sol is not None
         expected = splitO.element(sol[0], sol[1:])
         assert from_zorn(z) == expected
@@ -145,9 +147,9 @@ def test_from_zorn_matches_linear_solve_oracle(splitO):
 
 def test_from_zorn_examples(splitO):
     q = splitO.basis()
-    assert from_zorn(ZornMatrix.identity()) == splitO.one()
-    assert from_zorn(ZornMatrix.zero()) == splitO.zero()
-    z = ZornMatrix.build(0, (0, 1, 0), (0, -1, 0), 0)
+    assert from_zorn(zorn_one()) == splitO.one()
+    assert from_zorn(zorn_matrices().zero()) == splitO.zero()
+    z = zorn_matrices().element(0, [0, *(0, 1, 0), *(0, -1, 0), 0])
     assert from_zorn(z) == -q[1]  # (0, e2; -e2, 0) = -q2
 
 
@@ -175,7 +177,7 @@ def test_isomorphism_verdict(splitO):
     flips = 0
     for u, v in itertools.product(elems, repeat=2):
         table_side = multiply(u, v)
-        zorn_side = from_zorn(zorn_multiply(to_zorn(u), to_zorn(v)))
+        zorn_side = from_zorn(multiply(to_zorn(u), to_zorn(v)))
         if table_side != zorn_side:
             flips += 1
             assert zorn_side == -table_side
@@ -228,6 +230,21 @@ def test_to_zorn_rejects_foreign_elements():
         to_zorn(quaternions().basis_element(0))
 
 
+def test_from_zorn_rejects_foreign_elements(splitO):
+    from nonassoc.corpus import quaternions
+
+    # the zero product on the eight Zorn components has vectors of the same width
+    zero_product = AlgebraDef("zorn", 8, 1, [[0] * 9] * 64, unital=False,
+                              basis_names=zorn_matrices().basis_names)
+    for alg in (zero_product, splitO, quaternions()):
+        with pytest.raises(ValueError, match="from_zorn"):
+            from_zorn(alg.basis_element(0))
+    # a pickled copy holds an equal algebra, not the cached one
+    z = pickle.loads(pickle.dumps(to_zorn(splitO.basis_element(0))))
+    assert z.algebra is not zorn_matrices()
+    assert from_zorn(z) == splitO.basis_element(0)
+
+
 def test_zorn_octonions_table_properties():
     zo = zorn_octonions()
     assert check_property(zo, "alternative").holds
@@ -256,8 +273,8 @@ def test_integer_zorn_table_matches_gaussian_rational_reference(splitO):
     elems = [table.one()] + table.basis()
     for (u, ru), (v, rv) in itertools.product(zip(elems, refs), repeat=2):
         got = multiply(u, v)
-        want = from_zorn(ZornMatrix.build(*reference_zorn_multiply(fields(to_zorn(ru)),
-                                                                  fields(to_zorn(rv)))))
+        a, x, y, b = reference_zorn_product(fields(to_zorn(ru)), fields(to_zorn(rv)))
+        want = from_zorn(zorn_matrices().element(0, [a, *x, *y, b]))
         assert (got.unit, got.coeffs) == (want.unit, want.coeffs)
 
 
@@ -305,10 +322,3 @@ def test_element_reference_sees_every_verdict_both_ways():
         assert {o[key] for o in outcomes} == {True, False}, key
     assert len({str(o["kappa"]) for o in outcomes}) > 1
     assert len({str(o["witness"].defect) for o in outcomes}) > 1
-
-
-def test_zorn_matrices_are_immutable():
-    z = ZornMatrix.identity()
-    with pytest.raises(AttributeError):
-        z.element = zorn_matrices().zero()
-    assert z == ZornMatrix.identity() and not z.is_zero()

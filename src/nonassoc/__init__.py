@@ -12,7 +12,7 @@ from .algebra import (
     jacobiator,
     multiply,
 )
-from .algfile import AlgebraParseError, parse_algebra, parse_text, serialize
+from .algfile import AlgebraParseError, parse_text, serialize
 from .corpus import (
     complex_numbers,
     quaternions,
@@ -71,7 +71,6 @@ __all__ = [
     "jacobiator",
     "multiply",
     "myung_equivalence",
-    "parse_algebra",
     "parse_text",
     "quaternions",
     "raise_lower",

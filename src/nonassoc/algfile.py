@@ -155,8 +155,8 @@ class ParsedAlgebraFile:
 _HEADERS = frozenset(("name", "dimension", "unital", "scalar", "roles"))
 
 
-def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
-    name = default_name
+def parse_text(text: str) -> ParsedAlgebraFile:
+    name = "unnamed"
     dim: int | None = None
     unital = False
     scalar_tag = "gaussian-rational"
@@ -265,10 +265,6 @@ def parse_text(text: str, default_name: str = "unnamed") -> ParsedAlgebraFile:
                 vec[n + idx] += im_num * factor[q]
     algebra = AlgebraDef(name, dim, den, cells, unital, basis_names)
     return ParsedAlgebraFile(algebra, roles, scalar_tag)
-
-
-def parse_algebra(text: str) -> AlgebraDef:
-    return parse_text(text).algebra
 
 
 def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,

@@ -99,14 +99,14 @@ def so31_bracket_algebra() -> AlgebraDef:
 
 
 @functools.lru_cache(maxsize=None)
-def random_commutative(dim: int = 3, seed: int = 7) -> AlgebraDef:
-    """A seeded commutative algebra with small integer structure constants."""
-    rng = random.Random(seed)
+def random_commutative() -> AlgebraDef:
+    """A seeded commutative algebra of dimension 3 with small integer structure constants."""
+    dim, rng = 3, random.Random(7)
     cells = [None] * (dim * dim)
     for i in range(dim):
         for j in range(i, dim):
             cells[i * dim + j] = cells[j * dim + i] = [0] + [rng.randint(-1, 1) for _ in range(dim)]
-    return AlgebraDef(f"randcomm{seed}", dim, 1, cells, False)
+    return AlgebraDef("randcomm7", dim, 1, cells, False)
 
 
 def standard_corpus() -> list[AlgebraDef]:

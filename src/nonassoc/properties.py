@@ -145,18 +145,11 @@ class Witness:
     """A concrete violation: which inputs failed and by how much."""
 
     defect: Element
-    indices: tuple[int, ...] | None = None
-    elements: tuple[Element, ...] | None = None
+    indices: tuple[int, ...]
     law: str = ""
 
     def describe(self) -> str:
-        alg = self.defect.algebra
-        if self.indices is not None:
-            args = ", ".join(alg.basis_names[i] for i in self.indices)
-        elif self.elements is not None:
-            args = ", ".join(str(e) for e in self.elements)
-        else:
-            args = "?"
+        args = ", ".join(self.defect.algebra.basis_names[i] for i in self.indices)
         law = f" [{self.law}]" if self.law else ""
         return f"({args}) -> defect {self.defect}{law}"
 

@@ -66,22 +66,17 @@ import numpy as np
 
 from .corpus import EPS4, LORENTZ, LORENTZ_SLOTS, MINKOWSKI, SLOT_MATRICES
 
-# Role slots: 4 R, 4 Rtilde, 6 Lorentz, one spare; optional unit appended.
+# Role slots: 4 R, 4 Rtilde, 6 Lorentz, one spare.
 ROLE_R = tuple(f"R{mu}" for mu in range(4))
 ROLE_RT = tuple(f"Rt{mu}" for mu in range(4))
 ROLE_M = tuple(f"M{a}{b}" for a, b in LORENTZ_SLOTS)
 ROLE_SPARE = ("X0",)
-ROLE_UNIT = "unit"
 
 BASE_DIM = len(ROLE_R) + len(ROLE_RT) + len(ROLE_M) + len(ROLE_SPARE)  # 15
 
 
-def default_roles(with_unit: bool = False) -> dict[str, int]:
-    labels = ROLE_R + ROLE_RT + ROLE_M + ROLE_SPARE
-    roles = {label: k for k, label in enumerate(labels)}
-    if with_unit:
-        roles[ROLE_UNIT] = len(labels)
-    return roles
+def default_roles() -> dict[str, int]:
+    return {label: k for k, label in enumerate(ROLE_R + ROLE_RT + ROLE_M + ROLE_SPARE)}
 
 
 @dataclass
@@ -91,7 +86,6 @@ class CandidateAlgebra:
     dim: int
     c: np.ndarray
     roles: dict[str, int]
-    seed: int | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -103,15 +97,13 @@ class CandidateAlgebra:
             raise ValueError(f"missing role slots: {sorted(missing)}")
 
     @classmethod
-    def zero(cls, with_unit: bool = False) -> "CandidateAlgebra":
-        roles = default_roles(with_unit)
-        dim = BASE_DIM + (1 if with_unit else 0)
-        return cls(dim, np.zeros((dim, dim, dim)), roles)
+    def zero(cls) -> "CandidateAlgebra":
+        return cls(BASE_DIM, np.zeros((BASE_DIM,) * 3), default_roles())
 
     @classmethod
-    def so31_embedded(cls, with_unit: bool = False) -> "CandidateAlgebra":
+    def so31_embedded(cls) -> "CandidateAlgebra":
         """Zero R-sectors with the exact boost/rotation constants in the M-sector."""
-        cand = cls.zero(with_unit)
+        cand = cls.zero()
         m = [cand.roles[label] for label in ROLE_M]
         # the product table is half the bracket, so the antisymmetrized
         # bracket reproduces the constants
@@ -119,15 +111,13 @@ class CandidateAlgebra:
         return cand
 
     @classmethod
-    def random(cls, seed: int, scale: float = 0.5, with_unit: bool = False) -> "CandidateAlgebra":
-        cand = cls.zero(with_unit)
-        rng = np.random.default_rng(seed)
-        cand.c = rng.normal(0.0, scale, size=cand.c.shape)
-        cand.seed = seed
+    def random(cls, seed: int, scale: float = 0.5) -> "CandidateAlgebra":
+        cand = cls.zero()
+        cand.c = np.random.default_rng(seed).normal(0.0, scale, size=cand.c.shape)
         return cand
 
     def copy(self) -> "CandidateAlgebra":
-        return CandidateAlgebra(self.dim, self.c.copy(), dict(self.roles), self.seed)
+        return CandidateAlgebra(self.dim, self.c.copy(), dict(self.roles))
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ def candidate_to_algebra(cand: CandidateAlgebra):
                       [[0, *row] for row in nums.reshape(d * d, d).tolist()], unital=False)
 
 
-def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) -> CandidateAlgebra:
+def candidate_from_algebra(alg, roles: dict[str, int]) -> CandidateAlgebra:
     """Rebuild a candidate from a parsed algebra file and its roles line."""
     n = alg.dim + 1
     t = alg.tensor[1:, 1:].astype(object)
@@ -268,7 +258,7 @@ def candidate_from_algebra(alg, roles: dict[str, int], seed: int | None = None) 
         c = (t[..., 1:n] / alg._den).astype(float)
     except OverflowError:
         raise ValueError("candidate structure constants must lie in the double range") from None
-    return CandidateAlgebra(alg.dim, c, dict(roles), seed)
+    return CandidateAlgebra(alg.dim, c, dict(roles))
 
 
 @dataclass

@@ -503,7 +503,6 @@ def _write(A, den: int) -> SuperOp:
 
 @dataclass(frozen=True)
 class PoincareReport:
-    momentum_sign: int
     translations_commute: bool                 # [P^mu, P^nu] = 0
     boost_translation_holds: bool              # [M^{mu nu}, P^lam] = i(eta^{nu lam} P^mu - eta^{mu lam} P^nu)
     lorentz_closure_holds: bool                # [M, M] relation, all index combinations
@@ -546,13 +545,11 @@ def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     pp = _failures(pp, "[P^{},P^{}] != 0".format)
     mp = _failures(mp, "[M^{{{}{}}},P^{}]".format)
     mm = _failures(mm, "[M^{{{}{}}},M^{{{}{}}}]".format)
-    return PoincareReport(gens.momentum_sign, not pp, not mp, not mm, tuple(pp + mp + mm))
+    return PoincareReport(not pp, not mp, not mm, tuple(pp + mp + mm))
 
 
 @dataclass(frozen=True)
 class SusyReport:
-    convention: SigmaConvention
-    momentum_sign: int
     qq_vanish: bool                      # {Q_a, Q_b} = 0, all pairs
     qbar_qbar_vanish: bool               # {Qbar, Qbar} = 0, all pairs
     c1: GaussianRational | None          # {Q_a, Qbar_bd} = c1 sigma^mu_{a bd} P_mu
@@ -606,8 +603,6 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
         samples.append((f"[M^{{{mu}{nu}}}, Qbar_1]", str(_write(mq[:, k, 1], e * o))))
 
     return SusyReport(
-        convention=gens.convention,
-        momentum_sign=gens.momentum_sign,
         qq_vanish=qq,
         qbar_qbar_vanish=qbqb,
         c1=c1,

@@ -140,12 +140,11 @@ def verify_zorn_isomorphism() -> PropertyReport:
                               "all 64 ordered basis pairs agree")
     names = ["1"] + list(alg.basis_names)
     i, j = mismatches[0]
-    u, v = (alg.one() if k == 0 else alg.basis_element(k - 1) for k in (i, j))
     # Both tensors make index 0 the unit, so a mismatch is a product of two
     # basis elements, one cell of each table.
     table_side, zorn_side = (Element(alg, a._den, a.tensor[i, j].tolist())
                              for a in (alg, zorn_alg))
-    witness = Witness(defect=zorn_side - table_side, elements=(u, v),
+    witness = Witness(defect=zorn_side - table_side, indices=(i - 1, j - 1),
                       law=f"{names[i]}*{names[j]}: table {table_side}, Zorn image {zorn_side}")
     signs = f"{not_by_sign} not by sign" if not_by_sign else "all by sign"
     detail = (f"{len(mismatches)} of 64 ordered basis pairs disagree ({signs}); "
@@ -198,7 +197,6 @@ class SpinDecompositionReport:
     product_decomposition_holds: bool  # (i/2) q_i = -(i/4) eps_ijk q_{j+3} q_{k+3}
     bracket_constant: GaussianRational  # lambda with -(1/4) eps_ijk [q_{j+3}, q_{k+3}] = lambda q_i
     bracket_constant_uniform: bool
-    detail: str
 
 
 def verify_spin_decomposition() -> SpinDecompositionReport:
@@ -218,11 +216,7 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
     lam = common_scale(_halves(bracket_sides[0]), _halves(4 * quat[0]))
     uniform = lam is not None and common_scale(_halves(bracket_sides), _halves(4 * quat)) == lam
-    lam = ZERO if lam is None else lam
-
-    detail = (f"-(1/4) eps [q_(j+3), q_(k+3)] = {lam} * q_i; "
-              f"the i/2-scaled product decomposition {'holds' if product_ok else 'fails'}")
-    return SpinDecompositionReport(product_ok, lam, uniform, detail)
+    return SpinDecompositionReport(product_ok, ZERO if lam is None else lam, uniform)
 
 
 @functools.lru_cache(maxsize=None)

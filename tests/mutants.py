@@ -100,6 +100,10 @@ MUTANTS = [
     ("search.py", "sums[s] = float(row @ row)",
      "sums[s] = float(row @ row) if len(sectors) == 2 else sums[s]",
      ["tests/test_search.py::test_search_partial_residual_equals_the_full_one"]),
+    # a restart that keeps stepping once its residual is within tolerance
+    ("search.py", "if total <= cfg.tolerance:\n                break\n",
+     "if total <= cfg.tolerance:\n                pass\n",
+     ["tests/test_search.py::test_a_start_within_tolerance_stops_at_once"]),
     # a sum of elements over the smaller denominator, not the lcm
     ("algebra.py", "Element(self.algebra, self.den * fa,", "Element(self.algebra, self.den,",
      ["tests/test_algebra.py::test_element_arithmetic_matches_the_tuple_oracle"]),
@@ -120,6 +124,9 @@ MUTANTS = [
      ["tests/test_scalar.py"]),
     # a term scanner that reads two terms with no sign between them
     ("algfile.py", r'\s*(?=[+-]|\Z)"', r'\s*"', ["tests/test_algfile.py"]),
+    # a coefficient past the integer digit limit escapes as a ValueError
+    ("algfile.py", "except ValueError as exc:", "except TypeError as exc:",
+     ["tests/test_cli.py::test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational"]),
     # the fold's fixing count taken as the number of tuples with the key
     ("properties.py", "fixing = math.factorial(sym) // orbit[keys]", "fixing = orbit[keys]",
      ["tests/test_properties.py"]),

@@ -553,7 +553,7 @@ def permuted_candidate(cand, perm):
     c2 = np.zeros_like(cand.c)
     c2[np.ix_(perm, perm, perm)] = cand.c
     roles = {label: int(perm[idx]) for label, idx in cand.roles.items()}
-    return CandidateAlgebra(cand.dim, c2, roles, cand.seed)
+    return CandidateAlgebra(cand.dim, c2, roles)
 
 
 def reference_search(cfg, init, freeze=frozenset()):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nonassoc.algebra import (
     AlgebraDef,
     AlgebraMismatchError,
+    Element,
     associator,
     commutator,
     jacobiator,
@@ -112,6 +113,24 @@ def test_mismatched_algebras_rejected(splitO):
         multiply(splitO.basis_element(0), other.basis_element(0))
     with pytest.raises(AlgebraMismatchError):
         splitO.basis_element(0) + other.basis_element(0)
+
+
+def test_bad_element_and_table_input_is_rejected(splitO):
+    plain = random_commutative()     # not unital
+    with pytest.raises(ValueError, match="basis index 2 out of range"):
+        AlgebraDef.from_products("bad", 2, {(0, 0): (0, {2: 1})}, unital=False)
+    with pytest.raises(ValueError, match="has no unit"):
+        plain.one()
+    with pytest.raises(ValueError, match="wrong length"):
+        splitO.element(0, [1, 2])
+    with pytest.raises(ValueError, match="has no unit"):
+        plain.element(1)
+    with pytest.raises(ValueError, match="numerators over a positive denominator"):
+        Element(splitO, 1, [0] * 3)
+    with pytest.raises(ValueError, match="numerators over a positive denominator"):
+        Element(splitO, 0, [0] * 8)
+    with pytest.raises(TypeError, match="expected an Element"):
+        splitO.basis_element(0) + 1
 
 
 def test_bilinearity_in_both_slots():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nonassoc import cli
 from nonassoc.cli import main
+from nonassoc.search import default_roles
 from oracle import fixture_path, fixture_text
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
@@ -62,6 +63,28 @@ def test_check_malformed_file(runner, tmp_path):
     result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
     assert result.exit_code == 2
     assert "line 2" in result.output
+
+
+def test_check_with_no_property_named_is_an_input_error(runner):
+    result = runner.invoke(main, ["check", fixture_path("splitO.alg"), "--properties", ","])
+    assert result.exit_code == 2
+    assert result.stderr == "error: no properties requested\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no integer-string digit limit")
+def test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational(runner, tmp_path):
+    bad = tmp_path / "long.alg"
+    bad.write_text(f"dimension 1\nunital false\ne1 e1 -> {'7' * 5000}e1\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {bad}: line 3: bad rational '777")
 
 
 def test_check_missing_file(runner):
@@ -345,6 +368,21 @@ def test_search_init_file_requires_roles(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("unital, roles, product, message", [
+    ("false", "R0=1", "2ie3", "candidate structure constants must be real"),
+    ("true", "R0=1", "e3 + 1", "candidate algebras carry no unit multiples"),
+    ("false", ",".join(f"{label}={k + 1}" for label, k in default_roles().items()
+                       if label != "R0"), "e3", "missing role slots: ['R0']"),
+], ids=["imaginary", "unit-multiple", "no-R0"])
+def test_search_init_file_rejects_what_a_candidate_cannot_hold(runner, tmp_path, unital, roles,
+                                                                product, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"dimension 15\nunital {unital}\nroles {roles}\ne1 e2 -> {product}\n")
+    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_search_init_file_rejects_a_constant_beyond_the_double_range(runner, tmp_path):
     bad = tmp_path / "huge.alg"
     bad.write_text(f"dimension 15\nunital false\nroles R0=1\ne1 e2 -> {10**400}e3\n")
@@ -460,13 +498,23 @@ def test_check_degree_below_three_is_an_input_error(runner):
     assert "Traceback" not in result.output
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*args):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run([sys.executable, "-m", "nonassoc", "--help"],
-                            env=dict(os.environ, PYTHONPATH=str(src)),
-                            capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "nonassoc", *args],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _python_dash_m("--help")
     assert result.returncode == 0, result.stderr
-    assert "verify-paper" in result.stdout
+    assert b"verify-paper" in result.stdout
+
+
+def test_python_dash_m_verify_paper_matches_golden():
+    result = _python_dash_m("verify-paper", "--format", "lines")
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == GOLDEN.read_bytes()
 
 
 def test_check_all_laws_prints_the_single_law_lines(runner, tmp_path):

@@ -40,7 +40,7 @@ def test_public_names_are_pinned():
         "SigmaConvention", "SuperOp", "Witness", "associator",
         "build_generators", "build_verify_report", "check_derivation_property",
         "check_property", "commutator", "complex_numbers", "compose", "from_zorn",
-        "graded_bracket", "jacobiator", "multiply", "myung_equivalence", "parse_algebra",
+        "graded_bracket", "jacobiator", "multiply", "myung_equivalence",
         "parse_text", "quaternions", "raise_lower", "random_commutative", "residual",
         "serialize", "so31_bracket_algebra", "split_octonions",
         "standard_corpus", "su2_bracket_algebra", "to_zorn", "verify_spin_commutators",

@@ -116,6 +116,8 @@ def test_power_associativity():
     rep = check_property(bad, "power_associative", degree=4)
     assert not rep.holds
     assert "degree" in rep.witness.law
+    with pytest.raises(ValueError, match="needs degree >= 3"):
+        check_property(bad, "power_associative", degree=2)
 
 
 def test_jordan_checks():

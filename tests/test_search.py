@@ -138,9 +138,6 @@ def test_lorentz_constants_match_the_slot_by_slot_bracket():
 def test_layout():
     roles = default_roles()
     assert len(roles) == BASE_DIM == 15
-    roles_u = default_roles(with_unit=True)
-    assert roles_u["unit"] == 15
-    assert CandidateAlgebra.zero(with_unit=True).dim == 16
 
 
 def test_zero_candidate_residual_matches_brute_force():
@@ -181,10 +178,14 @@ def test_permuted_layout_matches_brute_force():
     _assert_matches_brute_force(permuted_candidate(CandidateAlgebra.random(4), perm))
 
 
+def _unit_roles():
+    """The base layout with a spare `unit` label on a sixteenth basis element."""
+    return {**default_roles(), "unit": BASE_DIM}
+
+
 def test_unit_layout_matches_brute_force():
-    cand = CandidateAlgebra.random(9, scale=0.3, with_unit=True)
-    assert cand.dim == 16
-    _assert_matches_brute_force(cand)
+    c = np.random.default_rng(9).normal(0.0, 0.3, size=(16, 16, 16))
+    _assert_matches_brute_force(CandidateAlgebra(16, c, _unit_roles()))
 
 
 def test_layout_with_a_shared_index_matches_brute_force():
@@ -198,6 +199,11 @@ def test_layout_with_a_shared_index_matches_brute_force():
 def test_so31_embedding_is_exact():
     cand = CandidateAlgebra.so31_embedded()
     assert residual(cand).r_lorentz <= 1e-12
+
+
+def test_a_tensor_that_is_not_dim_cubed_is_rejected():
+    with pytest.raises(ValueError, match="dim\\^3"):
+        CandidateAlgebra(BASE_DIM, np.zeros((BASE_DIM, BASE_DIM, BASE_DIM - 1)), default_roles())
 
 
 def test_residual_is_permutation_covariant():
@@ -228,6 +234,12 @@ def test_search_zero_iters_returns_init():
     result = search(cfg, init=init)
     assert np.array_equal(result.best.c, init.c)
     assert result.traces == [[residual(init).total]]
+
+
+def test_a_start_within_tolerance_stops_at_once():
+    result = search(SearchConfig(max_iters=50, tolerance=1e6), init=CandidateAlgebra.so31_embedded())
+    assert result.traces == [[240.0]]
+    assert result.converged
 
 
 def test_search_is_seed_deterministic():
@@ -361,7 +373,8 @@ SKIP_CASES = {
     "so31": (CandidateAlgebra.so31_embedded(), set(), 2, 0),
     "zero": (CandidateAlgebra.zero(), set(), 1, 3),
     "random": (CandidateAlgebra.random(5, scale=0.3), set(), 2, 1),
-    "so31-unit": (CandidateAlgebra.so31_embedded(with_unit=True), set(), 3, 7),
+    "so31-unit": (CandidateAlgebra(16, np.pad(CandidateAlgebra.so31_embedded().c, (0, 1)),
+                                   _unit_roles()), set(), 3, 7),
     "so31-shared-index": (_shared_index_so31(), set(), 2, 2),
     "so31-permuted": (permuted_candidate(CandidateAlgebra.so31_embedded(),
                                          np.random.default_rng(6).permutation(BASE_DIM)),

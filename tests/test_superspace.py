@@ -115,6 +115,11 @@ def replaced(gens, **ops):
     return GeneratorSet.from_operators(gens.convention, gens.momentum_sign, **fields)
 
 
+def test_build_generators_rejects_a_momentum_sign_other_than_one():
+    with pytest.raises(ValueError, match="momentum_sign must be"):
+        build_generators(momentum_sign=0)
+
+
 @pytest.mark.parametrize("conv, sign", ALL_SETS)
 def test_build_generators_equals_the_compose_reference(conv, sign):
     built = build_generators(conv, momentum_sign=sign)
@@ -130,6 +135,7 @@ def test_build_generators_equals_the_compose_reference(conv, sign):
 def test_compose_canonical_pairs():
     assert compose(SuperOp.dx(0), SuperOp.x(0)) == compose(SuperOp.x(0), SuperOp.dx(0)) + SuperOp.one()
     assert compose(SuperOp.theta(1), SuperOp.theta(1)).is_zero()
+    assert str(compose(SuperOp.x(0), SuperOp.x(0))) == "x0^2"
     assert compose(SuperOp.dtheta(1), SuperOp.theta(1)) + compose(SuperOp.theta(1), SuperOp.dtheta(1)) == SuperOp.one()
 
 
@@ -461,7 +467,7 @@ def reference_verify_poincare(gens):
             mm_ok = False
             failures.append(f"[M^{{{mu}{nu}}},M^{{{rho}{sig}}}]")
 
-    return PoincareReport(gens.momentum_sign, pp_ok, mp_ok, mm_ok, tuple(failures))
+    return PoincareReport(pp_ok, mp_ok, mm_ok, tuple(failures))
 
 
 @pytest.mark.parametrize("conv", list(SigmaConvention))
@@ -745,8 +751,6 @@ def reference_verify_susy(gens):
     c2 = scale_of(*coefficients(zip(traces, gens.P_lower)))
     quarter = GaussianRational(Fraction(1, 4))
     return SusyReport(
-        convention=gens.convention,
-        momentum_sign=gens.momentum_sign,
         qq_vanish=all(op_anticommutator(x, y).is_zero() for x in Q for y in Q),
         qbar_qbar_vanish=all(op_anticommutator(x, y).is_zero() for x in Qbar for y in Qbar),
         c1=c1,

@@ -169,7 +169,7 @@ def test_isomorphism_verdict(splitO):
     assert "36 of 64" in report.detail
     # first mismatch: q1*q4 is -q7 in the table, +q7 through the matrices
     q = splitO.basis()
-    assert report.witness.elements == (q[0], q[3])
+    assert report.witness.indices == (0, 3)
     assert report.witness.defect == q[6].scaled(2)
     assert report.witness.law == "q1*q4: table -q7, Zorn image q7"
     # every mismatch is a pure sign flip
@@ -182,6 +182,14 @@ def test_isomorphism_verdict(splitO):
             flips += 1
             assert zorn_side == -table_side
     assert flips == 36
+
+
+def test_isomorphism_holds_on_the_table_the_zorn_form_generates(monkeypatch):
+    table = zorn_octonions()    # cached, so built before split_octonions is patched
+    monkeypatch.setattr(zorn, "split_octonions", lambda: table)
+    report = verify_zorn_isomorphism()
+    assert report.holds and report.witness is None
+    assert report.detail == "all 64 ordered basis pairs agree"
 
 
 def test_isomorphism_detail_counts_pairs_not_by_sign(monkeypatch):

@@ -32,7 +32,11 @@ finds, and its defect is the slab entry divided by the denominator squared.
 All laws read the slabs from one kernel per algebra, which keeps the
 three slices it computed last, one slab's worth: the laws of one `check`
 usually fail at the same slab, and each slice of it is contracted once for
-all of them.  No more slices are kept, so memory stays O(dim^3).
+all of them.  No more slices are kept, so memory stays O(dim^3).  Myung's
+three laws, derivation, flexible and Lie-admissible, are decided in one
+scan, `myung_equivalence`: each slab is computed once for the laws not yet
+failed, so an algebra on which all three hold has each slab contracted
+once, not three times.
 
 T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
@@ -402,43 +406,53 @@ def _jordan(mul, x1, x2, x3, y):
     return np.moveaxis(mul(mul(x1, y), xx) - mul(x1, mul(y, xx)), -4, -2)
 
 
-def _first_failure(alg, laws, kernel):
-    """The lexicographically first failing (i, j, ..., law), or None.
+def _first_failure(alg, groups, kernel):
+    """For each group of laws, its lexicographically first failing
+    (i, j, ..., law), or None.
 
-    `laws` is [(tag, row)]: a law's defects at (i, j, ...), an array over
+    A group is [(tag, row)]: a law's defects at (i, j, ...), an array over
     (j, ...) with the leading axis of residue layers if it has one, are the
     orders of `_ORDERS`, views of the slices of slab i from `kernel`, added
     or subtracted as its row's coefficients (1, -1 or 0) say, positive terms
-    first.  A defect is nonzero when it is nonzero in some layer.  The
+    first.  A defect is nonzero when it is nonzero in some layer.  Each slab
+    is computed once for the groups still undecided, with the orders they
+    read, and a group leaves the scan at its first failing slab.  The
     per-algebra `_slab_kernel` keeps the last three slices it computed, so
     the laws share each slice of a slab, within this call and with the laws
     checked before it.  Slabs are decided in order of i and each is scanned
-    in (j, ..., law) order, so the first hit is the first failure in
-    (i, j, ..., law) order; no later slab is computed.
+    in (j, ..., law) order, so a group's first hit is its first failure in
+    (i, j, ..., law) order; no slab after the last group's is computed.
     """
     slices = kernel(alg)
-    terms = [sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0) for _, row in laws]
-    read = {o for law in terms for o, _ in law}
+    terms = [[sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0)
+              for _, row in laws] for laws in groups]
+    found = [None] * len(groups)
+    undecided = list(range(len(groups)))
     for i in range(1, alg.dim + 1):
+        if not undecided:
+            break
+        read = {o for g in undecided for law in terms[g] for o, _ in law}
         views = {o: slices(i, pos).swapaxes(-3, -2) if exchanged else slices(i, pos)
                  for o, (pos, exchanged) in enumerate(_ORDERS) if o in read}
-        defects = []
-        for (o, c), *others in terms:
-            defects.append(views[o] if c > 0 else -views[o])
-            for o, c in others:
-                defects[-1] = defects[-1] + views[o] if c > 0 else defects[-1] - views[o]
-        defects = np.stack(defects, axis=-2)    # the sums are freed before `_mod` allocates
-        defects = _mod(defects)
-        nonzero = (defects != 0).any(axis=-1)
-        if defects.dtype.kind == "f":    # in some layer
-            nonzero = nonzero.any(axis=0)
-        hits = np.flatnonzero(nonzero)
-        if hits.size:
-            *rest, law = (int(v) for v in np.unravel_index(hits[0], nonzero.shape))
-            w = Element(alg, alg._den ** len(rest),    # one factor per product
-                        _exact(defects[(..., *rest, law, slice(None))]))
-            return Witness(defect=w, indices=(i - 1, *rest), law=laws[law][0])
-    return None
+        for g in list(undecided):
+            defects = []
+            for (o, c), *others in terms[g]:
+                defects.append(views[o] if c > 0 else -views[o])
+                for o, c in others:
+                    defects[-1] = defects[-1] + views[o] if c > 0 else defects[-1] - views[o]
+            defects = np.stack(defects, axis=-2)    # the sums are freed before `_mod` allocates
+            defects = _mod(defects)
+            nonzero = (defects != 0).any(axis=-1)
+            if defects.dtype.kind == "f":    # in some layer
+                nonzero = nonzero.any(axis=0)
+            hits = np.flatnonzero(nonzero)
+            if hits.size:
+                *rest, law = (int(v) for v in np.unravel_index(hits[0], nonzero.shape))
+                w = Element(alg, alg._den ** len(rest),    # one factor per product
+                            _exact(defects[(..., *rest, law, slice(None))]))
+                found[g] = Witness(defect=w, indices=(i - 1, *rest), law=groups[g][law][0])
+                undecided.remove(g)
+    return found
 
 
 # the columns of a law row, ijk, jik, jki, ikj, kij, kji: (slice of slab i, j and k exchanged)
@@ -512,7 +526,8 @@ def _check_unital(alg):
 def _decide(alg, prop, degree=4):
     """The body of `check_property`, shared with `check_derivation_property`
     so that neither calls the other's public name: a tracer that wraps both
-    sees one call per law decided."""
+    sees one call per law decided through them.  `myung_equivalence` decides
+    its three laws in one scan, under its own name only."""
     name = prop.replace("-", "_")
     if name not in _LAWS:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
@@ -525,7 +540,7 @@ def _decide(alg, prop, degree=4):
         if degree == 3:
             scans, detail = scans[:1], "x^2 x = x x^2 on basis triples"
         name = f"power_associative({degree})"
-    w = next(filter(None, (_first_failure(alg, laws, kernel) for kernel, laws in scans)), None)
+    w = next(filter(None, (_first_failure(alg, [laws], kernel)[0] for kernel, laws in scans)), None)
     return PropertyReport(alg, name, w is None, w, detail)
 
 
@@ -548,12 +563,19 @@ class MyungVerdict:
 
 
 def myung_equivalence(corpus: list[AlgebraDef]) -> list[MyungVerdict]:
-    """Check derivation-property <=> (flexible and Lie-admissible) per algebra."""
+    """Check derivation-property <=> (flexible and Lie-admissible) per algebra.
+
+    The three laws are one associator scan each, and `_first_failure`
+    decides them together, slab by slab; each report is the one
+    `check_property` gives."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
+    names = ("derivation_property", "flexible", "lie_admissible")
+    groups = [_LAWS[name][0][0][1] for name in names]    # the laws of each one's single scan
     out = []
     for alg in corpus:
-        der = check_derivation_property(alg)
-        flex, lie = check_property(alg, "flexible"), check_property(alg, "lie_admissible")
+        witnesses = _first_failure(alg, groups, _slab_kernel)
+        der, flex, lie = (PropertyReport(alg, name, w is None, w, _LAWS[name][1])
+                          for name, w in zip(names, witnesses))
         out.append(MyungVerdict(alg, der.holds == (flex.holds and lie.holds), der, flex, lie))
     return out

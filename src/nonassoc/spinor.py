@@ -3,7 +3,12 @@
 Every matrix is a Gaussian-integer array over a denominator, in the layout
 the superspace ledger brackets: real parts, then imaginary parts, on axis
 0, shape (2, ..., 2, 2).  `ID2`, `EPS_RAISE` and `EPS_LOWER` are over 1;
-`PAULI` and the sigma tables are (den, S) pairs, the latter of Python ints.
+`PAULI` and the sigma tables are (den, S) pairs, the latter in int64.  Each
+sigma matrix, upper or lower, raised or not, has exactly two nonzero
+entries, each a unit (1, -1, i or -i) times the same S in either
+normalization.  So a contraction of a sigma table with a stack adds at most
+two entries of the stack, and stays in int64 wherever twice the stack's
+largest entry does; a stack of Python ints promotes it to Python ints.
 
 Two normalizations of the sigma four-vector are supported: STANDARD uses
 sigma^mu = (I, pauli) and QUARTER scales every entry by 1/4.  The epsilon
@@ -51,13 +56,13 @@ def sigma_upper(conv: SigmaConvention) -> tuple[int, np.ndarray]:
     d, pauli = PAULI
     s = conv.scale
     S = np.concatenate((d * ID2[:, None], pauli), axis=1) * s.numerator
-    return d * s.denominator, S.astype(object)
+    return d * s.denominator, S.astype(np.int64)
 
 
 def sigma_lower(conv: SigmaConvention) -> tuple[int, np.ndarray]:
     """(den, S): sigma_mu = eta_{mu mu} sigma^mu."""
     d, S = sigma_upper(conv)
-    return d, S * np.array(MINKOWSKI, dtype=object)[:, None, None]
+    return d, S * np.array(MINKOWSKI, dtype=np.int64)[:, None, None]
 
 
 def sigma_lower_raised(conv: SigmaConvention) -> tuple[int, np.ndarray]:

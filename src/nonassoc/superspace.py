@@ -38,12 +38,19 @@ With D = A[:, :8] and R = A[1:, :] the graded bracket is
 
 as the second-order parts of A1 A2 and s A2 A1 cancel.  Stacks are int64
 when 64 * M**2 fits, M the largest numerator part or denominator: a
-bracket entry sums 32 products of two parts, and the right sides the
-ledger subtracts add at most 4 * M**2.  Otherwise they hold Python ints
-(dtype object), the rule of `AlgebraDef.tensor`.  `build_generators`
+bracket entry sums 32 products of two parts, the right sides the ledger
+subtracts add at most 4 * M**2, and a sigma trace of brackets adds two
+bracket entries times units (see `spinor`).  Otherwise they hold Python
+ints (dtype object), the rule of `AlgebraDef.tensor`.  `build_generators`
 fills an even and an odd stack from sigma's (den, S), the layout of
 `spinor`, and the ledger slices them.  Eq. 4-30 is decided on Grassmann
 bit masks, since the affine bracket assumes it.
+
+The brackets are quadratic, so a stack A and its negation -A have the
+same ones.  The two momentum signs give even stacks that are negations of
+each other, and `verify_poincare` keeps the brackets of the last int64
+even stack it decided, keyed by its bytes with the sign that makes the
+first nonzero entry positive: the second sign's run brackets nothing.
 
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
 momentum_sign = -1 by default; the sign is a flag because the bracket
@@ -519,22 +526,49 @@ def _failures(diff, label) -> list[str]:
     return [label(*t) for t in np.argwhere(diff.any(axis=(0, -2, -1))).tolist()]
 
 
+# the sign-fixed bytes of the last int64 even stack and its Poincaré brackets
+_poincare_memo: list = [None, None]
+
+
+def _poincare_brackets(A):
+    """[P, P], [M, P] and [M, M] of the even stack A, read-only, from the
+    one-entry memo when A or -A is the stack it holds; object stacks are
+    not kept."""
+    key = None
+    if A.dtype != object:
+        flat = A.ravel()
+        first = flat[np.flatnonzero(flat)[:1]]
+        key = (-flat if (first < 0).any() else flat).tobytes()
+        if key == _poincare_memo[0]:
+            return _poincare_memo[1]
+    P, M = A[:, 4:8], A[:, 8:]
+    brackets = (_bracket(P, P, 1),
+                _bracket(M, P, 1).reshape(2, 4, 4, 4, 9, 9),         # (mu, nu, lam)
+                _bracket(M, M, 1).reshape(2, 4, 4, 4, 4, 9, 9))      # (mu, nu, rho, sig)
+    for b in brackets:
+        b.flags.writeable = False
+    if key is not None:
+        _poincare_memo[:] = key, brackets
+    return brackets
+
+
 def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     """Decide Eq. 1-10a to 1-30a on all 336 index tuples of `gens`.
 
     P^mu and M^{mu nu} are rows 4 to 23 of the even stack, over its
     denominator d, and each family of brackets is one `_bracket`: [P, P] on
-    16 tuples, [M, P] on 64 and [M, M] on 256, each over d**2.  The right
-    sides, i eta P^mu and i eta M^{mu nu} times d, are subtracted term by
-    term from the slots whose Kronecker delta they carry.  Every tuple keeps
-    its own exact verdict, and failures are listed in tuple order.
+    16 tuples, [M, P] on 64 and [M, M] on 256, each over d**2, shared with
+    the last run on the same stack or its negation (see the module
+    docstring).  The right sides, i eta P^mu and i eta M^{mu nu} times d,
+    are subtracted term by term, in copies, from the slots whose Kronecker
+    delta they carry.  Every tuple keeps its own exact verdict, and
+    failures are listed in tuple order.
     """
     d, A = gens.even
     P, M = A[:, 4:8], A[:, 8:]
     iP, iM = times_i(P) * d, (times_i(M) * d).reshape(2, 4, 4, 9, 9)
-    pp = _bracket(P, P, 1)
-    mp = _bracket(M, P, 1).reshape(2, 4, 4, 4, 9, 9)            # (mu, nu, lam)
-    mm = _bracket(M, M, 1).reshape(2, 4, 4, 4, 4, 9, 9)         # (mu, nu, rho, sig)
+    pp, mp, mm = _poincare_brackets(A)
+    mp, mm = mp.copy(), mm.copy()
     for k, eta in enumerate(MINKOWSKI):
         mp[:, :, k, k] -= eta * iP          # i eta^{nu lam} P^mu
         mp[:, k, :, k] += eta * iP          # -i eta^{mu lam} P^nu

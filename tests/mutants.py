@@ -63,6 +63,10 @@ MUTANTS = [
     # M^{02} (row 10) read for M^{01} in the [M, Q] samples
     ("superspace.py", "even[:, [9, 14]]", "even[:, [10, 14]]",
      ["tests/test_superspace.py::test_susy_report_matches_the_engine_reference"]),
+    # a Poincaré memo keyed on the stack as it is: the other momentum sign brackets again
+    ("superspace.py", "key = (-flat if (first < 0).any() else flat).tobytes()",
+     "key = flat.tobytes()",
+     ["tests/test_superspace.py::test_the_second_momentum_sign_makes_no_bracket_call"]),
     # a merge sign that counts the crossings of the second monomial with itself
     ("superspace.py", "(m1 >> j + 1).bit_count()", "(m2 >> j + 1).bit_count()",
      ["tests/test_superspace.py::test_grassmann_relations"]),
@@ -141,6 +145,9 @@ MUTANTS = [
      '("bracket Leibniz rule", (1, 0, 0, 1, -1, 0))', ["tests/test_properties.py"]),
     # the Lie-admissible row with the sign of its kji order flipped
     ("properties.py", "(1, -1, 1, -1, 1, -1)", "(1, -1, 1, -1, 1, 1)", ["tests/test_properties.py"]),
+    # a Myung scan that keeps a law after its first failing slab: later slabs overwrite its witness
+    ("properties.py", "                undecided.remove(g)\n", "                pass\n",
+     ["tests/test_properties.py::test_myung_scan_drops_each_law_at_its_first_failing_slab"]),
     # the kij order read off slice 2, the slice of kji
     ("properties.py", "(0, True), (1, True), (2, True)", "(0, True), (2, True), (2, True)",
      ["tests/test_properties.py"]),

@@ -18,6 +18,7 @@ from oracle import fixture_path, fixture_text
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
 ZORN_GOLDEN = GOLDEN.with_name("table_splitO_zorn.txt")
+TEXT_GOLDEN = GOLDEN.with_name("verify_paper.txt")
 
 
 @pytest.fixture
@@ -214,6 +215,12 @@ def test_verify_paper_lines_matches_golden(runner):
     result = runner.invoke(main, ["verify-paper", "--format", "lines"])
     assert result.output == GOLDEN.read_text()
     # FAIL entries exist (documented discrepancies), so the exit code is 1
+    assert result.exit_code == 1
+
+
+def test_verify_paper_text_matches_golden(runner):
+    result = runner.invoke(main, ["verify-paper"])    # the default format, text
+    assert result.output == TEXT_GOLDEN.read_text()
     assert result.exit_code == 1
 
 

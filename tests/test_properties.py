@@ -176,6 +176,44 @@ def test_myung_equivalence_over_corpus():
     assert rc.flexible.holds and rc.lie_admissible.holds and rc.derivation.holds
 
 
+def staggered_failures():
+    """e3 e1 = e1 and e4 e2 = -e1: the flexible law first fails at slab 1,
+    the Jacobi identity at slab 2 and the derivation property at slab 3."""
+    return AlgebraDef.from_products("staggered", 4, {(2, 0): (ZERO, {0: 1}),
+                                                     (3, 1): (ZERO, {0: -1})}, unital=False)
+
+
+MYUNG_CASES = ([(alg.name, lambda alg=alg: alg) for alg in full_corpus()]
+               + [("staggered", staggered_failures), ("candidate-1", lambda: exported_candidate(1))])
+
+
+@pytest.mark.parametrize("make", [make for _, make in MYUNG_CASES],
+                         ids=[name for name, _ in MYUNG_CASES])
+def test_myung_reports_equal_the_single_law_reports(make):
+    alg = make()
+    (verdict,) = myung_equivalence([alg])
+    assert verdict.derivation == check_derivation_property(alg)
+    assert verdict.flexible == check_property(alg, "flexible")
+    assert verdict.lie_admissible == check_property(alg, "lie_admissible")
+
+
+def test_myung_scan_drops_each_law_at_its_first_failing_slab(monkeypatch):
+    calls = count_slices(monkeypatch)
+    alg = staggered_failures()
+    (verdict,) = myung_equivalence([alg])
+    reports = {"flexible": verdict.flexible, "lie_admissible": verdict.lie_admissible,
+               "derivation_property": verdict.derivation}
+    for law, report in reports.items():
+        w = report.witness
+        assert (w.indices, w.law, w.defect) == reference_failure(alg, law)
+    assert [report.witness.indices[0] for report in reports.values()] == [0, 1, 2]
+    # slab 1 for all three laws, slab 2 without the flexible law, slab 3 for
+    # the derivation property alone, whose orders ijk, ikj and kij read
+    # slices 0 and 1; slab 4 is never computed
+    assert [(i, pos) for _, i, pos in calls] == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+                                                 (3, 0), (3, 1)]
+
+
 # -- the law rows as data -----------------------------------------------------------
 
 def order_arguments():

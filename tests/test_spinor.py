@@ -141,3 +141,16 @@ def test_halved_variant_is_over_denominator_two():
 def test_sigma_lower_raised_matches_the_triple_sum(conv):
     assert (sympy_matrices(*sigma_lower_raised(conv))
             == sympy_matrices(*reference_sigma_lower_raised(conv)))
+
+
+@pytest.mark.parametrize("conv", list(SigmaConvention))
+@pytest.mark.parametrize("table", [sigma_upper, sigma_lower, sigma_lower_raised])
+def test_sigma_tables_are_int64_with_two_unit_entries_per_matrix(conv, table):
+    # the premise of the int64 bound on the sigma traces of brackets
+    den, S = table(conv)
+    assert S.dtype == np.int64 and den == (4 if conv is SigmaConvention.QUARTER else 1)
+    for mu in range(4):
+        entries = [complex(re, im) for re, im in zip(S[0, mu].ravel().tolist(),
+                                                     S[1, mu].ravel().tolist())]
+        nonzero = [e for e in entries if e]
+        assert len(nonzero) == 2 and all(e in (1, -1, 1j, -1j) for e in nonzero)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -11,8 +12,8 @@ import pytest
 
 from nonassoc import report, superspace
 from nonassoc.corpus import MINKOWSKI
-from nonassoc.scalar import ZERO, GaussianRational, I, ONE
-from nonassoc.spinor import EPS_RAISE, SigmaConvention, sigma_upper
+from nonassoc.scalar import ZERO, GaussianRational, I, ONE, gauss
+from nonassoc.spinor import EPS_RAISE, SigmaConvention, sigma_lower_raised, sigma_upper
 from nonassoc.superspace import (
     IDENTITY_KEY,
     GeneratorSet,
@@ -512,6 +513,46 @@ def test_poincare_report_on_a_non_antisymmetric_m_matches_the_reference(name):
     assert verify_poincare(gens) == expected
 
 
+def count_brackets(monkeypatch):
+    calls = []
+    raw = superspace._bracket
+
+    def counting(A, B, s):
+        calls.append(s)
+        return raw(A, B, s)
+
+    monkeypatch.setattr(superspace, "_bracket", counting)
+    return calls
+
+
+@pytest.mark.parametrize("conv", list(SigmaConvention))
+def test_the_second_momentum_sign_makes_no_bracket_call(conv, monkeypatch):
+    minus, plus = (build_generators(conv, momentum_sign=sign) for sign in (-1, 1))
+    calls = count_brackets(monkeypatch)
+    verify_poincare(minus)
+    calls.clear()
+    # the even stacks are negations of each other, and the brackets quadratic
+    assert verify_poincare(plus) == reference_verify_poincare(plus)
+    assert verify_poincare(minus) == reference_verify_poincare(minus)
+    assert calls == []
+
+
+def test_shared_poincare_brackets_are_read_only():
+    A = build_generators().even[1]
+    shared = superspace._poincare_brackets(A)
+    assert superspace._poincare_brackets(-A) is shared
+    for b in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            b.flat[0] = 1
+
+
+@pytest.mark.parametrize("name", sorted(perturbed_sets()) + ["P1-negated", "M01-shifted"])
+def test_poincare_report_after_the_standard_set_matches_the_reference(name):
+    gens = {**perturbed_sets(), **susy_sets()}[name]
+    verify_poincare(build_generators(momentum_sign=+1))
+    assert verify_poincare(gens) == reference_verify_poincare(gens)
+
+
 REPORT_SETS = [(SigmaConvention.STANDARD, -1), (SigmaConvention.STANDARD, 1),
                (SigmaConvention.QUARTER, -1)]
 
@@ -796,6 +837,17 @@ def susy_sets():
 def test_susy_report_matches_the_engine_reference(name):
     gens = susy_sets()[name]
     assert verify_susy(gens) == reference_verify_susy(gens)
+
+
+def test_sigma_traces_at_the_int64_bound_stay_exact_in_int64():
+    gens = susy_sets()["charges-at-the-int64-bound"]
+    odd = gens.odd[1]
+    brackets = _bracket(odd[:, :2], odd[:, 2:4], -1)    # {Q_a, Qbar_ad}
+    _, R = sigma_lower_raised(gens.convention)
+    trace = functools.partial(gauss, functools.partial(np.einsum, "mab,abxy->mxy"))
+    traces, exact = trace(R, brackets), trace(R.astype(object), brackets.astype(object))
+    assert traces.dtype == np.int64 and np.array_equal(traces, exact)
+    assert int(np.abs(exact).max()).bit_length() == 62    # within a factor 2 of the int64 limit
 
 
 def test_susy_reference_sets_reach_both_verdicts():

@@ -5,24 +5,20 @@ one-line detail.  PASS/FAIL entries assert an identity exactly; RECORDED
 entries document a measured constant or a computed bracket where the
 source relations are ambiguous or internally inconsistent, without
 passing judgement.  The id set is closed: golden-file tests pin it.
+This module only writes the ledger and decides nothing: each verdict comes
+from the module that forms its data (`superspace`, `spinor`, `zorn`, `properties`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import superspace as ss
-from .corpus import EPS3, split_octonions, standard_corpus
-from .properties import _slab_kernel, myung_equivalence
-from .scalar import GaussianRational, gauss
-from .spinor import EPS_LOWER, EPS_RAISE, ID2, SigmaConvention
+from .corpus import standard_corpus
+from .properties import myung_equivalence
+from .scalar import GaussianRational
+from .spinor import SigmaConvention, epsilon_inverse_holds
 from .zorn import (
-    Q7,
-    QUAT,
-    SPLIT,
-    eps_vectors,
     verify_spin_commutators,
     verify_spin_decomposition,
     verify_zorn_isomorphism,
@@ -78,40 +74,6 @@ class VerifyReport:
 
 def _status(ok: bool) -> str:
     return PASS if ok else FAIL
-
-
-def _table_identity_entries() -> list[ReportEntry]:
-    """Eq. 2-10, 2-30 and 2-40 on the split-octonion tensor T: the brackets
-    are blocks of T - T^T and the associators the law kernels' slabs of T,
-    each side times the table's denominator (its square for associators)."""
-    alg = split_octonions()
-    t, den = alg.tensor, alg._den
-    brackets = t - t.transpose(1, 0, 2)
-    eps = eps_vectors(t, den)
-    ok_210 = np.array_equal(brackets[SPLIT, SPLIT], -2 * eps)
-    ok_230 = np.array_equal(brackets[QUAT, QUAT], 2 * eps)
-    slab = _slab_kernel(alg)    # slab(i, 0)[j, k] is A(e_i, e_j, e_k) for basis j, k
-    associators = np.array([slab(i, 0)[3:6, 3:6] for i in range(4, 7)])
-    eps_q7 = np.zeros_like(associators)
-    eps_q7[..., Q7] = 2 * EPS3 * den**2
-    ok_240 = np.array_equal(associators, eps_q7)
-
-    return [
-        ReportEntry("Eq. 2-10", _status(ok_210),
-                    "[q_(i+3), q_(j+3)] = -2 eps_ijk q_k, 27 coefficient cases"),
-        ReportEntry("Eq. 2-30", _status(ok_230),
-                    "[q_i, q_j] = 2 eps_ijk q_k, 27 coefficient cases"),
-        ReportEntry("Eq. 2-40", _status(ok_240),
-                    "(q_(i+3), q_(j+3), q_(k+3)) = 2 eps_ijk q7, 27 cases"),
-    ]
-
-
-def _epsilon_entry() -> ReportEntry:
-    ok = np.array_equal(gauss(np.matmul, EPS_RAISE, EPS_LOWER), ID2)
-    # the dotted/undotted matrices are shared objects, so the equalities
-    # between them hold by construction; the contraction is the real check
-    detail = "eps^{ab} eps_{bc} = delta, dotted = undotted; note i*sigma^2 = -(printed eps^{ab})"
-    return ReportEntry("Eq. 1-100-1-130", _status(ok), detail)
 
 
 def build_verify_report() -> VerifyReport:
@@ -172,10 +134,18 @@ def build_verify_report() -> VerifyReport:
             f"(c2 = {susy_std.c2}); quarter convention measures c2 = {susy_quarter.c2}",
         )
     )
-    entries.append(_epsilon_entry())
-    entries.extend(_table_identity_entries())
-
-    spin = verify_spin_commutators()
+    spin, decomp = verify_spin_commutators(), verify_spin_decomposition()
+    entries.extend([
+        ReportEntry("Eq. 1-100-1-130", _status(epsilon_inverse_holds()),
+                    "eps^{ab} eps_{bc} = delta, dotted = undotted; "
+                    "note i*sigma^2 = -(printed eps^{ab})"),
+        ReportEntry("Eq. 2-10", _status(decomp.split_bracket_holds),
+                    "[q_(i+3), q_(j+3)] = -2 eps_ijk q_k, 27 coefficient cases"),
+        ReportEntry("Eq. 2-30", _status(spin.quaternion_bracket_holds),
+                    "[q_i, q_j] = 2 eps_ijk q_k, 27 coefficient cases"),
+        ReportEntry("Eq. 2-40", _status(decomp.split_associator_holds),
+                    "(q_(i+3), q_(j+3), q_(k+3)) = 2 eps_ijk q7, 27 cases"),
+    ])
     entries.append(
         ReportEntry(
             "Eq. 2-50",
@@ -185,8 +155,6 @@ def build_verify_report() -> VerifyReport:
             f"{'holds' if spin.pauli_side_holds else 'fails'}",
         )
     )
-
-    decomp = verify_spin_decomposition()
     entries.append(
         ReportEntry(
             "Eq. 2-60",

@@ -92,6 +92,12 @@ def raise_lower(spinor, mode: str):
     return tuple(sum((eps[a][b] * v[b] for b in range(2)), ZERO) for a in range(2))
 
 
+def epsilon_inverse_holds() -> bool:
+    """eps^{ab} eps_{bc} = delta^a_c, exactly: the real check of Eq. 1-100 to
+    1-130, as the dotted and undotted matrices are the same arrays."""
+    return np.array_equal(gauss(np.matmul, EPS_RAISE, EPS_LOWER), ID2)
+
+
 def pauli_spin_commutators_hold() -> bool:
     """[sigma_i/2, sigma_j/2] = i eps_ijk sigma_k/2, checked exactly.
 

@@ -53,7 +53,8 @@ even stack it decided, keyed by its bytes with the sign that makes the
 first nonzero entry positive: the second sign's run brackets nothing.
 
 Momentum is realized as P_mu = momentum_sign * i * d_mu with
-momentum_sign = -1 by default; the sign is a flag because the bracket
+momentum_sign = -1 by default, written into the even stack and held
+nowhere else; the sign is a flag of `build_generators` because the bracket
 relations under verification pull in opposite directions (the Lorentz
 brackets close for +i d_mu while the supercharge bracket has coefficient
 +2 for -i d_mu), and the verification report records both outcomes.
@@ -375,7 +376,6 @@ class GeneratorSet:
     """
 
     convention: SigmaConvention
-    momentum_sign: int
     even: tuple[int, np.ndarray]
     odd: tuple[int, np.ndarray]
 
@@ -392,20 +392,19 @@ class GeneratorSet:
             object.__setattr__(self, name, (den, A))
 
     @classmethod
-    def from_operators(cls, convention, momentum_sign, P_lower, P_upper, M_upper, Q,
+    def from_operators(cls, convention, P_lower, P_upper, M_upper, Q,
                        Q_bar_lower, Q_bar_upper) -> "GeneratorSet":
         """The set of any affine operators of the right parity (see `_read`)."""
-        return cls(convention, momentum_sign, _read(P_lower + P_upper + sum(M_upper, ()), 0),
+        return cls(convention, _read(P_lower + P_upper + sum(M_upper, ()), 0),
                    _read(Q + Q_bar_lower + Q_bar_upper, 1))
 
     def __reduce__(self):    # copy and pickle call the constructor, not setattr
-        return GeneratorSet, (self.convention, self.momentum_sign, self.even, self.odd)
+        return GeneratorSet, (self.convention, self.even, self.odd)
 
-    def __eq__(self, other):    # as operators, whatever the stacks' denominators
-        names = ("convention", "momentum_sign", "P_lower", "P_upper", "M_upper", "Q",
-                 "Q_bar_lower", "Q_bar_upper")
-        return isinstance(other, GeneratorSet) and all(getattr(self, n) == getattr(other, n)
-                                                       for n in names)
+    def __eq__(self, other):    # as operators, over any denominators: a slot is a monomial
+        return isinstance(other, GeneratorSet) and self.convention == other.convention and all(
+            np.array_equal(A1.astype(object) * d2, A2.astype(object) * d1)
+            for (d1, A1), (d2, A2) in zip((self.even, self.odd), (other.even, other.odd)))
 
     P_lower = functools.cached_property(lambda self: _rows(self.even, 0, 4))        # P_mu
     P_upper = functools.cached_property(lambda self: _rows(self.even, 4, 8))        # P^mu
@@ -444,7 +443,7 @@ def build_generators(convention: SigmaConvention = SigmaConvention.STANDARD,
     odd[:, 2:4, 5:7, :4] = S.transpose(0, 3, 2, 1)          # th^b sigma^mu_{b ad} d_mu
     odd[:, 4:] = np.einsum("ab,rbxy->raxy", EPS_RAISE[0], odd[:, 2:4])
 
-    return GeneratorSet(convention, momentum_sign, (1, even), (d, odd))
+    return GeneratorSet(convention, (1, even), (d, odd))
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,9 @@ images generate, is ZORN on two rows of PHI read back through TWICE_INV in
 halves, and verify_zorn_isomorphism diffs its structure tensor against the
 bundled table's over every ordered pair of 1, q1..q7.
 
-The split-octonion identities behind the spin operator (Eq. 2-50, 2-60
-and 3-30 here, Eq. 2-10 to 2-40 in `report`) are decided on the bundled
-table's structure tensor T as well: brackets are blocks of the commutator
+The split-octonion identities behind the spin operator, Eq. 2-10 to 2-60
+and 3-30, are decided on the bundled table's structure tensor T as well,
+each beside the block it reads: brackets are blocks of the commutator
 tensor T - T^T, associators the slabs the law kernels contract T into,
 and the scalars i/2, -1/4 and -i/4 of the printed relations come out by
 bilinearity.  Elements are built only for a witness; the constants kappa
@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element
 from .corpus import EPS3, split_octonions
-from .properties import PropertyReport, Witness, _turn
+from .properties import PropertyReport, Witness, _slab_kernel, _turn
 from .scalar import GaussianRational, ZERO, _gaussian_text, common_scale
 from .spinor import pauli_spin_commutators_hold
 
@@ -114,7 +114,7 @@ def _gaussian_tensor(alg: AlgebraDef) -> np.ndarray:
     return t if t.shape[2] > len(t) else np.concatenate([t, np.zeros_like(t)], axis=2)
 
 
-def eps_vectors(t: np.ndarray, den) -> np.ndarray:
+def _eps_vectors(t: np.ndarray, den) -> np.ndarray:
     """E[i, j] = den * sum_k eps_ijk q_k, as tensor vectors of t's width."""
     e = np.zeros((3, 3, t.shape[2]), dtype=t.dtype)
     e[:, :, QUAT] = EPS3 * den
@@ -154,8 +154,9 @@ def verify_zorn_isomorphism() -> PropertyReport:
 
 @dataclass(frozen=True)
 class SpinCommutatorReport:
-    """Outcome of the q-side bracket check against its Pauli counterpart."""
+    """Outcome of the q-side bracket checks against their Pauli counterpart."""
 
+    quaternion_bracket_holds: bool    # [q_i, q_j] = 2 eps_ijk q_k (Eq. 2-30)
     printed_relation_holds: bool      # [i/2 q_i, i/2 q_j] = eps_ijk (i/2) q_k
     measured_factor: GaussianRational  # kappa in [s_i, s_j] = kappa * eps_ijk s_k
     pauli_side_holds: bool            # [sigma_i/2, sigma_j/2] = i eps sigma_k/2
@@ -166,16 +167,16 @@ def verify_spin_commutators() -> SpinCommutatorReport:
     """Brackets of s_k = (i/2) q_k, k = 1..3, on the split-octonion tensor.
 
     By bilinearity [s_i, s_j] = -(1/4) C_ij and eps_ijk s_k = (i/2) E_ij,
-    where C is the commutator tensor and E the `eps_vectors`.  So the printed
+    where C is the commutator tensor and E the `_eps_vectors`.  So the printed
     relation [s_i, s_j] = eps_ijk s_k reads i C_ij = 2 E_ij, and
     [s_i, s_j] = kappa eps_ijk s_k reads i C_ij = 2 kappa E_ij, over all
     (i, j) at once.  The witness is the first failing (i, j) in row-major
-    order.
+    order.  Eq. 2-30, [q_i, q_j] = 2 eps_ijk q_k, is C_ij = 2 E_ij.
     """
     alg = split_octonions()
     t, den = _gaussian_tensor(alg), alg._den
     brackets = (t - t.transpose(1, 0, 2))[QUAT, QUAT]
-    i_brackets, twice_eps = _turn(brackets, len(t)), 2 * eps_vectors(t, den)
+    i_brackets, twice_eps = _turn(brackets, len(t)), 2 * _eps_vectors(t, den)
     failing = np.argwhere((i_brackets != twice_eps).any(axis=-1)).tolist()
     witness = None
     if failing:
@@ -186,14 +187,18 @@ def verify_spin_commutators() -> SpinCommutatorReport:
         witness = Witness(defect=defect, indices=(i, j), law="bracket of i/2-scaled basis")
 
     kappa = common_scale(_halves(i_brackets), _halves(twice_eps))
-    return SpinCommutatorReport(not failing, ZERO if kappa is None else kappa,
+    return SpinCommutatorReport(np.array_equal(brackets, twice_eps), not failing,
+                                ZERO if kappa is None else kappa,
                                 pauli_spin_commutators_hold(), witness)
 
 
 @dataclass(frozen=True)
 class SpinDecompositionReport:
-    """Product and bracket decompositions of the i/2-scaled quaternion basis."""
+    """Product and bracket decompositions of the i/2-scaled quaternion basis,
+    and the split brackets and associators they are built from."""
 
+    split_bracket_holds: bool          # [q_(i+3), q_(j+3)] = -2 eps_ijk q_k (Eq. 2-10)
+    split_associator_holds: bool       # (q_(i+3), q_(j+3), q_(k+3)) = 2 eps_ijk q7 (Eq. 2-40)
     product_decomposition_holds: bool  # (i/2) q_i = -(i/4) eps_ijk q_{j+3} q_{k+3}
     bracket_constant: GaussianRational  # lambda with -(1/4) eps_ijk [q_{j+3}, q_{k+3}] = lambda q_i
     bracket_constant_uniform: bool
@@ -205,18 +210,27 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     With P_i = sum_jk eps_ijk q_(j+3) q_(k+3), (i/2) q_i = -(i/4) P_i reads
     P_i = -2 q_i.  R_i = -sum_jk eps_ijk [q_(j+3), q_(k+3)] is four times
     the bracket side, so lambda is the c with R_i = 4c q_i, measured at
-    i = 1 and then required of i = 2, 3.
+    i = 1 and then required of i = 2, 3.  Eq. 2-10 compares the bracket
+    block with -2 E, E the `_eps_vectors`, and Eq. 2-40 the associator
+    slabs of q4..q6, times den**2, with 2 eps_ijk q7.
     """
     alg = split_octonions()
     t, den = _gaussian_tensor(alg), alg._den
     quat = np.eye(3, t.shape[2], 1, dtype=t.dtype) * den    # q1..q3
     split = t[SPLIT, SPLIT]
+    split_brackets = split - split.transpose(1, 0, 2)
+    brackets_ok = np.array_equal(split_brackets, -2 * _eps_vectors(t, den))
+    slab = _slab_kernel(alg)    # slab(i, 0)[j, k] is A(e_i, e_j, e_k) for basis j, k
+    associators = np.array([slab(i, 0)[3:6, 3:6] for i in range(4, 7)])
+    eps_q7 = np.zeros_like(associators)
+    eps_q7[..., Q7] = 2 * EPS3 * den**2
     product_ok = np.array_equal(np.tensordot(EPS3, split, axes=2), -2 * quat)
 
-    bracket_sides = -np.tensordot(EPS3, split - split.transpose(1, 0, 2), axes=2)
+    bracket_sides = -np.tensordot(EPS3, split_brackets, axes=2)
     lam = common_scale(_halves(bracket_sides[0]), _halves(4 * quat[0]))
     uniform = lam is not None and common_scale(_halves(bracket_sides), _halves(4 * quat)) == lam
-    return SpinDecompositionReport(product_ok, ZERO if lam is None else lam, uniform)
+    return SpinDecompositionReport(brackets_ok, np.array_equal(associators, eps_q7), product_ok,
+                                   ZERO if lam is None else lam, uniform)
 
 
 @functools.lru_cache(maxsize=None)

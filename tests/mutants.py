@@ -27,6 +27,12 @@ MUTANTS = [
     # Zorn block product: the sign of -y X v
     ("zorn.py", "ZORN[Y, Y, X] = -EPS3", "ZORN[Y, Y, X] = EPS3",
      ["tests/test_zorn.py"]),
+    # Eq. 2-10 with the sign of its right side flipped
+    ("zorn.py", "-2 * _eps_vectors(t, den)", "2 * _eps_vectors(t, den)",
+     ["tests/test_zorn.py::test_tensor_decided_entries_match_element_reference"]),
+    # Eq. 2-40 without the factor 2 on its right side
+    ("zorn.py", "2 * EPS3 * den**2", "EPS3 * den**2",
+     ["tests/test_zorn.py::test_tensor_decided_entries_match_element_reference"]),
     # Zorn basis map: the b entry of the image of q7
     ("zorn.py", "PHI[Q7, [A, B]] = -1, 1", "PHI[Q7, [A, B]] = -1, -1",
      ["tests/test_zorn.py"]),

@@ -75,6 +75,24 @@ def test_every_name_the_benchmark_imports_resolves():
     assert missing == []
 
 
+def test_report_imports_no_numpy_and_no_private_name():
+    # report.py only writes the ledger: each verdict it reads is a public
+    # field or function of the module that decides it
+    tree = ast.parse((ROOT / "src" / "nonassoc" / "report.py").read_text(encoding="utf-8"))
+    froms = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    own = [node for node in froms if node.level or node.module.split(".")[0] == "nonassoc"]
+    modules = {alias.asname or alias.name for node in own if node.module is None
+               for alias in node.names}
+    private = [alias.name for node in own for alias in node.names if alias.name.startswith("_")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names] + [node.module for node in froms if not node.level]
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
 def test_every_mutant_names_one_place_in_src():
     # tests/mutants.py replaces each old text in a copy of src/; a text that
     # no longer occurs exactly once would leave its mutant checking nothing

@@ -96,7 +96,7 @@ def reference_build_generators(convention=SigmaConvention.STANDARD,
     eps = EPS_RAISE[0].tolist()
     Q_bar_upper = tuple(sum((Q_bar[bd].scaled(c) for bd, c in enumerate(eps[ad]) if c),
                             SuperOp.zero()) for ad in range(2))
-    return GeneratorSet.from_operators(convention, momentum_sign, P_lower, P_upper, tuple(M),
+    return GeneratorSet.from_operators(convention, P_lower, P_upper, tuple(M),
                                        tuple(Q), tuple(Q_bar), Q_bar_upper)
 
 
@@ -113,7 +113,7 @@ OPERATOR_FIELDS = ("P_lower", "P_upper", "M_upper", "Q", "Q_bar_lower", "Q_bar_u
 def replaced(gens, **ops):
     """`gens` with the named operator fields replaced, read back into stacks."""
     fields = {name: getattr(gens, name) for name in OPERATOR_FIELDS} | ops
-    return GeneratorSet.from_operators(gens.convention, gens.momentum_sign, **fields)
+    return GeneratorSet.from_operators(gens.convention, **fields)
 
 
 def test_build_generators_rejects_a_momentum_sign_other_than_one():
@@ -125,7 +125,7 @@ def test_build_generators_rejects_a_momentum_sign_other_than_one():
 def test_build_generators_equals_the_compose_reference(conv, sign):
     built = build_generators(conv, momentum_sign=sign)
     expected = reference_build_generators(conv, momentum_sign=sign)
-    for name in ("convention", "momentum_sign", *OPERATOR_FIELDS):
+    for name in ("convention", *OPERATOR_FIELDS):
         assert getattr(built, name) == getattr(expected, name), name
     # denominators and numerator parts are Python ints, as the reference's are
     ops = [*built.P_lower, *built.P_upper, *sum(built.M_upper, ()), *built.Q,
@@ -260,10 +260,22 @@ def test_generator_set_keeps_its_own_copy_of_the_stacks():
     gens = build_generators()
     den, A = gens.odd
     odd = np.array(A)
-    mine = GeneratorSet(gens.convention, gens.momentum_sign, gens.even, (den, odd))
+    mine = GeneratorSet(gens.convention, gens.even, (den, odd))
     odd[1, 0, 0, 4] = 7    # the caller's array, not the set's
     assert mine == gens and mine.Q == gens.Q
     assert mine != build_generators(momentum_sign=+1) and mine != "gens"
+
+
+@pytest.mark.parametrize("name", ["STANDARD-1", "Q-over-2**70"])
+def test_generator_sets_over_different_denominators_compare_as_operators(name):
+    gens = susy_sets()[name]
+    den, A = gens.odd
+    tripled = np.array(A) * 3
+    same = GeneratorSet(gens.convention, gens.even, (3 * den, tripled))
+    assert same.odd[1].dtype == A.dtype
+    assert same == gens and gens == same and same.Q == gens.Q
+    tripled[1, 0, 0, 4] += 1    # the coefficient of d/dth1 in Q_1
+    assert GeneratorSet(gens.convention, gens.even, (3 * den, tripled)) != gens
 
 
 def test_generator_set_keeps_int64_only_where_brackets_cannot_overflow():
@@ -272,7 +284,7 @@ def test_generator_set_keeps_int64_only_where_brackets_cannot_overflow():
     for part, dtype in ((big, np.int64), (big + 1, object), (2**32, object)):
         odd = np.zeros((2, 6, 9, 9), dtype=np.int64)
         odd[0, 0, 0, 4] = odd[0, 0, 5, 0] = part    # Q_1 = part (dth1 + th1 d_0)
-        mine = GeneratorSet(gens.convention, gens.momentum_sign, gens.even, (1, odd))
+        mine = GeneratorSet(gens.convention, gens.even, (1, odd))
         assert mine.odd[1].dtype == dtype
         # {Q_1, Q_1} = 2 part**2 d_0, which wraps to 0 in int64 at 2**32
         Q = mine.odd[1][:, :1]
@@ -280,8 +292,7 @@ def test_generator_set_keeps_int64_only_where_brackets_cannot_overflow():
         assert not verify_susy(mine).qq_vanish
     # a denominator past the bound alone switches to Python ints too
     den, A = gens.odd
-    assert GeneratorSet(gens.convention, gens.momentum_sign, gens.even,
-                        (big + 1, A)).odd[1].dtype == object
+    assert GeneratorSet(gens.convention, gens.even, (big + 1, A)).odd[1].dtype == object
 
 
 @pytest.mark.parametrize("stack, message", [
@@ -295,9 +306,9 @@ def test_generator_set_keeps_int64_only_where_brackets_cannot_overflow():
 def test_generator_set_rejects_stacks_of_the_wrong_shape_or_type(stack, message):
     gens = build_generators()
     with pytest.raises(ValueError, match=message):
-        GeneratorSet(gens.convention, gens.momentum_sign, gens.even, stack)
+        GeneratorSet(gens.convention, gens.even, stack)
     with pytest.raises(ValueError, match="even is not"):
-        GeneratorSet(gens.convention, gens.momentum_sign, gens.odd, gens.odd)
+        GeneratorSet(gens.convention, gens.odd, gens.odd)
 
 
 def test_translation_and_lorentz_generators_ignore_sigma_convention():

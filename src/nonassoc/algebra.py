@@ -44,7 +44,8 @@ class AlgebraDef:
     tables remain the exact form of large entries, which `multiply`, the
     unit search and the text format read as they are; the law kernels do
     not contract them but their residues modulo a few primes, in float64.
-    `zorn` and `report` do int64 arithmetic on the small tables they build.
+    `zorn` does int64 arithmetic on the small tables it builds; `report`
+    does none, it only writes the verdicts the other modules decide.
 
     The constructor takes integer numerators over a positive `den`, not
     necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j as

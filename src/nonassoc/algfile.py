@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraDef
 from .scalar import _gaussian_text
@@ -144,8 +144,7 @@ def _terms(expr: str, dim: int, unital: bool, line: int) -> list[tuple[int, int,
     return terms
 
 
-@dataclass
-class ParsedAlgebraFile:
+class ParsedAlgebraFile(NamedTuple):
     algebra: AlgebraDef
     roles: dict[str, int] | None
     scalar_tag: str

@@ -136,7 +136,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,8 +144,7 @@ from .algebra import AlgebraDef, Element
 from .scalar import solve_gaussian_integers
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete violation: which inputs failed and by how much."""
 
     defect: Element
@@ -158,17 +157,24 @@ class Witness:
         return f"({args}) -> defect {self.defect}{law}"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class _Verdict(NamedTuple):
     algebra: AlgebraDef
     property: str
     holds: bool
     witness: Witness | None = None
     detail: str = ""
 
-    def __post_init__(self):
+
+class PropertyReport(_Verdict):
+    """One law's verdict on one algebra; a FAIL carries a nonzero witness."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.holds:
             assert self.witness is not None and not self.witness.defect.is_zero()
+        return self
 
 
 def _turn(a, half):
@@ -553,8 +559,7 @@ def check_derivation_property(alg: AlgebraDef) -> PropertyReport:
     return _decide(alg, "derivation_property")
 
 
-@dataclass(frozen=True)
-class MyungVerdict:
+class MyungVerdict(NamedTuple):
     algebra: AlgebraDef
     equivalence_holds: bool
     derivation: PropertyReport

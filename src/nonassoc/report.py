@@ -11,7 +11,7 @@ from the module that forms its data (`superspace`, `spinor`, `zorn`, `properties
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import superspace as ss
 from .corpus import standard_corpus
@@ -30,15 +30,13 @@ FAIL = "FAIL"
 RECORDED = "RECORDED"
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     eq_id: str
     status: str
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     entries: tuple[ReportEntry, ...]
 
     @property

@@ -60,7 +60,7 @@ and 753 all three families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,16 +79,11 @@ def default_roles() -> dict[str, int]:
     return {label: k for k, label in enumerate(ROLE_R + ROLE_RT + ROLE_M + ROLE_SPARE)}
 
 
-@dataclass
 class CandidateAlgebra:
     """Dense real structure constants with a fixed role layout."""
 
-    dim: int
-    c: np.ndarray
-    roles: dict[str, int]
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
+    def __init__(self, dim: int, c, roles: dict[str, int]):
+        self.dim, self.c, self.roles = dim, np.asarray(c, dtype=float), roles
         if self.c.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure tensor must be dim^3")
         needed = set(ROLE_R + ROLE_RT + ROLE_M)
@@ -120,13 +115,29 @@ class CandidateAlgebra:
         return CandidateAlgebra(self.dim, self.c.copy(), dict(self.roles))
 
 
-@dataclass(frozen=True)
-class ResidualBreakdown:
+class ResidualBreakdown(NamedTuple):
     r_comm: float
     r_lorentz: float
     r_assoc: float
-    # the associator sums of P = R and P = Rt; r_assoc is their sum
-    r_sectors: tuple[float, float] | None = field(default=None, compare=False, repr=False)
+    # the associator sums of P = R and P = Rt; r_assoc is their sum.  Not part
+    # of ==, hash or repr, which read the first three fields only.
+    r_sectors: tuple[float, float] | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidualBreakdown):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):    # tuple's own != would read r_sectors
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return (f"ResidualBreakdown(r_comm={self.r_comm!r}, r_lorentz={self.r_lorentz!r}, "
+                f"r_assoc={self.r_assoc!r})")
 
     @property
     def total(self) -> float:
@@ -261,26 +272,21 @@ def candidate_from_algebra(alg, roles: dict[str, int]) -> CandidateAlgebra:
     return CandidateAlgebra(alg.dim, c, dict(roles))
 
 
-@dataclass
 class SearchConfig:
-    restarts: int = 1
-    max_iters: int = 1000
-    step_scale: float = 0.1
-    rng_seed: int = 0
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.restarts <= 0 or self.max_iters < 0 or self.rng_seed < 0:
+    def __init__(self, restarts: int = 1, max_iters: int = 1000, step_scale: float = 0.1,
+                 rng_seed: int = 0, tolerance: float = 1e-10):
+        if restarts <= 0 or max_iters < 0 or rng_seed < 0:
             raise ValueError("restarts must be positive, max_iters and rng_seed non-negative")
-        if not all(math.isfinite(x) and x > 0 for x in (self.step_scale, self.tolerance)):
+        if not all(math.isfinite(x) and x > 0 for x in (step_scale, tolerance)):
             raise ValueError("step_scale and tolerance must be positive and finite")
+        self.restarts, self.max_iters, self.step_scale = restarts, max_iters, step_scale
+        self.rng_seed, self.tolerance = rng_seed, tolerance
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     best: CandidateAlgebra
     best_residual: ResidualBreakdown
-    traces: list[list[float]] = field(default_factory=list)
+    traces: list[list[float]]     # one per restart: the start, then each evaluated step
     converged: bool = False
 
 

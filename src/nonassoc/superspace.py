@@ -65,8 +65,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -365,23 +365,20 @@ def _rows(stack, start: int, stop: int) -> tuple[SuperOp, ...]:
     return tuple(_write(A[:, n], den) for n in range(start, stop))
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Translation, Lorentz, and supersymmetry generators in one convention.
 
     `even` is (den, A), A of shape (2, 24, 9, 9): P_mu, P^mu, then M^{mu nu} at
     row 8 + 4 mu + nu; `odd` is (den, A), A of shape (2, 6, 9, 9): Q_a, Qbar_adot,
     Qbar^adot.  Both are read-only copies, int64 or object as `_read`'s; each
-    operator field is written on first use.
+    operator field is written on first use.  No attribute can be assigned.
     """
 
-    convention: SigmaConvention
-    even: tuple[int, np.ndarray]
-    odd: tuple[int, np.ndarray]
-
-    def __post_init__(self):
-        for name, rows in (("even", 24), ("odd", 6)):
-            den, A = getattr(self, name)
+    def __init__(self, convention: SigmaConvention, even: tuple[int, np.ndarray],
+                 odd: tuple[int, np.ndarray]):
+        fields = vars(self)
+        fields["convention"] = convention
+        for name, rows, (den, A) in (("even", 24, even), ("odd", 6, odd)):
             A = np.asarray(A)
             if not (isinstance(den, int) and den > 0 and A.shape == (2, rows, 9, 9) and (
                     A.dtype.kind in "iu" or all(isinstance(v, int) for v in A.flat))):
@@ -389,7 +386,13 @@ class GeneratorSet:
                                  f"(2, {rows}, 9, 9)")
             A = _fit(den, A)
             A.flags.writeable = False
-            object.__setattr__(self, name, (den, A))
+            fields[name] = (den, A)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_operators(cls, convention, P_lower, P_upper, M_upper, Q,
@@ -507,8 +510,7 @@ def _write(A, den: int) -> SuperOp:
 # Verifications
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoincareReport:
+class PoincareReport(NamedTuple):
     translations_commute: bool                 # [P^mu, P^nu] = 0
     boost_translation_holds: bool              # [M^{mu nu}, P^lam] = i(eta^{nu lam} P^mu - eta^{mu lam} P^nu)
     lorentz_closure_holds: bool                # [M, M] relation, all index combinations
@@ -581,8 +583,7 @@ def verify_poincare(gens: GeneratorSet) -> PoincareReport:
     return PoincareReport(not pp, not mp, not mm, tuple(pp + mp + mm))
 
 
-@dataclass(frozen=True)
-class SusyReport:
+class SusyReport(NamedTuple):
     qq_vanish: bool                      # {Q_a, Q_b} = 0, all pairs
     qbar_qbar_vanish: bool               # {Qbar, Qbar} = 0, all pairs
     c1: GaussianRational | None          # {Q_a, Qbar_bd} = c1 sigma^mu_{a bd} P_mu

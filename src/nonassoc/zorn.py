@@ -30,7 +30,7 @@ and lambda are measured with `common_scale` on tensor vectors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +152,7 @@ def verify_zorn_isomorphism() -> PropertyReport:
     return PropertyReport(alg, "zorn_isomorphism", False, witness, detail)
 
 
-@dataclass(frozen=True)
-class SpinCommutatorReport:
+class SpinCommutatorReport(NamedTuple):
     """Outcome of the q-side bracket checks against their Pauli counterpart."""
 
     quaternion_bracket_holds: bool    # [q_i, q_j] = 2 eps_ijk q_k (Eq. 2-30)
@@ -192,8 +191,7 @@ def verify_spin_commutators() -> SpinCommutatorReport:
                                 pauli_spin_commutators_hold(), witness)
 
 
-@dataclass(frozen=True)
-class SpinDecompositionReport:
+class SpinDecompositionReport(NamedTuple):
     """Product and bracket decompositions of the i/2-scaled quaternion basis,
     and the split brackets and associators they are built from."""
 

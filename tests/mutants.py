@@ -79,6 +79,14 @@ MUTANTS = [
     # a generator set that keeps a caller's int64 stack past the bound, where brackets wrap
     ("superspace.py", "A = _fit(den, A)", "A = np.array(A)",
      ["tests/test_superspace.py::test_generator_set_keeps_int64_only_where_brackets_cannot_overflow"]),
+    # Eq. 4-30 decided as the constant True
+    ("superspace.py", "return all(_merge_sign(1 << a, 1 << b) == -_merge_sign(1 << b, 1 << a)",
+     "return True or all(_merge_sign(1 << a, 1 << b) == -_merge_sign(1 << b, 1 << a)",
+     ["tests/test_superspace.py::test_grassmann_verdict_fails_for_commuting_generators"]),
+    # Eq. 1-100 to 1-130 decided as the constant True
+    ("spinor.py", "return np.array_equal(gauss(np.matmul, EPS_RAISE, EPS_LOWER), ID2)",
+     "return True",
+     ["tests/test_spinor.py::test_epsilon_inverse_verdict_fails_when_lower_is_not_the_inverse"]),
     # the Pauli identity without the denominator d
     ("spinor.py", "rhs = 2 * d * times_i(", "rhs = 2 * times_i(",
      ["tests/test_spinor.py::test_spin_commutators_match_matrix_reference"]),

@@ -14,21 +14,26 @@ loop splits the line on signs outside parentheses, then each term is
 matched against a basis-term and a scalar pattern.  `reference_search` is
 the perturb-and-accept loop that evaluates every step, with none skipped.
 The test modules import what they share from this one module, the table of
-bundled fixtures and their reader too.
+bundled fixtures and their reader too, and `invoke`, which runs the command
+line in-process.
 """
 
+import contextlib
 import functools
 import importlib.resources
+import io
 import itertools
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import sympy
 
 from nonassoc.algebra import AlgebraDef, associator, commutator, multiply
 from nonassoc.algfile import AlgebraParseError, _parse_scalar_body, _ratio
+from nonassoc.cli import main
 from nonassoc.corpus import (
     complex_numbers,
     quaternions,
@@ -64,6 +69,43 @@ def fixture_path(name) -> str:
 def fixture_text(name) -> str:
     with open(fixture_path(name), encoding="utf-8") as fh:
         return fh.read()
+
+
+# -- the command line ------------------------------------------------------------
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str                        # stdout and stderr interleaved, as written
+    exception: BaseException | None    # the SystemExit of a nonzero exit, or what was raised
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode("utf-8")
+
+
+def invoke(argv) -> CliResult:
+    """`nonassoc argv` run in-process, with stdout and stderr captured.  An
+    exception other than SystemExit is caught and exits 1."""
+    output = io.StringIO()
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            output.write(text)
+            return super().write(text)
+
+    out, err = Stream(), Stream()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), output.getvalue(), exception)
 
 
 # -- scalars and linear systems ------------------------------------------------

@@ -270,11 +270,9 @@ def test_c7_epsilon_identities(criterion):
 def test_c8_discrepancy_ledger_golden(criterion):
     import pathlib
 
-    from click.testing import CliRunner
+    from oracle import invoke
 
-    from nonassoc.cli import main
-
-    result = CliRunner().invoke(main, ["verify-paper", "--format", "lines"])
+    result = invoke(["verify-paper", "--format", "lines"])
     golden = (pathlib.Path(__file__).parent / "golden" / "verify_paper.lines").read_text()
     entries = {}
     for line in result.output.splitlines():
@@ -338,14 +336,12 @@ def test_c10_parser_round_trip_and_fuzz(criterion):
     # exit-code contract on a malformed file through the CLI
     import tempfile
 
-    from click.testing import CliRunner
-
-    from nonassoc.cli import main
+    from oracle import invoke
 
     with tempfile.NamedTemporaryFile("w", suffix=".alg", delete=False) as fh:
         fh.write("dimension 2\ne1 e5 -> e1\n")
         path = fh.name
-    result = CliRunner().invoke(main, ["check", path, "--properties", "flexible"])
+    result = invoke(["check", path, "--properties", "flexible"])
     ok = ok and result.exit_code == 2 and "line 2" in result.output
     criterion("C10 parser round-trip and fuzz corpus", ok)
     assert ok

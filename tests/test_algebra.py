@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,6 @@ from nonassoc.algebra import (
     jacobiator,
     multiply,
 )
-from nonassoc.cli import main
 from nonassoc.corpus import (
     SPLIT_OCTONION_TABLE,
     complex_numbers,
@@ -36,6 +34,7 @@ from oracle import (
     TupleElement,
     fixture_path,
     gaussian_split_octonions,
+    invoke,
     random_element,
     reference_product,
 )
@@ -208,8 +207,8 @@ def test_element_paths_build_no_gaussian_rational(monkeypatch):
     for x, y in itertools.product(basis, repeat=2):
         p = multiply(x, y)
         texts += [str(p), str(p + x), str(p - y)]
-    table = CliRunner().invoke(main, ["table", path])
-    zorn_table = CliRunner().invoke(main, ["table", path, "--zorn"])
+    table = invoke(["table", path])
+    zorn_table = invoke(["table", path, "--zorn"])
     images = [to_zorn(e) for e in [alg.one()] + basis]
     zorn_products = [from_zorn(multiply(z, w)) for z, w in itertools.product(images, repeat=2)]
     reports = [check_property(alg, law) for law in ("associative", "alternative")]

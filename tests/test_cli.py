@@ -1,5 +1,6 @@
-import dataclasses
+import contextlib
 import hashlib
+import io
 import os
 import pathlib
 import subprocess
@@ -7,80 +8,66 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonassoc import cli
-from nonassoc.cli import main
 from nonassoc.search import default_roles
-from oracle import fixture_path, fixture_text
+from oracle import fixture_path, fixture_text, invoke
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
 ZORN_GOLDEN = GOLDEN.with_name("table_splitO_zorn.txt")
 TEXT_GOLDEN = GOLDEN.with_name("verify_paper.txt")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def test_check_passing_property(runner):
-    result = runner.invoke(main, ["check", fixture_path("splitO.alg"), "--properties", "flexible"])
+def test_check_passing_property():
+    result = invoke(["check", fixture_path("splitO.alg"), "--properties", "flexible"])
     assert result.exit_code == 0
     assert "PASS flexible" in result.output
 
 
-def test_check_failing_property_prints_witness(runner):
-    result = runner.invoke(
-        main, ["check", fixture_path("splitO.alg"), "--properties", "lie-admissible"]
-    )
+def test_check_failing_property_prints_witness():
+    result = invoke(["check", fixture_path("splitO.alg"), "--properties", "lie-admissible"])
     assert result.exit_code == 1
     assert "FAIL lie_admissible" in result.output
     assert "q5" in result.output  # the defect element
 
 
-def test_check_multiple_properties(runner):
-    result = runner.invoke(
-        main,
-        ["check", fixture_path("quaternion.alg"),
-         "--properties", "associative,alternative,flexible,lie-admissible,unital"],
-    )
+def test_check_multiple_properties():
+    result = invoke(["check", fixture_path("quaternion.alg"),
+                     "--properties", "associative,alternative,flexible,lie-admissible,unital"])
     assert result.exit_code == 0
     assert result.output.count("PASS") == 5
 
 
-def test_check_unknown_property(runner):
-    result = runner.invoke(
-        main, ["check", fixture_path("splitO.alg"), "--properties", "bogus"]
-    )
+def test_check_unknown_property():
+    result = invoke(["check", fixture_path("splitO.alg"), "--properties", "bogus"])
     assert result.exit_code == 2
 
 
-def test_check_malformed_file(runner, tmp_path):
+def test_check_malformed_file(tmp_path):
     bad = tmp_path / "malformed.alg"
     bad.write_text("dimension 2\ne1 e9 -> e1\n")
-    result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
+    result = invoke(["check", str(bad), "--properties", "flexible"])
     assert result.exit_code == 2
     assert "line 2" in result.output
 
 
-def test_check_with_no_property_named_is_an_input_error(runner):
-    result = runner.invoke(main, ["check", fixture_path("splitO.alg"), "--properties", ","])
+def test_check_with_no_property_named_is_an_input_error():
+    result = invoke(["check", fixture_path("splitO.alg"), "--properties", ","])
     assert result.exit_code == 2
     assert result.stderr == "error: no properties requested\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no integer-string digit limit")
-def test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational(runner, tmp_path):
+def test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational(tmp_path):
     bad = tmp_path / "long.alg"
     bad.write_text(f"dimension 1\nunital false\ne1 e1 -> {'7' * 5000}e1\n")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
+        result = invoke(["check", str(bad), "--properties", "flexible"])
     finally:
         sys.set_int_max_str_digits(limit)
     assert result.exit_code == 2
@@ -88,18 +75,18 @@ def test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational(runner, tm
     assert result.stderr.startswith(f"error: {bad}: line 3: bad rational '777")
 
 
-def test_check_missing_file(runner):
-    result = runner.invoke(main, ["check", "/no/such/file.alg", "--properties", "flexible"])
+def test_check_missing_file():
+    result = invoke(["check", "/no/such/file.alg", "--properties", "flexible"])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("args", [["check", "{}", "--properties", "associative"], ["table", "{}"],
                                   ["search", "--iters", "0", "--init-file", "{}"]],
                          ids=["check", "table", "search"])
-def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, args):
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, args):
     bad = tmp_path / "latin1.alg"
     bad.write_bytes(b"dimension 1\nunital false\n# \xff\n")
-    result = runner.invoke(main, [arg.format(bad) for arg in args])
+    result = invoke([arg.format(bad) for arg in args])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
@@ -135,7 +122,7 @@ def malformed_product_lines(draw):
 def test_malformed_product_lines_fail_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("malformed") / "table.alg"
     path.write_text(text, encoding="utf-8")
-    result = CliRunner().invoke(main, ["check", str(path), "--properties", "associative,unital"])
+    result = invoke(["check", str(path), "--properties", "associative,unital"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
     if result.exit_code == 2:
         assert result.stdout == ""
@@ -148,8 +135,8 @@ def test_malformed_product_lines_fail_cleanly(tmp_path_factory, text):
         assert result.stderr == ""
 
 
-def test_table_split_octonions(runner):
-    result = runner.invoke(main, ["table", fixture_path("splitO.alg")])
+def test_table_split_octonions():
+    result = invoke(["table", fixture_path("splitO.alg")])
     assert result.exit_code == 0
     rows = result.output.splitlines()
     header = rows[0].split()
@@ -161,14 +148,14 @@ def test_table_split_octonions(runner):
     assert q7_row[0] == "q7" and q7_row[-1] == "1"
 
 
-def test_table_complex_single_cell(runner):
-    result = runner.invoke(main, ["table", fixture_path("complex.alg")])
+def test_table_complex_single_cell():
+    result = invoke(["table", fixture_path("complex.alg")])
     assert result.exit_code == 0
     rows = [r for r in result.output.splitlines() if r.strip()]
     assert rows[-1].split() == ["e1", "-1"]
 
 
-def test_table_cells_are_products_on_a_candidate(runner, tmp_path):
+def test_table_cells_are_products_on_a_candidate(tmp_path):
     from nonassoc.algebra import multiply
     from nonassoc.algfile import parse_text, serialize
     from nonassoc.search import CandidateAlgebra, candidate_to_algebra
@@ -176,7 +163,7 @@ def test_table_cells_are_products_on_a_candidate(runner, tmp_path):
     path = tmp_path / "cand.alg"
     path.write_text(serialize(candidate_to_algebra(CandidateAlgebra.random(1))))
     alg = parse_text(path.read_text()).algebra
-    result = runner.invoke(main, ["table", str(path)])
+    result = invoke(["table", str(path)])
     assert result.exit_code == 0
     header, *rows = result.output.splitlines()
     basis = alg.basis()
@@ -190,36 +177,36 @@ def test_table_cells_are_products_on_a_candidate(runner, tmp_path):
         assert cells[1:] == [str(multiply(basis[i], b)) for b in basis]
 
 
-def test_table_zorn_flag(runner):
-    result = runner.invoke(main, ["table", fixture_path("splitO.alg"), "--zorn"])
+def test_table_zorn_flag():
+    result = invoke(["table", fixture_path("splitO.alg"), "--zorn"])
     assert result.exit_code == 0
     assert "Zorn images:" in result.output
     assert "[-1, (0, 0, 0); (0, 0, 0), 1]" in result.output  # q7
 
 
-def test_table_zorn_flag_full_output(runner):
-    result = runner.invoke(main, ["table", fixture_path("splitO.alg"), "--zorn"])
+def test_table_zorn_flag_full_output():
+    result = invoke(["table", fixture_path("splitO.alg"), "--zorn"])
     assert result.exit_code == 0
     assert result.output == ZORN_GOLDEN.read_text()
 
 
-def test_table_zorn_flag_rejected_elsewhere(runner):
-    result = runner.invoke(main, ["table", fixture_path("quaternion.alg"), "--zorn"])
+def test_table_zorn_flag_rejected_elsewhere():
+    result = invoke(["table", fixture_path("quaternion.alg"), "--zorn"])
     assert result.exit_code == 2
     # rejected before the table is printed
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: --zorn applies to the split-octonion table only"]
 
 
-def test_verify_paper_lines_matches_golden(runner):
-    result = runner.invoke(main, ["verify-paper", "--format", "lines"])
+def test_verify_paper_lines_matches_golden():
+    result = invoke(["verify-paper", "--format", "lines"])
     assert result.output == GOLDEN.read_text()
     # FAIL entries exist (documented discrepancies), so the exit code is 1
     assert result.exit_code == 1
 
 
-def test_verify_paper_text_matches_golden(runner):
-    result = runner.invoke(main, ["verify-paper"])    # the default format, text
+def test_verify_paper_text_matches_golden():
+    result = invoke(["verify-paper"])    # the default format, text
     assert result.output == TEXT_GOLDEN.read_text()
     assert result.exit_code == 1
 
@@ -235,8 +222,8 @@ def test_p_q_details_are_worded_from_the_computed_verdict(monkeypatch):
 
     verified = report_details()
     real = superspace.verify_susy
-    monkeypatch.setattr(superspace, "verify_susy", lambda gens: dataclasses.replace(
-        real(gens), p_q_brackets_vanish=False))
+    monkeypatch.setattr(superspace, "verify_susy", lambda gens: real(gens)._replace(
+        p_q_brackets_vanish=False))
     details = report_details()
     for eq_id in ("Eq. 1-10", "Eq. 1-20"):
         assert "= 0" in verified[eq_id]
@@ -251,52 +238,52 @@ def test_lambda_details_say_when_lambda_is_not_uniform(monkeypatch):
 
     verified = report_details()
     real = report.verify_spin_decomposition
-    monkeypatch.setattr(report, "verify_spin_decomposition", lambda: dataclasses.replace(
-        real(), bracket_constant_uniform=False))
+    monkeypatch.setattr(report, "verify_spin_decomposition", lambda: real()._replace(
+        bracket_constant_uniform=False))
     details = report_details()
     for eq_id in ("Eq. 3-30", "Const lambda"):
         assert "not uniform" not in verified[eq_id]
         assert details[eq_id].startswith("lambda = 1 (not uniform over i)")
 
 
-def test_verify_paper_text_summary(runner):
-    result = runner.invoke(main, ["verify-paper", "--format", "text"])
+def test_verify_paper_text_summary():
+    result = invoke(["verify-paper", "--format", "text"])
     assert "identity checklist" in result.output
     assert "passed" in result.output and "recorded" in result.output
 
 
-def test_verify_paper_checklist_is_closed(runner):
-    result = runner.invoke(main, ["verify-paper", "--format", "lines"])
+def test_verify_paper_checklist_is_closed():
+    result = invoke(["verify-paper", "--format", "lines"])
     ids = [line.split("\t")[0] for line in result.output.splitlines()]
     assert len(ids) == len(set(ids)) == 24
 
 
-def test_search_deterministic_output(runner, tmp_path):
+def test_search_deterministic_output(tmp_path):
     args = ["search", "--iters", "40", "--seed", "7", "--restarts", "2",
             "--out", str(tmp_path / "a.alg"), "--trace-out", str(tmp_path / "a.trace")]
-    first = runner.invoke(main, args)
+    first = invoke(args)
     a_alg = (tmp_path / "a.alg").read_text()
     a_trace = (tmp_path / "a.trace").read_text()
     args2 = ["search", "--iters", "40", "--seed", "7", "--restarts", "2",
              "--out", str(tmp_path / "b.alg"), "--trace-out", str(tmp_path / "b.trace")]
-    second = runner.invoke(main, args2)
+    second = invoke(args2)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     assert a_alg == (tmp_path / "b.alg").read_text()
     assert a_trace == (tmp_path / "b.trace").read_text()
 
 
-def test_search_zero_iters(runner, tmp_path):
-    result = runner.invoke(main, ["search", "--iters", "0", "--seed", "3",
-                                  "--out", str(tmp_path / "c.alg")])
+def test_search_zero_iters(tmp_path):
+    result = invoke(["search", "--iters", "0", "--seed", "3",
+                     "--out", str(tmp_path / "c.alg")])
     assert result.exit_code == 0
     assert "best total=" in result.output
 
 
-def test_search_trace_file_non_increasing(runner, tmp_path):
+def test_search_trace_file_non_increasing(tmp_path):
     trace_file = tmp_path / "t.trace"
-    result = runner.invoke(main, ["search", "--restarts", "4", "--seed", "1",
-                                  "--iters", "60", "--trace-out", str(trace_file)])
+    result = invoke(["search", "--restarts", "4", "--seed", "1",
+                     "--iters", "60", "--trace-out", str(trace_file)])
     assert result.exit_code == 0
     lines = trace_file.read_text().splitlines()
     assert len(lines) == 4
@@ -305,17 +292,17 @@ def test_search_trace_file_non_increasing(runner, tmp_path):
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_search_frozen_so31(runner):
-    result = runner.invoke(main, ["search", "--freeze", "M", "--init", "so31",
-                                  "--iters", "30", "--seed", "2"])
+def test_search_frozen_so31():
+    result = invoke(["search", "--freeze", "M", "--init", "so31",
+                     "--iters", "30", "--seed", "2"])
     assert result.exit_code == 0
     assert "lorentz=0.000000e+00" in result.output
 
 
-def test_search_candidate_round_trips_through_parser(runner, tmp_path):
+def test_search_candidate_round_trips_through_parser(tmp_path):
     out = tmp_path / "cand.alg"
-    result = runner.invoke(main, ["search", "--iters", "80", "--seed", "11",
-                                  "--init", "random", "--out", str(out)])
+    result = invoke(["search", "--iters", "80", "--seed", "11",
+                     "--init", "random", "--out", str(out)])
     assert result.exit_code == 0
     from nonassoc.algfile import parse_text
 
@@ -324,24 +311,24 @@ def test_search_candidate_round_trips_through_parser(runner, tmp_path):
     assert parsed.roles is not None and parsed.roles["R0"] == 0
 
 
-def test_search_init_file_round_trip(runner, tmp_path):
+def test_search_init_file_round_trip(tmp_path):
     out = tmp_path / "seeded.alg"
-    first = runner.invoke(main, ["search", "--iters", "50", "--seed", "4",
-                                 "--init", "random", "--out", str(out)])
+    first = invoke(["search", "--iters", "50", "--seed", "4",
+                    "--init", "random", "--out", str(out)])
     assert first.exit_code == 0
-    resumed = runner.invoke(main, ["search", "--iters", "0", "--seed", "4",
-                                   "--init-file", str(out)])
+    resumed = invoke(["search", "--iters", "0", "--seed", "4",
+                      "--init-file", str(out)])
     assert resumed.exit_code == 0
     # the resumed run starts exactly where the exported candidate left off
     line = next(l for l in first.output.splitlines() if l.startswith("best "))
     assert line in resumed.output
 
 
-def test_search_header_names_the_init_file_start(runner, tmp_path):
+def test_search_header_names_the_init_file_start(tmp_path):
     out = tmp_path / "seeded.alg"
-    assert runner.invoke(main, ["search", "--iters", "0", "--init", "random",
-                                "--out", str(out)]).exit_code == 0
-    resumed = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(out)])
+    assert invoke(["search", "--iters", "0", "--init", "random",
+                   "--out", str(out)]).exit_code == 0
+    resumed = invoke(["search", "--iters", "0", "--init-file", str(out)])
     assert resumed.exit_code == 0
     assert "restarts=1 iters=0 seed=0 init=file" in resumed.output.splitlines()
 
@@ -350,28 +337,28 @@ def test_search_header_names_the_init_file_start(runner, tmp_path):
     ("R0=1,R0=2", "line 3: duplicate role R0"),
     ("R0=1,R1=1", "line 3: role R1 repeats index 1"),
 ])
-def test_search_init_file_rejects_an_ambiguous_roles_line(runner, tmp_path, roles, message):
+def test_search_init_file_rejects_an_ambiguous_roles_line(tmp_path, roles, message):
     bad = tmp_path / "aliased.alg"
     bad.write_text(f"dimension 15\nunital false\nroles {roles}\ne1 e2 -> e3\n")
-    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    result = invoke(["search", "--iters", "0", "--init-file", str(bad)])
     assert result.exit_code == 2
     assert message in result.output
 
 
 @pytest.mark.parametrize("header", ["name a", "scalar float64", "roles R1=2"])
-def test_check_rejects_a_repeated_header_line(runner, tmp_path, header):
+def test_check_rejects_a_repeated_header_line(tmp_path, header):
     word = header.split()[0]
     bad = tmp_path / "twice.alg"
     bad.write_text(f"name a\nscalar float64\nroles R0=1\ndimension 2\n{header}\n")
-    result = runner.invoke(main, ["check", str(bad), "--properties", "flexible"])
+    result = invoke(["check", str(bad), "--properties", "flexible"])
     assert result.exit_code == 2
     assert f"error: {bad}: line 5: duplicate {word} line" in result.stderr
 
 
-def test_search_init_file_requires_roles(runner, tmp_path):
+def test_search_init_file_requires_roles(tmp_path):
     bad = tmp_path / "noroles.alg"
     bad.write_text("dimension 15\nunital false\ne1 e2 -> e3\n")
-    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    result = invoke(["search", "--iters", "0", "--init-file", str(bad)])
     assert result.exit_code == 2
 
 
@@ -381,25 +368,25 @@ def test_search_init_file_requires_roles(runner, tmp_path):
     ("false", ",".join(f"{label}={k + 1}" for label, k in default_roles().items()
                        if label != "R0"), "e3", "missing role slots: ['R0']"),
 ], ids=["imaginary", "unit-multiple", "no-R0"])
-def test_search_init_file_rejects_what_a_candidate_cannot_hold(runner, tmp_path, unital, roles,
+def test_search_init_file_rejects_what_a_candidate_cannot_hold(tmp_path, unital, roles,
                                                                 product, message):
     bad = tmp_path / "bad.alg"
     bad.write_text(f"dimension 15\nunital {unital}\nroles {roles}\ne1 e2 -> {product}\n")
-    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    result = invoke(["search", "--iters", "0", "--init-file", str(bad)])
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
 
 
-def test_search_init_file_rejects_a_constant_beyond_the_double_range(runner, tmp_path):
+def test_search_init_file_rejects_a_constant_beyond_the_double_range(tmp_path):
     bad = tmp_path / "huge.alg"
     bad.write_text(f"dimension 15\nunital false\nroles R0=1\ne1 e2 -> {10**400}e3\n")
-    result = runner.invoke(main, ["search", "--iters", "0", "--init-file", str(bad)])
+    result = invoke(["search", "--iters", "0", "--init-file", str(bad)])
     assert result.exit_code == 2
     assert "error: candidate structure constants must lie in the double range" in result.stderr
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-def test_search_export_rejects_a_constant_that_is_not_finite(runner, tmp_path, monkeypatch, value):
+def test_search_export_rejects_a_constant_that_is_not_finite(tmp_path, monkeypatch, value):
     # no search step reaches such a constant, so the start is made to hold one
     from nonassoc.search import CandidateAlgebra
 
@@ -408,41 +395,41 @@ def test_search_export_rejects_a_constant_that_is_not_finite(runner, tmp_path, m
     monkeypatch.setattr(CandidateAlgebra, "random", classmethod(lambda cls, seed: start))
     out = tmp_path / "cand.alg"
     with np.errstate(invalid="ignore"):     # the residual of such a start is not finite either
-        result = runner.invoke(main, ["search", "--iters", "0", "--init", "random",
-                                      "--out", str(out)])
+        result = invoke(["search", "--iters", "0", "--init", "random",
+                         "--out", str(out)])
     assert result.exit_code == 2
     assert "error: candidate structure constants must be finite" in result.stderr
 
 
-def test_search_rejects_bad_flags(runner):
-    result = runner.invoke(main, ["search", "--restarts", "0"])
+def test_search_rejects_bad_flags():
+    result = invoke(["search", "--restarts", "0"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["search", "--freeze", "Q"])
+    result = invoke(["search", "--freeze", "Q"])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"), ("--tol", "nan")])
-def test_search_rejects_non_finite_settings(runner, flag, value):
-    result = runner.invoke(main, ["search", "--iters", "5", flag, value])
+def test_search_rejects_non_finite_settings(flag, value):
+    result = invoke(["search", "--iters", "5", flag, value])
     assert result.exit_code == 2
     assert "error:" in result.stderr
 
 
 @pytest.mark.parametrize("init", ["zero", "random"])
-def test_search_rejects_negative_seed(runner, init):
-    result = runner.invoke(main, ["search", "--iters", "5", "--seed", "-1", "--init", init])
+def test_search_rejects_negative_seed(init):
+    result = invoke(["search", "--iters", "5", "--seed", "-1", "--init", init])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: invalid value for '--seed'" in result.stderr.lower()
 
 
 @pytest.mark.parametrize("option", ["--out", "--trace-out"])
-def test_search_unwritable_output_is_an_input_error(runner, tmp_path, monkeypatch, option):
+def test_search_unwritable_output_is_an_input_error(tmp_path, monkeypatch, option):
     """An output path that cannot be opened exits 2 before the search runs."""
     searched = []
     monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
     path = tmp_path / "missing" / "x.out"
-    result = runner.invoke(main, ["search", "--iters", "5", option, str(path)])
+    result = invoke(["search", "--iters", "5", option, str(path)])
     assert (result.exit_code, searched) == (2, [])
     assert isinstance(result.exception, SystemExit)
     assert f"error: cannot write {path}: " in result.stderr
@@ -450,15 +437,15 @@ def test_search_unwritable_output_is_an_input_error(runner, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("existing", [True, False])
-def test_search_leaves_the_other_output_as_it_was(runner, tmp_path, monkeypatch, existing):
+def test_search_leaves_the_other_output_as_it_was(tmp_path, monkeypatch, existing):
     """When --trace-out cannot be opened, --out is neither emptied nor created."""
     searched = []
     monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
     out, bad = tmp_path / "ok.alg", tmp_path / "missing" / "x.t"
     if existing:
         out.write_text("name kept\n", encoding="utf-8")
-    result = runner.invoke(main, ["search", "--iters", "3", "--out", str(out),
-                                  "--trace-out", str(bad)])
+    result = invoke(["search", "--iters", "3", "--out", str(out),
+                     "--trace-out", str(bad)])
     assert (result.exit_code, searched) == (2, [])
     assert f"error: cannot write {bad}: " in result.stderr
     if existing:
@@ -468,7 +455,7 @@ def test_search_leaves_the_other_output_as_it_was(runner, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("same", ["s.alg", "./s.alg", "link.alg", "hard.alg"])
-def test_search_outputs_naming_one_file_are_an_input_error(runner, tmp_path, monkeypatch, same):
+def test_search_outputs_naming_one_file_are_an_input_error(tmp_path, monkeypatch, same):
     """--out and --trace-out naming one file exit 2 and leave it as it was."""
     searched = []
     monkeypatch.setattr(cli, "run_search", lambda *args, **kwargs: searched.append(args))
@@ -476,29 +463,29 @@ def test_search_outputs_naming_one_file_are_an_input_error(runner, tmp_path, mon
     (tmp_path / "s.alg").write_text("name kept\n", encoding="utf-8")
     (tmp_path / "link.alg").symlink_to(tmp_path / "s.alg")
     os.link(tmp_path / "s.alg", tmp_path / "hard.alg")
-    result = runner.invoke(main, ["search", "--iters", "2", "--out", "./s.alg",
-                                  "--trace-out", same])
+    result = invoke(["search", "--iters", "2", "--out", "./s.alg",
+                     "--trace-out", same])
     assert (result.exit_code, searched) == (2, [])
     assert result.stderr == f"error: ./s.alg and {same} name one file\n"
     assert (tmp_path / "s.alg").read_text(encoding="utf-8") == "name kept\n"
 
 
-def test_search_empties_an_existing_output_before_writing(runner, tmp_path):
+def test_search_empties_an_existing_output_before_writing(tmp_path):
     out, trace = tmp_path / "a.alg", tmp_path / "a.trace"
     out.write_text("stale\n" * 1000, encoding="utf-8")
     trace.write_text("stale\n" * 1000, encoding="utf-8")
     args = ["search", "--iters", "3", "--out", str(out), "--trace-out", str(trace)]
-    assert runner.invoke(main, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     first = out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8")
     assert "stale" not in first[0] + first[1]
     out.unlink()
     trace.unlink()
-    assert runner.invoke(main, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     assert (out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8")) == first
 
-def test_check_degree_below_three_is_an_input_error(runner):
-    result = runner.invoke(main, ["check", fixture_path("splitO.alg"),
-                                  "--properties", "power-associative", "--degree", "2"])
+def test_check_degree_below_three_is_an_input_error():
+    result = invoke(["check", fixture_path("splitO.alg"),
+                     "--properties", "power-associative", "--degree", "2"])
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "--degree" in result.output
@@ -524,16 +511,78 @@ def test_python_dash_m_verify_paper_matches_golden():
     assert result.stdout == GOLDEN.read_bytes()
 
 
-def test_check_all_laws_prints_the_single_law_lines(runner, tmp_path):
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_has_gone_exits_1_quietly(unbuffered):
+    # as `nonassoc table ... | head` once head has exited: every write to stdout fails
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "nonassoc", "table",
+                                 fixture_path("splitO.alg"), "--zorn"],
+                                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+def test_the_benchmark_call_shape_runs_a_command():
+    # perfbench/child.py calls the entry point as main.main(args=..., prog_name=...)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        cli.main.main(args=["verify-paper", "--format", "lines"], prog_name="nonassoc")
+    assert stop.value.code == 1
+    assert out.getvalue().encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_importing_the_cli_loads_neither_click_nor_dataclasses():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, nonassoc.cli; print(sorted({'click', 'dataclasses'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
+
+
+def test_help_lists_every_command():
+    result = invoke(["--help"])
+    assert result.exit_code == 0
+    words = {line.split()[0] for line in result.stdout.splitlines() if line.strip()}
+    assert {"check", "table", "verify-paper", "search"} <= words
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["check"],
+    ["check", "{splitO}"],
+    ["check", "{splitO}", "--properties", "power-associative", "--degree", "2"],
+    ["search", "--seed", "-1"],
+    ["search", "--freeze", "X"],
+    ["verify-paper", "--format", "json"],
+    ["verify-paper", "--form", "lines"],
+    ["search", "--bogus"],
+    ["bogus"],
+], ids=["no-command", "check-bare", "check-no-properties", "degree-2", "seed-negative",
+        "freeze-X", "format-json", "abbreviated-option", "unknown-option", "unknown-command"])
+def test_usage_errors_exit_2_with_nothing_on_stdout(args):
+    result = invoke([arg.format(splitO=fixture_path("splitO.alg")) for arg in args])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "error: " in result.stderr
+
+
+def test_check_all_laws_prints_the_single_law_lines(tmp_path):
     out = tmp_path / "cand.alg"
-    exported = runner.invoke(main, ["search", "--init", "random", "--iters", "0", "--seed", "1",
-                                    "--out", str(out)])
+    exported = invoke(["search", "--init", "random", "--iters", "0", "--seed", "1",
+                       "--out", str(out)])
     assert exported.exit_code == 0
     laws = ["associative", "alternative", "flexible", "lie-admissible", "power-associative",
             "jordan", "unital", "derivation-property"]
-    together = runner.invoke(main, ["check", str(out), "--properties", ",".join(laws)])
+    together = invoke(["check", str(out), "--properties", ",".join(laws)])
     assert together.exit_code == 1
-    single = [runner.invoke(main, ["check", str(out), "--properties", law]) for law in laws]
+    single = [invoke(["check", str(out), "--properties", law]) for law in laws]
     assert together.output.splitlines() == [r.output.rstrip("\n") for r in single]
     assert [r.exit_code for r in single] == [1] * len(laws)
 
@@ -565,7 +614,7 @@ CHECK_ALL_LAWS_SHA256 = {
 
 
 @pytest.mark.parametrize("name, degree", sorted(CHECK_ALL_LAWS_SHA256))
-def test_check_all_laws_output_is_pinned(runner, tmp_path, name, degree):
+def test_check_all_laws_output_is_pinned(tmp_path, name, degree):
     from nonassoc.algfile import serialize
     from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 
@@ -576,7 +625,7 @@ def test_check_all_laws_output_is_pinned(runner, tmp_path, name, degree):
                                   scalar_tag="float64"), encoding="utf-8")
     else:
         path = fixture_path(f"{name}.alg")
-    result = runner.invoke(main, ["check", str(path), "--properties", ALL_LAWS,
-                                  "--degree", str(degree)])
+    result = invoke(["check", str(path), "--properties", ALL_LAWS,
+                     "--degree", str(degree)])
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert (result.exit_code, digest) == CHECK_ALL_LAWS_SHA256[name, degree]

@@ -39,6 +39,7 @@ from oracle import (
     fixture_path,
     fixture_text,
     gaussian_split_octonions,
+    invoke,
     linearized_failure,
     reference_failure,
 )
@@ -304,15 +305,11 @@ def test_check_property_takes_both_spellings(law):
 
 
 def test_one_law_list_serves_the_library_and_the_cli():
-    from click.testing import CliRunner
-
-    from nonassoc.cli import main
-
     assert PROPERTIES == ("associative", "alternative", "flexible", "lie_admissible",
                           "power_associative", "jordan", "unital", "derivation_property")
     path = fixture_path("splitO.alg")
     for law in PROPERTIES:
-        underscored, hyphenated = (CliRunner().invoke(main, ["check", path, "--properties", name])
+        underscored, hyphenated = (invoke(["check", path, "--properties", name])
                                    for name in (law, law.replace("_", "-")))
         assert underscored.exit_code in (0, 1), law
         assert underscored.output.startswith(("PASS " + law, "FAIL " + law))

@@ -16,6 +16,7 @@ from nonassoc.search import (
     ROLE_R,
     ROLE_RT,
     CandidateAlgebra,
+    ResidualBreakdown,
     SearchConfig,
     _Support,
     _targets_for,
@@ -133,6 +134,14 @@ def test_lorentz_constants_match_the_slot_by_slot_bracket():
             for slot, coeff in lorentz_bracket_coeffs(ab, cd).items():
                 expected[slot] += coeff
             assert LORENTZ[a, b].tolist() == expected, (ab, cd)
+
+
+def test_residual_equality_ignores_the_sector_sums():
+    # a partial evaluation copies r_sectors; a full one recomputes them
+    full, partial = ResidualBreakdown(1.0, 2.0, 3.0, (1.0, 2.0)), ResidualBreakdown(1.0, 2.0, 3.0)
+    assert full == partial and not full != partial and hash(full) == hash(partial)
+    assert repr(full) == "ResidualBreakdown(r_comm=1.0, r_lorentz=2.0, r_assoc=3.0)"
+    assert full != ResidualBreakdown(1.0, 2.0, 4.0, (1.0, 2.0))
 
 
 def test_layout():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from nonassoc import spinor
 from nonassoc.corpus import MINKOWSKI
 from nonassoc.scalar import GaussianRational
 from nonassoc.spinor import (
@@ -14,6 +15,7 @@ from nonassoc.spinor import (
     RAISE_DOTTED,
     RAISE_UNDOTTED,
     SigmaConvention,
+    epsilon_inverse_holds,
     pauli_spin_commutators_hold,
     raise_lower,
     sigma_lower,
@@ -34,6 +36,15 @@ def test_epsilon_matrices_are_inverse():
                                           for m in (EPS_RAISE, EPS_LOWER, ID2))
     assert eps_raise * eps_lower == one
     assert eps_lower * eps_raise == one
+
+
+def test_epsilon_inverse_verdict_fails_when_lower_is_not_the_inverse(monkeypatch):
+    # Eq. 1-100 to 1-130: eps_raise eps_raise = -1, not the identity
+    assert epsilon_inverse_holds()
+    monkeypatch.setattr(spinor, "EPS_LOWER", EPS_RAISE)
+    (eps_raise,) = sympy_matrices(1, EPS_RAISE)
+    assert eps_raise * eps_raise == -sympy.eye(2)
+    assert not epsilon_inverse_holds()
 
 
 def test_epsilon_explicit_entries():

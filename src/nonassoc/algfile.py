@@ -22,8 +22,9 @@ Each product line is read by one compiled term pattern matched along the
 line, term after term; the diagnostics are those of splitting the line on
 signs outside parentheses first and then reading each term.  Parsing keeps
 every coefficient in integers, as (re, im, q) for (re + im i) / q, and
-builds `AlgebraDef.tensor` once at the end; `serialize` writes each cell's
-terms straight from the tensor in one pass.
+builds `AlgebraDef.tensor` once at the end; `serialize` writes each cell
+straight from the tensor with `scalar.sum_text`, the writer of `Element`
+text, so a pure imaginary multiple reads `2ie3`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from typing import NamedTuple
 
 from .algebra import AlgebraDef
-from .scalar import _gaussian_text
+from .scalar import sum_text
 
 
 class AlgebraParseError(Exception):
@@ -281,20 +282,9 @@ def serialize(alg: AlgebraDef, roles: dict[str, int] | None = None,
         pieces = ",".join(f"{label}={idx + 1}" for label, idx in sorted(roles.items(), key=lambda kv: kv[1]))
         lines.append(f"roles {pieces}")
     n, den = alg.dim + 1, alg._den
+    names = ("", *(f"e{k}" for k in range(1, n)))
     for s, vec in enumerate(alg.tensor[1:, 1:].reshape(alg.dim**2, -1).tolist()):
-        expr = ""
-        for k, (re_num, im_num) in enumerate(zip(vec[:n], vec[n:] or [0] * n)):
-            if not (re_num or im_num):
-                continue
-            if k and not (re_num and im_num):   # a real or imaginary multiple: sign outside
-                part = abs(re_num or im_num)
-                g = math.gcd(part, den)
-                text = "" if part == den else f"{part // g}" if g == den else f"{part // g}/{den // g}"
-                text, neg = (f"({text}i)e{k}" if im_num else f"{text}e{k}"), (re_num or im_num) < 0
-            else:
-                text, neg = _gaussian_text(re_num, im_num, den), False
-                text = (f"({text})" if re_num and im_num else text) + (f"e{k}" if k else "")
-            expr += (" - " if neg else " + ") + text if expr else "-" + text if neg else text
-        if expr:
+        if any(vec):
+            expr = sum_text(zip(vec[:n], vec[n:] or [0] * n, names), den, "")
             lines.append(f"e{s // alg.dim + 1} e{s % alg.dim + 1} -> {expr}")
     return "\n".join(lines) + "\n"

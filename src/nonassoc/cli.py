@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 from .algfile import AlgebraParseError, parse_text, serialize
@@ -47,19 +48,24 @@ def _load_file(path: str):
 
 
 def _file_identity(path):
-    """The device and inode of an existing file, else the resolved path: two
-    paths share it exactly when they name one file, links included."""
-    st = os.stat(path) if os.path.exists(path) else None
-    return (st.st_dev, st.st_ino) if st else os.path.realpath(path)
+    """The device and inode of an existing regular file, None for another
+    existing file (a device or pipe, which outputs may share), else the
+    resolved path: two paths share it exactly when they name one file."""
+    if not os.path.exists(path):
+        return os.path.realpath(path)
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
 @contextlib.contextmanager
 def _open_outputs(*paths):
     """One file opened for writing per path, None where no path is given.
-    No file is emptied until all are open; when two paths name one file or
-    one cannot be opened, exit 2 with every path left as it was."""
+    No file is emptied until all are open, and only regular files are; when
+    two paths name one regular file or one cannot be opened, exit 2 with
+    every path left as it was."""
     named = [p for p in paths if p]
-    if len({_file_identity(p) for p in named}) < len(named):
+    ids = [i for i in map(_file_identity, named) if i is not None]
+    if len(set(ids)) < len(ids):
         _fail(f"{' and '.join(named)} name one file")
     existed = [bool(p) and os.path.exists(p) for p in paths]
     with contextlib.ExitStack() as stack:
@@ -72,7 +78,8 @@ def _open_outputs(*paths):
                     os.remove(p)
             _fail(f"cannot write {exc.filename}: {exc}")
         for fh in filter(None, files):
-            fh.truncate(0)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
         yield files
 
 

@@ -529,11 +529,8 @@ def _check_unital(alg):
     raise AssertionError("inconsistent identity system with no failing product")
 
 
-def _decide(alg, prop, degree=4):
-    """The body of `check_property`, shared with `check_derivation_property`
-    so that neither calls the other's public name: a tracer that wraps both
-    sees one call per law decided through them.  `myung_equivalence` decides
-    its three laws in one scan, under its own name only."""
+def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4) -> PropertyReport:
+    """Decide one named law for `alg`; see module docstring for method."""
     name = prop.replace("-", "_")
     if name not in _LAWS:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
@@ -550,13 +547,8 @@ def _decide(alg, prop, degree=4):
     return PropertyReport(alg, name, w is None, w, detail)
 
 
-def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4) -> PropertyReport:
-    """Decide one named law for `alg`; see module docstring for method."""
-    return _decide(alg, prop, degree)
-
-
 def check_derivation_property(alg: AlgebraDef) -> PropertyReport:
-    return _decide(alg, "derivation_property")
+    return check_property(alg, "derivation_property")
 
 
 class MyungVerdict(NamedTuple):

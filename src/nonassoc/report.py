@@ -210,23 +210,9 @@ def build_verify_report() -> VerifyReport:
                     else "[P^mu, Q_a] and [P^mu, Qbar^ad] do not all vanish")
         entries.append(ReportEntry(eq_id, RECORDED,
                                    f"computed {computed}; stated right side is {stated}"))
-    m_q = dict(susy_std.m_q_samples)
-    entries.append(
-        ReportEntry(
-            "Eq. 1-30",
-            RECORDED,
-            "sigma^{mu nu} is undefined, so no pass/fail; orbital-only bracket "
-            f"[M^{{01}}, Q_1] = {m_q['[M^{01}, Q_1]']}",
-        )
-    )
-    entries.append(
-        ReportEntry(
-            "Eq. 1-40",
-            RECORDED,
-            "sigma^{mu nu} is undefined, so no pass/fail; orbital-only bracket "
-            f"[M^{{01}}, Qbar_1] = {m_q['[M^{01}, Qbar_1]']}",
-        )
-    )
+    for eq_id, (bracket, computed) in zip(("Eq. 1-30", "Eq. 1-40"), susy_std.m_q_samples):
+        entries.append(ReportEntry(eq_id, RECORDED, "sigma^{mu nu} is undefined, so no "
+                                   f"pass/fail; orbital-only bracket {bracket} = {computed}"))
     entries.append(
         ReportEntry(
             "Const c1",

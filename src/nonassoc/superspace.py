@@ -516,11 +516,6 @@ class PoincareReport(NamedTuple):
     lorentz_closure_holds: bool                # [M, M] relation, all index combinations
     failures: tuple[str, ...]
 
-    @property
-    def all_hold(self) -> bool:
-        return (self.translations_commute and self.boost_translation_holds
-                and self.lorentz_closure_holds)
-
 
 def _failures(diff, label) -> list[str]:
     """The labels of the index tuples where lhs - rhs is nonzero, in tuple order."""
@@ -591,18 +586,18 @@ class SusyReport(NamedTuple):
     inversion_quarter_holds: bool        # P_mu = (1/4) sigma_mu^{a ad} {Q_a, Qbar_ad}
     spatial_inversion_quarter_holds: bool
     p_q_brackets_vanish: bool            # [P^mu, Q_a] = 0 and [P^mu, Qbar^ad] = 0
-    m_q_samples: tuple[tuple[str, str], ...]  # rendered [M, Q] / [M, Qbar] brackets
+    m_q_samples: tuple[tuple[str, str], ...]  # [M^{01}, Q_1] and [M^{01}, Qbar_1], rendered
 
 
 def verify_susy(gens: GeneratorSet) -> SusyReport:
     """Decide Eq. 1-50, 1-60, 1-90 and 3-10 and the [P, Q] brackets of `gens`.
 
-    P_mu, P^mu, M^{01} and M^{12} are rows 0-7, 9 and 14 of the even stack,
-    over e, and the supercharges Q_a, Qbar_ad and Qbar^ad the odd stack, over
-    o; the sigma tables enter as Gaussian integers over their own denominators.
+    P_mu, P^mu and M^{01} are rows 0-7 and 9 of the even stack, over e, and
+    the supercharges Q_a, Qbar_ad and Qbar^ad the odd stack, over o; the sigma
+    tables enter as Gaussian integers over their own denominators.
     """
     (e, even), (o, odd) = gens.even, gens.odd
-    P, P_up, M = even[:, :4], even[:, 4:8], even[:, [9, 14]]
+    P, P_up, M01 = even[:, :4], even[:, 4:8], even[:, 9:10]
     Q, Qb, Qb_up = odd[:, :2], odd[:, 2:4], odd[:, 4:]
 
     qq = not _bracket(Q, Q, -1).any()
@@ -629,12 +624,10 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
     spatial = traces[:, 1:].astype(object) * e, P[:, 1:].astype(object) * (4 * r * o * o)
     spatial_ok = np.array_equal(*spatial)
 
-    # [M^{01}, M^{12}] x [Q_1, Qbar_1], over e * o
-    mq = _bracket(M, odd[:, [0, 2]], 1)
-    samples = []
-    for k, (mu, nu) in enumerate(((0, 1), (1, 2))):
-        samples.append((f"[M^{{{mu}{nu}}}, Q_1]", str(_write(mq[:, k, 0], e * o))))
-        samples.append((f"[M^{{{mu}{nu}}}, Qbar_1]", str(_write(mq[:, k, 1], e * o))))
+    # [M^{01}, Q_1] and [M^{01}, Qbar_1], the samples the ledger prints, over e * o
+    mq = _bracket(M01, odd[:, [0, 2]], 1)
+    samples = tuple((f"[M^{{01}}, {name}_1]", str(_write(mq[:, 0, k], e * o)))
+                    for k, name in enumerate(("Q", "Qbar")))
 
     return SusyReport(
         qq_vanish=qq,
@@ -644,7 +637,7 @@ def verify_susy(gens: GeneratorSet) -> SusyReport:
         inversion_quarter_holds=inversion,
         spatial_inversion_quarter_holds=spatial_ok,
         p_q_brackets_vanish=pq,
-        m_q_samples=tuple(samples),
+        m_q_samples=samples,
     )
 
 

@@ -67,8 +67,18 @@ MUTANTS = [
     # a wrong d/dtb sign in Qbar_ad
     ("superspace.py", "= (-d, -d, d, d)", "= (-d, -d, d, -d)", ["tests/test_superspace.py"]),
     # M^{02} (row 10) read for M^{01} in the [M, Q] samples
-    ("superspace.py", "even[:, [9, 14]]", "even[:, [10, 14]]",
+    ("superspace.py", "even[:, 9:10]", "even[:, 10:11]",
      ["tests/test_superspace.py::test_susy_report_matches_the_engine_reference"]),
+    # Eq. 1-10a decided as the constant True
+    ("superspace.py", "PoincareReport(not pp, not mp, not mm,", "PoincareReport(True, not mp, not mm,",
+     ["tests/test_superspace.py::test_poincare_report_on_non_commuting_translations_matches_the_reference"]),
+    # {Qbar, Qbar} = 0 (Eq. 1-60) decided as the constant True
+    ("superspace.py", "qbqb = not _bracket(Qb, Qb, -1).any()", "qbqb = True",
+     ["tests/test_superspace.py::test_susy_report_matches_the_engine_reference[Qbar1-gains-tb1]"]),
+    # [P, Q] = [P, Qbar] = 0 decided as the constant True
+    ("superspace.py", "pq = not (_bracket(P_up, Q, 1).any() or _bracket(P_up, Qb_up, 1).any())",
+     "pq = True",
+     ["tests/test_superspace.py::test_susy_report_matches_the_engine_reference[Q1-gains-x0-dth1]"]),
     # a Poincaré memo keyed on the stack as it is: the other momentum sign brackets again
     ("superspace.py", "key = (-flat if (first < 0).any() else flat).tobytes()",
      "key = flat.tobytes()",

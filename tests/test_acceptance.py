@@ -247,7 +247,7 @@ def test_c6_poincare_suite(criterion):
     gens = build_generators(momentum_sign=+1)
     report = verify_poincare(gens)
     elapsed = time.monotonic() - start
-    ok = report.all_hold and elapsed < 10.0
+    ok = not report.failures and elapsed < 10.0
     criterion("C06 Poincare suite", ok, "; ".join(report.failures[:3]))
     assert ok, report.failures[:10]
 

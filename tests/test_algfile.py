@@ -62,6 +62,9 @@ def test_gaussian_coefficients_round_trip():
     assert unit == GaussianRational(Fraction(1, 2))
     assert coeffs[1] == GaussianRational(1, Fraction(-2, 3))
     assert serialize(parse_text(serialize(parsed.algebra)).algebra) == serialize(parsed.algebra)
+    # written as `Element` text is: a pure imaginary multiple needs no parentheses
+    assert serialize(parsed.algebra).splitlines()[-3:] == [
+        "e1 e1 -> 1/2 + (1-2/3i)e2", "e1 e2 -> ie1 - 2ie2", "e2 e1 -> 2i"]
 
 
 def test_roles_line_round_trip():

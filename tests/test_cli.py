@@ -483,6 +483,26 @@ def test_search_empties_an_existing_output_before_writing(tmp_path):
     assert invoke(args).exit_code == 0
     assert (out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8")) == first
 
+
+@pytest.mark.parametrize("options", [["--out", os.devnull], ["--trace-out", os.devnull],
+                                     ["--out", os.devnull, "--trace-out", os.devnull]])
+def test_search_writes_to_a_device_output(options):
+    """A character device is written without being emptied, which it cannot
+    be, and two outputs may share it."""
+    result = invoke(["search", "--iters", "5", *options])
+    assert (result.exit_code, result.exception) == (0, None)
+    assert result.output.startswith("# residual convention")
+
+
+def test_search_empties_a_regular_output_beside_a_device(tmp_path):
+    trace = tmp_path / "a.trace"
+    trace.write_text("stale\n" * 1000, encoding="utf-8")
+    result = invoke(["search", "--iters", "5", "--out", os.devnull, "--trace-out", str(trace)])
+    assert result.exit_code == 0
+    text = trace.read_text(encoding="utf-8")
+    assert text and "stale" not in text
+
+
 def test_check_degree_below_three_is_an_input_error():
     result = invoke(["check", fixture_path("splitO.alg"),
                      "--properties", "power-associative", "--degree", "2"])

@@ -15,7 +15,7 @@ import sys
 
 from .algfile import AlgebraParseError, parse_text, serialize
 from .corpus import split_octonions
-from .properties import PROPERTIES, check_property
+from .properties import check_properties
 from .report import build_verify_report
 from .search import (
     CandidateAlgebra,
@@ -89,12 +89,12 @@ def check(file, properties, degree):
     requested = [p.strip() for p in properties.split(",") if p.strip()]
     if not requested:
         _fail("no properties requested")
-    for prop in requested:
-        if prop.replace("-", "_") not in PROPERTIES:
-            _fail(f"unknown property {prop!r}")
+    try:
+        reports = check_properties(alg, requested, degree=degree)
+    except ValueError as exc:    # an unknown name, before any law is decided
+        _fail(exc)
     any_failed = False
-    for prop in requested:
-        rep = check_property(alg, prop, degree=degree)
+    for rep in reports:
         if rep.holds:
             print(f"PASS {rep.property}" + (f" ({rep.detail})" if rep.detail else ""))
         else:

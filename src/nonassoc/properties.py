@@ -29,14 +29,16 @@ order of i and the nonzero entries of a slab in (j, k, law) order, and the
 scan stops at the first failing slab: the witness is the lexicographically
 first failing (i, j, k, law), the same triple a loop over basis elements
 finds, and its defect is the slab entry divided by the denominator squared.
-All laws read the slabs from one kernel per algebra, which keeps the
-three slices it computed last, one slab's worth: the laws of one `check`
-usually fail at the same slab, and each slice of it is contracted once for
-all of them.  No more slices are kept, so memory stays O(dim^3).  Myung's
-three laws, derivation, flexible and Lie-admissible, are decided in one
-scan, `myung_equivalence`: each slab is computed once for the laws not yet
-failed, so an algebra on which all three hold has each slab contracted
-once, not three times.
+The laws requested together (`check_properties`: all those of one
+`check`, or Myung's three, derivation, flexible and Lie-admissible, in
+`myung_equivalence`) are decided in one scan: each slab is computed once
+for the laws not yet failed, with the slices they read, and each law
+leaves the scan at its first failing slab, so an algebra on which all of
+them hold has each slab contracted once, not once per law.  The slabs come
+from one kernel per algebra, which keeps the three slices it computed
+last, one slab's worth, for callers that check one law at a time: laws
+that fail at the same slab share its contractions.  No more slices are
+kept, so memory stays O(dim^3).
 
 T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
@@ -122,9 +124,12 @@ multilinear laws are one scan of the associator kernel, power
 associativity scans degree 3 and then, at a degree of 4 or more, degree
 4, and the Jordan law scans commutativity and then its linearized form,
 each reading one slice with the row (1,).  The table also names `unital`,
-which keeps its own solve, so its keys are the law names, `PROPERTIES`;
-`check_property` is the one body that runs a law's scans and builds its
-report.
+which keeps its own solve, so its keys are the law names, `PROPERTIES`.
+`check_properties` is the one body that runs the laws' scans and builds
+their reports, in rounds: each round runs the next scan of every law that
+has passed the ones before it, one `_first_failure` call per kernel.  So
+the five multilinear laws and degree-3 power associativity share one pass
+over the associator slabs, and the degree-4 fold runs once degree 3 holds.
 
 Every check is exact: a law either holds or a nonzero defect element is
 produced as a witness.  Witnesses are deterministic: the lexicographically
@@ -304,8 +309,8 @@ def _slab_kernel(alg):
     elements at tensor indices a, b, c times `_den**2`, as a tensor vector,
     with the leading axis of `_layers` if it has one.  The kernel is kept
     on `alg` and remembers the three slices it computed last, one slab's
-    worth, so the laws of one `check` that fail or read the same slab share
-    its contractions.
+    worth, so laws checked one after another that fail at the same slab
+    share its contractions.
     """
     kernel = vars(alg).get("_slabs")
     if kernel is None:
@@ -421,27 +426,30 @@ def _first_failure(alg, groups, kernel):
     orders of `_ORDERS`, views of the slices of slab i from `kernel`, added
     or subtracted as its row's coefficients (1, -1 or 0) say, positive terms
     first.  A defect is nonzero when it is nonzero in some layer.  Each slab
-    is computed once for the groups still undecided, with the orders they
-    read, and a group leaves the scan at its first failing slab.  The
-    per-algebra `_slab_kernel` keeps the last three slices it computed, so
-    the laws share each slice of a slab, within this call and with the laws
-    checked before it.  Slabs are decided in order of i and each is scanned
-    in (j, ..., law) order, so a group's first hit is its first failure in
-    (i, j, ..., law) order; no slab after the last group's is computed.
+    is computed once for the groups still undecided, each order when a
+    group first reads it, and a group leaves the scan at its first failing
+    slab.  The per-algebra `_slab_kernel` also keeps the last three slices
+    it computed, which the next call reuses if it reads the same slab.
+    Slabs are decided in order of i and each is scanned in (j, ..., law)
+    order, so a group's first hit is its first failure in (i, j, ..., law)
+    order; no slab after the last group's is computed.
     """
     slices = kernel(alg)
     terms = [[sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0)
               for _, row in laws] for laws in groups]
+    reads = [sorted({o for law in laws for o, _ in law}) for laws in terms]
     found = [None] * len(groups)
     undecided = list(range(len(groups)))
     for i in range(1, alg.dim + 1):
         if not undecided:
             break
-        read = {o for g in undecided for law in terms[g] for o, _ in law}
-        views = {o: slices(i, pos).swapaxes(-3, -2) if exchanged else slices(i, pos)
-                 for o, (pos, exchanged) in enumerate(_ORDERS) if o in read}
+        views = {}
         for g in list(undecided):
-            defects = []
+            defects = []    # the last group's are freed before a slice is computed
+            for o in reads[g]:
+                if o not in views:
+                    pos, exchanged = _ORDERS[o]
+                    views[o] = slices(i, pos).swapaxes(-3, -2) if exchanged else slices(i, pos)
             for (o, c), *others in terms[g]:
                 defects.append(views[o] if c > 0 else -views[o])
                 for o, c in others:
@@ -529,22 +537,53 @@ def _check_unital(alg):
     raise AssertionError("inconsistent identity system with no failing product")
 
 
+def check_properties(alg: AlgebraDef, props: list[str], *, degree: int = 4) -> list[PropertyReport]:
+    """Decide the named laws for `alg` together: one report per name, in
+    request order, each the one `check_property` gives.
+
+    Every name, and the degree, is checked before any law is decided.  The
+    laws then run their scans in rounds: each round runs the next scan of
+    every law that has passed the scans before it, one `_first_failure`
+    call per kernel.  So the first scans of the five multilinear laws and
+    of degree-3 power associativity share one pass over the associator
+    slabs, and each slice of a slab is contracted once for all of them."""
+    names = [prop.replace("-", "_") for prop in props]
+    for prop, name in zip(props, names):
+        if name not in _LAWS:
+            raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if degree < 3 and "power_associative" in names:
+        raise ValueError("power associativity needs degree >= 3")
+    laws = {}    # law -> (report name, detail, the slab scans it has still to run)
+    for name in dict.fromkeys(names):
+        if name != "unital":
+            scans, detail = _LAWS[name]
+            label = name
+            if name == "power_associative":
+                label = f"power_associative({degree})"
+                if degree == 3:
+                    scans, detail = scans[:1], "x^2 x = x x^2 on basis triples"
+            laws[name] = label, detail, list(scans)
+    witnesses, pending = {}, list(laws)
+    while pending:    # one round: the next scan of each law that passed those before it
+        by_kernel = {}
+        for name in pending:
+            kernel, group = laws[name][2].pop(0)
+            by_kernel.setdefault(kernel, []).append((name, group))
+        for kernel, members in by_kernel.items():
+            found = _first_failure(alg, [group for _, group in members], kernel)
+            witnesses.update((name, w) for (name, _), w in zip(members, found) if w)
+        pending = [name for name in pending if laws[name][2] and name not in witnesses]
+    reports = {name: PropertyReport(alg, label, name not in witnesses, witnesses.get(name), detail)
+               for name, (label, detail, _) in laws.items()}
+    if "unital" in names:
+        reports["unital"] = _check_unital(alg)
+    return [reports[name] for name in names]
+
+
 def check_property(alg: AlgebraDef, prop: str, *, degree: int = 4) -> PropertyReport:
-    """Decide one named law for `alg`; see module docstring for method."""
-    name = prop.replace("-", "_")
-    if name not in _LAWS:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    if name == "unital":
-        return _check_unital(alg)
-    scans, detail = _LAWS[name]
-    if name == "power_associative":
-        if degree < 3:
-            raise ValueError("power associativity needs degree >= 3")
-        if degree == 3:
-            scans, detail = scans[:1], "x^2 x = x x^2 on basis triples"
-        name = f"power_associative({degree})"
-    w = next(filter(None, (_first_failure(alg, [laws], kernel)[0] for kernel, laws in scans)), None)
-    return PropertyReport(alg, name, w is None, w, detail)
+    """Decide one named law for `alg`: `check_properties` on that name
+    alone; see module docstring for method."""
+    return check_properties(alg, [prop], degree=degree)[0]
 
 
 def check_derivation_property(alg: AlgebraDef) -> PropertyReport:
@@ -562,17 +601,12 @@ class MyungVerdict(NamedTuple):
 def myung_equivalence(corpus: list[AlgebraDef]) -> list[MyungVerdict]:
     """Check derivation-property <=> (flexible and Lie-admissible) per algebra.
 
-    The three laws are one associator scan each, and `_first_failure`
-    decides them together, slab by slab; each report is the one
-    `check_property` gives."""
+    The three laws are decided by one `check_properties` call per algebra,
+    which scans each algebra's associator slabs once for all three."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    names = ("derivation_property", "flexible", "lie_admissible")
-    groups = [_LAWS[name][0][0][1] for name in names]    # the laws of each one's single scan
     out = []
     for alg in corpus:
-        witnesses = _first_failure(alg, groups, _slab_kernel)
-        der, flex, lie = (PropertyReport(alg, name, w is None, w, _LAWS[name][1])
-                          for name, w in zip(names, witnesses))
+        der, flex, lie = check_properties(alg, ["derivation_property", "flexible", "lie_admissible"])
         out.append(MyungVerdict(alg, der.holds == (flex.holds and lie.holds), der, flex, lie))
     return out

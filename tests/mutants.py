@@ -172,6 +172,14 @@ MUTANTS = [
     # a Myung scan that keeps a law after its first failing slab: later slabs overwrite its witness
     ("properties.py", "                undecided.remove(g)\n", "                pass\n",
      ["tests/test_properties.py::test_myung_scan_drops_each_law_at_its_first_failing_slab"]),
+    # Eq. 4-80 to 4-100 decided as the constant True
+    ("properties.py", "MyungVerdict(alg, der.holds == (flex.holds and lie.holds), der, flex, lie)",
+     "MyungVerdict(alg, True, der, flex, lie)",
+     ["tests/test_properties.py::test_inconsistent_law_reports_fail_the_myung_entry"]),
+    # a check that runs one slab scan per law: each law that holds re-contracts every slab
+    ("properties.py", "for kernel, members in by_kernel.items():",
+     "for kernel, members in ((k, [m]) for k, ms in by_kernel.items() for m in ms):",
+     ["tests/test_properties.py::test_check_properties_contracts_each_slice_once"]),
     # the kij order read off slice 2, the slice of kji
     ("properties.py", "(0, True), (1, True), (2, True)", "(0, True), (2, True), (2, True)",
      ["tests/test_properties.py"]),

@@ -18,6 +18,7 @@ from oracle import fixture_path, fixture_text, invoke
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_paper.lines"
 ZORN_GOLDEN = GOLDEN.with_name("table_splitO_zorn.txt")
 TEXT_GOLDEN = GOLDEN.with_name("verify_paper.txt")
+CHECK_GOLDEN = GOLDEN.with_name("check_splitO.txt")
 
 
 def test_check_passing_property():
@@ -649,3 +650,11 @@ def test_check_all_laws_output_is_pinned(tmp_path, name, degree):
                      "--degree", str(degree)])
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert (result.exit_code, digest) == CHECK_ALL_LAWS_SHA256[name, degree]
+
+
+def test_check_golden_file_is_the_pinned_split_octonion_output():
+    """CI compares the installed `check` on splitO with this file."""
+    result = invoke(["check", fixture_path("splitO.alg"), "--properties", ALL_LAWS])
+    assert result.stdout == CHECK_GOLDEN.read_text()
+    digest = hashlib.sha256(CHECK_GOLDEN.read_bytes()).hexdigest()
+    assert (result.exit_code, digest) == CHECK_ALL_LAWS_SHA256["splitO", 4]

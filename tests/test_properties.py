@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -24,13 +25,17 @@ from nonassoc.corpus import (
 )
 from nonassoc.properties import (
     PROPERTIES,
+    PropertyReport,
+    Witness,
     check_derivation_property,
+    check_properties,
     check_property,
     myung_equivalence,
 )
+from nonassoc.report import FAIL, build_verify_report
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
-from nonassoc.zorn import zorn_octonions
+from nonassoc.zorn import zorn_matrices, zorn_octonions
 from oracle import (
     FIXTURES,
     REFERENCE_LAWS,
@@ -213,6 +218,30 @@ def test_myung_scan_drops_each_law_at_its_first_failing_slab(monkeypatch):
     # slices 0 and 1; slab 4 is never computed
     assert [(i, pos) for _, i, pos in calls] == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
                                                  (3, 0), (3, 1)]
+
+
+def test_inconsistent_law_reports_fail_the_myung_entry(monkeypatch):
+    """Eq. 4-80-4-100 is decided from the law reports: when they say the
+    derivation property holds on su2 but the flexible law fails, the
+    equivalence is False and the ledger marks the entry FAIL."""
+    decide = properties.check_properties
+
+    def inconsistent(alg, props, **kwargs):
+        reports = decide(alg, props, **kwargs)
+        if alg.name != "su2":
+            return reports
+        w = Witness(alg.basis_element(0), (0, 0, 0), "flexible law")
+        return [PropertyReport(alg, r.property, False, w) if r.property == "flexible" else r
+                for r in reports]
+
+    monkeypatch.setattr(properties, "check_properties", inconsistent)
+    su2 = su2_bracket_algebra()
+    der, flex = properties.check_properties(su2, ["derivation_property", "flexible"])
+    assert der.holds and not flex.holds
+    (verdict,) = myung_equivalence([su2])
+    assert verdict.equivalence_holds is False
+    (entry,) = [e for e in build_verify_report().entries if e.eq_id == "Eq. 4-80-4-100"]
+    assert entry.status == FAIL
 
 
 # -- the law rows as data -----------------------------------------------------------
@@ -637,6 +666,12 @@ SHARING_CASES = (
 )
 
 
+def fresh_copy(alg):
+    """`alg` built again from its cells: no kernel or memoised slab yet."""
+    return AlgebraDef(alg.name, alg.dim, alg._den, alg.tensor[1:, 1:].reshape(alg.dim**2, -1).tolist(),
+                      alg.unital, alg.basis_names)
+
+
 def outcome(report):
     w = report.witness
     return (report.property, report.holds, w.describe() if w else None,
@@ -649,17 +684,11 @@ def test_laws_do_not_depend_on_what_ran_before(make):
     """A law run after the other seven on one shared algebra, or in either
     order, reports what it reports on a fresh copy of the algebra."""
     shared = make()
-
-    def fresh_copy():    # no kernel or memoised slab yet
-        return AlgebraDef(shared.name, shared.dim, shared._den,
-                          shared.tensor[1:, 1:].reshape(shared.dim**2, -1).tolist(), shared.unital,
-                          shared.basis_names)
-
-    fresh = {law: outcome(check_property(fresh_copy(), law)) for law in PROPERTIES}
+    fresh = {law: outcome(check_property(fresh_copy(shared), law)) for law in PROPERTIES}
     # in the second round each law runs right after the other seven
     for _ in range(2):
         assert {law: outcome(check_property(shared, law)) for law in PROPERTIES} == fresh
-    backwards = fresh_copy()
+    backwards = fresh_copy(shared)
     assert {law: outcome(check_property(backwards, law)) for law in PROPERTIES[::-1]} == fresh
 
 
@@ -715,6 +744,54 @@ def test_shared_slices_are_read_only():
     assert s is properties._slab_kernel(alg)(1, 0)
     with pytest.raises(ValueError):
         s[0, 0, 0] = 1
+
+
+# -- every requested law in one call ------------------------------------------
+
+TOGETHER_CASES = SHARING_CASES + [("zorn-matrices", zorn_matrices)]
+
+
+def report_fields(report):
+    w = report.witness
+    return (report.property, report.holds, w and w.indices, w and w.defect, w and w.law,
+            report.detail)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("name, make", TOGETHER_CASES, ids=[name for name, _ in TOGETHER_CASES])
+def test_check_properties_equals_the_single_law_reports(name, make, degree):
+    """Names shuffled, repeated and in both spellings: each report is the
+    one `check_property` gives on an algebra of its own."""
+    alg = make()
+    names = [*PROPERTIES, *(law.replace("_", "-") for law in PROPERTIES if "_" in law),
+             "flexible", "unital", "jordan"]
+    random.Random(f"{name}/{degree}").shuffle(names)
+    together = check_properties(alg, names, degree=degree)
+    single = [check_property(fresh_copy(alg), law, degree=degree) for law in names]
+    assert [report_fields(r) for r in together] == [report_fields(r) for r in single]
+    assert together == single
+
+
+def test_check_properties_contracts_each_slice_once(monkeypatch):
+    """Every multilinear law holds on Z/8, so each scanning law reads every
+    slab; decided together they contract each (slab, position) once."""
+    calls = count_slices(monkeypatch)
+    alg = cyclic_group_algebra(8)
+    reports = check_properties(alg, PROPERTIES)
+    assert all(r.holds for r in reports)
+    assert sorted((i, pos) for _, i, pos in calls) == [(i, pos) for i in range(1, 9)
+                                                       for pos in range(3)]
+
+
+@pytest.mark.parametrize("names, degree, message", [
+    (["flexible", "bogus"], 4, "unknown property 'bogus'"),
+    (["associative", "power-associative"], 2, "needs degree >= 3"),
+], ids=["unknown-name", "degree-2"])
+def test_check_properties_decides_nothing_on_a_bad_request(names, degree, message, monkeypatch):
+    calls = count_slices(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        check_properties(split_octonions(), names, degree=degree)
+    assert calls == []
 
 
 # -- object tables on residue layers ------------------------------------------

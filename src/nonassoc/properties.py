@@ -98,24 +98,24 @@ then; and in a commutative algebra (xy)(xx) - x(y(xx)) does not change at
 x + t 1 and vanishes at y = 1.  So a PASS is a proof, and any degree of 4
 or more decides power associativity completely.
 
-Commutativity is scanned slab by slab, as T[i, j] - T[j, i].  The two
-four-argument forms are symmetric in the arguments they sum over, so F at
-a tuple equals F at the tuple with those indices sorted, which is no later
-in lex order: the first failing tuple is sorted.  Their kernel, `_fold`,
-evaluates the unsymmetrized form once on every basis 4-tuple, in blocks
-of one first argument, and adds each block onto one array over the
-sorted tuples; F there is the entry times the number of orders that fix
-the tuple, sym! over the count of tuples with that key.  Memory grows as
-dim^5, not dim^3: the keys are found on each call from index arrays over
-all dim^4 tuples, and the folded array holds K entries per sorted tuple,
-about K dim^4/24 for degree 4 and K dim^4/6 for the Jordan form (on a
-diagonal table `power_associative` and `jordan` raised the peak resident
-set by about 20 and 27 MB at dimension 24, and 61 and 95 MB at 32, Python
-3.11, numpy 2.4).  Its slabs are read off that array, zero at the
-unsorted tuples, and a defect is F divided by the denominator cubed.  A
-degree-4 defect adds 48 terms (24 orders of two terms) and a Jordan
-defect 12, each a sum of K**2 products of three entries of T, which the
-bound on T above covers.
+Commutativity is scanned slab by slab, as T[i, j] - T[j, i], and so are
+the two four-argument forms, from the symmetrized products S_ab = e_a e_b +
+e_b e_a, with u o v = uv + vu and L3(a, b, c) = S_bc e_a + S_ac e_b + S_ab e_c,
+the sum of (e_a e_b) e_c over the orders of (a, b, c):
+
+    degree 4   S_ij o S_kl + S_ik o S_jl + S_il o S_jk - sum over d of L3(the other three) e_d
+    Jordan     sum over c in (i, j, k) of (e_c e_l) S_rest - e_c (e_l S_rest)
+
+Each form is symmetric in the indices it sums over, and slab i is scanned
+only once the slabs before it have passed, so it is zero wherever one of
+them is below i: its kernel computes them from i on only (the Jordan y, l,
+runs over the whole basis), and its first nonzero entry, the first failing
+tuple in lex order, has them sorted.  L3 on every basis triple and e_l S_jk
+are computed once per scan, so memory stays O(K dim^3).  A defect is F over
+the denominator cubed: at degree 4 it adds 48 terms (24 orders of two
+terms) and for the Jordan law 12, each a sum of K**2 products of three
+entries of T, which the bound on T above covers, and in residue layers
+every contraction is reduced with `_mod` before it is combined.
 
 Each scanned law is one entry of a single table, `_LAWS`: an ordered
 list of slab scans, each a kernel and the (tag, row) pairs
@@ -129,7 +129,7 @@ which keeps its own solve, so its keys are the law names, `PROPERTIES`.
 their reports, in rounds: each round runs the next scan of every law that
 has passed the ones before it, one `_first_failure` call per kernel.  So
 the five multilinear laws and degree-3 power associativity share one pass
-over the associator slabs, and the degree-4 fold runs once degree 3 holds.
+over the associator slabs, and the degree-4 scan runs once degree 3 holds.
 
 Every check is exact: a law either holds or a nonzero defect element is
 produced as a witness.  Witnesses are deterministic: the lexicographically
@@ -139,7 +139,6 @@ first failing basis tuple, with the linearized defect F there.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -352,69 +351,70 @@ def _commutator_slices(alg):
     return lambda i, pos: _mod(t[..., i, 1:, :] - t[..., 1:, i, :])
 
 
-def _fold(alg, form, sym):
-    """Kernel of a multilinear form(mul, a, b, c, d) summed over the orders
-    of its first `sym` arguments: slices(i, pos), pos 0, is that sum at
-    (e_i, e_j, e_k, e_l) times `_den**3` where the summed indices are
-    sorted, and zero elsewhere, as an array over (j, k, l).  form is
-    evaluated on (e_a, basis, basis, basis) for one basis element a at a
-    time, and mul(u, v) multiplies two arrays of tensor vectors pairwise,
-    the indices of u first.  A key adds at most 24 values in (-p, p) in a
-    residue layer before it is multiplied by `fixing`."""
+def _times(u, m, *shape):
+    """Rows of tensor vectors u times the matrix m, reduced, as an array of `shape`."""
+    stack = m.shape[:-2]
+    return _mod((u.reshape(stack + (-1, u.shape[-1])) @ m).reshape(stack + shape))
+
+
+def _columns(x):
+    """x[a, m, out] as the matrix [m, (a, out)]."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
+
+
+def _add_symmetric(out, x):
+    """out plus x[j, k, l] + x[j, l, k] + x[k, l, j] in place, x symmetric in j and k."""
+    out += x
+    out += x.swapaxes(-3, -2)
+    out += np.moveaxis(x, -2, -4)
+    return out
+
+
+def _quartic_slices(alg):
+    """slices(i, pos), pos 0, for tensor index i >= 1: the degree-4 form F
+    at (e_i, e_j, e_k, e_l) times `_den**3`, over j, k, l from e_i on."""
     t = _layers(alg, lambda k, m: 48 * k**2 * m**3)    # 48 terms of K**2 products of three entries
-    n, width = alg.dim, t.shape[-1]
-    stack = t.shape[:-3]
-    table = _full(t).reshape(stack + (width, width * width))
-    basis = np.eye(width, dtype=t.dtype)[1:n + 1] * np.ones(stack + (1, 1), dtype=t.dtype)
-    rows, blocks, cols = stack + (-1, width), stack + (-1, width, width), stack + (1, -1, width)
-    lead = len(stack)
-
-    def mul(u, v):
-        by_u = _mod((u.reshape(rows) @ table).reshape(blocks))
-        return _mod(v.reshape(cols) @ by_u).reshape(u.shape[:-1] + v.shape[lead:])
-
-    # a min/max network sorts the summed indices: np.sort of so many short
-    # rows would cost about a tenth of the call at dimension 12
-    key = np.indices((n,) * 4, dtype=np.int16).reshape(4, -1)
-    for j, k in itertools.combinations(range(sym), 2):
-        key[[j, k]] = np.minimum(key[j], key[k]), np.maximum(key[j], key[k])
-    key = np.ravel_multi_index(key, (n,) * 4)    # each tuple's key, as a flat index
-    orbit = np.bincount(key, minlength=n**4)    # the tuples with each key
-    keys = np.flatnonzero(orbit)
-    fixing = math.factorial(sym) // orbit[keys]    # the orders that fix each key
-    rank = (np.cumsum(orbit > 0) - 1)[key].reshape(n, n**3)
-    del key, orbit
-    order = np.argsort(rank, axis=1, kind="stable")    # each block's tuples in runs of one key
-    rank = np.take_along_axis(rank, order, axis=1)
-    first = np.diff(rank, axis=1, prepend=-1) != 0
-    folded = np.zeros(stack + (len(keys), width), dtype=t.dtype)
-    for a in range(n):    # no block is held while the next is evaluated
-        block = form(mul, basis[..., a:a + 1, :], basis, basis, basis).reshape(
-            stack + (n**3, width))[..., order[a], :]
-        folded[..., rank[a, first[a]], :] += np.add.reduceat(block, np.flatnonzero(first[a]), axis=-2)
-        del block
-    folded *= fixing[:, None]
-    slab_starts = np.searchsorted(keys, np.arange(n + 1) * n**3)
+    full, n, width = _full(t), alg.dim, t.shape[-1]
+    sym = _mod(t[..., 1:, 1:, :] + t[..., 1:, 1:, :].swapaxes(-3, -2))    # [a, b]: S_ab
+    right = full[..., 1:n + 1, :].reshape(full.shape[:-3] + (width, -1))    # [m, (c, out)]: u_m e_c
+    circle = _mod(full + full.swapaxes(-3, -2)).reshape(right.shape[:-1] + (-1,))    # u_m o u_p
+    cube = _times(sym, right, n, n, n, width)    # [a, b, c]: S_ab e_c
+    triple = _mod(_add_symmetric(np.zeros_like(cube), cube))    # [a, b, c]: L3(a, b, c)
 
     def slices(i, pos):
-        ranks = slice(slab_starts[i - 1], slab_starts[i])
-        slab = np.zeros(stack + (n**3, width), dtype=t.dtype)
-        slab[..., keys[ranks] - (i - 1) * n**3, :] = folded[..., ranks, :]
-        return slab.reshape(stack + (n, n, n, width))
+        s, m = i - 1, n - i + 1    # j, k, l from e_i on
+        y = _times(sym[..., i - 1, s:, :], circle, m, width, width)    # [a, q]: S_ia o u_q
+        q = _times(sym[..., s:, s:, :], _columns(y), m, m, m, width)    # [b, c, a]: S_bc o S_ia
+        q -= _times(triple[..., i - 1, s:, s:, :], right[..., s * width:], m, m, m, width)    # L3(i,b,c) e_a
+        out = _times(triple[..., s:, s:, s:, :], full[..., :, i, :], m, m, m, width)    # L3(j, k, l) e_i
+        return _mod(_add_symmetric(np.negative(out, out=out), q))
 
     return slices
 
 
-def _quartic(mul, a, b, c, d):
-    """(ab)(cd) - ((ab)c)d: x^2 x^2 - (x^2 x) x before linearization."""
-    ab = mul(a, b)
-    return mul(ab, mul(c, d)) - mul(mul(ab, c), d)
+def _jordan_slices(alg):
+    """slices(i, pos), pos 0, for tensor index i >= 1: the Jordan form F at
+    x = (e_i, e_j, e_k), y = e_l times `_den**3`, over j, k from e_i on."""
+    t = _layers(alg, lambda k, m: 12 * k**2 * m**3)    # 12 terms of K**2 products of three entries
+    full, n, width = _full(t), alg.dim, t.shape[-1]
+    sym = _mod(t[..., 1:, 1:, :] + t[..., 1:, 1:, :].swapaxes(-3, -2))    # [a, b]: S_ab
+    left = _columns(full[..., 1:n + 1, :, :])    # [m, (a, out)]: e_a u_m
+    times, swapped = full.reshape(left.shape[:-1] + (-1,)), _columns(full)    # u_m u_p, u_p u_m
+    by_left = _times(sym, left, n, n, n, width)    # [j, k, l]: e_l S_jk
 
+    def slices(i, pos):
+        s, m = i - 1, n - i + 1    # j, k from e_i on
+        p = _times(t[..., i, 1:, :], times, n, width, width)    # [l, q]: (e_i e_l) u_q
+        g = _times(sym[..., s:, s:, :], _columns(p), m, m, n, width)    # [j, k, l]: (e_i e_l) S_jk
+        g -= _times(by_left[..., s:, s:, :, :], full[..., i, :, :], m, m, n, width)    # e_i (e_l S_jk)
+        y = _times(sym[..., i - 1, s:, :], swapped, m, width, width)    # [b, p]: u_p S_ib
+        a = _times(t[..., s + 1:, 1:, :], _columns(y), m, n, m, width)    # [a, l, b]: (e_a e_l) S_ib
+        a -= _times(by_left[..., i - 1, s:, :, :], left[..., s * width:], m, n, m, width).swapaxes(-4, -2)
+        g += a.swapaxes(-3, -2)    # (e_c e_l) S_rest - e_c (e_l S_rest) at c = j
+        g += np.moveaxis(a, -2, -4)    # and at c = k
+        return _mod(g)
 
-def _jordan(mul, x1, x2, x3, y):
-    """(x1 y)(x2 x3) - x1 (y (x2 x3)), with axes moved from (x1, y, x2, x3)."""
-    xx = mul(x2, x3)
-    return np.moveaxis(mul(mul(x1, y), xx) - mul(x1, mul(y, xx)), -4, -2)
+    return slices
 
 
 def _first_failure(alg, groups, kernel):
@@ -425,14 +425,13 @@ def _first_failure(alg, groups, kernel):
     (j, ...) with the leading axis of residue layers if it has one, are the
     orders of `_ORDERS`, views of the slices of slab i from `kernel`, added
     or subtracted as its row's coefficients (1, -1 or 0) say, positive terms
-    first.  A defect is nonzero when it is nonzero in some layer.  Each slab
-    is computed once for the groups still undecided, each order when a
-    group first reads it, and a group leaves the scan at its first failing
-    slab.  The per-algebra `_slab_kernel` also keeps the last three slices
-    it computed, which the next call reuses if it reads the same slab.
-    Slabs are decided in order of i and each is scanned in (j, ..., law)
-    order, so a group's first hit is its first failure in (i, j, ..., law)
-    order; no slab after the last group's is computed.
+    first.  A slice covers the last indices of each axis: all of them, but
+    from i on where a four-argument form sums over the index.  A defect is
+    nonzero when it is nonzero in some layer.  Each slab is computed once
+    for the groups still undecided, each order when a group first reads it,
+    and a group leaves the scan at its first failing slab.  Slabs are
+    decided in order of i and each is scanned in (j, ..., law) order, so a
+    group's first hit is its first failure in (i, j, ..., law) order.
     """
     slices = kernel(alg)
     terms = [[sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0)
@@ -461,9 +460,10 @@ def _first_failure(alg, groups, kernel):
                 nonzero = nonzero.any(axis=0)
             hits = np.flatnonzero(nonzero)
             if hits.size:
-                *rest, law = (int(v) for v in np.unravel_index(hits[0], nonzero.shape))
+                *at, law = np.unravel_index(hits[0], nonzero.shape)
+                rest = [int(a) + alg.dim - size for a, size in zip(at, nonzero.shape)]
                 w = Element(alg, alg._den ** len(rest),    # one factor per product
-                            _exact(defects[(..., *rest, law, slice(None))]))
+                            _exact(defects[(..., *at, law, slice(None))]))
                 found[g] = Witness(defect=w, indices=(i - 1, *rest), law=groups[g][law][0])
                 undecided.remove(g)
     return found
@@ -481,11 +481,11 @@ _LAWS = {
                                          (1, -1, 1, -1, 1, -1))])], ""),
     "power_associative": ([
         (_slab_kernel, [("power associativity at degree 3", (1, 1, 1, 1, 1, 1))]),
-        (functools.partial(_fold, form=_quartic, sym=4), [("power associativity at degree 4", (1,))]),
+        (_quartic_slices, [("power associativity at degree 4", (1,))]),
     ], "x^2 x = x x^2 and x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree"),
     "jordan": ([
         (_commutator_slices, [("commutativity", (1,))]),
-        (functools.partial(_fold, form=_jordan, sym=3), [("Jordan law (xy)(xx) = x(y(xx))", (1,))]),
+        (_jordan_slices, [("Jordan law (xy)(xx) = x(y(xx))", (1,))]),
     ], "commutativity on basis pairs, then the linearized Jordan law on basis 4-tuples"),
     "unital": None,
     "derivation_property": ([(_slab_kernel, [("bracket Leibniz rule", (-1, 0, 0, 1, -1, 0))])], ""),

@@ -155,12 +155,22 @@ MUTANTS = [
     # a coefficient past the integer digit limit escapes as a ValueError
     ("algfile.py", "except ValueError as exc:", "except TypeError as exc:",
      ["tests/test_cli.py::test_a_coefficient_past_the_integer_digit_limit_is_a_bad_rational"]),
-    # the fold's fixing count taken as the number of tuples with the key
-    ("properties.py", "fixing = math.factorial(sym) // orbit[keys]", "fixing = orbit[keys]",
-     ["tests/test_properties.py"]),
-    # a fold whose keys leave the last summed index unsorted
-    ("properties.py", "itertools.combinations(range(sym), 2)",
-     "itertools.combinations(range(sym - 1), 2)", ["tests/test_properties.py"]),
+    # the degree-4 slab without its x[k, l, j] image: the pair partition
+    # S_ij o S_kl dropped, with the L3(i, k, l) e_j term it is summed with
+    ("properties.py", "return _mod(_add_symmetric(np.negative(out, out=out), q))",
+     "return _mod(np.negative(out, out=out) + q + q.swapaxes(-3, -2))",
+     ["tests/test_properties.py::test_degree_four_decides_what_degree_three_misses"]),
+    # the summed degree-4 cube of slab i starting at i + 1 instead of i
+    ("properties.py", "s, m = i - 1, n - i + 1    # j, k, l from e_i on",
+     "s, m = i, n - i    # j, k, l from e_i on",
+     ["tests/test_properties.py::test_degree_four_decides_what_degree_three_misses"]),
+    # the Jordan slab read for y = e_l from e_i on only
+    ("properties.py", "return _mod(g)", "return _mod(g[..., s:, :])",
+     ["tests/test_properties.py::test_witness_past_slab_one_is_the_polarized_defect"]),
+    # a witness read off a slab as if it covered the whole basis on every axis
+    ("properties.py", "rest = [int(a) + alg.dim - size for a, size in zip(at, nonzero.shape)]",
+     "rest = [int(a) for a in at]",
+     ["tests/test_properties.py::test_witness_past_slab_one_is_the_polarized_defect"]),
     # a unit witness that reads u e_j for e_j u too
     ("properties.py", "for side in (full[:, j + 1], full[j + 1]):",
      "for side in (full[:, j + 1], full[:, j + 1]):", ["tests/test_properties.py"]),

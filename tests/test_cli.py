@@ -658,3 +658,26 @@ def test_check_golden_file_is_the_pinned_split_octonion_output():
     assert result.stdout == CHECK_GOLDEN.read_text()
     digest = hashlib.sha256(CHECK_GOLDEN.read_bytes()).hexdigest()
     assert (result.exit_code, digest) == CHECK_ALL_LAWS_SHA256["splitO", 4]
+
+
+# the commutative table whose first failing Jordan tuple has its y below the
+# x slots; CI writes the same text from a heredoc
+Y_BELOW_TABLE = """\
+name y-below
+dimension 2
+unital false
+e1 e1 -> -2e1
+e1 e2 -> -e2
+e2 e1 -> -e2
+e2 e2 -> 2e1
+"""
+
+
+def test_check_golden_file_is_the_pinned_jordan_y_below_output(tmp_path):
+    """CI compares the installed `check` on the y-below table with this file."""
+    path = tmp_path / "y_below.alg"
+    path.write_text(Y_BELOW_TABLE, encoding="utf-8")
+    result = invoke(["check", str(path), "--properties", ALL_LAWS])
+    golden = CHECK_GOLDEN.with_name("check_jordan_y_below.txt").read_text()
+    assert (result.exit_code, result.stdout) == (1, golden)
+    assert "FAIL jordan: (e2, e2, e2, e1) -> defect -12*e2 [" in golden

@@ -570,22 +570,58 @@ def test_off_diagonal_witness_is_the_polarized_defect(make, first, law, c, dtype
     assert first[3] not in first[:3]
 
 
-def test_degree_four_evaluates_the_quartic_once_per_basis_block(monkeypatch):
-    """A degree-4 PASS evaluates the quartic once on each basis 4-tuple: one
-    block of dim**3 tuples per basis element, not one per argument position."""
-    scans, detail = properties._LAWS["power_associative"]
-    fold, laws = scans[-1]
-    blocks = []
+def null_then_squares(c):
+    """`squares_to_next(c)` after a basis element e1 whose products all
+    vanish: every form passes on slab 1, and both fail first at (e2, e2, e2, e2)."""
+    return AlgebraDef.from_products(
+        "null-squares", 4, {(1, 1): (ZERO, {2: c}), (2, 2): (ZERO, {3: c})}, unital=False)
 
-    def counting(mul, *args):
-        blocks.append(math.prod(a.shape[-2] for a in args))
-        return fold.keywords["form"](mul, *args)
 
-    monkeypatch.setitem(properties._LAWS, "power_associative",
-                        ([*scans[:-1], (functools.partial(fold, form=counting), laws)], detail))
-    alg = parse_text(fixture_text("splitO.alg")).algebra
-    assert check_property(alg, "power_associative", degree=4).holds
-    assert blocks == [alg.dim**3] * alg.dim
+def y_below(c):
+    """Commutative: e1 e1 = -2c e1, e1 e2 = e2 e1 = -c e2, e2 e2 = 2c e1.  The
+    first failing Jordan tuple is (e2, e2, e2, e1), its y below the x slots."""
+    return AlgebraDef.from_products("y-below", 2, {
+        (0, 0): (ZERO, {0: -2 * c}), (0, 1): (ZERO, {1: -c}), (1, 0): (ZERO, {1: -c}),
+        (1, 1): (ZERO, {0: 2 * c})}, unital=False)
+
+
+@pytest.mark.parametrize("c, dtype", [(1, np.int64), (Fraction(1, 2**70), object)])
+@pytest.mark.parametrize("make, law, first", [
+    (null_then_squares, "power_associative", (1, 1, 1, 1)),
+    (null_then_squares, "jordan", (1, 1, 1, 1)),
+    (y_below, "power_associative", (0, 1, 1, 1)),
+    (y_below, "jordan", (1, 1, 1, 0)),
+], ids=["null-squares-degree-4", "null-squares-jordan", "y-below-degree-4", "y-below-jordan"])
+def test_witness_past_slab_one_is_the_polarized_defect(make, law, first, c, dtype):
+    """Slab i is computed for the summed indices from i on only: a witness
+    on a later slab, or with y below them, is still the first failing tuple."""
+    alg = make(c)
+    assert alg.tensor.dtype == dtype
+    report = check_property(alg, law)
+    expected = linearized_failure(alg, law)
+    assert not report.holds and expected[0] == first
+    w = report.witness
+    assert (w.indices, w.law, w.defect) == expected
+    if make is y_below:
+        assert w.defect == alg.basis_element(1).scaled(-12 * Fraction(c) ** 3)
+
+
+@pytest.mark.parametrize("law", ["power_associative", "jordan"])
+def test_a_failure_on_slab_one_computes_one_slab(law, monkeypatch):
+    """The four-argument forms leave the scan at their first failing slab."""
+    scans, detail = properties._LAWS[law]
+    kernel, group = scans[-1]
+    calls = []
+
+    def counting(alg):
+        slices = kernel(alg)
+        return lambda i, pos: calls.append((i, pos)) or slices(i, pos)
+
+    monkeypatch.setitem(properties._LAWS, law, ([*scans[:-1], (counting, group)], detail))
+    alg = squares_to_next(1)
+    report = check_property(alg, law)
+    assert report.witness.indices == (0, 0, 0, 0) and report.witness.law == group[0][0]
+    assert calls == [(1, 0)]
 
 
 def cyclic_group_algebra(n):
@@ -985,3 +1021,63 @@ def test_single_cell_perturbations_match_the_references(alg):
                 check_property(alg, law, degree=3).holds:
             continue
         assert_matches_references(alg, law)
+
+
+# -- verdicts that do not move under a change of basis or a rescaling ----------
+
+RELATION_ALGEBRAS = [*(alg for alg in full_corpus() if alg.dim > 1), zorn_matrices()]
+
+
+def verdicts(alg):
+    return [report.holds for report in check_properties(alg, PROPERTIES)]
+
+
+def row_additions(dim, count, seed):
+    """A unimodular integer matrix: the identity after `count` additions of
+    c times one row to another, c in {-2, -1, 1, 2}, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    rows = np.eye(dim, dtype=object)
+    for _ in range(count):
+        a, b = rng.choice(dim, size=2, replace=False)
+        rows[a] += int(rng.choice([-2, -1, 1, 2])) * rows[b]
+    return rows.tolist()
+
+
+@pytest.mark.parametrize("additions, dtype", [(3, np.int64), (12, object)])
+@pytest.mark.parametrize("alg", RELATION_ALGEBRAS, ids=lambda alg: alg.name)
+def test_verdicts_do_not_move_under_a_change_of_basis(alg, additions, dtype):
+    """Every law is invariant under isomorphism.  3 * dim row additions keep
+    the table int64 and 12 * dim put it on residue layers; the witnesses,
+    lexicographically first in the basis, move, so only verdicts are compared."""
+    moved = rebased(alg, f"{alg.name}-rebased", row_additions(alg.dim, additions * alg.dim, 0))
+    assert moved.tensor.dtype == dtype
+    assert verdicts(moved) == verdicts(alg)
+
+
+def rescaled(alg, lam):
+    """(table, unit): `alg` with every product times lam, which x -> x / lam
+    maps `alg` onto, and the unit of `alg` as an element of the table, or
+    None.  An external unit cannot scale, so it becomes basis element `one`
+    of a table with no unit index; zorn_matrices() has the identity a + b."""
+    basis = [alg.one(), *alg.basis()] if alg.unital else alg.basis()
+    products = {}
+    for a, b in itertools.product(range(len(basis)), repeat=2):
+        p = multiply(basis[a], basis[b])
+        coeffs = [p.unit, *p.coeffs] if alg.unital else p.coeffs
+        products[(a, b)] = (ZERO, {k: c * lam for k, c in enumerate(coeffs) if c})
+    names = ("one", *alg.basis_names) if alg.unital else alg.basis_names
+    table = AlgebraDef.from_products(f"{alg.name}*{lam}", len(basis), products, False, names)
+    if alg.unital:
+        return table, table.basis_element(0)
+    return table, table.basis_element(0) + table.basis_element(7) if alg.name == "zorn" else None
+
+
+@pytest.mark.parametrize("lam", [-1, 2, Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("alg", RELATION_ALGEBRAS, ids=lambda alg: alg.name)
+def test_verdicts_do_not_move_under_a_rescaling(alg, lam):
+    table, unit = rescaled(alg, lam)
+    assert verdicts(table) == verdicts(alg)
+    report = check_property(table, "unital")
+    assert report.holds is (unit is not None)
+    if unit is not None:
+        assert report.detail == f"internal unit {unit.scaled(1 / Fraction(lam))}"

@@ -38,14 +38,16 @@ class AlgebraDef:
     only when some structure constant is not real, imaginary parts at
     dim+1..2*dim+1 (K is dim+1 or 2*(dim+1)).  The rows of index 0 make the
     unit act as an identity; a non-unital table never produces a unit
-    component.  The dtype is int64 when 48*K**2*M**3 fits in it, M being
-    the largest entry, so that no sum the law kernels in `properties` form
-    can overflow; otherwise it is object, holding Python ints.  Object
-    tables remain the exact form of large entries, which `multiply`, the
-    unit search and the text format read as they are; the law kernels do
-    not contract them but their residues modulo a few primes, in float64.
-    `zorn` does int64 arithmetic on the small tables it builds; `report`
-    does none, it only writes the verdicts the other modules decide.
+    component.  `tensor` is read-only: a changed table is a new algebra,
+    built by the constructor.  The dtype is int64 when 48*K**2*M**3 fits
+    in it, M being the largest entry, so that no sum the law kernels in
+    `properties` form can overflow; otherwise it is object, holding Python
+    ints.  Object tables remain the exact form of large entries, which
+    `multiply`, the unit search and the text format read as they are; the
+    law kernels do not contract them but their residues modulo a few
+    primes, in float64.  `zorn` does int64 arithmetic on the small tables
+    it builds; `report` does none, it only writes the verdicts the other
+    modules decide.
 
     The constructor takes integer numerators over a positive `den`, not
     necessarily the least: `cells[i * dim + j]` is `den` times e_i * e_j as
@@ -87,10 +89,11 @@ class AlgebraDef:
         self.tensor = np.array([eye] + [[eye[i + 1], *cells[i * dim:(i + 1) * dim]]
                                         for i in range(dim)],
                                dtype=np.int64 if fits else object)
+        self.tensor.flags.writeable = False
 
     def __reduce__(self):
-        """The constructor arguments, so that a copy or a pickle leaves out
-        what the law kernels keep on the algebra."""
+        """The constructor arguments, so that a copy or a pickle is built by
+        the constructor, with its checks and a read-only tensor."""
         cells = self.tensor[1:, 1:].reshape(self.dim**2, -1).tolist()
         return AlgebraDef, (self.name, self.dim, self._den, cells, self.unital, self.basis_names)
 

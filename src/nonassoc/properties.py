@@ -34,11 +34,11 @@ The laws requested together (`check_properties`: all those of one
 `myung_equivalence`) are decided in one scan: each slab is computed once
 for the laws not yet failed, with the slices they read, and each law
 leaves the scan at its first failing slab, so an algebra on which all of
-them hold has each slab contracted once, not once per law.  The slabs come
-from one kernel per algebra, which keeps the three slices it computed
-last, one slab's worth, for callers that check one law at a time: laws
-that fail at the same slab share its contractions.  No more slices are
-kept, so memory stays O(dim^3).
+them hold has each slab contracted once, not once per law.  Each scan
+builds its kernel and drops it when it ends, and within a slab an order
+and its exchanged order read one slice, as it is and as its `swapaxes`
+view, so each slice of a slab is contracted once.  A check keeps nothing
+on the algebra, and memory stays O(dim^3).
 
 T is int64 when 48*K**2*M**3 < 2**63, where M is its largest entry and K
 the length of its last axis, so that no sum a law forms can overflow: an
@@ -59,11 +59,11 @@ p**2, and the difference of two such sums is an integer of at most
 is reduced to [0, p) by x - floor(x/p)*p before it is used again.  A
 kernel whose integer results are at most B in absolute value takes the
 fewest primes whose product exceeds 2*B: B is 12*K*M**2 for the
-associator laws, 48*K**2*M**3 for the four-argument forms and 2*M for
-commutativity.  Such an integer is zero exactly when it is zero modulo
-every prime, and the witness defect is rebuilt from its residues by the
-Chinese remainder theorem in the symmetric range (D. E. Knuth, TAOCP
-Vol. 2, 4.3.2).
+associator laws and 48*K**2*M**3 for the four-argument forms; the
+commutativity kernel contracts nothing and reads T as it is.  Such an
+integer is zero exactly when it is zero modulo every prime, and the
+witness defect is rebuilt from its residues by the Chinese remainder
+theorem in the symmetric range (D. E. Knuth, TAOCP Vol. 2, 4.3.2).
 
 An internal unit u solves u e_j = e_j = e_j u: 2*dim**2 rows, each a slice
 of T, solved by lazy fraction-free elimination over the Gaussian integers
@@ -238,19 +238,16 @@ def _layers(alg, bound):
     tensor becomes a stack along a leading axis of one float64 layer per
     prime of `_primes(K, L)`, L the fewest whose product exceeds twice the
     bound, holding its residues.  They are read off 47-bit float64 limbs
-    of the tensor, least significant first and the last one signed, which
-    are kept on `alg` for the other kernels: each Python int is split
-    once, whatever the number of primes."""
+    of the tensor, least significant first and the last one signed, so
+    each Python int is split once per call, whatever the number of primes."""
     t = alg.tensor
     if t.dtype != object:
         return t
-    if "_limbs" not in vars(alg):
-        big, limbs = max(map(abs, t.flat)), []
-        for _ in range(big.bit_length() // 47):
-            limbs.append((t & (2**47 - 1)).astype(np.float64))
-            t = t >> 47
-        alg._limbs = big, [*limbs, t.astype(np.float64)]
-    big, limbs = alg._limbs
+    big, limbs = max(map(abs, t.flat)), []
+    for _ in range(big.bit_length() // 47):
+        limbs.append((t & (2**47 - 1)).astype(np.float64))
+        t = t >> 47
+    limbs.append(t.astype(np.float64))
     width, count = limbs[0].shape[-1], 1
     while math.prod(_primes(width, count)) <= 2 * bound(width, big):
         count += 1
@@ -299,26 +296,13 @@ def _exact(layers):
     return out
 
 
-def _slab_kernel(alg):
-    """The associator kernel of `alg`: one per algebra, built on first use.
-
-    Returns slices(i, pos) for tensor index i >= 1: the array S[j, k],
-    over basis elements j and k, of A[i, j, k] (pos 0), A[j, i, k] (pos 1)
-    or A[j, k, i] (pos 2), where A[a, b, c] is the associator of the
-    elements at tensor indices a, b, c times `_den**2`, as a tensor vector,
-    with the leading axis of `_layers` if it has one.  The kernel is kept
-    on `alg` and remembers the three slices it computed last, one slab's
-    worth, so laws checked one after another that fail at the same slab
-    share its contractions.
-    """
-    kernel = vars(alg).get("_slabs")
-    if kernel is None:
-        kernel = alg._slabs = functools.lru_cache(maxsize=3)(_associator_slices(alg))
-    return kernel
-
-
 def _associator_slices(alg):
-    """The raw slice function of `_slab_kernel`: one contraction per call, read-only."""
+    """The associator kernel of `alg`: slices(i, pos) for tensor index
+    i >= 1 is the array S[j, k], over basis elements j and k, of A[i, j, k]
+    (pos 0), A[j, i, k] (pos 1) or A[j, k, i] (pos 2), where A[a, b, c] is
+    the associator of the elements at tensor indices a, b, c times
+    `_den**2`, as a tensor vector, with the leading axis of `_layers` if it
+    has one.  One contraction per call; the slice is read-only."""
     t = _layers(alg, lambda k, m: 12 * k * m**2)    # six associators of 2*K products
     full = _full(t)
     n, width = alg.dim, t.shape[-1]
@@ -346,9 +330,11 @@ def _associator_slices(alg):
 
 def _commutator_slices(alg):
     """slices(i, pos) for tensor index i >= 1: e_i e_j - e_j e_i over basis
-    elements j, times `_den`, in the layers of `_layers`; pos is 0."""
-    t = _layers(alg, lambda k, m: 2 * m)
-    return lambda i, pos: _mod(t[..., i, 1:, :] - t[..., 1:, i, :])
+    elements j, times `_den`; pos is 0.  A difference of two entries of T
+    contracts nothing, so it is taken on T as it is, in Python ints for an
+    object T."""
+    t = alg.tensor
+    return lambda i, pos: t[i, 1:, :] - t[1:, i, :]
 
 
 def _times(u, m, *shape):
@@ -428,8 +414,10 @@ def _first_failure(alg, groups, kernel):
     first.  A slice covers the last indices of each axis: all of them, but
     from i on where a four-argument form sums over the index.  A defect is
     nonzero when it is nonzero in some layer.  Each slab is computed once
-    for the groups still undecided, each order when a group first reads it,
-    and a group leaves the scan at its first failing slab.  Slabs are
+    for the groups still undecided, each slice when a group first reads an
+    order at its position: an exchanged order is the `swapaxes` view of
+    the slice, so an order and its exchange share one contraction.  A
+    group leaves the scan at its first failing slab.  Slabs are
     decided in order of i and each is scanned in (j, ..., law) order, so a
     group's first hit is its first failure in (i, j, ..., law) order.
     """
@@ -442,13 +430,15 @@ def _first_failure(alg, groups, kernel):
     for i in range(1, alg.dim + 1):
         if not undecided:
             break
-        views = {}
+        made, views = {}, {}    # slab i's slices by position, and the orders' views of them
         for g in list(undecided):
             defects = []    # the last group's are freed before a slice is computed
             for o in reads[g]:
                 if o not in views:
                     pos, exchanged = _ORDERS[o]
-                    views[o] = slices(i, pos).swapaxes(-3, -2) if exchanged else slices(i, pos)
+                    if pos not in made:
+                        made[pos] = slices(i, pos)
+                    views[o] = made[pos].swapaxes(-3, -2) if exchanged else made[pos]
             for (o, c), *others in terms[g]:
                 defects.append(views[o] if c > 0 else -views[o])
                 for o, c in others:
@@ -473,14 +463,14 @@ def _first_failure(alg, groups, kernel):
 _ORDERS = ((0, False), (1, False), (2, False), (0, True), (1, True), (2, True))
 # law -> (slab scans, detail), the rows as in the module docstring; unital has its own solve
 _LAWS = {
-    "associative": ([(_slab_kernel, [("associativity", (1, 0, 0, 0, 0, 0))])], ""),
-    "alternative": ([(_slab_kernel, [("left-alternative", (1, 1, 0, 0, 0, 0)),
-                                     ("right-alternative", (1, 0, 0, 1, 0, 0))])], ""),
-    "flexible": ([(_slab_kernel, [("flexible law", (1, 0, 0, 0, 0, 1))])], ""),
-    "lie_admissible": ([(_slab_kernel, [("Jacobi identity for the commutator",
-                                         (1, -1, 1, -1, 1, -1))])], ""),
+    "associative": ([(_associator_slices, [("associativity", (1, 0, 0, 0, 0, 0))])], ""),
+    "alternative": ([(_associator_slices, [("left-alternative", (1, 1, 0, 0, 0, 0)),
+                                           ("right-alternative", (1, 0, 0, 1, 0, 0))])], ""),
+    "flexible": ([(_associator_slices, [("flexible law", (1, 0, 0, 0, 0, 1))])], ""),
+    "lie_admissible": ([(_associator_slices, [("Jacobi identity for the commutator",
+                                               (1, -1, 1, -1, 1, -1))])], ""),
     "power_associative": ([
-        (_slab_kernel, [("power associativity at degree 3", (1, 1, 1, 1, 1, 1))]),
+        (_associator_slices, [("power associativity at degree 3", (1, 1, 1, 1, 1, 1))]),
         (_quartic_slices, [("power associativity at degree 4", (1,))]),
     ], "x^2 x = x x^2 and x^2 x^2 = (x^2 x) x on basis tuples, which decide every degree"),
     "jordan": ([
@@ -488,7 +478,8 @@ _LAWS = {
         (_jordan_slices, [("Jordan law (xy)(xx) = x(y(xx))", (1,))]),
     ], "commutativity on basis pairs, then the linearized Jordan law on basis 4-tuples"),
     "unital": None,
-    "derivation_property": ([(_slab_kernel, [("bracket Leibniz rule", (-1, 0, 0, 1, -1, 0))])], ""),
+    "derivation_property": ([(_associator_slices,
+                              [("bracket Leibniz rule", (-1, 0, 0, 1, -1, 0))])], ""),
 }
 PROPERTIES = tuple(_LAWS)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element
 from .corpus import EPS3, split_octonions
-from .properties import PropertyReport, Witness, _slab_kernel, _turn
+from .properties import PropertyReport, Witness, _associator_slices, _turn
 from .scalar import GaussianRational, ZERO, _gaussian_text, common_scale
 from .spinor import pauli_spin_commutators_hold
 
@@ -218,7 +218,7 @@ def verify_spin_decomposition() -> SpinDecompositionReport:
     split = t[SPLIT, SPLIT]
     split_brackets = split - split.transpose(1, 0, 2)
     brackets_ok = np.array_equal(split_brackets, -2 * _eps_vectors(t, den))
-    slab = _slab_kernel(alg)    # slab(i, 0)[j, k] is A(e_i, e_j, e_k) for basis j, k
+    slab = _associator_slices(alg)    # slab(i, 0)[j, k] is A(e_i, e_j, e_k) for basis j, k
     associators = np.array([slab(i, 0)[3:6, 3:6] for i in range(4, 7)])
     eps_q7 = np.zeros_like(associators)
     eps_q7[..., Q7] = 2 * EPS3 * den**2

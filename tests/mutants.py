@@ -193,6 +193,25 @@ MUTANTS = [
     # the kij order read off slice 2, the slice of kji
     ("properties.py", "(0, True), (1, True), (2, True)", "(0, True), (2, True), (2, True)",
      ["tests/test_properties.py"]),
+    # an exchanged order read as the slice of its position, without the swap of j and k
+    ("properties.py", "views[o] = made[pos].swapaxes(-3, -2) if exchanged else made[pos]",
+     "views[o] = made[pos]",
+     ["tests/test_properties.py::test_split_octonion_witnesses_are_lex_first"]),
+    # slices keyed so that positions 1 and 2 share one: the first computed serves both
+    ("properties.py",
+     "                    if pos not in made:\n                        made[pos] = slices(i, pos)\n",
+     "                    if min(pos, 1) not in made:\n"
+     "                        made[min(pos, 1)] = slices(i, pos)\n"
+     "                    made[pos] = made[min(pos, 1)]\n",
+     ["tests/test_properties.py::test_split_octonion_witnesses_are_lex_first"]),
+    # Eq. 2-80/2-90-2-110, the Zorn isomorphism, decided as the constant False
+    ("zorn.py", 'PropertyReport(alg, "zorn_isomorphism", True, None,',
+     'PropertyReport(alg, "zorn_isomorphism", False, None,',
+     ["tests/test_zorn.py::test_isomorphism_holds_on_the_table_the_zorn_form_generates"]),
+    # Eq. 2-50 as printed decided as the constant False
+    ("zorn.py", "SpinCommutatorReport(np.array_equal(brackets, twice_eps), not failing,",
+     "SpinCommutatorReport(np.array_equal(brackets, twice_eps), False,",
+     ["tests/test_zorn.py::test_printed_relation_holds_where_the_quaternion_products_carry_minus_i"]),
 ]
 
 

@@ -18,6 +18,7 @@ from nonassoc.algebra import (
     jacobiator,
     multiply,
 )
+from nonassoc.algfile import parse_text
 from nonassoc.corpus import (
     SPLIT_OCTONION_TABLE,
     complex_numbers,
@@ -26,13 +27,15 @@ from nonassoc.corpus import (
     split_octonions,
     standard_corpus,
 )
-from nonassoc.properties import check_property
+from nonassoc.properties import PROPERTIES, check_properties, check_property
 from nonassoc.scalar import GaussianRational, I, ZERO
 from nonassoc.search import CandidateAlgebra, candidate_to_algebra
 from nonassoc.zorn import from_zorn, to_zorn, zorn_matrices, zorn_octonions
 from oracle import (
+    FIXTURES,
     TupleElement,
     fixture_path,
+    fixture_text,
     gaussian_split_octonions,
     invoke,
     random_element,
@@ -386,7 +389,34 @@ def test_exact_values_survive_copy_and_pickle(copy_of, index):
     twin = copy_of(value)
     assert type(twin) is type(value)
     assert twin == value and str(twin) == str(value)
-    if isinstance(value, AlgebraDef):    # the kernels are rebuilt on demand, not carried over
+    if isinstance(value, AlgebraDef):    # built again by the constructor
         assert twin.name == value.name and twin.tensor.dtype == value.tensor.dtype
-        assert not {"_slabs", "_limbs"} & set(vars(twin))
+        assert not twin.tensor.flags.writeable
         assert check_property(twin, "flexible") == check_property(value, "flexible")
+
+
+def test_the_tensor_is_read_only():
+    """q1 q1 = 5 written into a checked quaternion table is refused; the
+    changed table is parsed as an algebra of its own, which fails."""
+    text = fixture_text("quaternion.alg")
+    alg = parse_text(text).algebra
+    assert check_property(alg, "associative").holds
+    with pytest.raises(ValueError):
+        alg.tensor[1, 1, 0] = 5 * alg._den
+    assert check_property(alg, "associative").holds
+    changed = parse_text(text.replace("e1 e1 -> -1", "e1 e1 -> 5")).algebra
+    report = check_property(changed, "associative")
+    assert report.witness.describe() == "(q1, q1, q2) -> defect 6*q2 [associativity]"
+
+
+@pytest.mark.parametrize("make", [*(lambda name=name: parse_text(fixture_text(name)).algebra
+                                    for name in FIXTURES),
+                                  lambda: candidate_to_algebra(CandidateAlgebra.random(1)),
+                                  zorn_matrices],
+                         ids=[*FIXTURES, "candidate-1", "zorn-matrices"])
+def test_law_checks_keep_nothing_on_the_algebra(make):
+    alg = make()
+    before = dict(vars(alg))
+    check_properties(alg, PROPERTIES)
+    assert vars(alg).keys() == before.keys()
+    assert all(vars(alg)[name] is value for name, value in before.items())

@@ -681,3 +681,30 @@ def test_check_golden_file_is_the_pinned_jordan_y_below_output(tmp_path):
     golden = CHECK_GOLDEN.with_name("check_jordan_y_below.txt").read_text()
     assert (result.exit_code, result.stdout) == (1, golden)
     assert "FAIL jordan: (e2, e2, e2, e1) -> defect -12*e2 [" in golden
+
+
+# the y-below table over a denominator of 2**70: its tensor holds Python
+# ints, which the law kernels read as residue layers; CI writes the same
+# text from a heredoc
+BIG_DENOMINATOR_TABLE = """\
+name y-below-big
+dimension 2
+unital false
+e1 e1 -> -2/1180591620717411303424e1
+e1 e2 -> -1/1180591620717411303424e2
+e2 e1 -> -1/1180591620717411303424e2
+e2 e2 -> 2/1180591620717411303424e1
+"""
+
+
+def test_check_golden_file_is_the_pinned_big_denominator_output(tmp_path):
+    """CI compares the installed `check` on the big-denominator table with this file."""
+    from nonassoc.algfile import parse_text
+
+    alg = parse_text(BIG_DENOMINATOR_TABLE).algebra
+    assert alg._den == 2**70 and alg.tensor.dtype == object
+    path = tmp_path / "big_denominator.alg"
+    path.write_text(BIG_DENOMINATOR_TABLE, encoding="utf-8")
+    result = invoke(["check", str(path), "--properties", ALL_LAWS])
+    golden = CHECK_GOLDEN.with_name("check_big_denominator.txt").read_text()
+    assert (result.exit_code, result.stdout) == (1, golden)

@@ -261,7 +261,7 @@ def order_arguments():
 def law_rows():
     """tag -> row of each law the associator kernel scans."""
     return {tag: row for entry in properties._LAWS.values() if entry
-            for kernel, laws in entry[0] if kernel is properties._slab_kernel
+            for kernel, laws in entry[0] if kernel is properties._associator_slices
             for tag, row in laws}
 
 
@@ -290,7 +290,7 @@ def test_law_rows_are_signs_on_the_six_orders():
     assert all(len(row) == 6 and set(row) <= {-1, 0, 1} for row in rows.values())
     # the other scans read one slice as it is
     others = [row for entry in properties._LAWS.values() if entry for kernel, laws in entry[0]
-              if kernel is not properties._slab_kernel for _, row in laws]
+              if kernel is not properties._associator_slices for _, row in laws]
     assert others == [(1,)] * 3
 
 
@@ -684,7 +684,7 @@ def test_candidate_unit_search_builds_at_most_dim_plus_one_rows(seed, monkeypatc
     assert len(set(built)) == len(built) <= alg.dim + 1
 
 
-# -- one associator kernel per algebra, shared by the laws ---------------------
+# -- laws that keep nothing on the algebra --------------------------------------
 
 def flipped_split_octonions():
     """splitO with the product q4 q5 negated."""
@@ -703,7 +703,7 @@ SHARING_CASES = (
 
 
 def fresh_copy(alg):
-    """`alg` built again from its cells: no kernel or memoised slab yet."""
+    """`alg` built again from its cells, a distinct algebra with an equal tensor."""
     return AlgebraDef(alg.name, alg.dim, alg._den, alg.tensor[1:, 1:].reshape(alg.dim**2, -1).tolist(),
                       alg.unital, alg.basis_names)
 
@@ -729,7 +729,9 @@ def test_laws_do_not_depend_on_what_ran_before(make):
 
 
 def count_slices(monkeypatch):
-    """Record (algebra, i, pos) for each associator slice computed."""
+    """Record (algebra, i, pos) for each associator slice computed: the
+    associator kernel is wrapped where `_LAWS` holds it, one wrapper for
+    every law, so the laws of one check still share their scan."""
     calls = []
     raw_slices = properties._associator_slices
 
@@ -742,19 +744,19 @@ def count_slices(monkeypatch):
 
         return slices
 
-    monkeypatch.setattr(properties, "_associator_slices", counting)
+    for law, entry in properties._LAWS.items():
+        if entry:
+            scans, detail = entry
+            scans = [(counting if kernel is raw_slices else kernel, group) for kernel, group in scans]
+            monkeypatch.setitem(properties._LAWS, law, (scans, detail))
     return calls
 
 
 def test_all_laws_on_a_candidate_compute_one_slab(monkeypatch):
     calls = count_slices(monkeypatch)
-    alg = exported_candidate(1)
-    for law in PROPERTIES:
-        check_property(alg, law)
+    check_properties(exported_candidate(1), PROPERTIES)
     # every law fails at slab 1; each of its three slices is contracted once
     assert [(i, pos) for _, i, pos in calls] == [(1, 0), (1, 1), (1, 2)]
-    assert properties._slab_kernel(alg) is properties._slab_kernel(alg)
-    assert properties._slab_kernel(exported_candidate(1)) is not properties._slab_kernel(alg)
 
 
 def test_no_slice_is_computed_twice_in_a_row(monkeypatch):
@@ -762,8 +764,7 @@ def test_no_slice_is_computed_twice_in_a_row(monkeypatch):
     algebras = [parse_text(fixture_text(name)).algebra for name in FIXTURES]
     algebras.append(exported_candidate(2))
     for alg in algebras:
-        for law in PROPERTIES:
-            check_property(alg, law)
+        check_properties(alg, PROPERTIES)
     for alg in algebras:
         mine = [(i, pos) for a, i, pos in calls if a is alg]
         assert mine
@@ -774,10 +775,7 @@ def test_no_slice_is_computed_twice_in_a_row(monkeypatch):
 
 
 def test_shared_slices_are_read_only():
-    alg = parse_text(fixture_text("splitO.alg")).algebra
-    check_property(alg, "flexible")
-    s = properties._slab_kernel(alg)(1, 0)
-    assert s is properties._slab_kernel(alg)(1, 0)
+    s = properties._associator_slices(parse_text(fixture_text("splitO.alg")).algebra)(1, 0)
     with pytest.raises(ValueError):
         s[0, 0, 0] = 1
 
@@ -835,7 +833,7 @@ def test_check_properties_decides_nothing_on_a_bad_request(names, degree, messag
 def test_object_table_slices_are_float64_residue_layers():
     alg = exported_candidate(1)
     t, n = alg.tensor, alg.dim
-    s = properties._slab_kernel(alg)(1, 0)
+    s = properties._associator_slices(alg)(1, 0)
     assert s.dtype == np.float64 and s.shape[1:] == (n, n, n + 1)
     # A[1, j, k] = (e_1 e_j) e_k - e_1 (e_j e_k), contracted in Python ints
     exact = (np.tensordot(t[1, 1:], t[:, 1:], axes=(1, 0))
@@ -846,7 +844,7 @@ def test_object_table_slices_are_float64_residue_layers():
 
 def test_int64_table_slices_have_no_layer_axis():
     alg = split_octonions()
-    s = properties._slab_kernel(alg)(1, 0)
+    s = properties._associator_slices(alg)(1, 0)
     assert s.dtype == np.int64 and s.shape == (alg.dim, alg.dim, alg.dim + 1)
 
 
@@ -890,7 +888,7 @@ def all_but_one_prime():
 def test_a_defect_nonzero_modulo_one_prime_only():
     alg = all_but_one_prime()
     assert alg.tensor.dtype == object
-    layers = properties._slab_kernel(alg)(1, 0)[:, 0, 0]    # A(e1, e1, e1), times den**2
+    layers = properties._associator_slices(alg)(1, 0)[:, 0, 0]    # A(e1, e1, e1), times den**2
     assert len(layers) == 5
     assert not layers[:4].any() and layers[4, 1] != 0
     rep = check_property(alg, "associative")
@@ -1081,3 +1079,37 @@ def test_verdicts_do_not_move_under_a_rescaling(alg, lam):
     assert report.holds is (unit is not None)
     if unit is not None:
         assert report.detail == f"internal unit {unit.scaled(1 / Fraction(lam))}"
+
+
+def direct_sum(a, b):
+    """A x B of two tables with no unit index: the basis of a, then the basis
+    of b, with every product of one of each zero."""
+    products = {}
+    for alg, shift in ((a, 0), (b, a.dim)):
+        for i, j in itertools.product(range(alg.dim), repeat=2):
+            coeffs = alg.basis_product(i, j).coeffs
+            products[(i + shift, j + shift)] = (ZERO, {k + shift: c for k, c in enumerate(coeffs) if c})
+    return AlgebraDef.from_products(f"{a.name}x{b.name}", a.dim + b.dim, products, unital=False)
+
+
+# each pair once, an algebra with itself too: Jordan holds on complex alone
+SUM_PAIRS = list(itertools.combinations_with_replacement([*full_corpus(), zorn_matrices()], 2))
+
+
+@pytest.mark.parametrize("first, second", SUM_PAIRS, ids=lambda alg: alg.name)
+def test_verdicts_on_a_direct_sum_are_those_of_both_factors(first, second):
+    """The seven identities hold on A x B exactly when they hold on A and on
+    B (an equational class is closed under products and subalgebras), and
+    A x B has a unit exactly when both do, 1_A + 1_B.  An external unit is
+    made basis element `one` first, so that the sum can hold it."""
+    (a, unit_a), (b, unit_b) = rescaled(first, 1), rescaled(second, 1)
+    total = direct_sum(a, b)
+    identities = [law for law in PROPERTIES if law != "unital"]
+    both = [x.holds and y.holds for x, y in zip(check_properties(first, identities),
+                                                check_properties(second, identities))]
+    assert [r.holds for r in check_properties(total, identities)] == both
+    report = check_property(total, "unital")
+    assert report.holds is (unit_a is not None and unit_b is not None)
+    if report.holds:
+        unit = total.element(0, [*unit_a.coeffs, *unit_b.coeffs])
+        assert report.detail == f"internal unit {unit}"

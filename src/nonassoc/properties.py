@@ -372,7 +372,8 @@ def _quartic_slices(alg):
         y = _times(sym[..., i - 1, s:, :], circle, m, width, width)    # [a, q]: S_ia o u_q
         q = _times(sym[..., s:, s:, :], _columns(y), m, m, m, width)    # [b, c, a]: S_bc o S_ia
         q -= _times(triple[..., i - 1, s:, s:, :], right[..., s * width:], m, m, m, width)    # L3(i,b,c) e_a
-        out = _times(triple[..., s:, s:, s:, :], full[..., :, i, :], m, m, m, width)    # L3(j, k, l) e_i
+        # L3(j, k, l) e_i: @ broadcasts over j and k, where a reshape would copy the sub-cube
+        out = _mod(triple[..., s:, s:, s:, :] @ full[..., None, None, :, i, :])
         return _mod(_add_symmetric(np.negative(out, out=out), q))
 
     return slices
@@ -392,7 +393,7 @@ def _jordan_slices(alg):
         s, m = i - 1, n - i + 1    # j, k from e_i on
         p = _times(t[..., i, 1:, :], times, n, width, width)    # [l, q]: (e_i e_l) u_q
         g = _times(sym[..., s:, s:, :], _columns(p), m, m, n, width)    # [j, k, l]: (e_i e_l) S_jk
-        g -= _times(by_left[..., s:, s:, :, :], full[..., i, :, :], m, m, n, width)    # e_i (e_l S_jk)
+        g -= _mod(by_left[..., s:, s:, :, :] @ full[..., None, None, i, :, :])    # e_i (e_l S_jk), as above
         y = _times(sym[..., i - 1, s:, :], swapped, m, width, width)    # [b, p]: u_p S_ib
         a = _times(t[..., s + 1:, 1:, :], _columns(y), m, n, m, width)    # [a, l, b]: (e_a e_l) S_ib
         a -= _times(by_left[..., i - 1, s:, :, :], left[..., s * width:], m, n, m, width).swapaxes(-4, -2)
@@ -425,6 +426,10 @@ def _first_failure(alg, groups, kernel):
     terms = [[sorted(((o, c) for o, c in enumerate(row) if c), key=lambda t: t[1] < 0)
               for _, row in laws] for laws in groups]
     reads = [sorted({o for law in laws for o, _ in law}) for laws in terms]
+    # a group of one law that is one order with coefficient 1 reads its slice,
+    # already reduced, as a view: no copy
+    plain = [law[0][0] if len(laws) == 1 and len(law := laws[0]) == 1 and law[0][1] == 1 else None
+             for laws in terms]
     found = [None] * len(groups)
     undecided = list(range(len(groups)))
     for i in range(1, alg.dim + 1):
@@ -439,12 +444,15 @@ def _first_failure(alg, groups, kernel):
                     if pos not in made:
                         made[pos] = slices(i, pos)
                     views[o] = made[pos].swapaxes(-3, -2) if exchanged else made[pos]
-            for (o, c), *others in terms[g]:
-                defects.append(views[o] if c > 0 else -views[o])
-                for o, c in others:
-                    defects[-1] = defects[-1] + views[o] if c > 0 else defects[-1] - views[o]
-            defects = np.stack(defects, axis=-2)    # the sums are freed before `_mod` allocates
-            defects = _mod(defects)
+            if plain[g] is not None:
+                defects = views[plain[g]][..., None, :]
+            else:
+                for (o, c), *others in terms[g]:
+                    defects.append(views[o] if c > 0 else -views[o])
+                    for o, c in others:
+                        defects[-1] = defects[-1] + views[o] if c > 0 else defects[-1] - views[o]
+                defects = np.stack(defects, axis=-2)    # the sums are freed before `_mod` allocates
+                defects = _mod(defects)
             nonzero = (defects != 0).any(axis=-1)
             if defects.dtype.kind == "f":    # in some layer
                 nonzero = nonzero.any(axis=0)

@@ -18,12 +18,20 @@ explores. Search is multi-restart perturb-and-accept descent; restart k
 draws from its own stream spawned from (rng_seed, k), so results are
 reproducible and independent of scheduling.
 
-Each role layout gets a gather plan once: flat indices into `c.ravel()`
-for the bracket rows c[a, b, :] and c[b, a, :], and for the blocks of
-both P-sectors that the associators need, stacked on a leading axis. A
-residual is then a few gathers, two batched matmuls and dot products.
-The search steps one entry in place and writes the old double back on
-reject, so a candidate is never copied per iteration.
+Each role layout gets a gather plan once.  The residual reads whole rows
+c[i, j, :]: the bracket rows c[a, b, :] and c[b, a, :], and for each
+P-sector S, stacked on a leading axis, the two operands of its
+associators, cs = c[S, S, :] as 16 rows (i, j) and W = [c[m, S_k, l] |
+c[S_i, m, l]] as a (dim, 8 dim) matrix over rows m.  The plan lists those
+rows, and its inverse where each row is read.  One matmul cs @ W gives
+both sides: its left half is (P^i P^j) P^k over ((i, j), (k, l)), its
+right half P^i (P^j P^k) over ((j, k), (i, l)).  Each restart gathers the
+table through the plan once, into one live buffer.  A step writes its new
+double to `c` and to every buffer slot that reads the same entry, and on
+reject the old double back to both, so a candidate is never copied and a
+residual gathers nothing; `residual(cand)` alone gathers a fresh buffer
+from `cand.c`.  The defects keep C order, so every family sum is the same
+dot product on the same doubles.
 
 A step is evaluated only when it can lower the residual.  On the
 associator side it can when its entry e = c[i, j, k] is its own factor in
@@ -59,6 +67,7 @@ and 753 all three families.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -149,7 +158,14 @@ class ResidualBreakdown(NamedTuple):
 
 
 class _Targets:
-    """Right-hand sides and flat gather indices into `c.ravel()` for one role layout."""
+    """Right-hand sides and the gather plan of one role layout.
+
+    `plan` holds the rows c[i, j, :] that the residual reads, as indices
+    i * dim + j, in the order of its operands: the bracket rows `ab` and
+    `ba`, then cs = c[S, S, :] (2, 16, dim) and W (2, dim, 8 dim) for both
+    P-sectors, as in the module docstring.  Its inverse: the places in
+    `plan` of row r are runs[starts[r]:starts[r + 1]].
+    """
 
     def __init__(self, roles: dict[str, int], dim: int):
         idx_r = [roles[l] for l in ROLE_R]
@@ -166,24 +182,27 @@ class _Targets:
         t_assoc = np.zeros((2, 4, 4, 4, dim))
         np.add.at(t_assoc, (np.arange(2)[:, None], ..., sectors),
                   np.moveaxis(2.0 * EPS4 * MINKOWSKI, -1, 0))
-        t_assoc = t_assoc.reshape(2, -1)
+        self.t_assoc = t_assoc
 
-        flat = np.arange(dim ** 3).reshape(dim, dim, dim)
+        rows = np.arange(dim * dim).reshape(dim, dim)    # row (i, j) of c: c[i, j, :]
         # bracket rows c[a, b, :] - c[b, a, :]: the 16 comm pairs, then the 36 Lorentz pairs
         self.pairs = pairs = ([(a, b) for a in idx_r for b in idx_rt]
                               + [(a, b) for a in idx_m for b in idx_m])
-        self.ab = np.concatenate([flat[a, b] for a, b in pairs])
-        self.ba = np.concatenate([flat[b, a] for a, b in pairs])
+        ab = [rows[a, b] for a, b in pairs]
+        ba = [rows[b, a] for a, b in pairs]
         self.t_bracket = np.concatenate([t_comm.ravel(), t_lorentz.ravel()])
         self.n_comm = t_comm.size
-        # sectors stacked on axis 0: c[S, S, :] as 16 rows (i, j), c[:, S, :]
-        # as a (dim, 4 dim) matrix, the four (dim, dim) slabs c[S] and the
-        # targets, for both sectors and for each one alone
-        cs = flat[sectors[:, :, None], sectors[:, None, :]].reshape(2, 16, dim)
-        c_mid = flat[:, sectors].transpose(1, 0, 2, 3).reshape(2, dim, 4 * dim)
-        c_row = flat[sectors]
-        self.assoc = {s: (cs[list(s)], c_mid[list(s)], c_row[list(s)], t_assoc[list(s)])
-                      for s in ((0, 1), (0,), (1,))}
+        cs = rows[sectors[:, :, None], sectors[:, None, :]].ravel()
+        w = np.concatenate([rows[:, sectors].transpose(1, 0, 2),     # [m, k]: c[m, S_k, :]
+                            rows[sectors].transpose(0, 2, 1)], 2)    # [m, i]: c[S_i, m, :]
+        self.plan = np.concatenate([ab, ba, cs, w.ravel()])
+        self.split = list(itertools.accumulate((len(ab), len(ba), len(cs))))
+
+        runs = [[] for _ in range(dim * dim)]
+        for run, row in enumerate(self.plan.tolist()):
+            runs[row].append(run)
+        self.starts = np.array([0, *itertools.accumulate(map(len, runs))])
+        self.runs = np.array([run for r in runs for run in r])
 
 
 _TARGET_CACHE: dict[tuple, _Targets] = {}
@@ -197,26 +216,55 @@ def _targets_for(cand: CandidateAlgebra) -> _Targets:
     return t
 
 
+class _Operands(dict):
+    """The live operand set of one table: `buf`, its gather through the plan
+    of `_Targets`, and views of it.  `ab` and `ba` are the bracket rows; the
+    item of a sector set of `residual` holds its views of the stacked
+    associator operands, [0:1], [1:2] or [0:2], with the product and defect
+    arrays the kernel writes."""
+
+    def __init__(self, t: _Targets, c: np.ndarray):
+        self.targets = t
+        dim = len(c)
+        self.buf = buf = c.reshape(dim * dim, dim).take(t.plan, axis=0)
+        n, m, k = t.split
+        self.ab, self.ba = buf[:n].ravel(), buf[n:m].ravel()
+        cs, w = buf[m:k].reshape(2, 16, dim), buf[k:].reshape(2, dim, 8 * dim)
+        both = np.empty((2, 16, 8 * dim))
+        left = both[..., :4 * dim].reshape(t.t_assoc.shape)    # (P^i P^j) P^k: (s, i, j, k, l)
+        right = both[..., 4 * dim:].reshape(t.t_assoc.shape)   # P^i (P^j P^k): (s, j, k, i, l)
+        d = np.empty(t.t_assoc.shape)
+        self[0, 1] = (cs, w, both, left, right.transpose(0, 3, 1, 2, 4), t.t_assoc, d, d.reshape(2, -1))
+
+    def __missing__(self, sectors):    # one sector, made on first use
+        s = slice(sectors[0], sectors[0] + 1)
+        views = self[sectors] = tuple(v[s] for v in self[0, 1])
+        return views
+
+
 def residual(cand: CandidateAlgebra, prev: ResidualBreakdown | None = None,
-             moved: tuple[bool, tuple[int, ...]] | None = None) -> ResidualBreakdown:
+             moved: tuple[bool, tuple[int, ...]] | None = None,
+             operands: _Operands | None = None) -> ResidualBreakdown:
     """Sum of squared defects of every constraint coefficient equation.
 
     The defects fall into three families: the bracket rows, summed into
     `r_comm` and `r_lorentz`, and the associators of each P-sector, whose
     two sums (R, Rt) are `r_sectors` and add up to `r_assoc`.
-    `residual(cand)` evaluates all three.  After a step on one entry, `prev`
-    is the residual of the table before the step and `moved`, as
-    `_Support.live` returns it, is (bracket, sectors): whether the bracket
+    `residual(cand)` evaluates all three from `cand.c`.  After a step on one
+    entry, `prev` is the residual of the table before the step and `moved`,
+    as `_Support.live` returns it, is (bracket, sectors): whether the bracket
     family moves, and the indices (0 for R, 1 for Rt) of the sectors that
     do.  The families it leaves out are copied from `prev`: their defects
-    are bit-identical, and so are their sums.
+    are bit-identical, and so are their sums.  `operands`, the table's live
+    operand set, is read in place of `cand.c`.
     """
-    t = _targets_for(cand)
-    c = cand.c.ravel()
+    if operands is None:
+        operands = _Operands(_targets_for(cand), cand.c)
+    t = operands.targets
     bracket, sectors = moved or (True, (0, 1))
 
     if bracket:
-        d = c[t.ab] - c[t.ba] - t.t_bracket
+        d = operands.ab - operands.ba - t.t_bracket
         comm, lorentz = d[:t.n_comm], d[t.n_comm:]
         r_comm, r_lorentz = float(comm @ comm), float(lorentz @ lorentz)
     else:
@@ -224,12 +272,11 @@ def residual(cand: CandidateAlgebra, prev: ResidualBreakdown | None = None,
 
     sums = list(prev.r_sectors) if moved else [0.0, 0.0]
     if sectors:
-        cs, c_mid, c_row, t_assoc = t.assoc[sectors]
-        cs = c[cs]
-        left = cs @ c[c_mid]              # (P^i P^j) P^k: axes (s, (i, j), (k, l))
-        right = cs[:, None] @ c[c_row]    # P^i (P^j P^k): axes (s, i, (j, k), l)
-        d = left.reshape(t_assoc.shape) - right.reshape(t_assoc.shape) - t_assoc
-        for s, row in zip(sectors, d):
+        cs, w, both, left, right, t_assoc, d, rows = operands[sectors]
+        np.matmul(cs, w, out=both)
+        np.subtract(left, right, out=d)
+        d -= t_assoc
+        for s, row in zip(sectors, rows):
             sums[s] = float(row @ row)
 
     return ResidualBreakdown(r_comm, r_lorentz, sums[0] + sums[1], tuple(sums))
@@ -373,8 +420,9 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
     freeze = freeze or set()
     base = init if init is not None else CandidateAlgebra.zero()
     mask = _frozen_mask(base, freeze)
-    free_entries = np.argwhere(~mask).tolist()
+    free_entries = np.flatnonzero(~mask).tolist()
     targets = _targets_for(base)
+    dim, starts, runs = base.dim, targets.starts, targets.runs
     seed_seq = np.random.SeedSequence(cfg.rng_seed)
     streams = seed_seq.spawn(cfg.restarts)
 
@@ -391,26 +439,32 @@ def search(cfg: SearchConfig, init: CandidateAlgebra | None = None,
             cand.c = cand.c + noise
         c = cand.c
         support = _Support(targets, c)
-        cur = residual(cand)
+        operands = _Operands(targets, c)
+        buf = operands.buf
+        cur = residual(cand, None, None, operands)
         total = cur.total
         trace = [total]
         for _ in range(cfg.max_iters):
             if total <= cfg.tolerance:
                 break
-            i, j, k = free_entries[rng.integers(len(free_entries))]
+            row, k = divmod(free_entries[rng.integers(len(free_entries))], dim)
+            i, j = divmod(row, dim)
             delta = rng.normal(0.0, cfg.step_scale)
             families = support.live(i, j, k)
             if families is None:
                 continue  # the residual would not fall, so the step would be rejected
+            slots = runs[starts[row]:starts[row + 1]]    # where the live buffer holds c[i, j, :]
             old = c[i, j, k]
             c[i, j, k] = new = old + delta
-            res = residual(cand, cur, families)
+            buf[slots, k] = new
+            res = residual(cand, cur, families, operands)
             if res.total < total:
                 cur, total = res, res.total
                 if (old == 0) != (new == 0):
                     support.moved(i, j, k, 1 if old == 0 else -1)
             else:
                 c[i, j, k] = old  # the exact double, so a rejected step leaves no trace
+                buf[slots, k] = old
             trace.append(total)
         traces.append(trace)
         if best_res is None or total < best_res.total:

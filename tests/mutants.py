@@ -128,6 +128,12 @@ MUTANTS = [
     ("search.py", "sums[s] = float(row @ row)",
      "sums[s] = float(row @ row) if len(sectors) == 2 else sums[s]",
      ["tests/test_search.py::test_search_partial_residual_equals_the_full_one"]),
+    # a reject that leaves the new double in the live operand set
+    ("search.py", "buf[slots, k] = old", "pass",
+     ["tests/test_search.py::test_search_live_operands_equal_a_fresh_gather"]),
+    # a write that reaches only the first slot of an entry the plan reads more than once
+    ("search.py", "buf[slots, k] = new", "buf[slots[:1], k] = new",
+     ["tests/test_search.py::test_search_live_operands_equal_a_fresh_gather[so31-shared-index]"]),
     # a restart that keeps stepping once its residual is within tolerance
     ("search.py", "if total <= cfg.tolerance:\n                break\n",
      "if total <= cfg.tolerance:\n                pass\n",

@@ -481,6 +481,22 @@ def linearized_failure(alg, law):
     return None
 
 
+def defect_at(alg, law, tag, indices):
+    """The defect of `law`'s identity `tag` at the basis tuple `indices`,
+    from element arithmetic: what a witness there must carry, as
+    `reference_failure` and `linearized_failure` compute it."""
+    basis = alg.basis()
+    xs = [basis[i] for i in indices]
+    if law in REFERENCE_LAWS:
+        (defect,) = [d for t, d in REFERENCE_LAWS[law] if t == tag]
+        return defect(multiply, *xs)
+    if tag == "commutativity":
+        return multiply(xs[0], xs[1]) - multiply(xs[1], xs[0])
+    if tag.startswith("Jordan law"):
+        return polarization(functools.partial(jordan_defect, y=xs[3]), xs[:3])
+    return polarization(cube_defect if len(xs) == 3 else fourth_power_defect, xs)
+
+
 # -- Zorn vector matrices ------------------------------------------------------
 
 def _dot(u, v):

@@ -18,6 +18,7 @@ from nonassoc.search import (
     CandidateAlgebra,
     ResidualBreakdown,
     SearchConfig,
+    _Operands,
     _Support,
     _targets_for,
     default_roles,
@@ -562,6 +563,26 @@ def test_search_partial_residual_equals_the_full_one(monkeypatch, case):
         kinds = collections.Counter(moved)
         assert (kinds[True, ()], kinds[False, (0,)] + kinds[False, (1,)], kinds[True, (0, 1)]) == (
             656, 3439, 753)
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_search_live_operands_equal_a_fresh_gather(monkeypatch, case):
+    """At every `residual` call of a search, so after each evaluated step
+    and after the reject before it, the live operand set equals a fresh
+    gather of the table through the plan, bit for bit."""
+    init, freeze, restarts, seed = SKIP_CASES[case]
+    calls = []
+
+    def checking(cand, *args):
+        operands = args[2]
+        assert operands.buf.tobytes() == _Operands(operands.targets, cand.c).buf.tobytes()
+        calls.append(cand)
+        return residual(cand, *args)
+
+    monkeypatch.setattr(sys.modules["nonassoc.search"], "residual", checking)
+    result = search(SearchConfig(restarts=restarts, max_iters=300, rng_seed=seed),
+                    init=init, freeze=freeze)
+    assert len(calls) == sum(len(trace) for trace in result.traces)
 
 
 @pytest.mark.parametrize("table", LIVE_TABLES)
